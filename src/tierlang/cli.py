@@ -97,9 +97,12 @@ def load_program(path: str, second_order: bool | None, registry):
 
 def default_budget() -> int:
     value = os.environ.get(ENV_BUDGET)
-    if value:
+    if not value:
+        return interp1.DEFAULT_BUDGET
+    try:
         return int(value)
-    return interp1.DEFAULT_BUDGET
+    except ValueError:
+        raise ValueError(f"{ENV_BUDGET} must be an integer, got {value!r}") from None
 
 
 def load_config(path: str | None) -> opreg.DeltaConfig | None:
@@ -181,8 +184,8 @@ def cmd_run(args) -> int:
     registry = opreg.builtin_registry()
     report = blank_report("run", args.file)
     lines = []
-    budget = args.max_steps if args.max_steps is not None else default_budget()
     try:
+        budget = args.max_steps if args.max_steps is not None else default_budget()
         program = load_program(args.file, args.second_order or None, registry)
         inputs = {}
         for item in args.input or []:

@@ -1,9 +1,16 @@
-"""Big-step evaluator for first-order programs.
+"""Big-step evaluator core, and first-order runs on it.
 
 Execution follows the rule-per-construct semantics: statements produce a
 break flag plus an updated store, a while loop converts a break from its
 body into normal termination, and ``declass(e1, e2)`` evaluates to the
 unary numeral for min(|w1|, |w2|).
+
+``Interp`` is the one evaluator of expressions and statements.  It owns the
+step budget, store-size accounting, loops with the monitor, and the
+``(loop_id, serial)`` activation labels of oracle-break events.  Oracle
+calls and oracle breaks go through its ``apply_oracle`` hook, which rejects
+them in a first-order run; ``secondorder.Interp2`` extends the core with
+procedures, closures and oracles.
 
 A step is one rule application, so the step count is proportional to the
 size of the evaluation derivation.  With the monitor enabled, every guard
@@ -96,10 +103,6 @@ class ExecError(RuntimeStop):
     subcode = "exec-error"
 
 
-def empty_store() -> dict:
-    return {}
-
-
 def lookup(store: dict, name: str) -> str:
     return store.get(name, words.EPSILON)
 
@@ -134,6 +137,8 @@ class Interp:
         self.budget = budget
         self.monitor = monitor
         self.stats = ExecStats()
+        self.activation_serial = 0
+        self.activation_stack: list = []  # (loop_id, serial) of running loops
 
     def tick(self, n: int = 1):
         self.stats.steps += n
@@ -143,16 +148,28 @@ class Interp:
             )
 
     def note_store(self, store: dict):
-        size = sum(len(v) for v in store.values())
+        # Order-1 values (oracles) held by second-order frames have no size.
+        size = sum(len(v) for v in store.values() if isinstance(v, str))
         if size > self.stats.max_store_size:
             self.stats.max_store_size = size
+
+    def apply_oracle(self, store: dict, name: str, args: list) -> str:
+        """Answer of oracle ``name`` on ``args``; a first-order run has none."""
+        raise ExecError(
+            "oracle calls cannot occur in first-order programs", self.stats
+        )
 
     # -- expressions
 
     def eval_expr(self, store: dict, e) -> str:
         self.tick()
         if isinstance(e, Var):
-            return lookup(store, e.name)
+            value = lookup(store, e.name)
+            if not isinstance(value, str):
+                raise ExecError(
+                    f"order-1 variable {e.name} used as a word", self.stats
+                )
+            return value
         if isinstance(e, OpApp):
             args = [self.eval_expr(store, a) for a in e.args]
             try:
@@ -164,9 +181,8 @@ class Interp:
             w2 = self.eval_expr(store, e.bound)
             return words.unary(min(len(w1), len(w2)))
         if isinstance(e, OracleCall):
-            raise ExecError(
-                "oracle calls cannot occur in first-order programs", self.stats
-            )
+            args = [self.eval_expr(store, a) for a in e.args]
+            return self.apply_oracle(store, e.oracle, args)
         raise ExecError(f"not an expression: {e!r}", self.stats)
 
     # -- statements
@@ -197,9 +213,15 @@ class Interp:
             self.tick()
             return words.truthy(self.eval_expr(store, s.guard))
         if isinstance(s, OracleBreak):
-            raise ExecError(
-                "oracle breaks cannot occur in first-order programs", self.stats
-            )
+            self.tick()
+            left_args = [self.eval_expr(store, a) for a in s.call_args]
+            left = self.apply_oracle(store, s.oracle, left_args)
+            right_args = [lookup(store, v) for v in s.ref_vars]
+            right = self.apply_oracle(store, s.oracle, right_args)
+            if self.activation_stack:
+                loop_id, serial = self.activation_stack[-1]
+                self.stats.obk_events.append((loop_id, serial, len(left), len(right)))
+            return len(left) > len(right)
         if isinstance(s, For):
             raise ExecError("for loops must be desugared before execution", self.stats)
         raise ExecError(f"not a statement: {s!r}", self.stats)
@@ -210,22 +232,27 @@ class Interp:
             state = LoopMonitorState(
                 s.loop_id, tuple(sorted(undeclassified_vars(s.guard)))
             )
-        while True:
-            self.tick()  # one while-rule application per guard evaluation
-            if state is not None:
-                witness = state.observe(store)
-                if witness is not None:
-                    raise AperiodicityViolation(
-                        s.loop_id, state.evaluations, witness, self.stats
-                    )
-            guard = self.eval_expr(store, s.guard)
-            if not words.truthy(guard):
-                return False
-            self.stats.loop_iterations[s.loop_id] += 1
-            self.tick()  # the unrolled sequence rule
-            if self.exec_stmt(store, s.body):
-                # A break inside the body terminates the loop normally.
-                return False
+        self.activation_serial += 1
+        self.activation_stack.append((s.loop_id, self.activation_serial))
+        try:
+            while True:
+                self.tick()  # one while-rule application per guard evaluation
+                if state is not None:
+                    witness = state.observe(store)
+                    if witness is not None:
+                        raise AperiodicityViolation(
+                            s.loop_id, state.evaluations, witness, self.stats
+                        )
+                guard = self.eval_expr(store, s.guard)
+                if not words.truthy(guard):
+                    return False
+                self.stats.loop_iterations[s.loop_id] += 1
+                self.tick()  # the unrolled sequence rule
+                if self.exec_stmt(store, s.body):
+                    # A break inside the body terminates the loop normally.
+                    return False
+        finally:
+            self.activation_stack.pop()
 
     def run(self, program: Program1, inputs) -> str:
         if len(inputs) != len(program.params):
@@ -233,7 +260,7 @@ class Interp:
                 f"program expects {len(program.params)} inputs, got {len(inputs)}",
                 self.stats,
             )
-        store = empty_store()
+        store = {}
         for name, value in zip(program.params, inputs):
             store[name] = words.word(value)
         self.note_store(store)

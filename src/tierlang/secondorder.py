@@ -13,11 +13,14 @@ never be guarded by it.  Each procedure body is checked from the loop-free
 context, so a procedure's entry records its variable environment and the
 body level.
 
-Evaluation threads one store through statements per call frame; procedure
-calls copy the caller's store, bind parameters and locals, and fix the
-oracle environment for the duration of the body.  Closure bodies evaluate
-under the store current at the oracle call, with the closure's binders
-shadowing it.
+Evaluation extends the first-order evaluator core (``interp1.Interp``),
+which runs every expression and statement; ``Interp2`` adds procedure
+calls, oracle application and terms.  A procedure call copies the caller's
+store, binds parameters and locals, and fixes the oracle environment for
+the duration of the body.  Closure bodies evaluate under the store current
+at the oracle call, with the closure's binders shadowing it.  A ``prog:``
+oracle runs as a nested first-order run whose steps count toward the
+whole run's budget.
 """
 
 from __future__ import annotations
@@ -25,17 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import interp1, opreg, words
-from .interp1 import (
-    AperiodicityViolation,
-    BudgetExhausted,
-    DEFAULT_BUDGET,
-    ExecError,
-    ExecStats,
-    LoopMonitorState,
-    monitor_guard,
-)
+from .interp1 import DEFAULT_BUDGET, ExecError
 from .parser import _pp_expr as pp_expr
-from .safety1 import INF, Judgment, LevelAnalysis, _DerivationBuilder, undeclassified_vars
+from .safety1 import INF, Judgment, LevelAnalysis, _DerivationBuilder
 from .syntax import (
     Assign,
     Break,
@@ -51,10 +46,7 @@ from .syntax import (
     Procedure,
     Program1,
     Program2,
-    Seq,
-    Skip,
     TermVar,
-    Var,
     While,
     iter_exprs,
     iter_stmts,
@@ -63,11 +55,6 @@ from .syntax import (
     stmt_exprs,
     stmt_vars,
 )
-
-# monitor2 is the per-frame analogue of the first-order guard monitor; the
-# activation state type and observation logic are shared.
-monitor2 = monitor_guard
-
 
 # ---------------------------------------------------------------------------
 # Guardedness
@@ -482,9 +469,6 @@ class Oracle:
     fn: object = None
     program: Program1 | None = None
 
-    def describe(self) -> str:
-        return self.name
-
 
 class OracleFailure(interp1.RuntimeStop):
     subcode = "oracle-failure"
@@ -524,39 +508,24 @@ def make_oracle(spec: str, registry=None) -> Oracle:
     raise OracleFailure(f"unknown oracle spec {spec!r}")
 
 
-def builtin_oracle_names() -> list:
-    return ["builtin:append1", "builtin:double", "builtin:bitflip", "builtin:const:"]
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 
 
-class Interp2:
+class Interp2(interp1.Interp):
+    """The evaluator core plus procedures, closures and oracle application."""
+
     def __init__(self, program: Program2, oracles: dict, registry=None,
                  budget: int = DEFAULT_BUDGET, monitor: bool = False):
+        super().__init__(registry, budget, monitor)
         self.program = program
         self.sigma = {p.name: p for p in program.procedures}
-        self.registry = registry or opreg.builtin_registry()
-        self.budget = budget
-        self.monitor = monitor
-        self.stats = ExecStats()
         self.oracles = oracles
-        self.activation_serial = 0
-        self.activation_stack: list = []
+        self.env: dict = {}  # oracle parameters of the running call -> closures
 
-    def tick(self, n: int = 1):
-        self.stats.steps += n
-        if self.stats.steps > self.budget:
-            raise BudgetExhausted(
-                f"step budget of {self.budget} exhausted", self.stats
-            )
-
-    # -- oracle resolution
-
-    def apply_oracle(self, store, env, name, args):
+    def apply_oracle(self, store, name, args):
         self.stats.oracle_calls += 1
-        closure = env.get(name)
+        closure = self.env.get(name)
         if closure is None:
             raise ExecError(f"oracle variable {name} is not bound here", self.stats)
         self.tick()
@@ -588,108 +557,22 @@ class Interp2:
                 f"oracle {oracle.name} expects {oracle.arity} argument(s)",
                 self.stats,
             )
-        if oracle.program is not None:
-            sub = interp1.Interp(self.registry, self.budget - self.stats.steps)
-            try:
-                result = sub.run(oracle.program, list(args))
-            finally:
-                self.stats.steps += sub.stats.steps
-            return result
-        return words.word(oracle.fn(*args))
-
-    # -- expressions
-
-    def eval_expr(self, store, env, e) -> str:
-        self.tick()
-        if isinstance(e, Var):
-            value = store.get(e.name, words.EPSILON)
-            if isinstance(value, Oracle):
-                raise ExecError(
-                    f"order-1 variable {e.name} used as a word", self.stats
-                )
-            return value
-        if isinstance(e, OpApp):
-            args = [self.eval_expr(store, env, a) for a in e.args]
-            try:
-                return self.registry.apply(e.op, args)
-            except opreg.UnknownOperator as exc:
-                raise ExecError(f"unknown operator: {exc}", self.stats)
-        if isinstance(e, Declass):
-            w1 = self.eval_expr(store, env, e.expr)
-            w2 = self.eval_expr(store, env, e.bound)
-            return words.unary(min(len(w1), len(w2)))
-        if isinstance(e, OracleCall):
-            args = [self.eval_expr(store, env, a) for a in e.args]
-            return self.apply_oracle(store, env, e.oracle, args)
-        raise ExecError(f"not an expression: {e!r}", self.stats)
-
-    # -- statements
-
-    def exec_stmt(self, store, env, s) -> bool:
-        if isinstance(s, Skip):
-            self.tick()
-            return False
-        if isinstance(s, Assign):
-            self.tick()
-            store[s.var] = self.eval_expr(store, env, s.expr)
-            size = sum(len(v) for v in store.values() if isinstance(v, str))
-            if size > self.stats.max_store_size:
-                self.stats.max_store_size = size
-            return False
-        if isinstance(s, Seq):
-            self.tick()
-            if self.exec_stmt(store, env, s.first):
-                return True
-            return self.exec_stmt(store, env, s.second)
-        if isinstance(s, If):
-            self.tick()
-            guard = self.eval_expr(store, env, s.guard)
-            branch = s.then if words.truthy(guard) else s.orelse
-            return self.exec_stmt(store, env, branch)
-        if isinstance(s, While):
-            return self.exec_while(store, env, s)
-        if isinstance(s, Break):
-            self.tick()
-            return words.truthy(self.eval_expr(store, env, s.guard))
-        if isinstance(s, OracleBreak):
-            self.tick()
-            left_args = [self.eval_expr(store, env, a) for a in s.call_args]
-            left = self.apply_oracle(store, env, s.oracle, left_args)
-            right_args = [store.get(v, words.EPSILON) for v in s.ref_vars]
-            right = self.apply_oracle(store, env, s.oracle, right_args)
-            if self.activation_stack:
-                loop_id, serial = self.activation_stack[-1]
-                self.stats.obk_events.append(
-                    (loop_id, serial, len(left), len(right))
-                )
-            return len(left) > len(right)
-        raise ExecError(f"not a statement: {s!r}", self.stats)
-
-    def exec_while(self, store, env, s: While) -> bool:
-        state = None
-        if self.monitor:
-            state = LoopMonitorState(
-                s.loop_id, tuple(sorted(undeclassified_vars(s.guard)))
-            )
-        self.activation_serial += 1
-        self.activation_stack.append((s.loop_id, self.activation_serial))
+        if oracle.program is None:
+            return words.word(oracle.fn(*args))
+        # A stop inside the oracle ends the whole run: it reports the run's
+        # budget and stats, not the oracle's.
+        sub = interp1.Interp(self.registry, self.budget - self.stats.steps)
         try:
-            while True:
-                self.tick()
-                if state is not None:
-                    witness = state.observe(store)
-                    if witness is not None:
-                        raise AperiodicityViolation(
-                            s.loop_id, state.evaluations, witness, self.stats
-                        )
-                if not words.truthy(self.eval_expr(store, env, s.guard)):
-                    return False
-                self.stats.loop_iterations[s.loop_id] += 1
-                self.tick()
-                if self.exec_stmt(store, env, s.body):
-                    return False
+            return sub.run(oracle.program, list(args))
+        except interp1.BudgetExhausted:
+            raise interp1.BudgetExhausted(
+                f"step budget of {self.budget} exhausted", self.stats
+            ) from None
+        except interp1.RuntimeStop as stop:
+            stop.stats = self.stats
+            raise
         finally:
-            self.activation_stack.pop()
+            self.stats.steps += sub.stats.steps
 
     # -- terms and programs
 
@@ -717,11 +600,16 @@ class Interp2:
             frame = dict(store)
             frame.update(zip(proc.params, values))
             frame.update({name: words.EPSILON for name in proc.locals})
-            env = {
+            self.note_store(frame)
+            # A stop ends the run, so the caller's environment needs no
+            # restoring on the way out of an exception.
+            caller_env = self.env
+            self.env = {
                 oname: closure
                 for (oname, _), closure in zip(proc.oracle_params, t.closures)
             }
-            self.exec_stmt(frame, env, proc.body)
+            self.exec_stmt(frame, proc.body)
+            self.env = caller_env
             result = frame.get(proc.ret, words.EPSILON)
             if isinstance(result, Oracle):
                 raise ExecError(

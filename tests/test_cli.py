@@ -178,6 +178,15 @@ def test_env_budget_override(capsys, monkeypatch):
     assert report["stop"]["kind"] == "budget-exhausted"
 
 
+def test_env_budget_not_a_number(capsys, monkeypatch):
+    monkeypatch.setenv(cli.ENV_BUDGET, "abc")
+    code, out = run_cli(capsys, "run", corpus("bubble.tl"), "--input", "list=1100", "--json")
+    report = json.loads(out)
+    jsonschema.validate(report, SCHEMA)
+    assert code == report["exit_code"] == 4
+    assert cli.ENV_BUDGET in report["explanation"]
+
+
 def test_exit_codes_pure_function_of_report(capsys):
     cases = [
         ("check", corpus("bubble.tl")),

@@ -21,6 +21,13 @@ def test_inferred_derivations_always_recheck():
 
 
 def test_embedding_runs_identically():
+    for monitor in (False, True):
+        compare_embedding_runs(monitor)
+
+
+def compare_embedding_runs(monitor: bool):
+    # The embedded run spends 1 + len(params) more steps: one for the call
+    # and one per argument term; everything else must agree exactly.
     rng = random.Random(90210)
     compared = 0
     for _ in range(80):
@@ -30,18 +37,39 @@ def test_embedding_runs_identically():
             "".join(rng.choice("01#") for _ in range(rng.randint(0, 4)))
             for _ in program.params
         ]
-        try:
-            direct, stats1 = interp1.run_program(program, inputs, budget=2000)
-        except interp1.TopLevelBreak:
+        extra = 1 + len(program.params)
+        direct = run_or_stop(
+            lambda: interp1.run_program(program, inputs, budget=2000, monitor=monitor)
+        )
+        if isinstance(direct[0], interp1.TopLevelBreak):
             # the embedding runs the body inside a call, where a break simply
             # ends the procedure; top-level breaks are not comparable
             continue
-        except interp1.BudgetExhausted:
-            continue
-        via2, _ = so.eval_program2(embedded, {}, inputs, budget=50000)
-        assert direct == via2, parser.pretty_print(program)
+        via2 = run_or_stop(
+            lambda: so.eval_program2(
+                embedded, {}, inputs, budget=2000 + extra, monitor=monitor
+            )
+        )
+        (out1, stats1), (out2, stats2) = direct, via2
+        where = f"monitor={monitor}\n{parser.pretty_print(program)}"
+        assert type(out1) is type(out2), where
+        if isinstance(out1, interp1.RuntimeStop):
+            assert getattr(out1, "iteration", None) == getattr(out2, "iteration", None), where
+        else:
+            assert out1 == out2, where
+        assert stats2.steps - stats1.steps == extra, where
+        assert stats1.loop_iterations == stats2.loop_iterations, where
+        assert stats1.max_store_size == stats2.max_store_size, where
         compared += 1
     assert compared > 30
+
+
+def run_or_stop(run):
+    """(result, stats) of a run, or (the RuntimeStop, its stats)."""
+    try:
+        return run()
+    except interp1.RuntimeStop as stop:
+        return stop, stop.stats
 
 
 def test_embedded_programs_pass_simple_typing():

@@ -3,14 +3,21 @@ import random
 
 import pytest
 
-
+from conftest import corpus
 from tierlang import interp1, parser, secondorder as so
-from tierlang.interp1 import AperiodicityViolation, BudgetExhausted
+from tierlang.interp1 import AperiodicityViolation, BudgetExhausted, ExecError
 from tierlang.syntax import (
     Assign,
+    Call,
+    ClosureVar,
     Declass,
     OracleBreak,
+    OracleCall,
+    Procedure,
+    Program1,
+    Program2,
     Seq,
+    TermVar,
     Var,
     While,
     iter_stmts,
@@ -329,6 +336,95 @@ def test_program_oracle_budget_propagates(tmp_path):
     )
     with pytest.raises(BudgetExhausted):
         so.eval_program2(program, {"F": oracle}, ["1"], budget=500)
+
+
+def call_p(body, closure):
+    """box[F, z] in declare p(X, y){ var t; body return t } in call p(closure, z)"""
+    proc = Procedure("p", [("X", 1)], ["y"], ["t"], body, "t")
+    return Program2([("F", 1)], ["z"], [proc], Call("p", (closure,), (TermVar("z"),)))
+
+
+APPLY_X = Assign("t", OracleCall("X", (Var("y"),)))
+APPEND1 = {"F": so.make_oracle("builtin:append1")}
+
+
+@pytest.mark.parametrize(
+    "run, error",
+    [
+        pytest.param(
+            lambda: so.eval_program2(
+                call_p(Assign("t", Var("F")), ClosureVar("F")), APPEND1, ["1"]
+            ),
+            "order-1 variable F used as a word",
+            id="word-variable-holds-oracle",
+        ),
+        pytest.param(
+            lambda: so.eval_program2(call_p(APPLY_X, ClosureVar("F")), {}, ["1"]),
+            "no oracle supplied for F",
+            id="missing-oracle",
+        ),
+        pytest.param(
+            lambda: so.eval_program2(
+                call_p(APPLY_X, ClosureVar("F")),
+                {"F": so.Oracle("pair", 2, lambda a, b: a + b)},
+                ["1"],
+            ),
+            "must have arity 1, got 2",
+            id="oracle-of-wrong-arity",
+        ),
+        pytest.param(
+            lambda: so.eval_program2(call_p(APPLY_X, ClosureVar("z")), APPEND1, ["1"]),
+            "z does not hold an oracle",
+            id="closure-names-a-word",
+        ),
+        pytest.param(
+            lambda: so.eval_program2(call_p(APPLY_X, ClosureVar("G")), APPEND1, ["1"]),
+            None,  # the constant empty function: no error, t is eps
+            id="unbound-closure-variable",
+        ),
+        pytest.param(
+            lambda: interp1.run_program(
+                Program1(["x"], Assign("y", OracleCall("F", (Var("x"),))), "y"), ["1"]
+            ),
+            "cannot occur in first-order programs",
+            id="oracle-call-in-first-order-run",
+        ),
+        pytest.param(
+            lambda: interp1.run_program(
+                Program1(
+                    ["x"], While(Var("x"), OracleBreak("F", (Var("x"),), ("x",)), 1), "x"
+                ),
+                ["1"],
+            ),
+            "cannot occur in first-order programs",
+            id="oracle-break-in-first-order-run",
+        ),
+    ],
+)
+def test_runtime_errors(run, error):
+    if error is None:
+        out, _ = run()
+        assert out == ""
+        return
+    with pytest.raises(ExecError, match=error) as err:
+        run()
+    assert err.value.stats is not None
+
+
+def test_stop_inside_program_oracle_reports_whole_run(iterator_program):
+    # bubble.tl as the oracle of I.tl2: the budget runs out inside a nested
+    # first-order run, and the stop carries the stats of the whole run
+    oracle = so.make_oracle(f"prog:{corpus('bubble.tl')}")
+    with pytest.raises(BudgetExhausted) as err:
+        so.eval_program2(
+            iterator_program, {"F": oracle}, ["10", "110100110101", "111111"],
+            budget=2000,
+        )
+    stats = err.value.stats
+    assert stats.steps == 2001  # budget + 1, as in a first-order budget stop
+    assert set(stats.loop_iterations) <= {1, 2}  # I.tl2's loops, not bubble's
+    assert stats.oracle_calls > 0
+    assert "budget of 2000" in str(err.value)
 
 
 def test_first_order_embedding_agrees(bubble):
