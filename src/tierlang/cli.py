@@ -49,12 +49,15 @@ def blank_report(command: str, file: str | None = None) -> dict:
         "explanation": None,
         "operators": None,
         "validation": None,
+        "error": None,  # "io": an input could not be read or was malformed
         "exit_code": EXIT_OK,
     }
 
 
 def exit_code_for(report: dict) -> int:
     """Exit codes are a pure function of the report."""
+    if report["error"] == "io":
+        return EXIT_IO
     v = report["verdicts"]
     if v["parse"] is False or v["guarded"] is False:
         return EXIT_FRONTEND
@@ -84,6 +87,12 @@ def emit(report: dict, as_json: bool, lines: list) -> int:
         for line in lines:
             print(line)
     return report["exit_code"]
+
+
+def io_error(report: dict, exc: Exception, as_json: bool) -> int:
+    report["error"] = "io"
+    report["explanation"] = str(exc)
+    return emit(report, as_json, [f"error: {exc}"])
 
 
 def load_program(path: str, second_order: bool | None, registry):
@@ -130,10 +139,7 @@ def cmd_check(args) -> int:
         config = load_config(args.delta)
         program = load_program(args.file, args.second_order or None, registry)
     except OSError as exc:
-        report["explanation"] = str(exc)
-        report["exit_code"] = EXIT_IO
-        print(json.dumps(report, indent=2) if args.json else f"error: {exc}")
-        return EXIT_IO
+        return io_error(report, exc, args.json)
     except (parser.ParseError, parser.DesugarError, words.WordError) as exc:
         report["verdicts"]["parse"] = False
         report["explanation"] = str(exc)
@@ -200,19 +206,13 @@ def cmd_run(args) -> int:
             name, _, spec = item.partition("=")
             oracles[name] = secondorder.make_oracle(spec, registry)
     except OSError as exc:
-        report["explanation"] = str(exc)
-        report["exit_code"] = EXIT_IO
-        print(json.dumps(report, indent=2) if args.json else f"error: {exc}")
-        return EXIT_IO
+        return io_error(report, exc, args.json)
     except (parser.ParseError, parser.DesugarError) as exc:
         report["verdicts"]["parse"] = False
         report["explanation"] = str(exc)
         return emit(report, args.json, [f"parse error: {exc}"])
     except (words.WordError, ValueError, secondorder.OracleFailure) as exc:
-        report["explanation"] = str(exc)
-        report["exit_code"] = EXIT_IO
-        print(json.dumps(report, indent=2) if args.json else f"error: {exc}")
-        return EXIT_IO
+        return io_error(report, exc, args.json)
     report["verdicts"]["parse"] = True
 
     param_names = (
@@ -261,10 +261,7 @@ def cmd_forcheck(args) -> int:
     try:
         program = parser.parse_file(args.file, registry=registry)
     except OSError as exc:
-        report["explanation"] = str(exc)
-        report["exit_code"] = EXIT_IO
-        print(json.dumps(report, indent=2) if args.json else f"error: {exc}")
-        return EXIT_IO
+        return io_error(report, exc, args.json)
     except (parser.ParseError, parser.DesugarError) as exc:
         report["verdicts"]["parse"] = False
         report["explanation"] = str(exc)

@@ -20,7 +20,8 @@ store, binds parameters and locals, and fixes the oracle environment for
 the duration of the body.  Closure bodies evaluate under the store current
 at the oracle call, with the closure's binders shadowing it.  A ``prog:``
 oracle runs as a nested first-order run whose steps count toward the
-whole run's budget.
+whole run's budget; one sub-interpreter per run serves every such call, so
+each oracle program is compiled once per run.
 """
 
 from __future__ import annotations
@@ -522,6 +523,7 @@ class Interp2(interp1.Interp):
         self.sigma = {p.name: p for p in program.procedures}
         self.oracles = oracles
         self.env: dict = {}  # oracle parameters of the running call -> closures
+        self.sub = interp1.Interp(self.registry)  # runs every prog: oracle
 
     def apply_oracle(self, store, name, args):
         self.stats.oracle_calls += 1
@@ -559,9 +561,12 @@ class Interp2(interp1.Interp):
             )
         if oracle.program is None:
             return words.word(oracle.fn(*args))
-        # A stop inside the oracle ends the whole run: it reports the run's
-        # budget and stats, not the oracle's.
-        sub = interp1.Interp(self.registry, self.budget - self.stats.steps)
+        # Each call is a fresh first-order run on the budget left.  A stop
+        # inside the oracle ends the whole run: it reports the run's budget
+        # and stats, not the oracle's.
+        sub = self.sub
+        sub.budget = self.budget - self.stats.steps
+        sub.stats = interp1.ExecStats()
         try:
             return sub.run(oracle.program, list(args))
         except interp1.BudgetExhausted:
@@ -600,16 +605,16 @@ class Interp2(interp1.Interp):
             frame = dict(store)
             frame.update(zip(proc.params, values))
             frame.update({name: words.EPSILON for name in proc.locals})
+            # A stop ends the run, so the caller's frame size and environment
+            # need no restoring on the way out of an exception.
+            caller_size, caller_env = self.size, self.env
             self.note_store(frame)
-            # A stop ends the run, so the caller's environment needs no
-            # restoring on the way out of an exception.
-            caller_env = self.env
             self.env = {
                 oname: closure
                 for (oname, _), closure in zip(proc.oracle_params, t.closures)
             }
-            self.exec_stmt(frame, proc.body)
-            self.env = caller_env
+            self.compiled(proc.body)(self, frame)
+            self.size, self.env = caller_size, caller_env
             result = frame.get(proc.ret, words.EPSILON)
             if isinstance(result, Oracle):
                 raise ExecError(

@@ -12,8 +12,9 @@ EPSILON = ""
 TRUE = "1"
 FALSE = "0"
 
-# Symbol order used by shortlex: 0 < 1 < #.
-_RANK = {"0": 0, "1": 1, "#": 2}
+# Symbol order used by shortlex: 0 < 1 < #.  With '#' read as '2', code
+# point order agrees with it.
+_SHORTLEX = str.maketrans("#", "2")
 
 
 class WordError(ValueError):
@@ -21,7 +22,7 @@ class WordError(ValueError):
 
 
 def is_word(text: str) -> bool:
-    return all(c in _RANK for c in text)
+    return all(c in ALPHABET for c in text)
 
 
 def word(text: str) -> str:
@@ -49,18 +50,13 @@ def truthy(w: str) -> bool:
     return w == TRUE
 
 
-def shortlex_key(w: str) -> tuple:
-    return (len(w), tuple(_RANK[c] for c in w))
-
-
 def shortlex_compare(v: str, w: str) -> int:
     """-1, 0, or 1 as v is below, equal to, or above w in shortlex order."""
-    kv, kw = shortlex_key(v), shortlex_key(w)
-    if kv < kw:
-        return -1
-    if kv > kw:
-        return 1
-    return 0
+    if len(v) != len(w):
+        return -1 if len(v) < len(w) else 1
+    if v == w:
+        return 0
+    return -1 if v.translate(_SHORTLEX) < w.translate(_SHORTLEX) else 1
 
 
 def unary(n: int) -> str:

@@ -1,6 +1,7 @@
 import json
 
 import jsonschema
+import pytest
 
 from conftest import ROOT, corpus
 from tierlang import cli
@@ -59,9 +60,34 @@ def test_check_parse_error(tmp_path, capsys):
 
 
 def test_check_missing_file(capsys):
-    code = cli.main(["check", "no/such/file.tl"])
-    capsys.readouterr()
-    assert code == 4
+    assert_io_error(capsys, "check", "no/such/file.tl")
+
+
+def test_run_bad_word(capsys):
+    assert_io_error(capsys, "run", corpus("exp2.tl"), "--input", "y=abc")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("forcheck", "no/such/file.tl"),
+        ("run", "no/such/file.tl"),
+        ("run", corpus("exp2.tl"), "--input", "y"),
+        ("run", corpus("I.tl2"), "--oracle", "F=builtin:nope"),
+        ("run", corpus("I.tl2"), "--oracle", "F"),
+        ("run", corpus("I.tl2"), "--oracle", "F=prog:no/such/file.tl"),
+    ],
+)
+def test_io_errors(capsys, argv):
+    assert_io_error(capsys, *argv)
+
+
+def assert_io_error(capsys, *argv):
+    code, report = run_json(capsys, *argv)
+    assert code == cli.exit_code_for(report) == 4
+    assert report["error"] == "io"
+    assert report["explanation"]
+    return report
 
 
 def test_run_bubble(capsys):
@@ -126,12 +152,6 @@ def test_run_second_order(capsys):
     assert report["stats"]["oracle_calls"] > 0
 
 
-def test_run_bad_word(capsys):
-    code = cli.main(["run", corpus("exp2.tl"), "--input", "y=abc"])
-    capsys.readouterr()
-    assert code == 4
-
-
 def test_forcheck(capsys):
     assert run_json(capsys, "forcheck", corpus("bubble_for.tl"))[0] == 0
     assert run_json(capsys, "forcheck", corpus("bubble.tl"))[0] == 1
@@ -180,10 +200,7 @@ def test_env_budget_override(capsys, monkeypatch):
 
 def test_env_budget_not_a_number(capsys, monkeypatch):
     monkeypatch.setenv(cli.ENV_BUDGET, "abc")
-    code, out = run_cli(capsys, "run", corpus("bubble.tl"), "--input", "list=1100", "--json")
-    report = json.loads(out)
-    jsonschema.validate(report, SCHEMA)
-    assert code == report["exit_code"] == 4
+    report = assert_io_error(capsys, "run", corpus("bubble.tl"), "--input", "list=1100")
     assert cli.ENV_BUDGET in report["explanation"]
 
 

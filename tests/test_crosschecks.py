@@ -2,7 +2,9 @@
 
 import random
 
+import treecheck
 from tierlang import genprog, interp1, parser, safety1, secondorder as so
+from tierlang.words import EPSILON
 
 
 def test_inferred_derivations_always_recheck():
@@ -79,3 +81,54 @@ def test_embedded_programs_pass_simple_typing():
         embedded = so.embed_program1(program)
         simple = so.simple_typecheck(embedded)
         assert simple.program_type == " -> ".join(["W"] * (len(program.params) + 1))
+
+
+def test_runs_match_the_tree_oracle():
+    # treecheck materializes the derivation by literal unrolling and spends
+    # one unit of fuel per rule application, which is what a step counts.
+    rng = random.Random(2718)
+    budget = 1500
+    finished = 0
+    for _ in range(1000):
+        program = genprog.random_program(rng)
+        inputs = [
+            "".join(rng.choice("01#") for _ in range(rng.randint(0, 4)))
+            for _ in program.params
+        ]
+        builder = treecheck.TreeBuilder(fuel=budget + 1)
+        try:
+            broke, out, node = builder.exec_tree(
+                dict(zip(program.params, inputs)), program.body
+            )
+        except treecheck.TreeFuelExhausted:
+            broke = out = node = None
+        where = parser.pretty_print(program)
+        try:
+            result, stats = interp1.run_program(program, inputs, budget=budget)
+        except interp1.BudgetExhausted as stop:
+            assert node is None and stop.stats.steps == budget + 1, where
+            continue
+        except interp1.TopLevelBreak:
+            assert broke, where
+            continue
+        assert node is not None and not broke, where
+        assert result == out.get(program.ret, EPSILON), where
+        assert stats.steps == budget + 1 - builder.fuel, where
+        assert stats.max_store_size == largest_store(node, out), where
+        for b in range(stats.steps):
+            stop = run_or_stop(lambda: interp1.run_program(program, inputs, budget=b))[0]
+            assert isinstance(stop, interp1.BudgetExhausted), where
+            assert stop.stats.steps == b + 1, where
+        finished += 1
+    assert finished > 800
+
+
+def largest_store(node, final: dict) -> int:
+    """Symbols in the largest store of a materialized tree or its final store."""
+    sizes = [sum(map(len, final.values()))]
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        sizes.append(sum(map(len, n["store"].values())))
+        stack.extend(n["children"])
+    return max(sizes)

@@ -17,7 +17,8 @@ from tierlang.interp1 import (
     run_program,
 )
 from tierlang.safety1 import undeclassified_vars
-from tierlang.syntax import Break, Declass, OpApp, Seq, Skip, Var, While
+from tierlang.syntax import Assign, Break, Declass, For, If, OpApp, Seq, Skip, Var, While
+from tierlang.words import WordError
 
 word_st = st.text(alphabet="01#", max_size=20)
 
@@ -80,6 +81,25 @@ def test_seq_short_circuits_on_break():
     # a while over it still terminates normally
     loop = While(OpApp("true"), s)
     assert not Interp().exec_stmt({}, loop)
+
+
+@pytest.mark.parametrize(
+    "bad, error, steps",
+    [
+        # an operator fails after its arguments are evaluated (and ticked)
+        (Assign("y", OpApp("frob", [Var("x")])), ExecError, 3),  # unknown
+        (Assign("y", OpApp("hd", [Var("x"), Var("x")])), ExecError, 4),  # arity
+        (Assign("y", OpApp("const:12")), WordError, 2),  # not a word
+        (For("i", Var("x"), Var("x"), Skip()), ExecError, 0),
+    ],
+)
+def test_bad_nodes_fail_only_when_run(bad, error, steps):
+    stmt = Seq(Skip(), If(Var("x"), bad, Skip()))
+    assert interp1.exec_stmt({"x": "0"}, stmt).stats.steps == 5
+    interp = Interp()
+    with pytest.raises(error):
+        interp.exec_stmt({"x": "1"}, stmt)
+    assert interp.stats.steps == 4 + steps
 
 
 def test_if_dispatches_on_truthiness():

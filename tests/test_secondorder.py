@@ -427,6 +427,27 @@ def test_stop_inside_program_oracle_reports_whole_run(iterator_program):
     assert "budget of 2000" in str(err.value)
 
 
+def test_program_oracle_answers_from_one_sub_interpreter(iterator_program, bubble):
+    # one run reuses a single sub-interpreter, which compiles bubble.tl once;
+    # each of its answers must be what a fresh first-order run gives
+    class Recording(so.Interp2):
+        def call_external(self, oracle, args):
+            answer = super().call_external(oracle, args)
+            answers.append((list(args), answer))
+            return answer
+
+    answers = []
+    oracle = so.make_oracle(f"prog:{corpus('bubble.tl')}")
+    interp = Recording(iterator_program, {"F": oracle})
+    out = interp.run(["101", "011010011010110101", "111111111"])
+    assert out == "011"
+    assert interp.stats.steps == 27292  # the whole run, nested oracle runs included
+    assert len(answers) > 10
+    for args, answer in answers:
+        assert answer == interp1.run_program(bubble, args)[0], args
+    assert len(interp.sub.code) == 1
+
+
 def test_first_order_embedding_agrees(bubble):
     rng = random.Random(77)
     embedded = so.embed_program1(bubble)

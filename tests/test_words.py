@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,6 +7,12 @@ from hypothesis import strategies as st
 from tierlang import words
 
 word_st = st.text(alphabet="01#", max_size=24)
+equal_length_pairs = st.integers(min_value=0, max_value=24).flatmap(
+    lambda n: st.tuples(
+        st.text(alphabet="01#", min_size=n, max_size=n),
+        st.text(alphabet="01#", min_size=n, max_size=n),
+    )
+)
 
 
 def test_concat_examples():
@@ -77,6 +85,27 @@ def test_shortlex_total_order(a, b, c):
         assert a == b
     if ab <= 0 and words.shortlex_compare(b, c) <= 0:
         assert words.shortlex_compare(a, c) <= 0
+
+
+def reference_shortlex(v, w):
+    """Shortlex by (length, symbol ranks) keys, with 0 < 1 < #."""
+    rank = {"0": 0, "1": 1, "#": 2}
+    kv, kw = (len(v), tuple(rank[c] for c in v)), (len(w), tuple(rank[c] for c in w))
+    return (kv > kw) - (kv < kw)
+
+
+@given(st.one_of(st.tuples(word_st, word_st), equal_length_pairs))
+def test_shortlex_agrees_with_reference_key(pair):
+    v, w = pair
+    assert words.shortlex_compare(v, w) == reference_shortlex(v, w)
+
+
+def test_shortlex_agrees_with_reference_key_on_all_short_words():
+    # every word up to length 4: '#' in every position, all equal lengths
+    short = ["".join(p) for n in range(5) for p in itertools.product("01#", repeat=n)]
+    for v in short:
+        for w in short:
+            assert words.shortlex_compare(v, w) == reference_shortlex(v, w), (v, w)
 
 
 @given(st.integers(min_value=0, max_value=50))
