@@ -118,7 +118,10 @@ def load_config(path: str | None) -> opreg.DeltaConfig | None:
     if path is None:
         return None
     with open(path, "r", encoding="utf-8") as fh:
-        return opreg.DeltaConfig.from_json(json.load(fh))
+        try:
+            return opreg.DeltaConfig.from_json(json.load(fh))
+        except ValueError as exc:  # malformed JSON, or JSON of the wrong shape
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def parse_input_word(text: str) -> str:
@@ -138,12 +141,12 @@ def cmd_check(args) -> int:
     try:
         config = load_config(args.delta)
         program = load_program(args.file, args.second_order or None, registry)
-    except OSError as exc:
-        return io_error(report, exc, args.json)
     except (parser.ParseError, parser.DesugarError, words.WordError) as exc:
         report["verdicts"]["parse"] = False
         report["explanation"] = str(exc)
         return emit(report, args.json, [f"parse error: {exc}"])
+    except (OSError, ValueError) as exc:  # an unreadable file, a malformed --delta
+        return io_error(report, exc, args.json)
     report["verdicts"]["parse"] = True
     if isinstance(program, Program2):
         result = secondorder.infer_safety2(program, registry, config)

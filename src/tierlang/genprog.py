@@ -21,7 +21,6 @@ from .syntax import (
     Var,
     While,
     assign_loop_ids,
-    seq_chain,
     seq_of,
 )
 
@@ -59,7 +58,7 @@ def random_stmt(rng: random.Random, names, depth: int, loop_depth: int):
     if roll < 0.6:
         a = random_stmt(rng, names, depth - 1, loop_depth)
         b = random_stmt(rng, names, depth - 1, loop_depth)
-        return seq_of(seq_chain(a) + seq_chain(b))
+        return seq_of([a, b])
     if roll < 0.72:
         return If(
             random_expr(rng, names, 2),

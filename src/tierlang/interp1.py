@@ -309,13 +309,9 @@ class Interp:
                 return False
             return assign
         if isinstance(s, Seq):
-            # A right-nested chain runs as one loop: each Seq node ticks just
-            # before its first statement, as the rules nest them.
-            firsts = []
-            while isinstance(s, Seq):
-                firsts.append(self.compile_stmt(s.first))
-                s = s.second
-            last = self.compile_stmt(s)
+            # k statements apply the binary sequence rule k-1 times: one tick
+            # just before each statement but the last.
+            *firsts, last = [self.compile_stmt(st) for st in s.stmts]
 
             def seq(m, store):
                 st = m.stats

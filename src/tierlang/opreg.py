@@ -266,7 +266,13 @@ class DeltaConfig:
 
     @classmethod
     def from_json(cls, data) -> "DeltaConfig":
-        return cls(data)
+        """Read the JSON form; raises ValueError on any other shape."""
+        try:
+            return cls(data)
+        except (AttributeError, TypeError, ValueError):
+            raise ValueError(
+                "expected an object mapping operator names to lists of level vectors"
+            ) from None
 
     def allows(self, op: str, candidate: tuple) -> bool:
         return tuple(candidate) not in self.forbidden.get(op, set())

@@ -11,7 +11,8 @@ Surface conventions (ASCII only):
   right operand of ``-`` is rejected); other operators use function form,
   e.g. ``decb(y)``, ``cons(a, b)``, ``truncate(X(i), p)``;
 * ``for x = e to d { s }`` is sugar for counting x down from d to e; the
-  bound variable must not occur in the body.
+  bound variable must not occur in the body;
+* blocks and expressions nest at most ``MAX_NESTING`` levels deep.
 
 First- versus second-order input is detected from the leading keyword
 (``prog`` versus ``box``/``declare``/``call``).
@@ -20,6 +21,7 @@ First- versus second-order input is detected from the leading keyword
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from . import opreg
@@ -46,7 +48,6 @@ from .syntax import (
     assign_loop_ids,
     iter_exprs,
     iter_stmts,
-    seq_chain,
     seq_of,
     stmt_exprs,
     stmt_vars,
@@ -66,6 +67,18 @@ class ParseError(Exception):
 
 class DesugarError(Exception):
     pass
+
+
+# The deepest a program may nest.  A statement of an if, while or for body
+# sits one level below the statement that owns the body; an expression
+# (parenthesized or not) sits one level below the statement or expression
+# that contains it, and a term one level below the term that contains it.
+# Blocks and expressions count together, so the level of a point is the
+# number of bodies and expressions around it; a for loop counts as the while
+# loop it desugars to.  A point deeper than this is a parse error; the bound
+# keeps every recursive pass over a parsed program, the parser's own
+# included, well inside Python's default recursion limit.
+MAX_NESTING = 100
 
 
 KEYWORDS = {
@@ -88,7 +101,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str  # ident | ovar | string | ulit | sym/keyword literal | eof
     value: str
@@ -112,8 +125,8 @@ def tokenize(text: str):
                 tokens.append(Token(lexeme, lexeme, line, col))
             elif kind == "sym":
                 tokens.append(Token(lexeme, lexeme, line, col))
-            else:
-                tokens.append(Token(kind, lexeme, line, col))
+            else:  # names repeat: one string each for the tokens and the tree
+                tokens.append(Token(kind, sys.intern(lexeme), line, col))
         newlines = lexeme.count("\n")
         if newlines:
             line += newlines
@@ -125,14 +138,12 @@ def tokenize(text: str):
     return tokens
 
 
-_CMP_OPS = {"=": "eq", "<": "lt", "<=": "le", ">": "gt", "!=": "ne"}
-
-
 class _Parser:
     def __init__(self, tokens, registry):
         self.tokens = tokens
         self.pos = 0
         self.registry = registry
+        self.depth = 0  # nesting level of the block or expression being parsed
 
     # -- token plumbing
 
@@ -160,6 +171,15 @@ class _Parser:
     def fail(self, message, expected=()):
         tok = self.peek()
         raise ParseError(message, tok.line, tok.col, expected=expected)
+
+    def check_depth(self, tok, low=0):
+        """Fail if a point ``low`` levels below the current one is too deep."""
+        if self.depth + low > MAX_NESTING:
+            raise ParseError(
+                f"blocks and expressions nest deeper than {MAX_NESTING} levels",
+                tok.line,
+                tok.col,
+            )
 
     # -- programs
 
@@ -245,37 +265,44 @@ class _Parser:
         return Procedure(name, oracle_params, params, local_vars, body, ret)
 
     def parse_term(self):
-        if self.peek().kind == "ident":
-            return TermVar(self.next().value)
-        if self.accept("call"):
-            name = self.expect("ident").value
-            self.expect("(")
-            closures, args = [], []
-            if self.accept(","):
-                pass  # explicit empty closure list
-            if self.peek().kind != ")":
-                while True:
-                    tok = self.peek()
-                    if tok.kind == "ovar":
-                        if args:
-                            self.fail("closures must precede order-0 arguments")
-                        closures.append(ClosureVar(self.next().value))
-                    elif tok.kind == "lambda":
-                        if args:
-                            self.fail("closures must precede order-0 arguments")
-                        self.next()
-                        self.expect("(")
-                        lam_params = self.parse_idlist(closer=")")
-                        self.expect(")")
-                        self.expect(".")
-                        closures.append(Lambda(lam_params, self.parse_term()))
-                    else:
-                        args.append(self.parse_term())
-                    if not self.accept(","):
-                        break
-            self.expect(")")
-            return Call(name, closures, args)
-        self.fail("expected a term", expected={"ident", "call"})
+        """A term, one level below the term that contains it."""
+        tok = self.peek()
+        self.depth += 1
+        self.check_depth(tok)
+        if tok.kind == "ident":
+            term = TermVar(self.next().value)
+        elif self.accept("call"):
+            term = self.parse_call()
+        else:
+            self.fail("expected a term", expected={"ident", "call"})
+        self.depth -= 1
+        return term
+
+    def parse_call(self) -> Call:
+        name = self.expect("ident").value
+        self.expect("(")
+        closures, args = [], []
+        self.accept(",")  # an explicit empty closure list
+        if self.peek().kind != ")":
+            while True:
+                tok = self.peek()
+                if tok.kind in ("ovar", "lambda") and args:
+                    self.fail("closures must precede order-0 arguments")
+                if tok.kind == "ovar":
+                    closures.append(ClosureVar(self.next().value))
+                elif tok.kind == "lambda":
+                    self.next()
+                    self.expect("(")
+                    lam_params = self.parse_idlist(closer=")")
+                    self.expect(")")
+                    self.expect(".")
+                    closures.append(Lambda(lam_params, self.parse_term()))
+                else:
+                    args.append(self.parse_term())
+                if not self.accept(","):
+                    break
+        self.expect(")")
+        return Call(name, closures, args)
 
     def parse_idlist(self, closer) -> list:
         names = []
@@ -294,10 +321,23 @@ class _Parser:
             if self.peek().kind in stop or self.peek().kind == "}":
                 break  # tolerate a trailing semicolon
             stmts.append(self.parse_statement())
-        node = stmts[-1]
-        for s in reversed(stmts[:-1]):
-            node = Seq(s, node)
-        return node
+        return seq_of(stmts)
+
+    def parse_block(self):
+        """``{ statements }``, one level below the statement that owns it."""
+        tok = self.expect("{")
+        self.depth += 1
+        self.check_depth(tok)
+        body = self.parse_stmts(stop=set())
+        self.depth -= 1
+        self.expect("}")
+        return body
+
+    def parse_guard(self):
+        self.expect("(")
+        guard = self.parse_expr()[0]
+        self.expect(")")
+        return guard
 
     def parse_statement(self):
         tok = self.peek()
@@ -306,50 +346,40 @@ class _Parser:
             return Skip()
         if tok.kind == "if":
             self.next()
-            self.expect("(")
-            guard = self.parse_expr()
-            self.expect(")")
-            self.expect("{")
-            then = self.parse_stmts(stop=set())
-            self.expect("}")
+            guard, then = self.parse_guard(), self.parse_block()
             self.expect("else")
-            self.expect("{")
-            orelse = self.parse_stmts(stop=set())
-            self.expect("}")
-            return If(guard, then, orelse)
+            return If(guard, then, self.parse_block())
         if tok.kind == "while":
             self.next()
-            self.expect("(")
-            guard = self.parse_expr()
-            self.expect(")")
-            self.expect("{")
-            body = self.parse_stmts(stop=set())
-            self.expect("}")
-            return While(guard, body, line=tok.line)
+            guard = self.parse_guard()
+            return While(guard, self.parse_block(), line=tok.line)
         if tok.kind == "for":
+            # Counted as the while form it desugars to, so that form parses
+            # back: e moves into the guard e <= x, and x := x - u1 needs
+            # three levels below the loop.
             self.next()
             var = self.expect("ident").value
             self.expect("=")
-            low = self.parse_expr()
+            self.depth += 1
+            low = self.parse_expr()[0]
+            self.depth -= 1
             self.expect("to")
-            high = self.parse_expr()
-            self.expect("{")
-            body = self.parse_stmts(stop=set())
-            self.expect("}")
-            return For(var, low, high, body)
+            high = self.parse_expr()[0]
+            self.check_depth(tok, 3)
+            return For(var, low, high, self.parse_block())
         if tok.kind == "break":
             self.next()
             self.expect("(")
             if self.peek().kind == "|":
                 stmt = self.parse_oracle_break()
             else:
-                stmt = Break(self.parse_expr())
+                stmt = Break(self.parse_expr()[0])
             self.expect(")")
             return stmt
         if tok.kind == "ident" and self.peek(1).kind == ":=":
             name = self.next().value
             self.next()
-            return Assign(name, self.parse_expr())
+            return Assign(name, self.parse_expr()[0])
         self.fail(
             "expected a statement",
             expected={"skip", "if", "while", "for", "break", "ident"},
@@ -359,7 +389,7 @@ class _Parser:
         self.expect("|")
         left = self.expect("ovar")
         self.expect("(")
-        call_args = self.parse_exprlist()
+        call_args = self.parse_exprlist()[0]
         self.expect(")")
         self.expect("|")
         self.expect(">")
@@ -378,32 +408,28 @@ class _Parser:
         return OracleBreak(left.value, call_args, ref_vars)
 
     # -- expressions
+    #
+    # Each returns (expression, low): how many levels below its own level
+    # the deepest part of the expression sits.  Left operands of binary
+    # operators only move down once the operator is seen, so the limit is
+    # checked again as each binary node is built.
 
-    def parse_exprlist(self) -> list:
+    def parse_exprlist(self) -> tuple:
+        args, low = [], 0
         if self.peek().kind == ")":
-            return []
-        out = [self.parse_expr()]
-        while self.accept(","):
-            out.append(self.parse_expr())
-        return out
+            return args, low
+        while True:
+            arg, arg_low = self.parse_expr()
+            args.append(arg)
+            low = max(low, 1 + arg_low)
+            if not self.accept(","):
+                return args, low
 
-    def parse_expr(self):
-        return self.parse_or()
-
-    def parse_or(self):
-        node = self.parse_and()
-        while self.accept("or"):
-            node = OpApp("or", [node, self.parse_and()])
-        return node
-
-    def parse_and(self):
-        node = self.parse_cmp()
-        while self.accept("and"):
-            node = OpApp("and", [node, self.parse_cmp()])
-        return node
-
-    def parse_cmp(self):
-        node = self.parse_add()
+    def parse_expr(self, prec=1) -> tuple:
+        """An expression one level down whose binary operators bind at ``prec`` or tighter."""
+        self.depth += 1
+        self.check_depth(self.peek())
+        node, low = self.parse_primary()
         while True:
             tok = self.peek()
             if tok.kind == ">=":
@@ -412,42 +438,37 @@ class _Parser:
                     tok.line,
                     tok.col,
                 )
-            if tok.kind in _CMP_OPS:
-                self.next()
-                node = OpApp(_CMP_OPS[tok.kind], [node, self.parse_add()])
+            op = _SURFACE_OP.get(tok.kind)
+            if op is None or _PREC[op] < prec:
+                break
+            self.next()
+            rhs, rhs_low = self.parse_expr(_PREC[op] + 1)  # left associative
+            if op != "dec":
+                node, low = OpApp(op, [node, rhs]), 1 + max(low, rhs_low)
+            elif rhs == OpApp("const:1", []):
+                node, low = OpApp("dec", [node]), 1 + low
             else:
-                return node
+                raise ParseError(
+                    "only decrement by one is supported; write e - u1 "
+                    "(or decb(e) for binary numerals)",
+                    tok.line,
+                    tok.col,
+                )
+            self.check_depth(tok, low)
+        self.depth -= 1
+        return node, low
 
-    def parse_add(self):
-        node = self.parse_primary()
-        while True:
-            if self.accept("+"):
-                node = OpApp("append", [node, self.parse_primary()])
-            elif self.peek().kind == "-":
-                tok = self.next()
-                rhs = self.parse_primary()
-                if rhs != OpApp("const:1", []):
-                    raise ParseError(
-                        "only decrement by one is supported; write e - u1 "
-                        "(or decb(e) for binary numerals)",
-                        tok.line,
-                        tok.col,
-                    )
-                node = OpApp("dec", [node])
-            else:
-                return node
-
-    def parse_primary(self):
+    def parse_primary(self) -> tuple:
         tok = self.peek()
         if tok.kind == "(":
             self.next()
-            node = self.parse_expr()
+            node, low = self.parse_expr()
             self.expect(")")
-            return node
+            return node, 1 + low
         if tok.kind == "declass":
             self.next()
             self.expect("(")
-            first = self.parse_expr()
+            first, low1 = self.parse_expr()
             if self.peek().kind == ")":
                 raise ParseError(
                     "declass requires two arguments: declass(e, bound)",
@@ -455,29 +476,29 @@ class _Parser:
                     tok.col,
                 )
             self.expect(",")
-            second = self.parse_expr()
+            second, low2 = self.parse_expr()
             self.expect(")")
-            return Declass(first, second)
+            return Declass(first, second), 1 + max(low1, low2)
         if tok.kind == "string":
             self.next()
-            return self._literal(tok.value[1:-1])
+            return self._literal(tok.value[1:-1]), 0
         if tok.kind == "ulit":
             self.next()
-            return self._literal("1" * int(tok.value[1:]))
+            return self._literal("1" * int(tok.value[1:])), 0
         if tok.kind in ("true", "false", "eps"):
             self.next()
-            return OpApp(tok.kind, [])
+            return OpApp(tok.kind, []), 0
         if tok.kind == "ovar":
             self.next()
             self.expect("(")
-            args = self.parse_exprlist()
+            args, low = self.parse_exprlist()
             self.expect(")")
-            return OracleCall(tok.value, args)
+            return OracleCall(tok.value, args), low
         if tok.kind == "ident":
             if self.peek(1).kind == "(":
                 self.next()
                 self.next()
-                args = self.parse_exprlist()
+                args, low = self.parse_exprlist()
                 self.expect(")")
                 entry = self._op_entry(tok)
                 if entry.arity != len(args):
@@ -487,9 +508,9 @@ class _Parser:
                         tok.line,
                         tok.col,
                     )
-                return OpApp(tok.value, args)
+                return OpApp(tok.value, args), low
             self.next()
-            return Var(tok.value)
+            return Var(tok.value), 0
         self.fail("expected an expression", expected={"ident", "string", "("})
 
     def _literal(self, text: str):
@@ -584,14 +605,11 @@ def desugar_for(s):
 
     The loop variable must not occur in the body; the produced While carries
     a for-origin mark so the decidable aperiodicity criterion can recognize
-    it.  Sequence chains are rebuilt right-nested, so desugared code has the
-    same shape its printed form reparses to.
+    it.  ``seq_of`` splices the two statements into the enclosing sequence,
+    so desugared code has the same shape its printed form reparses to.
     """
     if isinstance(s, Seq):
-        parts = []
-        for st in seq_chain(s):
-            parts.extend(seq_chain(desugar_for(st)))
-        return seq_of(parts)
+        return seq_of([desugar_for(st) for st in s.stmts])
     if isinstance(s, If):
         return If(s.guard, desugar_for(s.then), desugar_for(s.orelse))
     if isinstance(s, While):
@@ -604,10 +622,10 @@ def desugar_for(s):
             )
         loop = While(
             OpApp("le", [s.low, Var(s.var)]),
-            seq_of(seq_chain(body) + [Assign(s.var, OpApp("dec", [Var(s.var)]))]),
+            seq_of([body, Assign(s.var, OpApp("dec", [Var(s.var)]))]),
             for_origin=True,
         )
-        return Seq(Assign(s.var, s.high), loop)
+        return Seq([Assign(s.var, s.high), loop])
     return s
 
 
@@ -618,8 +636,10 @@ _BINOP_SURFACE = {
     "eq": "=", "lt": "<", "le": "<=", "gt": ">", "ne": "!=",
     "and": "and", "or": "or", "append": "+",
 }
-_PREC = {"or": 1, "and": 2, "eq": 3, "lt": 3, "le": 3, "gt": 3, "ne": 3, "append": 4}
-_DEC_PREC = 4
+_PREC = {
+    "or": 1, "and": 2, "eq": 3, "lt": 3, "le": 3, "gt": 3, "ne": 3, "append": 4, "dec": 4,
+}
+_SURFACE_OP = {surface: op for op, surface in _BINOP_SURFACE.items()} | {"-": "dec"}
 
 
 def _pp_expr(e, parent_prec=0) -> str:
@@ -635,8 +655,8 @@ def _pp_expr(e, parent_prec=0) -> str:
         if e.op in ("true", "false", "eps"):
             return e.op
         if e.op == "dec":
-            inner = f"{_pp_expr(e.args[0], _DEC_PREC)} - u1"
-            return f"({inner})" if parent_prec > _DEC_PREC else inner
+            inner = f"{_pp_expr(e.args[0], _PREC['dec'])} - u1"
+            return f"({inner})" if parent_prec > _PREC["dec"] else inner
         if e.op in _BINOP_SURFACE and len(e.args) == 2:
             prec = _PREC[e.op]
             left = _pp_expr(e.args[0], prec)
@@ -650,9 +670,12 @@ def _pp_expr(e, parent_prec=0) -> str:
 def _pp_stmt(s, indent) -> list:
     pad = "  " * indent
     if isinstance(s, Seq):
-        first = _pp_stmt(s.first, indent)
-        first[-1] += ";"
-        return first + _pp_stmt(s.second, indent)
+        lines = []
+        for st in s.stmts:
+            if lines:
+                lines[-1] += ";"
+            lines += _pp_stmt(st, indent)
+        return lines
     if isinstance(s, Skip):
         return [pad + "skip"]
     if isinstance(s, Assign):

@@ -32,6 +32,7 @@ oracle break; every other use is reported unsafe.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 
 from . import opreg
@@ -82,7 +83,7 @@ def undeclassified_vars(e) -> frozenset:
 INF = INFINITY  # expression-level sentinel; never a solver unknown
 
 
-@dataclass
+@dataclass(slots=True)
 class _Edge:
     src: object  # unknown name or int
     delta: int
@@ -90,7 +91,7 @@ class _Edge:
     origin: str
 
 
-@dataclass
+@dataclass(slots=True)
 class _Upper:
     unknown: str
     bound: int
@@ -236,7 +237,7 @@ class LevelAnalysis:
             if name not in self.fixed_gamma:
                 return 0
             return self.fixed_gamma[name]
-        return self.cs.fresh(f"var:{name}")
+        return self.cs.fresh(sys.intern(f"var:{name}"))  # one string per variable
 
     def loop_term(self, loop_id: int) -> str:
         return self.cs.fresh(f"loop:{loop_id}")
@@ -258,7 +259,7 @@ class LevelAnalysis:
     def gen_expr(self, e, tin, tout):
         if isinstance(e, Var):
             term = self.var_term(e.name)
-            return term, (term, [])
+            return term, (term, ())
         if isinstance(e, OracleCall):
             kids = [self.gen_expr(a, tin, tout)[1] for a in e.args]
             return INF, (INF, kids)
@@ -372,9 +373,12 @@ class LevelAnalysis:
                 )
             return [gx], ("asg", einfo)
         if isinstance(s, Seq):
-            f1, i1 = self.gen_stmt(s.first, tin, tout)
-            f2, i2 = self.gen_stmt(s.second, tin, tout)
-            return f1 + f2, ("seq", i1, i2)
+            floors, infos = [], []
+            for st in s.stmts:
+                f, i = self.gen_stmt(st, tin, tout)
+                floors += f
+                infos.append(i)
+            return floors, ("seq", infos)
         if isinstance(s, If):
             what = f"if({pp_expr(s.guard)})"
             iota = self.fresh_expr()
@@ -438,7 +442,7 @@ class LevelAnalysis:
 # Typing derivations
 
 
-@dataclass
+@dataclass(slots=True)
 class Judgment:
     rule: str
     subject: object
@@ -505,12 +509,10 @@ class _DerivationBuilder:
             kid = self.expr(s.expr, info[1], tin, tout)
             return Judgment("ASG", s, tin, tout, self.gamma.get(s.var, 0), [kid])
         if isinstance(s, Seq):
-            a = self.stmt(s.first, info[1], tin, tout)
-            b = self.stmt(s.second, info[2], tin, tout)
-            lvl = max(a.level, b.level)
-            return Judgment(
-                "SEQ", s, tin, tout, lvl, [self.raise_to(a, lvl), self.raise_to(b, lvl)]
-            )
+            # One k-ary node stands for k-1 binary sequence rules at one level.
+            kids = [self.stmt(st, i, tin, tout) for st, i in zip(s.stmts, info[1])]
+            lvl = max(k.level for k in kids)
+            return Judgment("SEQ", s, tin, tout, lvl, [self.raise_to(k, lvl) for k in kids])
         if isinstance(s, If):
             _, iota, ginfo, tinfo, oinfo = info
             g = self.expr(s.guard, ginfo, tin, tout)
@@ -591,14 +593,26 @@ def infer_safety(
     levels; restrictions are enforced against the inferred witness.
     """
     registry = registry or opreg.builtin_registry()
-    analysis = LevelAnalysis(registry)
-    for name in sorted(program_vars(program)):
+    return infer_levels(program.body, program_vars(program), registry, config)
+
+
+def infer_levels(
+    body, names, registry, config=None, fixed_gamma=None, tin=0, tout=0
+) -> InferenceResult:
+    """Level inference for one statement tree (a program or procedure body).
+
+    ``names`` are the variables to solve for, under the context levels
+    (tin, tout); with ``fixed_gamma`` the variable levels are given instead.
+    """
+    analysis = LevelAnalysis(registry, fixed_gamma)
+    for name in sorted(names):
         analysis.var_term(name)
-    floors, sinfo = analysis.gen_stmt(program.body, 0, 0)
+    floors, sinfo = analysis.gen_stmt(body, tin, tout)
     values, explanation = analysis.cs.solve()
+    del analysis  # free the constraints before the derivation is built
     if values is None:
         return InferenceResult(False, explanation=explanation)
-    gamma = {
+    gamma = dict(fixed_gamma) if fixed_gamma is not None else {
         name[len("var:"):]: lvl for name, lvl in values.items() if name.startswith("var:")
     }
     loops = {
@@ -607,8 +621,8 @@ def infer_safety(
         if name.startswith("loop:")
     }
     builder = _DerivationBuilder(values, gamma)
-    derivation = builder.stmt(program.body, sinfo, 0, 0)
-    body_level = max((f if isinstance(f, int) else values[f] for f in floors), default=0)
+    derivation = builder.stmt(body, sinfo, tin, tout)
+    body_level = max((builder.value(f) for f in floors), default=0)
     if config is not None:
         offending = _config_violation(derivation, registry, config)
         if offending is not None:
@@ -729,16 +743,14 @@ def _check_node(j: Judgment, gamma, registry, config) -> bool:
             return False
         return j.tout == 0 or target <= kid.level
     if j.rule == "SEQ":
-        if not isinstance(s, Seq) or len(j.children) != 2:
+        if not isinstance(s, Seq) or len(j.children) != len(s.stmts):
             return False
-        a, b = j.children
-        return (
-            a.subject == s.first
-            and b.subject == s.second
-            and a.level == b.level == j.level
-            and (a.tin, a.tout) == (b.tin, b.tout) == (j.tin, j.tout)
-            and _check_node(a, gamma, registry, config)
-            and _check_node(b, gamma, registry, config)
+        return all(
+            k.subject == st
+            and k.level == j.level
+            and (k.tin, k.tout) == (j.tin, j.tout)
+            and _check_node(k, gamma, registry, config)
+            for k, st in zip(j.children, s.stmts)
         )
     if j.rule == "CND":
         if not isinstance(s, If) or len(j.children) != 3:
@@ -884,7 +896,9 @@ def brute_force_safe(
                 ok = any(tout == 0 or gamma[s.var] <= l2 for l2 in sources)
                 out = up({gamma[s.var]}) if ok else frozenset()
             elif isinstance(s, Seq):
-                out = stmt_pres(s.first, tin, tout) & stmt_pres(s.second, tin, tout)
+                out = full
+                for st in s.stmts:
+                    out &= stmt_pres(st, tin, tout)
             elif isinstance(s, If):
                 g = expr_levels(s.guard, tin, tout)
                 t = stmt_pres(s.then, tin, tout)

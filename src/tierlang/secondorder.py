@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from . import interp1, opreg, words
 from .interp1 import DEFAULT_BUDGET, ExecError
 from .parser import _pp_expr as pp_expr
-from .safety1 import INF, Judgment, LevelAnalysis, _DerivationBuilder
+from .safety1 import Judgment, infer_levels
 from .syntax import (
     Assign,
     Break,
@@ -39,7 +39,6 @@ from .syntax import (
     ClosureVar,
     Declass,
     If,
-    INFINITY,
     Lambda,
     OpApp,
     OracleBreak,
@@ -105,7 +104,8 @@ def _allowed_assignment_call(expr) -> OracleCall | None:
 
 
 def _check_guarded_stmt(s, in_loop: bool, proc: Procedure):
-    for idx, st in enumerate(seq_chain(s)):
+    stmts = seq_chain(s)
+    for idx, st in enumerate(stmts):
         where = f"procedure {proc.name}"
         if isinstance(st, Assign):
             if not _oracle_calls(st.expr):
@@ -119,7 +119,7 @@ def _check_guarded_stmt(s, in_loop: bool, proc: Procedure):
                     "the first operand of truncate or declass",
                 )
             if in_loop:
-                prev = seq_chain(s)[idx - 1] if idx > 0 else None
+                prev = stmts[idx - 1] if idx > 0 else None
                 if not (
                     isinstance(prev, OracleBreak)
                     and prev.oracle == call.oracle
@@ -160,30 +160,16 @@ class SimpleTypeError(Exception):
     pass
 
 
-W = "W"
-
-
-def fn_type(arity: int) -> tuple:
-    return ("fn", arity)
-
-
-def type_str(t) -> str:
-    if t == W:
-        return "W"
-    return "(" + " -> ".join(["W"] * t[1]) + " -> W)"
-
-
 @dataclass
 class SimpleResult:
-    env: dict
     program_type: str
 
 
 def simple_typecheck(program: Program2) -> SimpleResult:
     """Check well-formedness and the simple-type discipline.
 
-    Returns the environment of boxed variables and procedures plus the
-    overall program type (oracles first, then word inputs, then the result).
+    Returns the overall program type (oracles first, then word inputs, then
+    the result).
     """
     procs = {}
     for p in program.procedures:
@@ -289,16 +275,10 @@ def simple_typecheck(program: Program2) -> SimpleResult:
 
     type_term(program.main, frozenset())
 
-    env = {n: fn_type(k) for n, k in program.boxed_oracles}
-    env.update({n: W for n in program.boxed_words})
-    for p in program.procedures:
-        env[p.name] = tuple(
-            [fn_type(k) for _, k in p.oracle_params] + [W] * len(p.params) + [W]
-        )
-    parts = [type_str(fn_type(k)) for _, k in program.boxed_oracles]
+    parts = ["(" + " -> ".join(["W"] * k) + " -> W)" for _, k in program.boxed_oracles]
     parts += ["W"] * len(program.boxed_words)
     parts.append("W")
-    return SimpleResult(env, " -> ".join(parts))
+    return SimpleResult(" -> ".join(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -314,23 +294,10 @@ class ProcCheck:
     explanation: str | None = None
 
 
-def _analyze_body(proc: Procedure, registry, fixed_gamma, tin, tout):
-    analysis = LevelAnalysis(registry, fixed_gamma=fixed_gamma)
-    if fixed_gamma is None:
-        for name in sorted(set(proc.params) | set(proc.locals)):
-            analysis.var_term(name)
-    floors, sinfo = analysis.gen_stmt(proc.body, tin, tout)
-    values, explanation = analysis.cs.solve()
-    if values is None:
-        return None, None, None, explanation
-
-    def level_of(term):
-        if term == INF:
-            return INFINITY
-        return term if isinstance(term, int) else values[term]
-
-    body_level = max((level_of(f) for f in floors), default=0)
-    return sinfo, values, body_level, None
+def _proc_check(proc: Procedure, result) -> ProcCheck:
+    if not result.safe:
+        return ProcCheck(False, explanation=f"procedure {proc.name}: {result.explanation}")
+    return ProcCheck(True, result.derivation, result.gamma, result.body_level)
 
 
 def level_typecheck_procedure(
@@ -348,28 +315,16 @@ def level_typecheck_procedure(
     """
     registry = registry or opreg.builtin_registry()
     tau, tin, tout = triple
-    sinfo, values, natural, explanation = _analyze_body(
-        proc, registry, dict(gamma), tin, tout
-    )
-    if sinfo is None:
-        return ProcCheck(False, explanation=f"procedure {proc.name}: {explanation}")
-    if tau < natural:
+    result = infer_levels(proc.body, (), registry, config, dict(gamma), tin, tout)
+    if result.safe and tau < result.body_level:
         return ProcCheck(
             False,
             explanation=(
                 f"procedure {proc.name}: body needs level "
-                f"{level_str(natural)}, but {level_str(tau)} was given"
+                f"{level_str(result.body_level)}, but {level_str(tau)} was given"
             ),
         )
-    builder = _DerivationBuilder(values, dict(gamma))
-    derivation = builder.stmt(proc.body, sinfo, tin, tout)
-    if config is not None:
-        from .safety1 import _config_violation
-
-        hit = _config_violation(derivation, registry, config)
-        if hit is not None:
-            return ProcCheck(False, explanation=f"procedure {proc.name}: {hit}")
-    return ProcCheck(True, derivation, dict(gamma), natural)
+    return _proc_check(proc, result)
 
 
 def infer_procedure_levels(
@@ -377,25 +332,8 @@ def infer_procedure_levels(
 ) -> ProcCheck:
     """Infer a variable environment for one procedure body (context 0, 0)."""
     registry = registry or opreg.builtin_registry()
-    sinfo, values, body_level, explanation = _analyze_body(
-        proc, registry, None, 0, 0
-    )
-    if sinfo is None:
-        return ProcCheck(False, explanation=f"procedure {proc.name}: {explanation}")
-    gamma = {
-        name[len("var:"):]: lvl
-        for name, lvl in values.items()
-        if name.startswith("var:")
-    }
-    builder = _DerivationBuilder(values, gamma)
-    derivation = builder.stmt(proc.body, sinfo, 0, 0)
-    if config is not None:
-        from .safety1 import _config_violation
-
-        hit = _config_violation(derivation, registry, config)
-        if hit is not None:
-            return ProcCheck(False, explanation=f"procedure {proc.name}: {hit}")
-    return ProcCheck(True, derivation, gamma, body_level)
+    names = set(proc.params) | set(proc.locals)
+    return _proc_check(proc, infer_levels(proc.body, names, registry, config))
 
 
 @dataclass
@@ -404,7 +342,6 @@ class Safety2Result:
     stage: str | None = None  # failing stage when unsafe
     explanation: str | None = None
     omega: dict = field(default_factory=dict)
-    simple_env: dict | None = None
     program_type: str | None = None
     derivations: dict = field(default_factory=dict)
 
@@ -439,18 +376,12 @@ def infer_safety2(
         simple = simple_typecheck(program)
     except SimpleTypeError as exc:
         return Safety2Result(False, "simple-type", str(exc))
-    result = Safety2Result(
-        True, simple_env=simple.env, program_type=simple.program_type
-    )
+    result = Safety2Result(True, program_type=simple.program_type)
     for proc in program.procedures:
         check = infer_procedure_levels(proc, registry, config)
         if not check.ok:
             return Safety2Result(
-                False,
-                "levels",
-                check.explanation,
-                simple_env=simple.env,
-                program_type=simple.program_type,
+                False, "levels", check.explanation, program_type=simple.program_type
             )
         result.omega[proc.name] = (check.gamma, (check.body_level, 0, 0))
         result.derivations[proc.name] = check.derivation

@@ -5,6 +5,11 @@ procedures, closures, and oracle calls are ``Program2``.  Statements and
 expressions are shared between the two (``OracleCall`` and ``OracleBreak``
 only ever occur in second-order code).  Nodes are treated as immutable
 after parsing; structural equality is dataclass equality.
+
+A sequence is one ``Seq`` node holding the list of its statements, built
+by ``seq_of``; no pass over a program recurses along a sequence, so
+recursion depth follows only the nesting of blocks and expressions, which
+the parser bounds (``parser.MAX_NESTING``).
 """
 
 from __future__ import annotations
@@ -91,8 +96,12 @@ class Assign:
 
 @dataclass
 class Seq:
-    first: "Stmt"
-    second: "Stmt"
+    """Statements run in order; build it with ``seq_of``.
+
+    A Seq holds at least two statements and none of them is a Seq.
+    """
+
+    stmts: list
 
 
 @dataclass
@@ -260,33 +269,36 @@ def stmt_exprs(s: Stmt) -> Iterator[Expr]:
 
 
 def iter_stmts(s: Stmt) -> Iterator[Stmt]:
-    """Pre-order traversal of a statement tree."""
-    yield s
-    if isinstance(s, Seq):
-        yield from iter_stmts(s.first)
-        yield from iter_stmts(s.second)
-    elif isinstance(s, If):
-        yield from iter_stmts(s.then)
-        yield from iter_stmts(s.orelse)
-    elif isinstance(s, (While, For)):
-        yield from iter_stmts(s.body)
+    """Pre-order traversal of a statement tree, on an explicit stack."""
+    stack = [s]
+    while stack:
+        s = stack.pop()
+        yield s
+        if isinstance(s, Seq):
+            stack.extend(reversed(s.stmts))
+        elif isinstance(s, If):
+            stack += (s.orelse, s.then)
+        elif isinstance(s, (While, For)):
+            stack.append(s.body)
 
 
 def seq_chain(s: Stmt) -> list:
-    """Flatten a Seq tree into the ordered list of its component statements."""
-    if isinstance(s, Seq):
-        return seq_chain(s.first) + seq_chain(s.second)
-    return [s]
+    """The statements of a sequence in order; any other statement alone."""
+    return s.stmts if isinstance(s, Seq) else [s]
 
 
 def seq_of(parts: list) -> Stmt:
-    """Right-nested sequence of the given statements (the parser's shape)."""
-    if not parts:
-        return Skip()
-    node = parts[-1]
-    for p in reversed(parts[:-1]):
-        node = Seq(p, node)
-    return node
+    """The one constructor of sequences: ``parts`` in order, Seqs flattened.
+
+    No parts give Skip() and one part gives that statement itself, so a
+    Seq always holds at least two statements, none of them a Seq.
+    """
+    stmts = []
+    for p in parts:
+        stmts.extend(seq_chain(p))
+    if len(stmts) > 1:
+        return Seq(stmts)
+    return stmts[0] if stmts else Skip()
 
 
 def expr_vars(e: Expr) -> set:
@@ -321,7 +333,7 @@ def loop_nesting_depth(s: Stmt) -> int:
     if isinstance(s, For):
         raise ValueError("loop_nesting_depth requires desugared statements")
     if isinstance(s, Seq):
-        return max(loop_nesting_depth(s.first), loop_nesting_depth(s.second))
+        return max(loop_nesting_depth(t) for t in s.stmts)
     if isinstance(s, If):
         return max(loop_nesting_depth(s.then), loop_nesting_depth(s.orelse))
     if isinstance(s, While):

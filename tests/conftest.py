@@ -13,6 +13,25 @@ def corpus(name: str) -> str:
     return str(ROOT / "corpus" / name)
 
 
+def straight_line(n: int) -> str:
+    """A program of n assignments and no loops or branches.
+
+    Run on a = eps it returns 1^(n // 3 - 1) when 3 divides n.
+    """
+    stmts = ["a := a + u1", "b := tl(a)", "c := declass(b, a)"]
+    body = ";\n".join(f"  {stmts[i % 3]}" for i in range(n))
+    return f"prog(a){{\n{body}\n  return c\n}}\n"
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Run the test at Python's default recursion limit."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
+
+
 @pytest.fixture(scope="session")
 def registry():
     return opreg.builtin_registry()

@@ -234,7 +234,7 @@ def test_criterion_08_second_order_pipeline(capsys):
     )
     chain = seq_chain(loop.body)
     assert isinstance(chain[0], OracleBreak)
-    loop.body = Seq(chain[1], chain[2])
+    loop.body = Seq([chain[1], chain[2]])
     with pytest.raises(so.GuardednessError):
         so.check_guarded(broken)
 
@@ -287,7 +287,7 @@ def _family():
     inputs = [(a, b) for a in ("", "1", "11") for b in ("", "1", "10")]
     for guard in guards:
         for s1, s2 in itertools.product(pool, pool):
-            program = Program1(["x", "y"], While(guard, Seq(s1, s2)), "x")
+            program = Program1(["x", "y"], While(guard, Seq([s1, s2])), "x")
             assign_loop_ids(program)
             for pair in inputs:
                 yield program, list(pair)

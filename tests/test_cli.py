@@ -1,12 +1,17 @@
+import io
 import json
+from contextlib import redirect_stdout
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import ROOT, corpus
-from tierlang import cli
+from conftest import ROOT, corpus, straight_line
+from tierlang import cli, parser, secondorder
 
 SCHEMA = json.loads((ROOT / "report.schema.json").read_text())
+VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
 
 
 def run_cli(capsys, *argv):
@@ -76,9 +81,15 @@ def test_run_bad_word(capsys):
         ("run", corpus("I.tl2"), "--oracle", "F=builtin:nope"),
         ("run", corpus("I.tl2"), "--oracle", "F"),
         ("run", corpus("I.tl2"), "--oracle", "F=prog:no/such/file.tl"),
+        ("check", corpus("bubble.tl"), "--delta", "{bad"),
+        ("check", corpus("bubble.tl"), "--delta", "[1,2]"),
     ],
 )
-def test_io_errors(capsys, argv):
+def test_io_errors(tmp_path, capsys, argv):
+    if "--delta" in argv:  # the last argument is the text of the --delta file
+        delta = tmp_path / "delta.json"
+        delta.write_text(argv[-1])
+        argv = argv[:-1] + (str(delta),)
     assert_io_error(capsys, *argv)
 
 
@@ -186,8 +197,6 @@ def test_desugar_prints_whiles(capsys):
     code, out = run_cli(capsys, "desugar", corpus("bubble_for.tl"))
     assert code == 0
     assert "while(" in out and "for " not in out
-    from tierlang import parser
-
     assert parser.parse(out) == parser.parse_file(corpus("bubble_for.tl"))
 
 
@@ -225,3 +234,91 @@ def test_guardedness_error_exits_two(tmp_path, capsys):
     code, report = run_json(capsys, "check", str(bad))
     assert code == 2
     assert report["verdicts"]["guarded"] is False
+
+
+# Keywords, identifiers, operators, braces, parentheses and ";", with a few
+# program openings and an ending so that some streams get past the header.
+FUZZ_TOKENS = [
+    "prog", "skip", "if", "else", "while", "break", "for", "to", "return",
+    "declass", "box", "in", "declare", "call", "lambda", "var", "true",
+    "false", "eps", "and", "or", "x", "y", "tl", "cons", "truncate", "X", "F",
+    '"01"', "u2", ":=", "=", "<", "<=", ">=", ">", "!=", "+", "-", "|", ",",
+    ".", "[", "]", "{", "}", "(", ")", ";",
+]
+FUZZ_OPENINGS = ["", "prog(x){", "box[F, x] in declare p(X, y){ var z;", "call p("]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(FUZZ_OPENINGS),
+    st.lists(st.sampled_from(FUZZ_TOKENS), max_size=40),
+    st.sampled_from(["", " return x }", " return z } in call p(F, x)"]),
+)
+def test_random_token_streams_get_a_report(tmp_path_factory, opening, tokens, ending):
+    path = tmp_path_factory.getbasetemp() / "fuzz.tl"
+    path.write_text(opening + " ".join(tokens) + ending)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["check", str(path), "--json"])
+    report = json.loads(out.getvalue())
+    VALIDATOR.validate(report)
+    assert code == cli.exit_code_for(report)
+
+
+def test_long_straight_line_program(tmp_path, capsys, default_recursion_limit):
+    n = 3000  # a right-nested chain of binary sequences hit the limit near 1000
+    tl = tmp_path / "long.tl"
+    tl.write_text(straight_line(n))
+    program = parser.parse_file(str(tl))
+    tl2 = tmp_path / "long.tl2"
+    tl2.write_text(parser.pretty_print(secondorder.embed_program1(program)))
+    for path in (str(tl), str(tl2)):
+        assert run_json(capsys, "check", path)[0] == 0
+        code, report = run_json(capsys, "run", path, "--input", "a=", "--monitor")
+        assert code == 0
+        assert report["result"] == "1" * (n // 3 - 1)
+    assert run_json(capsys, "forcheck", str(tl))[0] == 0
+    code, out = run_cli(capsys, "desugar", str(tl))
+    assert code == cli.EXIT_OK
+    assert parser.parse(out) == program
+
+
+def nested_program(ifs: int, tls: int, wrap: str = "{}") -> str:
+    """``ifs`` nested ifs around x := wrap(tl(...tl(x)...)), ``tls`` calls deep.
+
+    The innermost x sits ifs + 1 + tls levels deep, plus what ``wrap`` adds.
+    """
+    expr = wrap.format("tl(" * tls + "x" + ")" * tls)
+    stmt = f"x := {expr}"
+    for _ in range(ifs):
+        stmt = f"if(true){{ {stmt} }} else {{ skip }}"
+    return f"prog(x){{ {stmt} return x }}"
+
+
+def test_nesting_at_the_limit(tmp_path, capsys, default_recursion_limit):
+    path = tmp_path / "deep.tl"
+    path.write_text(nested_program(40, parser.MAX_NESTING - 41))
+    assert run_json(capsys, "check", str(path))[0] == 0
+    assert run_json(capsys, "forcheck", str(path))[0] == 0
+    code, report = run_json(capsys, "run", str(path), "--input", "x=11", "--monitor")
+    assert code == 0 and report["verdicts"]["aperiodic"] is True
+
+
+@pytest.mark.parametrize(
+    "ifs, tls, wrap",
+    [
+        (41, parser.MAX_NESTING - 41, "{}"),  # one more block
+        (40, parser.MAX_NESTING - 40, "{}"),  # one more operand
+        (40, parser.MAX_NESTING - 41, "({})"),  # parentheses
+        (40, parser.MAX_NESTING - 41, "{} + u1"),  # a left operand
+        (40, parser.MAX_NESTING - 41, "{} - u1"),
+    ],
+)
+def test_nesting_past_the_limit(tmp_path, capsys, default_recursion_limit, ifs, tls, wrap):
+    path = tmp_path / "deep.tl"
+    path.write_text(nested_program(ifs, tls, wrap))
+    for command in ("check", "forcheck", "run"):
+        code, report = run_json(capsys, command, str(path))
+        assert code == 2
+        assert report["verdicts"]["parse"] is False
+        assert f"deeper than {parser.MAX_NESTING}" in report["explanation"]

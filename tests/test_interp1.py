@@ -74,7 +74,7 @@ def test_break_inside_while_is_contained():
 
 
 def test_seq_short_circuits_on_break():
-    s = Seq(Break(OpApp("true")), Skip())
+    s = Seq([Break(OpApp("true")), Skip()])
     interp = Interp()
     store = {}
     assert interp.exec_stmt(store, s)
@@ -94,7 +94,7 @@ def test_seq_short_circuits_on_break():
     ],
 )
 def test_bad_nodes_fail_only_when_run(bad, error, steps):
-    stmt = Seq(Skip(), If(Var("x"), bad, Skip()))
+    stmt = Seq([Skip(), If(Var("x"), bad, Skip())])
     assert interp1.exec_stmt({"x": "0"}, stmt).stats.steps == 5
     interp = Interp()
     with pytest.raises(error):

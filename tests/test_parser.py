@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus
+from conftest import corpus, straight_line
 from tierlang import genprog, parser
 from tierlang.parser import DesugarError, ParseError, desugar_for, parse, pretty_print
 from tierlang.syntax import (
@@ -43,12 +43,8 @@ def test_bubble_shape(bubble):
 
 def test_literals():
     p = parse('prog(x){y := "101"; z := u3; w := u0; v := eps return y}')
-    chain = []
-    s = p.body
-    while isinstance(s, Seq):
-        chain.append(s.first)
-        s = s.second
-    chain.append(s)
+    assert isinstance(p.body, Seq)
+    chain = p.body.stmts
     assert chain[0].expr == OpApp("const:101")
     assert chain[1].expr == OpApp("const:111")
     assert chain[2].expr == OpApp("eps")
@@ -154,12 +150,18 @@ def test_desugar_for_shape():
     p = parse("prog(n){for i = u0 to n { skip } return n}", desugar=False)
     body = desugar_for(p.body)
     assert isinstance(body, Seq)
-    init, loop = body.first, body.second
+    init, loop = body.stmts
     assert init == Assign("i", Var("n"))
     assert isinstance(loop, While)
     assert loop.guard == OpApp("le", [OpApp("eps"), Var("i")])
     assert loop.for_origin
-    assert loop.body == Seq(Skip(), Assign("i", OpApp("dec", [Var("i")])))
+    assert loop.body == Seq([Skip(), Assign("i", OpApp("dec", [Var("i")]))])
+
+
+def test_long_program_round_trip(default_recursion_limit):
+    p = parse(straight_line(3000))
+    assert isinstance(p.body, Seq) and len(p.body.stmts) == 3000
+    assert parse(pretty_print(p)) == p
 
 
 def test_desugar_identity_on_for_free(bubble):

@@ -168,6 +168,16 @@ def test_derivation_shape_mismatch_rejected():
     assert not check_derivation(other, {"x": 0}, Judgment("SKP", Skip(), 0, 0, 0))
 
 
+def test_seq_judgment_needs_one_child_per_statement():
+    program = parse("prog(x){y := x; z := y; skip return z}")
+    deriv = infer_safety(program).derivation
+    assert deriv.rule == "SEQ" and len(deriv.children) == 3
+    assert check_derivation(program, {}, deriv)
+    for children in (deriv.children[:2], deriv.children + deriv.children[-1:]):
+        wrong = Judgment("SEQ", program.body, 0, 0, deriv.level, children)
+        assert not check_derivation(program, {}, wrong)
+
+
 def test_explicit_sub_nodes_accepted():
     program = parse("prog(x){skip return x}")
     inner = Judgment("SKP", program.body, 0, 0, 0)

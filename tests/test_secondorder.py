@@ -51,7 +51,7 @@ def test_deleting_break_breaks_clause_two(iterator_program):
     loop = loop_of(variant.procedure("iterate"))
     chain = seq_chain(loop.body)
     assert isinstance(chain[0], OracleBreak)
-    loop.body = Seq(chain[1], chain[2])
+    loop.body = Seq([chain[1], chain[2]])
     with pytest.raises(so.GuardednessError) as err:
         so.check_guarded(variant)
     assert err.value.clause == 2
@@ -479,7 +479,7 @@ def test_stuck_counter_triggers_monitor(iterator_program):
     loop = loop_of(variant.procedure("iterate"))
     chain = seq_chain(loop.body)
     # drop the counter decrement: the guard variable never changes
-    loop.body = Seq(chain[0], chain[1])
+    loop.body = Seq([chain[0], chain[1]])
     with pytest.raises(AperiodicityViolation) as err:
         so.eval_program2(
             variant, oracles(F="builtin:const:101"), ["1", "1111", "111"], monitor=True

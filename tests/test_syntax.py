@@ -37,7 +37,7 @@ def test_loop_nesting_depth():
     assert loop_nesting_depth(Skip()) == 0
     w = While(Var("x"), While(Var("y"), Skip()))
     assert loop_nesting_depth(w) == 2
-    assert loop_nesting_depth(Seq(w, While(Var("z"), Skip()))) == 2
+    assert loop_nesting_depth(Seq([w, While(Var("z"), Skip())])) == 2
 
 
 def test_bubble_nesting_depth(bubble):

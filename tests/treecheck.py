@@ -2,7 +2,9 @@
 
 Builds the full big-step derivation tree of a first-order program by
 literal while-unrolling (the loop body and the next loop configuration are
-children of a synthetic sequence node), then decides periodicity directly
+children of a synthetic sequence node) and by the paper's binary sequence
+rule (a sequence node has two children: its first statement and the rest
+of the sequence), then decides periodicity directly
 from its definition: two configurations of the same while statement, one
 strictly inside the other, whose stores agree on the guard's undeclassified
 variables.
@@ -78,11 +80,13 @@ class TreeBuilder:
             out[s.var] = self.eval_expr(store, s.expr)
             return False, out, node
         if isinstance(s, Seq):
-            broke, mid, first = self.exec_tree(store, s.first)
+            head, *rest = s.stmts
+            broke, mid, first = self.exec_tree(store, head)
             node["children"].append(first)
             if broke:
                 return True, mid, node
-            broke, out, second = self.exec_tree(mid, s.second)
+            tail = rest[0] if len(rest) == 1 else Seq(rest)
+            broke, out, second = self.exec_tree(mid, tail)
             node["children"].append(second)
             return broke, out, node
         if isinstance(s, If):
@@ -96,7 +100,7 @@ class TreeBuilder:
             if not words.truthy(guard):
                 return False, store, node
             # Literal unrolling: the premise is (body ; while ...).
-            broke, out, child = self.exec_tree(store, Seq(s.body, s))
+            broke, out, child = self.exec_tree(store, Seq([s.body, s]))
             node["children"].append(child)
             return False, out, node
         if isinstance(s, Break):
