@@ -49,6 +49,7 @@ def blank_report(command: str, file: str | None = None) -> dict:
         "explanation": None,
         "operators": None,
         "validation": None,
+        "source": None,  # desugar: the desugared program text
         "error": None,  # "io": an input could not be read or was malformed
         "exit_code": EXIT_OK,
     }
@@ -325,16 +326,18 @@ def cmd_ops(args) -> int:
 
 def cmd_desugar(args) -> int:
     registry = opreg.builtin_registry()
+    report = blank_report("desugar", args.file)
     try:
         program = parser.parse_file(args.file, registry=registry)
     except OSError as exc:
-        print(f"error: {exc}")
-        return EXIT_IO
+        return io_error(report, exc, args.json)
     except (parser.ParseError, parser.DesugarError) as exc:
-        print(f"parse error: {exc}")
-        return EXIT_FRONTEND
-    print(parser.pretty_print(program), end="")
-    return EXIT_OK
+        report["verdicts"]["parse"] = False
+        report["explanation"] = str(exc)
+        return emit(report, args.json, [f"parse error: {exc}"])
+    report["verdicts"]["parse"] = True
+    report["source"] = parser.pretty_print(program)
+    return emit(report, args.json, [report["source"].rstrip("\n")])
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -377,6 +380,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("desugar", help="print the desugared program")
     p.add_argument("file")
+    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_desugar)
     return ap
 

@@ -16,13 +16,19 @@ Surface conventions (ASCII only):
 
 First- versus second-order input is detected from the leading keyword
 (``prog`` versus ``box``/``declare``/``call``).
+
+The scanner makes one regular-expression pass and gives each token as a
+(kind, value, offset) triple.  Lines and columns are worked out from the
+offset only where they are read: for a ``ParseError`` and for
+``While.line``, from a table of newline offsets built at most once per
+parse.
 """
 
 from __future__ import annotations
 
+import bisect
 import re
 import sys
-from dataclasses import dataclass
 
 from . import opreg
 from .syntax import (
@@ -87,108 +93,132 @@ KEYWORDS = {
     "true", "false", "eps", "and", "or",
 }
 
+# One match per token: the whitespace and comments before it, then exactly
+# one token, the end of the input, or one character no token starts with.
+# Keywords and symbols form one group, whose kind is their own text.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+|//[^\n]*)
-  | (?P<string>"[01\#]*")
-  | (?P<badstring>"[^"\n]*")
-  | (?P<ulit>u[0-9]+\b)
-  | (?P<ident>[a-z][A-Za-z0-9_]*)
-  | (?P<ovar>[A-Z][A-Za-z0-9_]*)
-  | (?P<sym>:=|<=|>=|!=|[=<>+\-(){}\[\];,.|])
+    (?:\s+|//[^\n]*)*
+    (?:
+        (?P<string>"[01\#]*")
+      | (?P<ulit>u[0-9]+\b)
+      | (?P<literal>(?:"""
+    + "|".join(sorted(KEYWORDS))
+    + r""")(?![A-Za-z0-9_])|:=|<=|>=|!=|[=<>+\-(){}\[\];,.|])
+      | (?P<ident>[a-z][A-Za-z0-9_]*)
+      | (?P<ovar>[A-Z][A-Za-z0-9_]*)
+      | (?P<eof>\Z)
+      | (?P<badstring>"[^"\n]*")
+      | (?P<bad>.)
+    )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
-
-@dataclass(slots=True)
-class Token:
-    kind: str  # ident | ovar | string | ulit | sym/keyword literal | eof
-    value: str
-    line: int
-    col: int
+_NEWLINE_RE = re.compile("\n")
 
 
-def tokenize(text: str):
+def tokenize(text: str) -> list:
+    """The tokens of ``text`` as (kind, value, offset) triples, ending in eof.
+
+    A keyword or symbol is its own kind; the other kinds are ident, ovar,
+    string and ulit.  The offset is where the token starts in ``text``; the
+    eof token sits at ``len(text)``.  Lines and columns are worked out from
+    offsets only for an error or a while loop (see ``_line_col``).
+    """
     tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "badstring":
-            raise ParseError("word literals may only contain 0, 1, #", line, col)
-        if kind != "ws":
-            if kind == "ident" and lexeme in KEYWORDS:
-                tokens.append(Token(lexeme, lexeme, line, col))
-            elif kind == "sym":
-                tokens.append(Token(lexeme, lexeme, line, col))
-            else:  # names repeat: one string each for the tokens and the tree
-                tokens.append(Token(kind, sys.intern(lexeme), line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        value = m[kind]
+        if kind == "literal":
+            append((value, value, m.start(kind)))
+        elif kind == "eof":
+            break
+        elif kind == "bad" or kind == "badstring":
+            offset = m.start(kind)
+            raise ParseError(
+                f"unexpected character {value!r}" if kind == "bad"
+                else "word literals may only contain 0, 1, #",
+                *_line_col(_newlines(text[:offset]), offset),
+            )
+        else:  # names repeat: one string each for the tokens and the tree
+            append((kind, sys.intern(value), m.start(kind)))
+    append(("eof", "", len(text)))
     return tokens
 
 
+def _newlines(text: str) -> list:
+    """The offsets of the newlines of ``text``, in order."""
+    return [m.start() for m in _NEWLINE_RE.finditer(text)]
+
+
+def _line_col(newlines: list, offset: int) -> tuple:
+    """The 1-based line and column of ``offset``, given the newline offsets."""
+    line = bisect.bisect_left(newlines, offset)  # newlines before the offset
+    return line + 1, offset - (newlines[line - 1] if line else -1)
+
+
 class _Parser:
-    def __init__(self, tokens, registry):
-        self.tokens = tokens
+    def __init__(self, text, tokens, registry):
+        self.text = text
+        # One eof more, so that looking one token past eof needs no bound.
+        self.tokens = tokens + [tokens[-1]]
         self.pos = 0
         self.registry = registry
         self.depth = 0  # nesting level of the block or expression being parsed
+        self.newlines = None  # built on the first position asked for
 
-    # -- token plumbing
+    # -- token plumbing; a token is a (kind, value, offset) triple
 
-    def peek(self, ahead=0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self, ahead=0) -> tuple:
+        return self.tokens[self.pos + ahead]
 
-    def next(self) -> Token:
-        tok = self.peek()
+    def next(self) -> tuple:
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"unexpected {tok.value!r}", tok.line, tok.col, expected={kind}
-            )
-        return self.next()
+    def expect(self, kind) -> tuple:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise self.error(f"unexpected {tok[1]!r}", tok, expected={kind})
+        self.pos += 1
+        return tok
 
-    def accept(self, kind) -> Token | None:
-        if self.peek().kind == kind:
-            return self.next()
+    def accept(self, kind) -> tuple | None:
+        tok = self.tokens[self.pos]
+        if tok[0] == kind:
+            self.pos += 1
+            return tok
         return None
 
+    def line_col(self, tok) -> tuple:
+        if self.newlines is None:
+            self.newlines = _newlines(self.text)
+        return _line_col(self.newlines, tok[2])
+
+    def error(self, message, tok, expected=()) -> ParseError:
+        return ParseError(message, *self.line_col(tok), expected=expected)
+
     def fail(self, message, expected=()):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col, expected=expected)
+        raise self.error(message, self.peek(), expected)
 
     def check_depth(self, tok, low=0):
         """Fail if a point ``low`` levels below the current one is too deep."""
         if self.depth + low > MAX_NESTING:
-            raise ParseError(
-                f"blocks and expressions nest deeper than {MAX_NESTING} levels",
-                tok.line,
-                tok.col,
+            raise self.error(
+                f"blocks and expressions nest deeper than {MAX_NESTING} levels", tok
             )
 
     # -- programs
 
     def parse_program(self):
-        first = self.peek().kind
+        first = self.peek()[0]
         if first == "prog":
             return self.parse_program1()
         if first in ("box", "declare", "call") or (
-            first == "ident" and self.peek(1).kind == "eof"
+            first == "ident" and self.peek(1)[0] == "eof"
         ):
             return self.parse_program2()
         self.fail("expected a program", expected={"prog", "box", "declare", "call"})
@@ -201,7 +231,7 @@ class _Parser:
         self.expect("{")
         body = self.parse_stmts(stop={"return"})
         self.expect("return")
-        ret = self.expect("ident").value
+        ret = self.expect("ident")[1]
         self.expect("}")
         self.expect("eof")
         return Program1(params, body, ret)
@@ -212,10 +242,10 @@ class _Parser:
             self.expect("[")
             while True:
                 tok = self.peek()
-                if tok.kind == "ovar":
-                    boxed_oracles.append([self.next().value, 0])
-                elif tok.kind == "ident":
-                    boxed_words.append(self.next().value)
+                if tok[0] == "ovar":
+                    boxed_oracles.append([self.next()[1], 0])
+                elif tok[0] == "ident":
+                    boxed_words.append(self.next()[1])
                 else:
                     self.fail("expected a boxed variable", expected={"ident", "ovar"})
                 if not self.accept(","):
@@ -233,20 +263,20 @@ class _Parser:
         return program
 
     def parse_procedure(self) -> Procedure:
-        name = self.expect("ident").value
+        name = self.expect("ident")[1]
         self.expect("(")
         oracle_params, params = [], []
         if self.accept(","):  # explicit empty order-1 list: p(, x, y)
             params = self.parse_idlist(closer=")")
-        elif self.peek().kind != ")":
+        elif self.peek()[0] != ")":
             while True:
                 tok = self.peek()
-                if tok.kind == "ovar":
+                if tok[0] == "ovar":
                     if params:
                         self.fail("order-1 parameters must precede order-0 ones")
-                    oracle_params.append([self.next().value, 1])
-                elif tok.kind == "ident":
-                    params.append(self.next().value)
+                    oracle_params.append([self.next()[1], 1])
+                elif tok[0] == "ident":
+                    params.append(self.next()[1])
                 else:
                     self.fail("expected a parameter", expected={"ident", "ovar"})
                 if not self.accept(","):
@@ -254,13 +284,13 @@ class _Parser:
         self.expect(")")
         self.expect("{")
         local_vars = []
-        while self.peek().kind == "var":
+        while self.peek()[0] == "var":
             self.next()
             local_vars.extend(self.parse_idlist(closer=";"))
             self.expect(";")
         body = self.parse_stmts(stop={"return"})
         self.expect("return")
-        ret = self.expect("ident").value
+        ret = self.expect("ident")[1]
         self.expect("}")
         return Procedure(name, oracle_params, params, local_vars, body, ret)
 
@@ -269,8 +299,8 @@ class _Parser:
         tok = self.peek()
         self.depth += 1
         self.check_depth(tok)
-        if tok.kind == "ident":
-            term = TermVar(self.next().value)
+        if tok[0] == "ident":
+            term = TermVar(self.next()[1])
         elif self.accept("call"):
             term = self.parse_call()
         else:
@@ -279,18 +309,18 @@ class _Parser:
         return term
 
     def parse_call(self) -> Call:
-        name = self.expect("ident").value
+        name = self.expect("ident")[1]
         self.expect("(")
         closures, args = [], []
         self.accept(",")  # an explicit empty closure list
-        if self.peek().kind != ")":
+        if self.peek()[0] != ")":
             while True:
                 tok = self.peek()
-                if tok.kind in ("ovar", "lambda") and args:
+                if tok[0] in ("ovar", "lambda") and args:
                     self.fail("closures must precede order-0 arguments")
-                if tok.kind == "ovar":
-                    closures.append(ClosureVar(self.next().value))
-                elif tok.kind == "lambda":
+                if tok[0] == "ovar":
+                    closures.append(ClosureVar(self.next()[1]))
+                elif tok[0] == "lambda":
                     self.next()
                     self.expect("(")
                     lam_params = self.parse_idlist(closer=")")
@@ -306,11 +336,11 @@ class _Parser:
 
     def parse_idlist(self, closer) -> list:
         names = []
-        if self.peek().kind == closer:
+        if self.peek()[0] == closer:
             return names
-        names.append(self.expect("ident").value)
+        names.append(self.expect("ident")[1])
         while self.accept(","):
-            names.append(self.expect("ident").value)
+            names.append(self.expect("ident")[1])
         return names
 
     # -- statements
@@ -318,7 +348,8 @@ class _Parser:
     def parse_stmts(self, stop):
         stmts = [self.parse_statement()]
         while self.accept(";"):
-            if self.peek().kind in stop or self.peek().kind == "}":
+            kind = self.peek()[0]
+            if kind in stop or kind == "}":
                 break  # tolerate a trailing semicolon
             stmts.append(self.parse_statement())
         return seq_of(stmts)
@@ -340,25 +371,25 @@ class _Parser:
         return guard
 
     def parse_statement(self):
-        tok = self.peek()
-        if tok.kind == "skip":
-            self.next()
+        tok = self.next()
+        kind = tok[0]
+        if kind == "ident" and self.peek()[0] == ":=":
+            self.pos += 1
+            return Assign(tok[1], self.parse_expr()[0])
+        if kind == "skip":
             return Skip()
-        if tok.kind == "if":
-            self.next()
+        if kind == "if":
             guard, then = self.parse_guard(), self.parse_block()
             self.expect("else")
             return If(guard, then, self.parse_block())
-        if tok.kind == "while":
-            self.next()
+        if kind == "while":
             guard = self.parse_guard()
-            return While(guard, self.parse_block(), line=tok.line)
-        if tok.kind == "for":
+            return While(guard, self.parse_block(), line=self.line_col(tok)[0])
+        if kind == "for":
             # Counted as the while form it desugars to, so that form parses
             # back: e moves into the guard e <= x, and x := x - u1 needs
             # three levels below the loop.
-            self.next()
-            var = self.expect("ident").value
+            var = self.expect("ident")[1]
             self.expect("=")
             self.depth += 1
             low = self.parse_expr()[0]
@@ -367,19 +398,15 @@ class _Parser:
             high = self.parse_expr()[0]
             self.check_depth(tok, 3)
             return For(var, low, high, self.parse_block())
-        if tok.kind == "break":
-            self.next()
+        if kind == "break":
             self.expect("(")
-            if self.peek().kind == "|":
+            if self.peek()[0] == "|":
                 stmt = self.parse_oracle_break()
             else:
                 stmt = Break(self.parse_expr()[0])
             self.expect(")")
             return stmt
-        if tok.kind == "ident" and self.peek(1).kind == ":=":
-            name = self.next().value
-            self.next()
-            return Assign(name, self.parse_expr()[0])
+        self.pos -= 1
         self.fail(
             "expected a statement",
             expected={"skip", "if", "while", "for", "break", "ident"},
@@ -395,17 +422,16 @@ class _Parser:
         self.expect(">")
         self.expect("|")
         right = self.expect("ovar")
-        if right.value != left.value:
-            raise ParseError(
+        if right[1] != left[1]:
+            raise self.error(
                 "both sides of an oracle break must call the same oracle",
-                right.line,
-                right.col,
+                right,
             )
         self.expect("(")
         ref_vars = self.parse_idlist(closer=")")
         self.expect(")")
         self.expect("|")
-        return OracleBreak(left.value, call_args, ref_vars)
+        return OracleBreak(left[1], call_args, ref_vars)
 
     # -- expressions
     #
@@ -416,7 +442,7 @@ class _Parser:
 
     def parse_exprlist(self) -> tuple:
         args, low = [], 0
-        if self.peek().kind == ")":
+        if self.peek()[0] == ")":
             return args, low
         while True:
             arg, arg_low = self.parse_expr()
@@ -432,85 +458,73 @@ class _Parser:
         node, low = self.parse_primary()
         while True:
             tok = self.peek()
-            if tok.kind == ">=":
-                raise ParseError(
-                    "there is no >= operator; swap the operands and use <=",
-                    tok.line,
-                    tok.col,
-                )
-            op = _SURFACE_OP.get(tok.kind)
-            if op is None or _PREC[op] < prec:
+            op = _SURFACE_OP.get(tok[0])
+            if op is None:
+                if tok[0] == ">=":
+                    raise self.error(
+                        "there is no >= operator; swap the operands and use <=", tok
+                    )
                 break
-            self.next()
+            if _PREC[op] < prec:
+                break
+            self.pos += 1
             rhs, rhs_low = self.parse_expr(_PREC[op] + 1)  # left associative
             if op != "dec":
                 node, low = OpApp(op, [node, rhs]), 1 + max(low, rhs_low)
             elif rhs == OpApp("const:1", []):
                 node, low = OpApp("dec", [node]), 1 + low
             else:
-                raise ParseError(
+                raise self.error(
                     "only decrement by one is supported; write e - u1 "
                     "(or decb(e) for binary numerals)",
-                    tok.line,
-                    tok.col,
+                    tok,
                 )
             self.check_depth(tok, low)
         self.depth -= 1
         return node, low
 
     def parse_primary(self) -> tuple:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.next()
+        tok = self.next()
+        kind, value = tok[0], tok[1]
+        if kind == "ident":
+            if self.peek()[0] != "(":
+                return Var(value), 0
+            self.pos += 1
+            args, low = self.parse_exprlist()
+            self.expect(")")
+            entry = self._op_entry(tok)
+            if entry.arity != len(args):
+                raise self.error(
+                    f"operator {value} expects {entry.arity} "
+                    f"argument(s), got {len(args)}",
+                    tok,
+                )
+            return OpApp(value, args), low
+        if kind == "ulit":
+            return self._literal("1" * int(value[1:])), 0
+        if kind == "string":
+            return self._literal(value[1:-1]), 0
+        if kind == "(":
             node, low = self.parse_expr()
             self.expect(")")
             return node, 1 + low
-        if tok.kind == "declass":
-            self.next()
+        if kind == "true" or kind == "false" or kind == "eps":
+            return OpApp(kind, []), 0
+        if kind == "declass":
             self.expect("(")
             first, low1 = self.parse_expr()
-            if self.peek().kind == ")":
-                raise ParseError(
-                    "declass requires two arguments: declass(e, bound)",
-                    tok.line,
-                    tok.col,
-                )
+            if self.peek()[0] == ")":
+                raise self.error("declass requires two arguments: declass(e, bound)", tok)
             self.expect(",")
             second, low2 = self.parse_expr()
             self.expect(")")
             return Declass(first, second), 1 + max(low1, low2)
-        if tok.kind == "string":
-            self.next()
-            return self._literal(tok.value[1:-1]), 0
-        if tok.kind == "ulit":
-            self.next()
-            return self._literal("1" * int(tok.value[1:])), 0
-        if tok.kind in ("true", "false", "eps"):
-            self.next()
-            return OpApp(tok.kind, []), 0
-        if tok.kind == "ovar":
-            self.next()
+        if kind == "ovar":
             self.expect("(")
             args, low = self.parse_exprlist()
             self.expect(")")
-            return OracleCall(tok.value, args), low
-        if tok.kind == "ident":
-            if self.peek(1).kind == "(":
-                self.next()
-                self.next()
-                args, low = self.parse_exprlist()
-                self.expect(")")
-                entry = self._op_entry(tok)
-                if entry.arity != len(args):
-                    raise ParseError(
-                        f"operator {tok.value} expects {entry.arity} "
-                        f"argument(s), got {len(args)}",
-                        tok.line,
-                        tok.col,
-                    )
-                return OpApp(tok.value, args), low
-            self.next()
-            return Var(tok.value), 0
+            return OracleCall(value, args), low
+        self.pos -= 1
         self.fail("expected an expression", expected={"ident", "string", "("})
 
     def _literal(self, text: str):
@@ -518,11 +532,11 @@ class _Parser:
             return OpApp("eps", [])
         return OpApp("const:" + text, [])
 
-    def _op_entry(self, tok: Token):
+    def _op_entry(self, tok):
         try:
-            return self.registry.lookup(tok.value)
+            return self.registry.lookup(tok[1])
         except opreg.UnknownOperator:
-            raise ParseError(f"unknown operator {tok.value!r}", tok.line, tok.col)
+            raise self.error(f"unknown operator {tok[1]!r}", tok)
 
 
 def _resolve_oracle_arities(program: Program2) -> None:
@@ -579,8 +593,7 @@ def parse(text: str, origin: str = "<string>", registry=None, desugar: bool = Tr
     False; loop ids are then assigned in pre-order.
     """
     registry = registry or opreg.builtin_registry()
-    tokens = tokenize(text)
-    program = _Parser(tokens, registry).parse_program()
+    program = _Parser(text, tokenize(text), registry).parse_program()
     if desugar:
         if isinstance(program, Program1):
             program.body = desugar_for(program.body)

@@ -19,6 +19,12 @@ bounds against constants) solved by least-fixpoint propagation; the least
 solution is returned as the variable typing environment.  Divergence past
 the number of unknowns witnesses an unsatisfiable strict cycle.
 
+Only a verdict is computed up front.  Each constraint carries a constant
+origin template and the AST node it came from; the text is formatted only
+when a failure is explained.  The typing derivation of a safe result is
+built on its first read, from the generation infos and solved values the
+result keeps, or at once when a ``DeltaConfig`` must be checked against it.
+
 ``brute_force_safe`` is an independent oracle: it enumerates variable
 environments and rule-directed derivations outright, with all levels drawn
 from a finite range.
@@ -83,19 +89,48 @@ def undeclassified_vars(e) -> frozenset:
 INF = INFINITY  # expression-level sentinel; never a solver unknown
 
 
+def _describe(node) -> str:
+    """A node as source text; a statement by its head."""
+    if isinstance(node, Assign):
+        return f"{node.var} := {pp_expr(node.expr)}"
+    if isinstance(node, If):
+        return f"if({pp_expr(node.guard)})"
+    if isinstance(node, While):
+        return f"while({pp_expr(node.guard)}) [loop {node.loop_id}]"
+    if isinstance(node, Break):
+        return f"break({pp_expr(node.guard)})"
+    if isinstance(node, OracleBreak):
+        ref = f"{node.oracle}({', '.join(node.ref_vars)})"
+        return f"break(|{node.oracle}(...)| > |{ref}|)"
+    return pp_expr(node)
+
+
+def _origin(why: str, node, arg) -> str:
+    """The text of an origin: template ``why`` filled in from ``node``.
+
+    ``{what}`` is the node as source text, ``{node.op}`` its operator and
+    ``{arg}`` the value the generator bound with it.
+    """
+    return why.format(what=_describe(node), node=node, arg=arg)
+
+
 @dataclass(slots=True)
 class _Edge:
     src: object  # unknown name or int
     delta: int
     dst: str
-    origin: str
+    why: str
+    node: object
+    arg: object = None
 
 
 @dataclass(slots=True)
 class _Upper:
     unknown: str
     bound: int
-    origin: str
+    why: str
+    node: object
+    arg: object = None
 
 
 class Constraints:
@@ -103,56 +138,56 @@ class Constraints:
         self.unknowns: set = set()
         self.edges: list = []
         self.uppers: list = []
-        self.failure: str | None = None
+        self.failure: tuple | None = None  # (why, node, arg) of the first failure
 
     def fresh(self, name: str) -> str:
         self.unknowns.add(name)
         return name
 
-    def fail(self, origin: str):
+    def fail(self, why: str, node, arg=None):
         if self.failure is None:
-            self.failure = origin
+            self.failure = (why, node, arg)
 
-    def le(self, a, b, origin: str):
+    def le(self, a, b, why: str, node, arg=None):
         """a <= b over levels; INF is handled eagerly."""
         if a == INF and b == INF:
             return
         if a == INF:
-            self.fail(origin)
+            self.fail(why, node, arg)
             return
         if b == INF:
             return
-        self._amount(a, 0, b, origin)
+        self._amount(a, 0, b, why, node, arg)
 
-    def lt(self, a, b, origin: str):
+    def lt(self, a, b, why: str, node, arg=None):
         if a == INF:
-            self.fail(origin)
+            self.fail(why, node, arg)
             return
         if b == INF:
             return
-        self._amount(a, 1, b, origin)
+        self._amount(a, 1, b, why, node, arg)
 
-    def eq(self, a, b, origin: str):
+    def eq(self, a, b, why: str, node, arg=None):
         if a == INF or b == INF:
             if a != b:
-                self.fail(origin)
+                self.fail(why, node, arg)
             return
-        self.le(a, b, origin)
-        self.le(b, a, origin)
+        self.le(a, b, why, node, arg)
+        self.le(b, a, why, node, arg)
 
-    def _amount(self, a, delta, b, origin):
+    def _amount(self, a, delta, b, why, node, arg):
         if isinstance(a, int) and isinstance(b, int):
             if a + delta > b:
-                self.fail(origin)
+                self.fail(why, node, arg)
         elif isinstance(b, int):
-            self.uppers.append(_Upper(a, b - delta, origin))
+            self.uppers.append(_Upper(a, b - delta, why, node, arg))
         else:
-            self.edges.append(_Edge(a, delta, b, origin))
+            self.edges.append(_Edge(a, delta, b, why, node, arg))
 
     def solve(self):
         """Least solution, or (None, explanation) when unsatisfiable."""
         if self.failure is not None:
-            return None, self.failure
+            return None, _origin(*self.failure)
         values = {u: 0 for u in self.unknowns}
         preds: dict = {}
         by_src: dict = {}
@@ -193,8 +228,9 @@ class Constraints:
         for up in self.uppers:
             if values[up.unknown] > up.bound:
                 detail = self._chain(up.unknown, preds)
+                origin = _origin(up.why, up.node, up.arg)
                 return None, (
-                    f"{up.origin}: needs level({up.unknown}) <= {up.bound} "
+                    f"{origin}: needs level({up.unknown}) <= {up.bound} "
                     f"but other constraints force {values[up.unknown]}"
                     + (f"; {detail}" if detail else "")
                 )
@@ -207,7 +243,7 @@ class Constraints:
             edge = preds.get(cur)
             if edge is None:
                 break
-            parts.append(edge.origin)
+            parts.append(_origin(edge.why, edge.node, edge.arg))
             if isinstance(edge.src, int):
                 break
             cur = edge.src
@@ -247,8 +283,9 @@ class LevelAnalysis:
         return self.cs.fresh(f"e{self.expr_counter}")
 
     @staticmethod
-    def _in_loop(tout) -> bool:
-        return not (isinstance(tout, int) and tout == 0)
+    def _in_loop(level) -> bool:
+        """Whether a context level (inner or outer) lies inside a loop."""
+        return not (isinstance(level, int) and level == 0)
 
     # -- expressions
     #
@@ -260,92 +297,101 @@ class LevelAnalysis:
         if isinstance(e, Var):
             term = self.var_term(e.name)
             return term, (term, ())
+        cs = self.cs
         if isinstance(e, OracleCall):
             kids = [self.gen_expr(a, tin, tout)[1] for a in e.args]
             return INF, (INF, kids)
         if isinstance(e, Declass):
-            what = f"declass(..., {pp_expr(e.bound)})"
             t1, i1 = self.gen_expr(e.expr, tin, tout)
             t2, i2 = self.gen_expr(e.bound, tin, tout)
-            self.cs.eq(
+            cs.eq(
                 t2, tout,
-                f"the declass bound {pp_expr(e.bound)} must sit exactly at "
-                f"the outermost loop level",
+                "the declass bound {what} must sit exactly at the outermost "
+                "loop level",
+                e.bound,
             )
             result = self.fresh_expr()
-            self.cs.le(t1, result, f"{what}: declassified operand caps the result from below")
-            self.cs.le(result, tout, f"{what}: the result level is capped by the outermost loop level")
+            cs.le(
+                t1, result,
+                "declass(..., {what}): declassified operand caps the result from below",
+                e.bound,
+            )
+            cs.le(
+                result, tout,
+                "declass(..., {what}): the result level is capped by the "
+                "outermost loop level",
+                e.bound,
+            )
             return result, (result, [i1, i2])
         if isinstance(e, OpApp):
-            entry = self._entry(e.op)
+            entry = self._entry(e)
             pairs = [self.gen_expr(a, tin, tout) for a in e.args]
             args = [t for t, _ in pairs]
             kids = [i for _, i in pairs]
-            what = pp_expr(e)
+            result = self.fresh_expr()
             if entry.is_truncate:
-                result = self.fresh_expr()
                 if args[0] != INF:
-                    self.cs.fail(
-                        f"{what}: truncate's first operand must be an oracle call"
-                    )
+                    cs.fail("{what}: truncate's first operand must be an oracle call", e)
                     return result, (result, kids)
                 if args[1] == INF:
-                    self.cs.fail(f"{what}: truncate's bound cannot be an oracle call")
+                    cs.fail("{what}: truncate's bound cannot be an oracle call", e)
                     return result, (result, kids)
-                self.cs.le(
+                cs.le(
                     tout, args[1],
-                    f"{what}: the truncation bound must be at or above the "
-                    f"outermost loop level",
+                    "{what}: the truncation bound must be at or above the "
+                    "outermost loop level",
+                    e,
                 )
-                if self._in_loop_tin(tin):
-                    self.cs.lt(
+                if self._in_loop(tin):
+                    cs.lt(
                         result, tin,
-                        f"{what}: a truncated oracle answer cannot reach the "
-                        f"innermost loop level",
+                        "{what}: a truncated oracle answer cannot reach the "
+                        "innermost loop level",
+                        e,
                     )
                 return result, (result, kids)
             klass = entry.klass
-            result = self.fresh_expr()
             if isinstance(klass, opreg.Polynomial):
                 if self._in_loop(tout):
-                    self.cs.fail(
-                        f"{what}: operator {e.op} can grow polynomially and is "
-                        f"not allowed inside loops"
+                    cs.fail(
+                        "{what}: operator {node.op} can grow polynomially and is "
+                        "not allowed inside loops",
+                        e,
                     )
                 return result, (result, kids)
             for a in args:
                 if a == INF:
-                    self.cs.fail(
-                        f"{what}: operator {e.op} cannot be applied to an "
-                        f"oracle answer; truncate or declassify it first"
+                    cs.fail(
+                        "{what}: operator {node.op} cannot be applied to an "
+                        "oracle answer; truncate or declassify it first",
+                        e,
                     )
                     return result, (result, kids)
-                self.cs.le(result, a, f"{what}: no upward flow through {e.op}")
+                cs.le(result, a, "{what}: no upward flow through {node.op}", e)
             if isinstance(klass, opreg.Positive):
-                if self._in_loop_tin(tin):
-                    self.cs.lt(
+                if self._in_loop(tin):
+                    cs.lt(
                         result, tin,
-                        f"{what}: a growing operator's result stays below the "
-                        f"innermost loop level",
+                        "{what}: a growing operator's result stays below the "
+                        "innermost loop level",
+                        e,
                     )
                 else:
-                    self.cs.le(
+                    cs.le(
                         result, 0,
-                        f"{what}: outside loops a growing operator's result "
-                        f"sits at level 0",
+                        "{what}: outside loops a growing operator's result "
+                        "sits at level 0",
+                        e,
                     )
             return result, (result, kids)
         raise TypeError(f"not an expression: {e!r}")
 
-    def _in_loop_tin(self, tin) -> bool:
-        return not (isinstance(tin, int) and tin == 0)
-
-    def _entry(self, name):
+    def _entry(self, e):
         try:
-            return self.registry.lookup(name)
+            return self.registry.lookup(e.op)
         except opreg.UnknownOperator:
-            self.cs.fail(f"unknown operator {name!r}")
-            return opreg.OperatorEntry(name, 0, lambda: "", opreg.Neutral())
+            self.cs.fail("unknown operator {node.op!r}", e)
+            return opreg.OperatorEntry(e.op, 0, lambda: "", opreg.Neutral())
 
     # -- statements; returns (floor level terms, statement info)
     #
@@ -353,23 +399,23 @@ class LevelAnalysis:
     # consumes them in step with the AST.
 
     def gen_stmt(self, s, tin, tout):
-        if isinstance(s, Skip):
-            return [], ("skip",)
+        cs = self.cs
         if isinstance(s, Assign):
-            what = f"{s.var} := {pp_expr(s.expr)}"
             t, einfo = self.gen_expr(s.expr, tin, tout)
             gx = self.var_term(s.var)
             if t == INF:
-                self.cs.fail(
-                    f"{what}: an oracle answer cannot be assigned directly; "
-                    f"truncate or declassify it first"
+                cs.fail(
+                    "{what}: an oracle answer cannot be assigned directly; "
+                    "truncate or declassify it first",
+                    s,
                 )
                 return [gx], ("asg", einfo)
             if self._in_loop(tout):
-                self.cs.le(
+                cs.le(
                     gx, t,
-                    f"{what}: inside a loop the target's level cannot exceed "
-                    f"the source's",
+                    "{what}: inside a loop the target's level cannot exceed "
+                    "the source's",
+                    s,
                 )
             return [gx], ("asg", einfo)
         if isinstance(s, Seq):
@@ -379,58 +425,59 @@ class LevelAnalysis:
                 floors += f
                 infos.append(i)
             return floors, ("seq", infos)
+        if isinstance(s, Skip):
+            return [], ("skip",)
         if isinstance(s, If):
-            what = f"if({pp_expr(s.guard)})"
             iota = self.fresh_expr()
             t, ginfo = self.gen_expr(s.guard, tin, tout)
-            self.cs.eq(t, iota, f"{what}: the branch level is the guard's level")
+            cs.eq(t, iota, "{what}: the branch level is the guard's level", s)
             ft, it_ = self.gen_stmt(s.then, tin, tout)
             fo, io = self.gen_stmt(s.orelse, tin, tout)
             for f in ft + fo:
-                self.cs.le(f, iota, f"{what}: branches type at the guard's level")
+                cs.le(f, iota, "{what}: branches type at the guard's level", s)
             return [iota], ("if", iota, ginfo, it_, io)
         if isinstance(s, While):
-            what = f"while({pp_expr(s.guard)}) [loop {s.loop_id}]"
             lam = self.loop_term(s.loop_id)
-            self.cs.le(1, lam, f"{what}: loop levels start at 1")
+            cs.le(1, lam, "{what}: loop levels start at 1", s)
             if self._in_loop(tout):
                 inner_out = tout
-                self.cs.le(
+                cs.le(
                     lam, tout,
-                    f"{what}: a nested loop's level is capped by the outermost",
+                    "{what}: a nested loop's level is capped by the outermost",
+                    s,
                 )
             else:
                 inner_out = lam
             t, ginfo = self.gen_expr(s.guard, lam, inner_out)
             if t == INF:
-                self.cs.fail(f"{what}: a loop cannot be guarded by an oracle answer")
+                cs.fail("{what}: a loop cannot be guarded by an oracle answer", s)
             else:
-                self.cs.eq(t, lam, f"{what}: the guard types exactly at the loop level")
+                cs.eq(t, lam, "{what}: the guard types exactly at the loop level", s)
             fb, binfo = self.gen_stmt(s.body, lam, inner_out)
             for f in fb:
-                self.cs.le(f, lam, f"{what}: the body types at the loop level")
+                cs.le(f, lam, "{what}: the body types at the loop level", s)
             return [lam], ("wh", lam, ginfo, binfo)
         if isinstance(s, Break):
-            what = f"break({pp_expr(s.guard)})"
             t, ginfo = self.gen_expr(s.guard, tin, tout)
             if t != INF:
-                self.cs.le(
+                cs.le(
                     tin, t,
-                    f"{what}: a break guard sits at or above the innermost "
-                    f"loop level",
+                    "{what}: a break guard sits at or above the innermost "
+                    "loop level",
+                    s,
                 )
             return [tin], ("brk", ginfo)
         if isinstance(s, OracleBreak):
-            what = f"break(|{s.oracle}(...)| > |{s.oracle}({', '.join(s.ref_vars)})|)"
             arg_infos = [self.gen_expr(a, tin, tout)[1] for a in s.call_args]
             ref_terms = []
             for v in s.ref_vars:
                 gv = self.var_term(v)
                 ref_terms.append(gv)
-                self.cs.lt(
+                cs.lt(
                     tout, gv,
-                    f"{what}: reference variable {v} must sit strictly above "
-                    f"the outermost loop level",
+                    "{what}: reference variable {arg} must sit strictly above "
+                    "the outermost loop level",
+                    s, v,
                 )
             return [tin], ("obk", arg_infos, ref_terms)
         if isinstance(s, For):
@@ -460,6 +507,15 @@ class Judgment:
         return "\n".join([head] + [c.pretty(indent + 1) for c in self.children])
 
 
+def _level(values: dict, term):
+    """The solved level of a level term."""
+    if term == INF:
+        return INFINITY
+    if isinstance(term, int):
+        return term
+    return values[term]
+
+
 class _DerivationBuilder:
     """Turns solved constraints plus generation infos into a checkable tree."""
 
@@ -468,11 +524,7 @@ class _DerivationBuilder:
         self.gamma = gamma
 
     def value(self, term):
-        if term == INF:
-            return INFINITY
-        if isinstance(term, int):
-            return term
-        return self.values[term]
+        return _level(self.values, term)
 
     def expr(self, e, info, tin, tout) -> Judgment:
         term, kid_infos = info
@@ -568,9 +620,22 @@ class InferenceResult:
     safe: bool
     gamma: dict | None = None
     loop_levels: dict | None = None
-    derivation: Judgment | None = None
     body_level: object = None
     explanation: str | None = None
+    # What the derivation of a safe result is built from on its first read:
+    # (statement tree, generation info, solved values, tin, tout).
+    _source: tuple | None = field(default=None, repr=False, compare=False)
+    _derivation: Judgment | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def derivation(self) -> Judgment | None:
+        """The typing derivation of a safe result, built once, on first read."""
+        if self._source is not None:
+            body, sinfo, values, tin, tout = self._source
+            builder = _DerivationBuilder(values, self.gamma)
+            self._derivation = builder.stmt(body, sinfo, tin, tout)
+            self._source = None
+        return self._derivation
 
     def report(self) -> dict:
         return {
@@ -593,7 +658,10 @@ def infer_safety(
     levels; restrictions are enforced against the inferred witness.
     """
     registry = registry or opreg.builtin_registry()
-    return infer_levels(program.body, program_vars(program), registry, config)
+    # Generation gives every variable of the body its unknown as it meets
+    # it; only parameters and the result may not occur there.
+    names = set(program.params) | {program.ret}
+    return infer_levels(program.body, names, registry, config)
 
 
 def infer_levels(
@@ -601,15 +669,16 @@ def infer_levels(
 ) -> InferenceResult:
     """Level inference for one statement tree (a program or procedure body).
 
-    ``names`` are the variables to solve for, under the context levels
-    (tin, tout); with ``fixed_gamma`` the variable levels are given instead.
+    ``names`` are variables to solve for besides those of the body, under the
+    context levels (tin, tout); with ``fixed_gamma`` the variable levels are
+    given instead.  The derivation is left to the result to build on demand.
     """
     analysis = LevelAnalysis(registry, fixed_gamma)
     for name in sorted(names):
         analysis.var_term(name)
     floors, sinfo = analysis.gen_stmt(body, tin, tout)
     values, explanation = analysis.cs.solve()
-    del analysis  # free the constraints before the derivation is built
+    del analysis  # free the constraints; the result keeps only the infos
     if values is None:
         return InferenceResult(False, explanation=explanation)
     gamma = dict(fixed_gamma) if fixed_gamma is not None else {
@@ -620,14 +689,15 @@ def infer_levels(
         for name, lvl in values.items()
         if name.startswith("loop:")
     }
-    builder = _DerivationBuilder(values, gamma)
-    derivation = builder.stmt(body, sinfo, tin, tout)
-    body_level = max((builder.value(f) for f in floors), default=0)
+    body_level = max((_level(values, f) for f in floors), default=0)
+    result = InferenceResult(
+        True, gamma, loops, body_level, _source=(body, sinfo, values, tin, tout)
+    )
     if config is not None:
-        offending = _config_violation(derivation, registry, config)
+        offending = _config_violation(result.derivation, registry, config)
         if offending is not None:
             return InferenceResult(False, explanation=offending)
-    return InferenceResult(True, gamma, loops, derivation, body_level)
+    return result
 
 
 def _config_violation(deriv: Judgment, registry, config) -> str | None:

@@ -17,11 +17,13 @@ Evaluation extends the first-order evaluator core (``interp1.Interp``),
 which runs every expression and statement; ``Interp2`` adds procedure
 calls, oracle application and terms.  A procedure call copies the caller's
 store, binds parameters and locals, and fixes the oracle environment for
-the duration of the body.  Closure bodies evaluate under the store current
-at the oracle call, with the closure's binders shadowing it.  A ``prog:``
-oracle runs as a nested first-order run whose steps count toward the
-whole run's budget; one sub-interpreter per run serves every such call, so
-each oracle program is compiled once per run.
+the duration of the body; a break that escapes the body stops the run with
+``TopLevelBreak``, as it does a first-order program.  Closure bodies
+evaluate under the store current at the oracle call, with the closure's
+binders shadowing it.  A ``prog:`` oracle runs as a nested first-order run
+whose steps count toward the whole run's budget; one sub-interpreter per
+run serves every such call, so each oracle program is compiled once per
+run.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 from . import interp1, opreg, words
 from .interp1 import DEFAULT_BUDGET, ExecError
 from .parser import _pp_expr as pp_expr
-from .safety1 import Judgment, infer_levels
+from .safety1 import InferenceResult, Judgment, infer_levels
 from .syntax import (
     Assign,
     Break,
@@ -288,16 +290,21 @@ def simple_typecheck(program: Program2) -> SimpleResult:
 @dataclass
 class ProcCheck:
     ok: bool
-    derivation: Judgment | None = None
     gamma: dict | None = None
     body_level: object = None
     explanation: str | None = None
+    inference: InferenceResult | None = field(default=None, repr=False)
+
+    @property
+    def derivation(self) -> Judgment | None:
+        """The body's typing derivation, built on first read."""
+        return None if self.inference is None else self.inference.derivation
 
 
 def _proc_check(proc: Procedure, result) -> ProcCheck:
     if not result.safe:
         return ProcCheck(False, explanation=f"procedure {proc.name}: {result.explanation}")
-    return ProcCheck(True, result.derivation, result.gamma, result.body_level)
+    return ProcCheck(True, result.gamma, result.body_level, inference=result)
 
 
 def level_typecheck_procedure(
@@ -343,7 +350,12 @@ class Safety2Result:
     explanation: str | None = None
     omega: dict = field(default_factory=dict)
     program_type: str | None = None
-    derivations: dict = field(default_factory=dict)
+    checks: dict = field(default_factory=dict)  # procedure name -> ProcCheck
+
+    @property
+    def derivations(self) -> dict:
+        """Procedure name -> typing derivation, each built on first read."""
+        return {name: check.derivation for name, check in self.checks.items()}
 
     def report(self) -> dict:
         return {
@@ -384,7 +396,7 @@ def infer_safety2(
                 False, "levels", check.explanation, program_type=simple.program_type
             )
         result.omega[proc.name] = (check.gamma, (check.body_level, 0, 0))
-        result.derivations[proc.name] = check.derivation
+        result.checks[proc.name] = check
     return result
 
 
@@ -544,7 +556,12 @@ class Interp2(interp1.Interp):
                 oname: closure
                 for (oname, _), closure in zip(proc.oracle_params, t.closures)
             }
-            self.compiled(proc.body)(self, frame)
+            if self.compiled(proc.body)(self, frame):
+                raise interp1.TopLevelBreak(
+                    f"a break escaped the body of procedure {t.proc}; the "
+                    f"result is undefined",
+                    self.stats,
+                )
             self.size, self.env = caller_size, caller_env
             result = frame.get(proc.ret, words.EPSILON)
             if isinstance(result, Oracle):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ROOT, corpus, straight_line
-from tierlang import cli, parser, secondorder
+from tierlang import cli, parser, safety1, secondorder
 
 SCHEMA = json.loads((ROOT / "report.schema.json").read_text())
 VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
@@ -76,6 +76,7 @@ def test_run_bad_word(capsys):
     "argv",
     [
         ("forcheck", "no/such/file.tl"),
+        ("desugar", "no/such/file.tl"),
         ("run", "no/such/file.tl"),
         ("run", corpus("exp2.tl"), "--input", "y"),
         ("run", corpus("I.tl2"), "--oracle", "F=builtin:nope"),
@@ -193,11 +194,39 @@ def test_delta_config_restricts(tmp_path, capsys):
     assert "forbidden" in report["explanation"]
 
 
+@pytest.mark.parametrize("name", ["bubble.tl", "inc_loop.tl", "I.tl2"])
+def test_check_builds_no_derivation(capsys, monkeypatch, name):
+    _, expected = run_json(capsys, "check", corpus(name))
+
+    def refuse(*args):
+        raise AssertionError("check built a derivation")
+
+    monkeypatch.setattr(safety1._DerivationBuilder, "stmt", refuse)
+    code, report = run_json(capsys, "check", corpus(name))
+    assert report == expected
+    assert code == (1 if name == "inc_loop.tl" else 0)
+
+
 def test_desugar_prints_whiles(capsys):
     code, out = run_cli(capsys, "desugar", corpus("bubble_for.tl"))
     assert code == 0
     assert "while(" in out and "for " not in out
     assert parser.parse(out) == parser.parse_file(corpus("bubble_for.tl"))
+
+
+def test_desugar_json_carries_the_source(tmp_path, capsys):
+    _, out = run_cli(capsys, "desugar", corpus("bubble_for.tl"))
+    code, report = run_json(capsys, "desugar", corpus("bubble_for.tl"))
+    assert code == 0
+    assert report["verdicts"]["parse"] is True
+    assert report["source"] == out
+    bad = tmp_path / "bad.tl"
+    bad.write_text("prog(n){for i = u0 to n { i := n } return n}")
+    code, report = run_json(capsys, "desugar", str(bad))
+    assert code == 2
+    assert report["verdicts"]["parse"] is False
+    assert "must not occur" in report["explanation"]
+    assert report["source"] is None
 
 
 def test_env_budget_override(capsys, monkeypatch):

@@ -43,10 +43,6 @@ def compare_embedding_runs(monitor: bool):
         direct = run_or_stop(
             lambda: interp1.run_program(program, inputs, budget=2000, monitor=monitor)
         )
-        if isinstance(direct[0], interp1.TopLevelBreak):
-            # the embedding runs the body inside a call, where a break simply
-            # ends the procedure; top-level breaks are not comparable
-            continue
         via2 = run_or_stop(
             lambda: so.eval_program2(
                 embedded, {}, inputs, budget=2000 + extra, monitor=monitor
@@ -64,6 +60,25 @@ def compare_embedding_runs(monitor: bool):
         assert stats1.max_store_size == stats2.max_store_size, where
         compared += 1
     assert compared > 30
+
+
+def test_escaping_break_stops_both_runs():
+    # genprog puts breaks inside loops only, so this one is written out: a
+    # break outside every loop has no rule, and both runs stop on it.
+    program = parser.parse(
+        'prog(x){ y := x; break(x = "1"); y := y + u1 return y }'
+    )
+    embedded = so.embed_program1(program)
+    for word, stops in (("1", True), ("0", False)):
+        direct = run_or_stop(lambda: interp1.run_program(program, [word]))
+        via2 = run_or_stop(lambda: so.eval_program2(embedded, {}, [word]))
+        (out1, stats1), (out2, stats2) = direct, via2
+        assert isinstance(out1, interp1.TopLevelBreak) is stops
+        assert type(out1) is type(out2)
+        if not stops:
+            assert out1 == out2 == word + "1"
+        assert stats2.steps - stats1.steps == 2
+        assert stats1.max_store_size == stats2.max_store_size
 
 
 def run_or_stop(run):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus, straight_line
+from conftest import ROOT, corpus, straight_line
+from tokencheck import tokenize_stepwise
 from tierlang import genprog, parser
 from tierlang.parser import DesugarError, ParseError, desugar_for, parse, pretty_print
 from tierlang.syntax import (
@@ -216,3 +217,104 @@ def test_random_program_round_trip(seed):
     program = genprog.random_program(rng)
     printed = pretty_print(program)
     assert parse(printed) == program
+
+
+# -- the scanner against the step-by-step tokenizer in tokencheck.py
+
+
+def positioned(text: str) -> list:
+    """parser.tokenize's triples with the line and column of each offset."""
+    out = []
+    for kind, value, offset in parser.tokenize(text):
+        line = text.count("\n", 0, offset) + 1
+        col = offset - text.rfind("\n", 0, offset)
+        out.append((kind, value, line, col))
+    return out
+
+
+def assert_same_tokens(text: str):
+    try:
+        expected = tokenize_stepwise(text)
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            parser.tokenize(text)
+        assert (got.value.message, got.value.line, got.value.col) == (
+            err.message, err.line, err.col
+        )
+        return
+    assert positioned(text) == expected
+
+
+CORPUS_FILES = sorted(
+    p.name for p in (ROOT / "corpus").iterdir() if p.suffix in (".tl", ".tl2")
+)
+
+
+@pytest.mark.parametrize("name", CORPUS_FILES)
+def test_corpus_tokens_match_the_stepwise_tokenizer(name):
+    assert_same_tokens(open(corpus(name)).read())
+
+
+LEXEMES = [
+    "prog", "progx", "while", "while_", "whileé", "in", "int", "eps", "x", "y1",
+    "Fo", "X", "u0", "u12", "u12x", "u", '"01#"', '""', '"012"', '"01', ":=",
+    "<=", ">=", "!=", "=", "<", ">", "+", "-", "(", ")", "{", "}", "[", "]",
+    ";", ",", ".", "|", ":", "@", "é", "\x00", " ", "  ", "\t", "\n", "\r\n",
+    "\n\n  ", "// note", "// note\n", "/", "\u00a0",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(LEXEMES), max_size=30))
+def test_random_texts_match_the_stepwise_tokenizer(parts):
+    assert_same_tokens("".join(parts))
+
+
+MULTILINE = """// a header comment
+prog(x){
+  // a comment line
+  while(x > eps){   // trailing
+    x := tl(x)
+  };
+{bad}
+  return x
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "bad, message, line, col",
+    [
+        ("  y := x @ x", "unexpected character '@'", 7, 10),
+        ('  y := "0120"', "word literals may only contain 0, 1, #", 7, 8),
+        ("  y := x; // no end\n  z := (x", "unexpected 'return'", 9, 3),
+    ],
+)
+def test_parse_error_positions_across_lines(bad, message, line, col):
+    text = MULTILINE.replace("{bad}", bad)
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+
+
+def test_unexpected_end_of_input_position():
+    text = "// header\nprog(x){\n  x := tl(x)  // unfinished\n"
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.message, err.value.line, err.value.col) == ("unexpected ''", 4, 1)
+    assert err.value.expected == {"return"}
+
+
+@pytest.mark.parametrize("name", CORPUS_FILES)
+def test_while_lines_are_source_lines(name):
+    text = open(corpus(name)).read()
+    program = parse(text, desugar=False)
+    bodies = [program.body] if isinstance(program, Program1) else [
+        p.body for p in program.procedures
+    ]
+    lines = [s.line for b in bodies for s in iter_stmts(b) if isinstance(s, While)]
+    source_lines = text.split("\n")
+    for line in lines:
+        assert source_lines[line - 1].lstrip().startswith("while")
+    expected = [t[2] for t in tokenize_stepwise(text) if t[0] == "while"]
+    assert lines == expected

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import corpus
-from tierlang import genprog, opreg, parser
+from tierlang import genprog, opreg, parser, safety1
 from tierlang.opreg import DeltaConfig
 from tierlang.safety1 import (
     Judgment,
@@ -144,6 +144,35 @@ def test_inferred_derivations_recheck(bubble):
         assert check_derivation(program, result.gamma, result.derivation)
     result = infer_safety(bubble)
     assert check_derivation(bubble, result.gamma, result.derivation)
+
+
+def test_derivation_is_built_once_on_first_read(bubble, monkeypatch):
+    calls = []
+    build = safety1._DerivationBuilder.stmt
+
+    def counted(self, *args):
+        calls.append(args[0])
+        return build(self, *args)
+
+    monkeypatch.setattr(safety1._DerivationBuilder, "stmt", counted)
+    result = infer_safety(bubble)
+    assert calls == []  # nothing is built until the derivation is read
+    first = result.derivation
+    built = len(calls)
+    assert built > 0
+    assert result.derivation is first
+    assert len(calls) == built
+    assert check_derivation(bubble, result.gamma, first)
+
+
+def test_delta_config_builds_the_derivation_eagerly(bubble, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("derivation built")
+
+    monkeypatch.setattr(safety1._DerivationBuilder, "stmt", refuse)
+    infer_safety(bubble)  # no config: nothing is built
+    with pytest.raises(AssertionError):
+        infer_safety(bubble, config=DeltaConfig({}))
 
 
 def test_derivation_rejects_wrong_gamma(bubble):
