@@ -1,37 +1,9 @@
 """Tiered toy languages with length-bounded declassification.
 
 Parse (.tl / .tl2), infer safety levels, execute under a step budget, and
-monitor loops for repeated states; see the README for the CLI.
+monitor loops for repeated states; see the README for the CLI.  The package
+root exports nothing: import the submodule that does the job (``parser``,
+``safety1``, ``secondorder``, ``interp1``, ``opreg``, ``words``, ``cli``).
 """
 
-from .interp1 import run_program
-from .opreg import builtin_registry, delta_membership
-from .parser import parse, parse_file, pretty_print
-from .safety1 import brute_force_safe, check_for_program, infer_safety
-from .secondorder import (
-    check_guarded,
-    eval_program2,
-    infer_safety2,
-    make_oracle,
-    simple_typecheck,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "run_program",
-    "builtin_registry",
-    "delta_membership",
-    "parse",
-    "parse_file",
-    "pretty_print",
-    "brute_force_safe",
-    "check_for_program",
-    "infer_safety",
-    "check_guarded",
-    "eval_program2",
-    "infer_safety2",
-    "make_oracle",
-    "simple_typecheck",
-    "__version__",
-]

@@ -24,6 +24,7 @@ EXIT_NEGATIVE = 1  # unsafe / criterion rejected
 EXIT_FRONTEND = 2  # parse or guardedness errors
 EXIT_STOPPED = 3  # execution ended in a RuntimeStop
 EXIT_IO = 4
+EXIT_INTERNAL = 5  # a command raised an unexpected exception: a bug
 
 
 def blank_report(command: str, file: str | None = None) -> dict:
@@ -50,7 +51,9 @@ def blank_report(command: str, file: str | None = None) -> dict:
         "operators": None,
         "validation": None,
         "source": None,  # desugar: the desugared program text
-        "error": None,  # "io": an input could not be read or was malformed
+        # "io": an input could not be read or was malformed;
+        # "internal": the command failed with an unexpected exception
+        "error": None,
         "exit_code": EXIT_OK,
     }
 
@@ -59,6 +62,8 @@ def exit_code_for(report: dict) -> int:
     """Exit codes are a pure function of the report."""
     if report["error"] == "io":
         return EXIT_IO
+    if report["error"] == "internal":
+        return EXIT_INTERNAL
     v = report["verdicts"]
     if v["parse"] is False or v["guarded"] is False:
         return EXIT_FRONTEND
@@ -90,10 +95,36 @@ def emit(report: dict, as_json: bool, lines: list) -> int:
     return report["exit_code"]
 
 
-def io_error(report: dict, exc: Exception, as_json: bool) -> int:
-    report["error"] = "io"
-    report["explanation"] = str(exc)
-    return emit(report, as_json, [f"error: {exc}"])
+def front_end(report: dict, as_json: bool, load):
+    """Run ``load()``, which reads and parses a command's inputs.
+
+    Returns what it returns and sets the parse verdict.  On a parse error
+    (exit 2) or an unreadable or malformed input (exit 4) it emits the
+    report and returns None; the report then holds the exit code.
+    """
+    try:
+        loaded = load()
+    except (parser.ParseError, parser.DesugarError) as exc:
+        report["verdicts"]["parse"] = False
+        report["explanation"] = str(exc)
+        emit(report, as_json, [f"parse error: {exc}"])
+        return None
+    except (OSError, ValueError, secondorder.OracleFailure) as exc:
+        report["error"] = "io"
+        report["explanation"] = str(exc)
+        emit(report, as_json, [f"error: {exc}"])
+        return None
+    report["verdicts"]["parse"] = True
+    return loaded
+
+
+def first_order_safety(report: dict, result: safety1.InferenceResult) -> None:
+    """Fill the report fields of a first-order safety verdict."""
+    details = result.report()
+    report["verdicts"]["safety"] = result.safe
+    report["gamma"] = details["gamma"]
+    report["loop_levels"] = details["loop_levels"]
+    report["explanation"] = result.explanation
 
 
 def load_program(path: str, second_order: bool | None, registry):
@@ -139,16 +170,13 @@ def cmd_check(args) -> int:
     registry = opreg.builtin_registry()
     report = blank_report("check", args.file)
     lines = []
-    try:
-        config = load_config(args.delta)
-        program = load_program(args.file, args.second_order or None, registry)
-    except (parser.ParseError, parser.DesugarError, words.WordError) as exc:
-        report["verdicts"]["parse"] = False
-        report["explanation"] = str(exc)
-        return emit(report, args.json, [f"parse error: {exc}"])
-    except (OSError, ValueError) as exc:  # an unreadable file, a malformed --delta
-        return io_error(report, exc, args.json)
-    report["verdicts"]["parse"] = True
+    loaded = front_end(report, args.json, lambda: (
+        load_config(args.delta),
+        load_program(args.file, args.second_order or None, registry),
+    ))
+    if loaded is None:
+        return report["exit_code"]
+    config, program = loaded
     if isinstance(program, Program2):
         result = secondorder.infer_safety2(program, registry, config)
         report["verdicts"]["guarded"] = result.stage != "guardedness"
@@ -168,14 +196,10 @@ def cmd_check(args) -> int:
                 lines.append(f"  {name}: level {entry['level']}, gamma {entry['gamma']}")
     else:
         result = safety1.infer_safety(program, registry, config)
-        report["verdicts"]["safety"] = result.safe
-        details = result.report()
-        report["gamma"] = details["gamma"]
-        report["loop_levels"] = details["loop_levels"]
-        report["explanation"] = result.explanation
+        first_order_safety(report, result)
         if result.safe:
-            lines.append(f"safe; gamma {details['gamma']}")
-            lines.append(f"loop levels {details['loop_levels']}")
+            lines.append(f"safe; gamma {report['gamma']}")
+            lines.append(f"loop levels {report['loop_levels']}")
         else:
             lines.append(f"unsafe: {result.explanation}")
     return emit(report, args.json, lines)
@@ -194,7 +218,8 @@ def cmd_run(args) -> int:
     registry = opreg.builtin_registry()
     report = blank_report("run", args.file)
     lines = []
-    try:
+
+    def load():
         budget = args.max_steps if args.max_steps is not None else default_budget()
         program = load_program(args.file, args.second_order or None, registry)
         inputs = {}
@@ -209,15 +234,12 @@ def cmd_run(args) -> int:
                 raise ValueError(f"--oracle expects Name=spec, got {item!r}")
             name, _, spec = item.partition("=")
             oracles[name] = secondorder.make_oracle(spec, registry)
-    except OSError as exc:
-        return io_error(report, exc, args.json)
-    except (parser.ParseError, parser.DesugarError) as exc:
-        report["verdicts"]["parse"] = False
-        report["explanation"] = str(exc)
-        return emit(report, args.json, [f"parse error: {exc}"])
-    except (words.WordError, ValueError, secondorder.OracleFailure) as exc:
-        return io_error(report, exc, args.json)
-    report["verdicts"]["parse"] = True
+        return budget, program, inputs, oracles
+
+    loaded = front_end(report, args.json, load)
+    if loaded is None:
+        return report["exit_code"]
+    budget, program, inputs, oracles = loaded
 
     param_names = (
         program.params if isinstance(program, Program1) else program.boxed_words
@@ -262,15 +284,9 @@ def cmd_forcheck(args) -> int:
     registry = opreg.builtin_registry()
     report = blank_report("forcheck", args.file)
     lines = []
-    try:
-        program = parser.parse_file(args.file, registry=registry)
-    except OSError as exc:
-        return io_error(report, exc, args.json)
-    except (parser.ParseError, parser.DesugarError) as exc:
-        report["verdicts"]["parse"] = False
-        report["explanation"] = str(exc)
-        return emit(report, args.json, [f"parse error: {exc}"])
-    report["verdicts"]["parse"] = True
+    program = front_end(report, args.json, lambda: parser.parse_file(args.file, registry=registry))
+    if program is None:
+        return report["exit_code"]
     if not isinstance(program, Program1):
         report["verdicts"]["for_program"] = False
         report["explanation"] = "the for criterion applies to first-order programs"
@@ -279,11 +295,7 @@ def cmd_forcheck(args) -> int:
     report["verdicts"]["for_program"] = all_for
     if all_for:
         result = safety1.infer_safety(program, registry)
-        report["verdicts"]["safety"] = result.safe
-        details = result.report()
-        report["gamma"] = details["gamma"]
-        report["loop_levels"] = details["loop_levels"]
-        report["explanation"] = result.explanation
+        first_order_safety(report, result)
         lines.append("accepted" if result.safe else f"rejected: {result.explanation}")
     else:
         lines.append("rejected: contains a loop that is not a for loop")
@@ -327,15 +339,9 @@ def cmd_ops(args) -> int:
 def cmd_desugar(args) -> int:
     registry = opreg.builtin_registry()
     report = blank_report("desugar", args.file)
-    try:
-        program = parser.parse_file(args.file, registry=registry)
-    except OSError as exc:
-        return io_error(report, exc, args.json)
-    except (parser.ParseError, parser.DesugarError) as exc:
-        report["verdicts"]["parse"] = False
-        report["explanation"] = str(exc)
-        return emit(report, args.json, [f"parse error: {exc}"])
-    report["verdicts"]["parse"] = True
+    program = front_end(report, args.json, lambda: parser.parse_file(args.file, registry=registry))
+    if program is None:
+        return report["exit_code"]
     report["source"] = parser.pretty_print(program)
     return emit(report, args.json, [report["source"].rstrip("\n")])
 
@@ -387,7 +393,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Exception as exc:  # a bug; it still gets a report and its own exit code
+        report = blank_report(args.command, getattr(args, "file", None))
+        report["error"] = "internal"
+        report["explanation"] = f"{type(exc).__name__}: {exc}"
+        return emit(report, args.json, [f"internal error: {report['explanation']}"])
 
 
 if __name__ == "__main__":

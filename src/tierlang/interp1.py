@@ -16,7 +16,9 @@ current frame), loops with the monitor, and the ``(loop_id, serial)``
 activation labels of oracle-break events.  Oracle calls and oracle breaks
 go through its ``apply_oracle`` hook, which rejects them in a first-order
 run; ``secondorder.Interp2`` extends the core with procedures, closures
-and oracles.
+and oracles.  A program runs through ``Interp.run`` (``run_program``
+wraps it); any single statement runs as its closure,
+``interp.compiled(s)(interp, store)``.
 
 A step is one rule application, so the step count is proportional to the
 size of the evaluation derivation.  Each closure ticks where its rule
@@ -69,13 +71,6 @@ class ExecStats:
             "max_store_size": self.max_store_size,
             "oracle_calls": self.oracle_calls,
         }
-
-
-@dataclass
-class ExecOutcome:
-    broke: bool  # True when the flow was broken (the bottom flag)
-    store: dict
-    stats: ExecStats
 
 
 class RuntimeStop(Exception):
@@ -135,11 +130,6 @@ class LoopMonitorState:
         return None
 
 
-def monitor_guard(state: LoopMonitorState, store: dict):
-    """Spec-level entry point: observe one guard evaluation of an activation."""
-    return state.observe(store)
-
-
 def store_size(store: dict) -> int:
     # Order-1 values (oracles) held by second-order frames have no size.
     return sum(len(v) for v in store.values() if isinstance(v, str))
@@ -188,14 +178,6 @@ class Interp:
         if entry is None or entry[0] is not s:
             entry = self.code[id(s)] = (s, self.compile_stmt(s))
         return entry[1]
-
-    def eval_expr(self, store: dict, e) -> str:
-        return self.compile_expr(e)(self, store)
-
-    def exec_stmt(self, store: dict, s) -> bool:
-        """Execute s in place; returns True when a break escaped (bottom flag)."""
-        self.size = store_size(store)
-        return self.compiled(s)(self, store)
 
     # -- expressions
 
@@ -412,17 +394,6 @@ class Interp:
                 self.stats,
             )
         return lookup(store, program.ret)
-
-
-def eval_expr(store: dict, e, registry=None) -> str:
-    return Interp(registry).eval_expr(store, e)
-
-
-def exec_stmt(store: dict, s, registry=None, budget: int = DEFAULT_BUDGET,
-              monitor: bool = False) -> ExecOutcome:
-    interp = Interp(registry, budget, monitor)
-    broke = interp.exec_stmt(store, s)
-    return ExecOutcome(broke, store, interp.stats)
 
 
 def run_program(program: Program1, inputs, registry=None,

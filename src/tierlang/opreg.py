@@ -78,17 +78,8 @@ class Registry:
     def __init__(self, entries):
         self._entries = {e.name: e for e in entries}
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries or name.startswith(CONST_PREFIX)
-
     def __iter__(self):
         return iter(self._entries.values())
-
-    def __len__(self):
-        return len(self._entries)
-
-    def names(self):
-        return list(self._entries)
 
     def lookup(self, name: str) -> OperatorEntry:
         if name in self._entries:

@@ -52,10 +52,8 @@ from .syntax import (
     Var,
     While,
     assign_loop_ids,
-    iter_exprs,
-    iter_stmts,
     seq_of,
-    stmt_exprs,
+    stmt_oracle_calls,
     stmt_vars,
 )
 
@@ -542,21 +540,16 @@ class _Parser:
 def _resolve_oracle_arities(program: Program2) -> None:
     """Infer order-1 arities from use sites (calls agree or parsing fails)."""
 
-    def record(table, name, arity, line=0):
+    def record(table, name, arity):
         if name in table and table[name] != arity:
-            raise ParseError(
-                f"inconsistent arity for oracle variable {name}", line, 0
-            )
+            raise ParseError(f"inconsistent arity for oracle variable {name}")
         table[name] = arity
 
     proc_index = {p.name: p for p in program.procedures}
     for proc in program.procedures:
         seen: dict = {}
-        for st in iter_stmts(proc.body):
-            for e in stmt_exprs(st):
-                for sub in iter_exprs(e):
-                    if isinstance(sub, OracleCall):
-                        record(seen, sub.oracle, len(sub.args))
+        for call in stmt_oracle_calls(proc.body):
+            record(seen, call.oracle, len(call.args))
         proc.oracle_params = [
             [name, seen.get(name, 1)] for name, _ in proc.oracle_params
         ]
@@ -568,16 +561,10 @@ def _resolve_oracle_arities(program: Program2) -> None:
             return
         proc = proc_index.get(t.proc)
         for i, c in enumerate(t.closures):
-            expected = None
-            if proc is not None and i < len(proc.oracle_params):
-                expected = proc.oracle_params[i][1]
-            if isinstance(c, ClosureVar):
-                if expected is not None:
-                    record(boxed, c.name, expected)
-            else:
-                if expected is None:
-                    expected = len(c.params)
+            if isinstance(c, Lambda):
                 walk_term(c.body)
+            elif proc is not None and i < len(proc.oracle_params):
+                record(boxed, c.name, proc.oracle_params[i][1])
         for a in t.args:
             walk_term(a)
 
@@ -586,7 +573,7 @@ def _resolve_oracle_arities(program: Program2) -> None:
         entry[1] = boxed.get(entry[0], 1)
 
 
-def parse(text: str, origin: str = "<string>", registry=None, desugar: bool = True):
+def parse(text: str, registry=None, desugar: bool = True):
     """Parse source text into a Program1 or Program2.
 
     For loops are rewritten into their while form unless ``desugar`` is
@@ -606,7 +593,7 @@ def parse(text: str, origin: str = "<string>", registry=None, desugar: bool = Tr
 
 def parse_file(path: str, registry=None, desugar: bool = True):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read(), origin=path, registry=registry, desugar=desugar)
+        return parse(fh.read(), registry=registry, desugar=desugar)
 
 
 # ---------------------------------------------------------------------------

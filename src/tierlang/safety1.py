@@ -16,8 +16,10 @@ statically:
 
 What remains is a difference-constraint system (v >= u, v >= u + 1,
 bounds against constants) solved by least-fixpoint propagation; the least
-solution is returned as the variable typing environment.  Divergence past
-the number of unknowns witnesses an unsatisfiable strict cycle.
+solution is returned as the variable typing environment.  Every body, a
+second-order procedure's included, is typed from the loop-free context,
+so no constant source exceeds 1 and divergence past the number of
+unknowns witnesses an unsatisfiable strict cycle.
 
 Only a verdict is computed up front.  Each constraint carries a constant
 origin template and the AST node it came from; the text is formatted only
@@ -260,19 +262,14 @@ class Constraints:
 class LevelAnalysis:
     """Generates constraints for one statement tree (a program or procedure body)."""
 
-    def __init__(self, registry, fixed_gamma=None):
+    def __init__(self, registry):
         self.registry = registry
         self.cs = Constraints()
-        self.fixed_gamma = fixed_gamma
         self.expr_counter = 0
 
     # -- terms
 
-    def var_term(self, name: str):
-        if self.fixed_gamma is not None:
-            if name not in self.fixed_gamma:
-                return 0
-            return self.fixed_gamma[name]
+    def var_term(self, name: str) -> str:
         return self.cs.fresh(sys.intern(f"var:{name}"))  # one string per variable
 
     def loop_term(self, loop_id: int) -> str:
@@ -622,19 +619,17 @@ class InferenceResult:
     loop_levels: dict | None = None
     body_level: object = None
     explanation: str | None = None
-    # What the derivation of a safe result is built from on its first read:
-    # (statement tree, generation info, solved values, tin, tout).
-    _source: tuple | None = field(default=None, repr=False, compare=False)
+    # Builds the derivation of a safe result from the statement tree,
+    # generation info and solved values it holds; dropped once it has run.
+    _build: object = field(default=None, repr=False, compare=False)
     _derivation: Judgment | None = field(default=None, repr=False, compare=False)
 
     @property
     def derivation(self) -> Judgment | None:
         """The typing derivation of a safe result, built once, on first read."""
-        if self._source is not None:
-            body, sinfo, values, tin, tout = self._source
-            builder = _DerivationBuilder(values, self.gamma)
-            self._derivation = builder.stmt(body, sinfo, tin, tout)
-            self._source = None
+        if self._build is not None:
+            self._derivation = self._build()
+            self._build = None
         return self._derivation
 
     def report(self) -> dict:
@@ -664,24 +659,22 @@ def infer_safety(
     return infer_levels(program.body, names, registry, config)
 
 
-def infer_levels(
-    body, names, registry, config=None, fixed_gamma=None, tin=0, tout=0
-) -> InferenceResult:
+def infer_levels(body, names, registry, config=None) -> InferenceResult:
     """Level inference for one statement tree (a program or procedure body).
 
-    ``names`` are variables to solve for besides those of the body, under the
-    context levels (tin, tout); with ``fixed_gamma`` the variable levels are
-    given instead.  The derivation is left to the result to build on demand.
+    ``names`` are variables to solve for besides those of the body; the body
+    is typed from the loop-free context.  The derivation is left to the
+    result to build on demand.
     """
-    analysis = LevelAnalysis(registry, fixed_gamma)
+    analysis = LevelAnalysis(registry)
     for name in sorted(names):
         analysis.var_term(name)
-    floors, sinfo = analysis.gen_stmt(body, tin, tout)
+    floors, sinfo = analysis.gen_stmt(body, 0, 0)
     values, explanation = analysis.cs.solve()
     del analysis  # free the constraints; the result keeps only the infos
     if values is None:
         return InferenceResult(False, explanation=explanation)
-    gamma = dict(fixed_gamma) if fixed_gamma is not None else {
+    gamma = {
         name[len("var:"):]: lvl for name, lvl in values.items() if name.startswith("var:")
     }
     loops = {
@@ -691,7 +684,8 @@ def infer_levels(
     }
     body_level = max((_level(values, f) for f in floors), default=0)
     result = InferenceResult(
-        True, gamma, loops, body_level, _source=(body, sinfo, values, tin, tout)
+        True, gamma, loops, body_level,
+        _build=lambda: _DerivationBuilder(values, gamma).stmt(body, sinfo, 0, 0),
     )
     if config is not None:
         offending = _config_violation(result.derivation, registry, config)

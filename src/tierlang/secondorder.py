@@ -7,11 +7,12 @@ as the first operand of truncate or declass) and to size-comparison breaks;
 inside a loop every oracle-carrying assignment must directly follow a break
 comparing that same call against a fixed reference call.
 
-Level typing reuses the first-order constraint engine: oracle calls sit at
-the infinite level, which may only be consumed by truncate, and loops can
-never be guarded by it.  Each procedure body is checked from the loop-free
-context, so a procedure's entry records its variable environment and the
-body level.
+Level inference reuses the first-order constraint engine
+(``safety1.infer_levels``): oracle calls sit at the infinite level, which
+may only be consumed by truncate, and loops can never be guarded by it.
+Each procedure body is inferred from the loop-free context; its
+``InferenceResult`` gives the procedure's entry in omega (variable
+environment and body level) and builds its derivation on first read.
 
 Evaluation extends the first-order evaluator core (``interp1.Interp``),
 which runs every expression and statement; ``Interp2`` adds procedure
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 from . import interp1, opreg, words
 from .interp1 import DEFAULT_BUDGET, ExecError
 from .parser import _pp_expr as pp_expr
-from .safety1 import InferenceResult, Judgment, infer_levels
+from .safety1 import InferenceResult, infer_levels
 from .syntax import (
     Assign,
     Break,
@@ -51,10 +52,9 @@ from .syntax import (
     TermVar,
     While,
     iter_exprs,
-    iter_stmts,
     level_str,
     seq_chain,
-    stmt_exprs,
+    stmt_oracle_calls,
     stmt_vars,
 )
 
@@ -196,20 +196,17 @@ def simple_typecheck(program: Program2) -> SimpleResult:
                 f"procedure {p.name} is not closed: {sorted(loose)}"
             )
         oracle_scope = {n for n, _ in p.oracle_params}
-        for st in iter_stmts(p.body):
-            for e in stmt_exprs(st):
-                for sub in iter_exprs(e):
-                    if isinstance(sub, OracleCall):
-                        if sub.oracle not in oracle_scope:
-                            raise SimpleTypeError(
-                                f"procedure {p.name}: oracle variable "
-                                f"{sub.oracle} is not a parameter"
-                            )
-                        if len(sub.args) != p.oracle_arity(sub.oracle):
-                            raise SimpleTypeError(
-                                f"procedure {p.name}: oracle {sub.oracle} "
-                                f"applied at the wrong arity"
-                            )
+        for call in stmt_oracle_calls(p.body):
+            if call.oracle not in oracle_scope:
+                raise SimpleTypeError(
+                    f"procedure {p.name}: oracle variable "
+                    f"{call.oracle} is not a parameter"
+                )
+            if len(call.args) != p.oracle_arity(call.oracle):
+                raise SimpleTypeError(
+                    f"procedure {p.name}: oracle {call.oracle} "
+                    f"applied at the wrong arity"
+                )
 
     # Pairwise-disjoint binder sets (term free variables are empty for
     # closed programs; boxed names do not count as free).
@@ -284,63 +281,22 @@ def simple_typecheck(program: Program2) -> SimpleResult:
 
 
 # ---------------------------------------------------------------------------
-# Level typing
-
-
-@dataclass
-class ProcCheck:
-    ok: bool
-    gamma: dict | None = None
-    body_level: object = None
-    explanation: str | None = None
-    inference: InferenceResult | None = field(default=None, repr=False)
-
-    @property
-    def derivation(self) -> Judgment | None:
-        """The body's typing derivation, built on first read."""
-        return None if self.inference is None else self.inference.derivation
-
-
-def _proc_check(proc: Procedure, result) -> ProcCheck:
-    if not result.safe:
-        return ProcCheck(False, explanation=f"procedure {proc.name}: {result.explanation}")
-    return ProcCheck(True, result.gamma, result.body_level, inference=result)
-
-
-def level_typecheck_procedure(
-    proc: Procedure,
-    gamma: dict,
-    triple: tuple,
-    registry=None,
-    config: opreg.DeltaConfig | None = None,
-) -> ProcCheck:
-    """Check one procedure body against a given environment and level triple.
-
-    ``triple`` is (body level, innermost level, outermost level); the body
-    must be typable at the given body level (raising with subsumption is
-    allowed) under the given context.
-    """
-    registry = registry or opreg.builtin_registry()
-    tau, tin, tout = triple
-    result = infer_levels(proc.body, (), registry, config, dict(gamma), tin, tout)
-    if result.safe and tau < result.body_level:
-        return ProcCheck(
-            False,
-            explanation=(
-                f"procedure {proc.name}: body needs level "
-                f"{level_str(result.body_level)}, but {level_str(tau)} was given"
-            ),
-        )
-    return _proc_check(proc, result)
+# Level inference
 
 
 def infer_procedure_levels(
     proc: Procedure, registry=None, config: opreg.DeltaConfig | None = None
-) -> ProcCheck:
-    """Infer a variable environment for one procedure body (context 0, 0)."""
+) -> InferenceResult:
+    """Infer a variable environment for one procedure body (context 0, 0).
+
+    An unsafe result's explanation names the procedure.
+    """
     registry = registry or opreg.builtin_registry()
     names = set(proc.params) | set(proc.locals)
-    return _proc_check(proc, infer_levels(proc.body, names, registry, config))
+    result = infer_levels(proc.body, names, registry, config)
+    if not result.safe:
+        result.explanation = f"procedure {proc.name}: {result.explanation}"
+    return result
 
 
 @dataclass
@@ -350,7 +306,7 @@ class Safety2Result:
     explanation: str | None = None
     omega: dict = field(default_factory=dict)
     program_type: str | None = None
-    checks: dict = field(default_factory=dict)  # procedure name -> ProcCheck
+    checks: dict = field(default_factory=dict)  # procedure name -> InferenceResult
 
     @property
     def derivations(self) -> dict:
@@ -391,7 +347,7 @@ def infer_safety2(
     result = Safety2Result(True, program_type=simple.program_type)
     for proc in program.procedures:
         check = infer_procedure_levels(proc, registry, config)
-        if not check.ok:
+        if not check.safe:
             return Safety2Result(
                 False, "levels", check.explanation, program_type=simple.program_type
             )

@@ -226,12 +226,6 @@ class Program2:
     procedures: list
     main: Term
 
-    def procedure(self, name: str) -> Procedure | None:
-        for p in self.procedures:
-            if p.name == name:
-                return p
-        return None
-
 
 Program = Union[Program1, Program2]
 
@@ -282,6 +276,18 @@ def iter_stmts(s: Stmt) -> Iterator[Stmt]:
             stack.append(s.body)
 
 
+def stmt_oracle_calls(s: Stmt) -> Iterator[OracleCall]:
+    """The oracle calls of a statement tree in pre-order.
+
+    An oracle break gives both of its calls, the reference call included.
+    """
+    for st in iter_stmts(s):
+        for e in stmt_exprs(st):
+            for sub in iter_exprs(e):
+                if isinstance(sub, OracleCall):
+                    yield sub
+
+
 def seq_chain(s: Stmt) -> list:
     """The statements of a sequence in order; any other statement alone."""
     return s.stmts if isinstance(s, Seq) else [s]
@@ -328,23 +334,6 @@ def program_vars(p: Program1) -> set:
     return set(p.params) | stmt_vars(p.body) | {p.ret}
 
 
-def loop_nesting_depth(s: Stmt) -> int:
-    """Maximum number of nested While nodes along any path (no For allowed)."""
-    if isinstance(s, For):
-        raise ValueError("loop_nesting_depth requires desugared statements")
-    if isinstance(s, Seq):
-        return max(loop_nesting_depth(t) for t in s.stmts)
-    if isinstance(s, If):
-        return max(loop_nesting_depth(s.then), loop_nesting_depth(s.orelse))
-    if isinstance(s, While):
-        return 1 + loop_nesting_depth(s.body)
-    return 0
-
-
-def loops_of(s: Stmt) -> list:
-    return [st for st in iter_stmts(s) if isinstance(st, While)]
-
-
 def assign_loop_ids(program: Program) -> None:
     """Number every While node in pre-order, starting from 1.
 
@@ -364,21 +353,6 @@ def assign_loop_ids(program: Program) -> None:
     else:
         for proc in program.procedures:
             number(proc.body)
-
-
-def check_unique_loop_ids(program: Program) -> bool:
-    bodies = (
-        [program.body]
-        if isinstance(program, Program1)
-        else [p.body for p in program.procedures]
-    )
-    seen = set()
-    for b in bodies:
-        for w in loops_of(b):
-            if w.loop_id in seen or w.loop_id < 0:
-                return False
-            seen.add(w.loop_id)
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +387,8 @@ def free_variables(p: Program2) -> set:
         for name in stmt_vars(proc.body) | {proc.ret}:
             if name not in bound:
                 free.add(name)
-        for st in iter_stmts(proc.body):
-            for e in stmt_exprs(st):
-                for sub in iter_exprs(e):
-                    if isinstance(sub, OracleCall) and sub.oracle not in bound:
-                        free.add(sub.oracle)
+        for call in stmt_oracle_calls(proc.body):
+            if call.oracle not in bound:
+                free.add(call.oracle)
     _term_vars(p.main, boxed, free)
     return free - boxed

@@ -32,15 +32,6 @@ def word(text: str) -> str:
     return text
 
 
-def concat(a: str, b: str) -> str:
-    return a + b
-
-
-def repeat(v: str, n: int) -> str:
-    """n-fold self-concatenation; repeat(v, 0) is the empty word."""
-    return v * n
-
-
 def is_subword(v: str, w: str) -> bool:
     """True iff v occurs in w as a contiguous factor."""
     return v in w

@@ -13,6 +13,11 @@ def corpus(name: str) -> str:
     return str(ROOT / "corpus" / name)
 
 
+def procedure(program, name: str):
+    """The procedure of a second-order program called ``name``."""
+    return next(p for p in program.procedures if p.name == name)
+
+
 def straight_line(n: int) -> str:
     """A program of n assignments and no loops or branches.
 

@@ -12,7 +12,7 @@ import time
 import pytest
 
 import treecheck
-from conftest import corpus
+from conftest import corpus, procedure
 from tierlang import cli, genprog, interp1, parser, safety1, secondorder as so
 from tierlang.interp1 import AperiodicityViolation, BudgetExhausted, TopLevelBreak
 from tierlang.syntax import (
@@ -99,12 +99,12 @@ def test_criterion_03_exp2_detection(capsys):
 
 def test_criterion_04_declass_semantics():
     rng = random.Random(404)
+    interp = interp1.Interp()
+    declass = interp.compile_expr(Declass(Var("a"), Var("b")))
     for _ in range(1000):
         w1 = "".join(rng.choice("01#") for _ in range(rng.randint(0, 40)))
         w2 = "".join(rng.choice("01#") for _ in range(rng.randint(0, 40)))
-        value = interp1.eval_expr(
-            {"a": w1, "b": w2}, Declass(Var("a"), Var("b"))
-        )
+        value = declass(interp, {"a": w1, "b": w2})
         assert value == "1" * min(len(w1), len(w2))
     ok(4, "1000 randomized pairs evaluate declass to the exact unary minimum")
 
@@ -230,7 +230,7 @@ def test_criterion_08_second_order_pipeline(capsys):
 
     broken = copy.deepcopy(program)
     loop = next(
-        s for s in iter_stmts(broken.procedure("iterate").body) if isinstance(s, While)
+        s for s in iter_stmts(procedure(broken, "iterate").body) if isinstance(s, While)
     )
     chain = seq_chain(loop.body)
     assert isinstance(chain[0], OracleBreak)
@@ -239,7 +239,7 @@ def test_criterion_08_second_order_pipeline(capsys):
         so.check_guarded(broken)
 
     raw = copy.deepcopy(program)
-    for s in iter_stmts(raw.procedure("drive").body):
+    for s in iter_stmts(procedure(raw, "drive").body):
         if isinstance(s, Assign) and s.var == "n" and isinstance(s.expr, Declass):
             s.expr = s.expr.expr
     verdict = so.infer_safety2(raw)
@@ -262,7 +262,7 @@ def _monitor_verdict(program, inputs) -> bool:
 
 
 def _family():
-    """Exhaustive grid of <=3-variable single-loop programs plus nested cases."""
+    """A grid of single-loop programs, nested cases and seeded genprog programs."""
     x, y = Var("x"), Var("y")
     u1 = OpApp("const:1")
     guards = [
@@ -332,6 +332,16 @@ def _family():
         program = parser.parse(src)
         for pair in [("", ""), ("1", "1"), ("11", "10"), ("111", "111")]:
             yield program, list(pair)
+
+    # seeded random programs, each on one random input of up to 3 symbols
+    rng = random.Random(1)
+    for _ in range(500):
+        program = genprog.random_program(rng)
+        inputs = [
+            "".join(rng.choice("01") for _ in range(rng.randint(0, 3)))
+            for _ in program.params
+        ]
+        yield program, inputs
 
 
 def test_criterion_09_monitor_matches_tree_oracle():

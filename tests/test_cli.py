@@ -94,6 +94,13 @@ def test_io_errors(tmp_path, capsys, argv):
     assert_io_error(capsys, *argv)
 
 
+@pytest.mark.parametrize("command", ["check", "run", "forcheck", "desugar"])
+def test_undecodable_file_is_an_io_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.tl"
+    bad.write_bytes(b"prog(x){ skip return x }\xff")
+    assert_io_error(capsys, command, str(bad))
+
+
 def assert_io_error(capsys, *argv):
     code, report = run_json(capsys, *argv)
     assert code == cli.exit_code_for(report) == 4
@@ -254,6 +261,20 @@ def test_exit_codes_pure_function_of_report(capsys):
         assert cli.exit_code_for(report) == code
 
 
+def test_internal_error_gets_a_report(capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(safety1, "infer_safety", broken)
+    code, report = run_json(capsys, "check", corpus("bubble.tl"))
+    assert code == cli.EXIT_INTERNAL == 5
+    assert report["error"] == "internal"
+    assert report["explanation"] == "RuntimeError: boom"
+    assert run_cli(capsys, "check", corpus("bubble.tl")) == (
+        5, "internal error: RuntimeError: boom\n"
+    )
+
+
 def test_guardedness_error_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.tl2"
     bad.write_text(
@@ -292,6 +313,7 @@ def test_random_token_streams_get_a_report(tmp_path_factory, opening, tokens, en
     report = json.loads(out.getvalue())
     VALIDATOR.validate(report)
     assert code == cli.exit_code_for(report)
+    assert report["error"] != "internal", report["explanation"]
 
 
 def test_long_straight_line_program(tmp_path, capsys, default_recursion_limit):

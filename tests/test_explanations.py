@@ -106,13 +106,6 @@ def golden_cases():
         "source": (ROOT / "corpus" / "I.tl2").read_text(),
         "delta": GT_111,
     })
-    cases.append({
-        "name": "corpus/I.tl2 iterate, reference variable at the loop level",
-        "source": (ROOT / "corpus" / "I.tl2").read_text(),
-        "procedure": "iterate",
-        "gamma": {"s": 1, "r": 1, "p": 1, "i": 0, "q": 0, "acc": 0},
-        "triple": [1, 0, 0],
-    })
     for name, source in {**FIRST_ORDER, **SECOND_ORDER}.items():
         cases.append({"name": name, "source": source})
     rng = random.Random(20240601)
@@ -135,14 +128,6 @@ def golden_cases():
 def report_of(case) -> dict:
     registry = opreg.builtin_registry()
     program = parser.parse(case["source"], registry=registry)
-    if "procedure" in case:
-        check = secondorder.level_typecheck_procedure(
-            program.procedure(case["procedure"]),
-            case["gamma"],
-            tuple(case["triple"]),
-            registry,
-        )
-        return {"ok": check.ok, "explanation": check.explanation}
     config = opreg.DeltaConfig.from_json(case["delta"]) if "delta" in case else None
     if isinstance(program, Program1):
         return safety1.infer_safety(program, registry, config).report()

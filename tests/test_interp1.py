@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import treecheck
-from tierlang import interp1, parser
+from tierlang import parser
 from tierlang.interp1 import (
     AperiodicityViolation,
     BudgetExhausted,
@@ -13,7 +13,6 @@ from tierlang.interp1 import (
     Interp,
     LoopMonitorState,
     TopLevelBreak,
-    monitor_guard,
     run_program,
 )
 from tierlang.safety1 import undeclassified_vars
@@ -23,9 +22,22 @@ from tierlang.words import WordError
 word_st = st.text(alphabet="01#", max_size=20)
 
 
+def evaluate(store, e):
+    """The value of expression ``e`` in ``store``."""
+    interp = Interp()
+    return interp.compile_expr(e)(interp, store)
+
+
+def execute(store, s, interp=None):
+    """Run statement ``s`` on ``store`` in place; returns (break flag, interpreter)."""
+    interp = interp or Interp()
+    interp.note_store(store)
+    return interp.compiled(s)(interp, store), interp
+
+
 def ev(src_store, expr_text):
     p = parser.parse(f"prog(x){{y := {expr_text} return y}}")
-    return interp1.eval_expr(dict(src_store), p.body.expr)
+    return evaluate(dict(src_store), p.body.expr)
 
 
 def test_variable_lookup():
@@ -46,41 +58,41 @@ def test_declass_is_unary_min(w1, w2):
 
 
 def test_skip_preserves_store():
-    outcome = interp1.exec_stmt({"x": "1"}, Skip())
-    assert not outcome.broke
-    assert outcome.store == {"x": "1"}
+    store = {"x": "1"}
+    broke, _ = execute(store, Skip())
+    assert not broke
+    assert store == {"x": "1"}
 
 
 def test_break_flags():
-    assert interp1.exec_stmt({"x": "1"}, Break(Var("x"))).broke
-    assert not interp1.exec_stmt({"x": "0"}, Break(Var("x"))).broke
-    assert not interp1.exec_stmt({}, Break(Var("x"))).broke
+    assert execute({"x": "1"}, Break(Var("x")))[0]
+    assert not execute({"x": "0"}, Break(Var("x")))[0]
+    assert not execute({}, Break(Var("x")))[0]
 
 
 def test_false_guard_never_runs_body():
     # the body would crash on an unknown operator if executed
     loop = While(OpApp("false"), Break(Var("x")))
-    outcome = interp1.exec_stmt({"x": "1"}, loop)
-    assert not outcome.broke
-    assert outcome.stats.loop_iterations == {}
+    broke, interp = execute({"x": "1"}, loop)
+    assert not broke
+    assert interp.stats.loop_iterations == {}
 
 
 def test_break_inside_while_is_contained():
     loop = While(Var("x"), Break(Var("x")))
-    outcome = interp1.exec_stmt({"x": "1"}, loop)
-    assert not outcome.broke  # the loop converts the break to normal exit
-    assert outcome.store["x"] == "1"
-    assert outcome.stats.loop_iterations[loop.loop_id] == 1
+    store = {"x": "1"}
+    broke, interp = execute(store, loop)
+    assert not broke  # the loop converts the break to normal exit
+    assert store["x"] == "1"
+    assert interp.stats.loop_iterations[loop.loop_id] == 1
 
 
 def test_seq_short_circuits_on_break():
     s = Seq([Break(OpApp("true")), Skip()])
-    interp = Interp()
-    store = {}
-    assert interp.exec_stmt(store, s)
+    assert execute({}, s)[0]
     # a while over it still terminates normally
     loop = While(OpApp("true"), s)
-    assert not Interp().exec_stmt({}, loop)
+    assert not execute({}, loop)[0]
 
 
 @pytest.mark.parametrize(
@@ -95,10 +107,10 @@ def test_seq_short_circuits_on_break():
 )
 def test_bad_nodes_fail_only_when_run(bad, error, steps):
     stmt = Seq([Skip(), If(Var("x"), bad, Skip())])
-    assert interp1.exec_stmt({"x": "0"}, stmt).stats.steps == 5
+    assert execute({"x": "0"}, stmt)[1].stats.steps == 5
     interp = Interp()
     with pytest.raises(error):
-        interp.exec_stmt({"x": "1"}, stmt)
+        execute({"x": "1"}, stmt, interp)
     assert interp.stats.steps == 4 + steps
 
 
@@ -140,7 +152,7 @@ def test_oracle_call_rejected_in_first_order():
     from tierlang.syntax import OracleCall
 
     with pytest.raises(ExecError):
-        interp1.eval_expr({}, OracleCall("F", (Var("x"),)))
+        evaluate({}, OracleCall("F", (Var("x"),)))
 
 
 def test_bubble_sorts(bubble):
@@ -166,9 +178,9 @@ def test_determinism(bubble):
 
 def test_monitor_guard_standalone():
     state = LoopMonitorState(1, ("x",))
-    assert monitor_guard(state, {"x": "1"}) is None
-    assert monitor_guard(state, {"x": "11"}) is None
-    witness = monitor_guard(state, {"x": "1"})
+    assert state.observe({"x": "1"}) is None
+    assert state.observe({"x": "11"}) is None
+    witness = state.observe({"x": "1"})
     assert witness == {"x": "1"}
 
 
@@ -207,8 +219,8 @@ def test_projection_matches_pointwise_equality_on_u():
     state = LoopMonitorState(1, uset)
     s1 = {"y": "000", "z": "11"}
     s2 = {"y": "111", "z": "11"}  # differs only outside U
-    assert monitor_guard(state, s1) is None
-    assert monitor_guard(state, s2) == {"z": "11"}
+    assert state.observe(s1) is None
+    assert state.observe(s2) == {"z": "11"}
 
 
 def test_final_false_guard_counts():

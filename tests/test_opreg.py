@@ -29,8 +29,9 @@ def test_registry_contents(reg):
         "inc", "dec", "hd", "tl", "append", "decb", "len",
         "cons", "pad", "truncate",
     }
-    assert set(reg.names()) == expected
-    assert len(reg) == 22
+    names = [entry.name for entry in reg]
+    assert set(names) == expected
+    assert len(names) == 22
 
 
 def test_increment_semantics(reg):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ROOT, corpus, straight_line
+from conftest import ROOT, corpus, procedure, straight_line
 from tokencheck import tokenize_stepwise
 from tierlang import genprog, parser
 from tierlang.parser import DesugarError, ParseError, desugar_for, parse, pretty_print
@@ -114,8 +114,8 @@ def test_second_order_detection(iterator_program):
 
 
 def test_oracle_arity_inference(iterator_program):
-    it = iterator_program.procedure("iterate")
-    dr = iterator_program.procedure("drive")
+    it = procedure(iterator_program, "iterate")
+    dr = procedure(iterator_program, "drive")
     assert it.oracle_params == [["X", 1]]
     assert dr.oracle_params == [["Y", 2]]
     assert iterator_program.boxed_oracles == [["F", 1]]
@@ -136,7 +136,7 @@ def test_oracle_break_requires_same_oracle():
 
 
 def test_oracle_break_ast(iterator_program):
-    it = iterator_program.procedure("iterate")
+    it = procedure(iterator_program, "iterate")
     breaks = [s for s in iter_stmts(it.body) if isinstance(s, OracleBreak)]
     assert len(breaks) == 1
     assert breaks[0].oracle == "X"

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import corpus
+from conftest import corpus, procedure
 from tierlang import interp1, parser, secondorder as so
 from tierlang.interp1 import AperiodicityViolation, BudgetExhausted, ExecError
 from tierlang.syntax import (
@@ -48,7 +48,7 @@ def test_iterator_is_guarded(iterator_program):
 
 def test_deleting_break_breaks_clause_two(iterator_program):
     variant = copy.deepcopy(iterator_program)
-    loop = loop_of(variant.procedure("iterate"))
+    loop = loop_of(procedure(variant, "iterate"))
     chain = seq_chain(loop.body)
     assert isinstance(chain[0], OracleBreak)
     loop.body = Seq([chain[1], chain[2]])
@@ -168,13 +168,14 @@ def test_iterator_is_safe(iterator_program):
 
 
 def test_iterate_checks_under_documented_environment(iterator_program):
-    proc = iterator_program.procedure("iterate")
-    gamma = {"s": 1, "r": 2, "p": 1, "i": 0, "q": 0, "acc": 0}
-    check = so.level_typecheck_procedure(proc, gamma, (1, 0, 0))
-    assert check.ok
+    result = so.infer_safety2(iterator_program)
+    gamma, triple = result.omega["iterate"]
+    assert gamma == {"s": 1, "r": 2, "p": 1, "i": 0, "q": 0, "acc": 0}
+    assert triple == (1, 0, 0)
     # the loop types at level 1 with inner and outer context levels 1
     loop_node = next(
-        j for j in _walk_judgments(check.derivation) if j.rule in ("WI", "WH")
+        j for j in _walk_judgments(result.derivations["iterate"])
+        if j.rule in ("WI", "WH")
     )
     assert loop_node.rule == "WI"
     assert loop_node.level == 1
@@ -188,21 +189,13 @@ def _walk_judgments(j):
         yield from _walk_judgments(c)
 
 
-def test_iterate_rejects_reference_at_loop_level(iterator_program):
-    proc = iterator_program.procedure("iterate")
-    gamma = {"s": 1, "r": 1, "p": 1, "i": 0, "q": 0, "acc": 0}
-    check = so.level_typecheck_procedure(proc, gamma, (1, 0, 0))
-    assert not check.ok
-    assert "reference variable" in check.explanation
-
-
 def test_loop_guarded_by_oracle_unsafe():
     src = """box[F, z] in
     declare p(X, y){ while(X(y)){ y := tl(y) }; return y } in
     call p(F, z)"""
     program = parser.parse(src)
     check = so.infer_procedure_levels(program.procedures[0])
-    assert not check.ok
+    assert not check.safe
     assert "guarded by an oracle" in check.explanation
 
 
@@ -220,7 +213,7 @@ def test_raw_oracle_assignment_in_loop_unsafe():
     call p(F, z)"""
     program = parser.parse(src)
     check = so.infer_procedure_levels(program.procedures[0])
-    assert not check.ok
+    assert not check.safe
     assert "cannot be assigned directly" in check.explanation
 
 
@@ -244,12 +237,12 @@ def test_declass_of_raw_oracle_answer_unsafe():
     program = parser.parse(src)
     so.check_guarded(program)  # syntactically fine
     check = so.infer_procedure_levels(program.procedures[0])
-    assert not check.ok
+    assert not check.safe
 
 
 def test_drive_without_declass_unsafe(iterator_program):
     variant = copy.deepcopy(iterator_program)
-    for s in iter_stmts(variant.procedure("drive").body):
+    for s in iter_stmts(procedure(variant, "drive").body):
         if isinstance(s, Assign) and s.var == "n" and isinstance(s.expr, Declass):
             s.expr = s.expr.expr
     result = so.infer_safety2(variant)
@@ -476,7 +469,7 @@ def test_iterator_monitor_clean(iterator_program):
 
 def test_stuck_counter_triggers_monitor(iterator_program):
     variant = copy.deepcopy(iterator_program)
-    loop = loop_of(variant.procedure("iterate"))
+    loop = loop_of(procedure(variant, "iterate"))
     chain = seq_chain(loop.body)
     # drop the counter decrement: the guard variable never changes
     loop.body = Seq([chain[0], chain[1]])

@@ -5,16 +5,43 @@ from hypothesis import strategies as st
 from tierlang import parser
 from tierlang.syntax import (
     Assign,
+    For,
+    If,
     INFINITY,
     OpApp,
+    Program1,
     Seq,
     Skip,
     Var,
     While,
-    check_unique_loop_ids,
     free_variables,
-    loop_nesting_depth,
+    iter_stmts,
 )
+
+
+def loop_nesting_depth(s) -> int:
+    """Maximum number of nested While nodes along any path (no For allowed)."""
+    if isinstance(s, For):
+        raise ValueError("loop_nesting_depth requires desugared statements")
+    if isinstance(s, Seq):
+        return max(loop_nesting_depth(t) for t in s.stmts)
+    if isinstance(s, If):
+        return max(loop_nesting_depth(s.then), loop_nesting_depth(s.orelse))
+    if isinstance(s, While):
+        return 1 + loop_nesting_depth(s.body)
+    return 0
+
+
+def check_unique_loop_ids(program) -> bool:
+    """Every loop has an id, and no two loops of the program share one."""
+    bodies = (
+        [program.body]
+        if isinstance(program, Program1)
+        else [p.body for p in program.procedures]
+    )
+    ids = [w.loop_id for b in bodies for w in _walk(b)]
+    return min(ids, default=0) >= 0 and len(ids) == len(set(ids))
+
 
 levels = st.one_of(st.integers(min_value=0, max_value=40), st.just(INFINITY))
 
@@ -69,8 +96,6 @@ def test_loop_ids_preorder(bubble):
 
 
 def _walk(s):
-    from tierlang.syntax import iter_stmts
-
     return [st for st in iter_stmts(s) if isinstance(st, While)]
 
 
@@ -88,7 +113,5 @@ def test_for_origin_is_metadata_not_identity():
 
 
 def test_nesting_depth_rejects_sugar():
-    from tierlang.syntax import For
-
     with pytest.raises(ValueError):
         loop_nesting_depth(For("i", Var("a"), Var("b"), Skip()))

@@ -15,14 +15,17 @@ equal_length_pairs = st.integers(min_value=0, max_value=24).flatmap(
 )
 
 
+# Words are Python strings: concatenation is +, n-fold repetition is *.
+
+
 def test_concat_examples():
-    assert words.concat("10", "1") == "101"
-    assert words.concat("", "0#1") == "0#1"
-    assert words.concat(words.repeat("1", 3), "") == "111"
+    assert words.word("10") + words.word("1") == "101"
+    assert words.EPSILON + "0#1" == "0#1"
+    assert words.unary(3) + words.EPSILON == "111"
 
 
 def test_repeat_zero_is_empty():
-    assert words.repeat("101", 0) == ""
+    assert "101" * 0 == words.EPSILON
 
 
 def test_subword_examples():
@@ -56,8 +59,8 @@ def test_truthiness():
 
 @given(word_st, word_st, word_st)
 def test_concat_associative_with_identity(a, b, c):
-    assert words.concat(words.concat(a, b), c) == words.concat(a, words.concat(b, c))
-    assert words.concat("", a) == a == words.concat(a, "")
+    assert words.word(a + b) + c == a + words.word(b + c)
+    assert words.EPSILON + a == a == a + words.EPSILON
 
 
 @given(word_st, word_st)
