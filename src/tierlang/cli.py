@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Commands: check, run, forcheck, ops, desugar.  File extensions select the
-pipeline (.tl first-order, .tl2 second-order); --second-order overrides.
-Every command can emit a machine-readable report with --json (schema in
-report.schema.json at the repository root); exit codes are a function of
-the report.
+Commands: check, run, forcheck, ops, desugar, in the table COMMANDS.  A call
+builds the argument parser of the one command it names, or, naming none, the
+parser listing them all.  File extensions select the pipeline (.tl first-order,
+.tl2 second-order); --second-order overrides.  Every command can emit a
+machine-readable report with --json (schema in report.schema.json at the
+repository root); exit codes are a function of the report.
 """
 
 from __future__ import annotations
@@ -346,53 +347,52 @@ def cmd_desugar(args) -> int:
     return emit(report, args.json, [report["source"].rstrip("\n")])
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="tierlang",
-        description="Safety inference, execution, and aperiodicity monitoring "
-        "for the tiered toy languages.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+COMMANDS = {  # name -> (handler, help line, arguments); all take --json too
+    "check": (cmd_check, "infer safety (exit 0 safe, 1 unsafe)", [
+        ("file", {}),
+        ("--second-order", {"action": "store_true"}),
+        ("--delta", {"help": "JSON file restricting admissible operator levels"}),
+    ]),
+    "run": (cmd_run, "execute a program", [
+        ("file", {}),
+        ("--input", {"action": "append", "metavar": "NAME=WORD"}),
+        ("--oracle", {"action": "append", "metavar": "NAME=SPEC"}),
+        ("--max-steps", {"type": int}),
+        ("--monitor", {"action": "store_true", "help": "stop on periodic loop states"}),
+        ("--second-order", {"action": "store_true"}),
+    ]),
+    "forcheck": (cmd_forcheck, "accept only safe programs whose loops are all for loops",
+                 [("file", {})]),
+    "ops": (cmd_ops, "list the operator registry", [
+        ("--validate", {"type": int, "metavar": "N", "default": 0}),
+        ("--seed", {"type": int, "default": 0}),
+    ]),
+    "desugar": (cmd_desugar, "print the desugared program", [("file", {})]),
+}
 
-    p = sub.add_parser("check", help="infer safety (exit 0 safe, 1 unsafe)")
-    p.add_argument("file")
-    p.add_argument("--second-order", action="store_true")
-    p.add_argument("--delta", help="JSON file restricting admissible operator levels")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("run", help="execute a program")
-    p.add_argument("file")
-    p.add_argument("--input", action="append", metavar="NAME=WORD")
-    p.add_argument("--oracle", action="append", metavar="NAME=SPEC")
-    p.add_argument("--max-steps", type=int, default=None)
-    p.add_argument("--monitor", action="store_true", help="stop on periodic loop states")
-    p.add_argument("--second-order", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_run)
-
-    p = sub.add_parser(
-        "forcheck", help="accept only safe programs whose loops are all for loops"
-    )
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_forcheck)
-
-    p = sub.add_parser("ops", help="list the operator registry")
-    p.add_argument("--validate", type=int, metavar="N", default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_ops)
-
-    p = sub.add_parser("desugar", help="print the desugared program")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_desugar)
+def command_parser(ap: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    """Give ``ap`` the arguments of ``command``, and its handler as ``fn``."""
+    fn, _, arguments = COMMANDS[command]
+    for name, options in arguments + [("--json", {"action": "store_true"})]:
+        ap.add_argument(name, **options)
+    ap.set_defaults(fn=fn, command=command)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in COMMANDS:
+        ap = command_parser(argparse.ArgumentParser(prog=f"tierlang {argv[0]}"), argv[0])
+        args = ap.parse_args(argv[1:])
+    else:  # no command, -h or an unknown command: argparse prints help or an error
+        ap = argparse.ArgumentParser(prog="tierlang", description="Safety inference, "
+                                     "execution, and aperiodicity monitoring for the "
+                                     "tiered toy languages.")
+        sub = ap.add_subparsers(dest="command", required=True)
+        for command, (_, help_line, _) in COMMANDS.items():
+            command_parser(sub.add_parser(command, help=help_line), command)
+        args = ap.parse_args(argv)
     try:
         return args.fn(args)
     except Exception as exc:  # a bug; it still gets a report and its own exit code

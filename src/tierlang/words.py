@@ -22,7 +22,7 @@ class WordError(ValueError):
 
 
 def is_word(text: str) -> bool:
-    return all(c in ALPHABET for c in text)
+    return not text.strip(ALPHABET)
 
 
 def word(text: str) -> str:
@@ -57,7 +57,7 @@ def unary(n: int) -> str:
 
 def unary_value(w: str) -> int | None:
     """len(w) if w is a unary numeral, else None."""
-    if all(c == "1" for c in w):
+    if w.count("1") == len(w):
         return len(w)
     return None
 
@@ -70,7 +70,7 @@ def binary_value(w: str) -> int | None:
     """
     if w == EPSILON:
         return 0
-    if any(c == "#" for c in w):
+    if "#" in w:
         return None
     return int(w, 2)
 

@@ -1,5 +1,9 @@
+import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import jsonschema
@@ -373,3 +377,119 @@ def test_nesting_past_the_limit(tmp_path, capsys, default_recursion_limit, ifs, 
         assert code == 2
         assert report["verdicts"]["parse"] is False
         assert f"deeper than {parser.MAX_NESTING}" in report["explanation"]
+
+
+# ---------------------------------------------------------------------------
+# Usage errors and help: argparse exits before any command runs
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The command line built the old way, every subcommand under one parser.
+
+    Help and usage errors must read byte for byte as this parser prints them.
+    """
+    ap = argparse.ArgumentParser(
+        prog="tierlang",
+        description="Safety inference, execution, and aperiodicity monitoring "
+        "for the tiered toy languages.",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("check", help="infer safety (exit 0 safe, 1 unsafe)")
+    p.add_argument("file")
+    p.add_argument("--second-order", action="store_true")
+    p.add_argument("--delta", help="JSON file restricting admissible operator levels")
+    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("run", help="execute a program")
+    p.add_argument("file")
+    p.add_argument("--input", action="append", metavar="NAME=WORD")
+    p.add_argument("--oracle", action="append", metavar="NAME=SPEC")
+    p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--monitor", action="store_true", help="stop on periodic loop states")
+    p.add_argument("--second-order", action="store_true")
+    p.add_argument("--json", action="store_true")
+    p = sub.add_parser(
+        "forcheck", help="accept only safe programs whose loops are all for loops"
+    )
+    p.add_argument("file")
+    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("ops", help="list the operator registry")
+    p.add_argument("--validate", type=int, metavar="N", default=0)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("desugar", help="print the desugared program")
+    p.add_argument("file")
+    p.add_argument("--json", action="store_true")
+    return ap
+
+
+def usage_outcome(capsys, parse, argv):
+    """The exit code, stdout and stderr of a call that argparse ends."""
+    with pytest.raises(SystemExit) as stopped:
+        parse(list(argv))
+    captured = capsys.readouterr()
+    return stopped.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ((), 2),
+        (("bogus",), 2),
+        (("-h",), 0),
+        (("check",), 2),
+        (("check", "-h"), 0),
+        (("run", "f.tl", "--max-steps", "abc"), 2),
+    ],
+)
+def test_usage_and_help_are_unchanged(capsys, monkeypatch, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    expected = usage_outcome(capsys, reference_parser().parse_args, argv)
+    assert expected[0] == code
+    assert usage_outcome(capsys, cli.main, argv) == expected
+
+
+def test_help_lists_every_command(capsys):
+    code, out, err = usage_outcome(capsys, cli.main, ["-h"])
+    assert (code, err) == (0, "")
+    text = " ".join(out.split())
+    for name, help_line in [
+        ("check", "infer safety (exit 0 safe, 1 unsafe)"),
+        ("run", "execute a program"),
+        ("forcheck", "accept only safe programs whose loops are all for loops"),
+        ("ops", "list the operator registry"),
+        ("desugar", "print the desugared program"),
+    ]:
+        assert f" {name} {help_line} " in text
+
+
+def test_unknown_option_after_a_command(capsys):
+    code, out, err = usage_outcome(capsys, cli.main, ["check", "f.tl", "--bogus"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: unrecognized arguments: --bogus\n")
+
+
+def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, _ = run_json(capsys, "check", corpus("bubble.tl"))
+    assert code == 0
+    assert built == ["tierlang check"]
+
+
+def test_module_entry_point_reads_sys_argv():
+    proc = subprocess.run(
+        [sys.executable, "-m", "tierlang.cli", "check", corpus("bubble.tl"), "--json"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=60,
+    )
+    report = json.loads(proc.stdout)
+    jsonschema.validate(report, SCHEMA)
+    assert proc.returncode == cli.exit_code_for(report) == 0

@@ -130,6 +130,14 @@ def test_identity_and_copy_programs():
     assert run_program(q, ["10#"])[0] == "10#"
 
 
+def test_countdown_on_a_long_unary_word():
+    # 8 steps per iteration; dec reads the whole word on each of them
+    n = 5000
+    p = parser.parse("prog(x){ while(x != eps){ x := dec(x) } return x }")
+    result, stats = run_program(p, ["1" * n])
+    assert (result, stats.steps) == ("", 8 * n + 4)
+
+
 def test_top_level_break():
     p = parser.parse("prog(x){break(true) return x}")
     with pytest.raises(TopLevelBreak):

@@ -111,6 +111,27 @@ def test_shortlex_agrees_with_reference_key_on_all_short_words():
             assert words.shortlex_compare(v, w) == reference_shortlex(v, w), (v, w)
 
 
+def test_word_kernels_agree_with_per_symbol_references():
+    def unary_value(w):
+        return len(w) if all(c == "1" for c in w) else None
+
+    def binary_value(w):
+        if w == "":
+            return 0
+        return None if any(c == "#" for c in w) else int(w, 2)
+
+    def is_word(text):
+        return all(c in "01#" for c in text)
+
+    for n in range(7):
+        for symbols in itertools.product("01#", repeat=n):
+            w = "".join(symbols)
+            assert words.unary_value(w) == unary_value(w), w
+            assert words.binary_value(w) == binary_value(w), w
+            assert words.is_word(w) and is_word(w), w
+    assert not words.is_word("0a1#") and not is_word("0a1#")
+
+
 @given(st.integers(min_value=0, max_value=50))
 def test_unary_numerals(n):
     assert words.unary_value(words.unary(n)) == n
