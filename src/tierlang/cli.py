@@ -128,10 +128,10 @@ def first_order_safety(report: dict, result: safety1.InferenceResult) -> None:
     report["explanation"] = result.explanation
 
 
-def load_program(path: str, second_order: bool | None, registry):
+def load_program(path: str, second_order: bool | None):
     if second_order is None:
         second_order = path.endswith(".tl2")
-    program = parser.parse_file(path, registry=registry)
+    program = parser.parse_file(path)
     if second_order and isinstance(program, Program1):
         raise parser.ParseError(f"{path}: expected a second-order program")
     return program
@@ -168,18 +168,17 @@ def parse_input_word(text: str) -> str:
 
 
 def cmd_check(args) -> int:
-    registry = opreg.builtin_registry()
     report = blank_report("check", args.file)
     lines = []
     loaded = front_end(report, args.json, lambda: (
         load_config(args.delta),
-        load_program(args.file, args.second_order or None, registry),
+        load_program(args.file, args.second_order or None),
     ))
     if loaded is None:
         return report["exit_code"]
     config, program = loaded
     if isinstance(program, Program2):
-        result = secondorder.infer_safety2(program, registry, config)
+        result = secondorder.infer_safety2(program, config)
         report["verdicts"]["guarded"] = result.stage != "guardedness"
         report["verdicts"]["simple_type"] = (
             None if result.stage == "guardedness" else result.stage != "simple-type"
@@ -196,7 +195,7 @@ def cmd_check(args) -> int:
             for name, entry in details["omega"].items():
                 lines.append(f"  {name}: level {entry['level']}, gamma {entry['gamma']}")
     else:
-        result = safety1.infer_safety(program, registry, config)
+        result = safety1.infer_safety(program, config)
         first_order_safety(report, result)
         if result.safe:
             lines.append(f"safe; gamma {report['gamma']}")
@@ -216,13 +215,12 @@ def _stop_details(exc: interp1.RuntimeStop) -> dict:
 
 
 def cmd_run(args) -> int:
-    registry = opreg.builtin_registry()
     report = blank_report("run", args.file)
     lines = []
 
     def load():
         budget = args.max_steps if args.max_steps is not None else default_budget()
-        program = load_program(args.file, args.second_order or None, registry)
+        program = load_program(args.file, args.second_order or None)
         inputs = {}
         for item in args.input or []:
             if "=" not in item:
@@ -234,7 +232,7 @@ def cmd_run(args) -> int:
             if "=" not in item:
                 raise ValueError(f"--oracle expects Name=spec, got {item!r}")
             name, _, spec = item.partition("=")
-            oracles[name] = secondorder.make_oracle(spec, registry)
+            oracles[name] = secondorder.make_oracle(spec)
         return budget, program, inputs, oracles
 
     loaded = front_end(report, args.json, load)
@@ -252,12 +250,10 @@ def cmd_run(args) -> int:
         values.append(inputs.get(name, words.EPSILON))
     try:
         if isinstance(program, Program1):
-            result, stats = interp1.run_program(
-                program, values, registry, budget, args.monitor
-            )
+            result, stats = interp1.run_program(program, values, budget, args.monitor)
         else:
             result, stats = secondorder.eval_program2(
-                program, oracles, values, registry, budget, args.monitor
+                program, oracles, values, budget, args.monitor
             )
         report["verdicts"]["ran"] = True
         if args.monitor:
@@ -282,10 +278,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_forcheck(args) -> int:
-    registry = opreg.builtin_registry()
     report = blank_report("forcheck", args.file)
     lines = []
-    program = front_end(report, args.json, lambda: parser.parse_file(args.file, registry=registry))
+    program = front_end(report, args.json, lambda: parser.parse_file(args.file))
     if program is None:
         return report["exit_code"]
     if not isinstance(program, Program1):
@@ -295,7 +290,7 @@ def cmd_forcheck(args) -> int:
     all_for = safety1.check_for_program(program)
     report["verdicts"]["for_program"] = all_for
     if all_for:
-        result = safety1.infer_safety(program, registry)
+        result = safety1.infer_safety(program)
         first_order_safety(report, result)
         lines.append("accepted" if result.safe else f"rejected: {result.explanation}")
     else:
@@ -304,10 +299,9 @@ def cmd_forcheck(args) -> int:
 
 
 def cmd_ops(args) -> int:
-    registry = opreg.builtin_registry()
     report = blank_report("ops")
     report["verdicts"]["parse"] = True
-    listing = [opreg.describe_entry(e) for e in registry]
+    listing = [opreg.describe_entry(e) for e in opreg.BUILTINS]
     report["operators"] = listing
     lines = [
         f"{info['name']}/{info['arity']}: {info['class']}"
@@ -316,7 +310,7 @@ def cmd_ops(args) -> int:
         for info in listing
     ]
     if args.validate:
-        reports = opreg.validate_registry(registry, args.validate, seed=args.seed)
+        reports = opreg.validate_registry(args.validate, seed=args.seed)
         cexs = [
             {
                 "op": c.op,
@@ -338,9 +332,8 @@ def cmd_ops(args) -> int:
 
 
 def cmd_desugar(args) -> int:
-    registry = opreg.builtin_registry()
     report = blank_report("desugar", args.file)
-    program = front_end(report, args.json, lambda: parser.parse_file(args.file, registry=registry))
+    program = front_end(report, args.json, lambda: parser.parse_file(args.file))
     if program is None:
         return report["exit_code"]
     report["source"] = parser.pretty_print(program)

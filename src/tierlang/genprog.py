@@ -25,6 +25,7 @@ from .syntax import (
 )
 
 VARS = ["a", "b", "c", "d"]
+STMT_DEPTH = 3  # statement nesting of a generated body
 
 _UNARY_OPS = ["dec", "hd", "tl", "not", "inc"]
 _BINARY_OPS = ["eq", "lt", "le", "gt", "ne", "and", "or", "append"]
@@ -75,9 +76,9 @@ def random_stmt(rng: random.Random, names, depth: int, loop_depth: int):
     return Assign(rng.choice(names), random_expr(rng, names, 2))
 
 
-def random_program(rng: random.Random, max_vars: int = 4, depth: int = 3) -> Program1:
-    names = VARS[: rng.randint(1, max_vars)]
-    body = random_stmt(rng, names, depth, 0)
+def random_program(rng: random.Random) -> Program1:
+    names = VARS[: rng.randint(1, len(VARS))]
+    body = random_stmt(rng, names, STMT_DEPTH, 0)
     program = Program1(list(names), body, rng.choice(names))
     assign_loop_ids(program)
     return program

@@ -36,7 +36,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import opreg, words
-from .safety1 import undeclassified_vars
 from .syntax import (
     Assign,
     Break,
@@ -51,6 +50,7 @@ from .syntax import (
     Skip,
     Var,
     While,
+    undeclassified_vars,
 )
 
 DEFAULT_BUDGET = 10_000_000
@@ -142,8 +142,7 @@ class Interp:
     are given and keep no reference to it.  Hot closures tick inline.
     """
 
-    def __init__(self, registry=None, budget: int = DEFAULT_BUDGET, monitor: bool = False):
-        self.registry = registry or opreg.builtin_registry()
+    def __init__(self, budget: int = DEFAULT_BUDGET, monitor: bool = False):
         self.budget = budget
         self.monitor = monitor
         self.stats = ExecStats()
@@ -220,7 +219,7 @@ class Interp:
 
     def compile_op(self, op: str, args: list):
         try:
-            entry = self.registry.lookup(op)
+            entry = opreg.BUILTINS.lookup(op)
         except (opreg.UnknownOperator, words.WordError):
             entry = None
         if entry is None or entry.arity != len(args):
@@ -229,7 +228,7 @@ class Interp:
                 m.tick()
                 values = [a(m, store) for a in args]
                 try:
-                    return m.registry.apply(op, values)
+                    return opreg.BUILTINS.apply(op, values)
                 except opreg.UnknownOperator as exc:
                     raise ExecError(f"unknown operator: {exc}", m.stats)
             return failing
@@ -396,13 +395,13 @@ class Interp:
         return lookup(store, program.ret)
 
 
-def run_program(program: Program1, inputs, registry=None,
+def run_program(program: Program1, inputs,
                 budget: int = DEFAULT_BUDGET, monitor: bool = False):
     """Run a program on input words; returns (result word, stats).
 
     Raises RuntimeStop subclasses for budget exhaustion, monitored
     aperiodicity violations, and top-level breaks.
     """
-    interp = Interp(registry, budget, monitor)
+    interp = Interp(budget, monitor)
     result = interp.run(program, inputs)
     return result, interp.stats

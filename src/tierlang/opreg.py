@@ -20,6 +20,10 @@ bounded in size by its second operand.
 
 Classes are declared, not inferred; ``validate_class`` spot checks a
 declaration against the semantics on randomized inputs.
+
+There is one operator set, ``BUILTINS``, built once at import and read by
+every layer.  The only way to vary the admissible levels is to restrict
+them with a ``DeltaConfig`` (``--delta`` on the command line).
 """
 
 from __future__ import annotations
@@ -237,6 +241,9 @@ def builtin_registry() -> Registry:
     return Registry(entries)
 
 
+BUILTINS = builtin_registry()
+
+
 # ---------------------------------------------------------------------------
 # Admissible functional levels
 
@@ -270,7 +277,6 @@ class DeltaConfig:
 
 
 def delta_membership(
-    registry: Registry,
     op: str,
     tin: Level,
     tout: Level,
@@ -282,7 +288,7 @@ def delta_membership(
     ``candidate`` has arity+1 components, argument levels then result level.
     tin and tout must be finite (they are loop levels).
     """
-    entry = registry.lookup(op)
+    entry = BUILTINS.lookup(op)
     candidate = tuple(candidate)
     if len(candidate) != entry.arity + 1:
         raise ValueError(f"{op} expects {entry.arity + 1} level components")
@@ -370,8 +376,11 @@ def _class_violation(entry: OperatorEntry, inputs, output) -> str | None:
     return f"|output| exceeds the degree-{klass.degree} envelope"
 
 
-def _sample_word(rng: random.Random, max_size: int) -> str:
-    size = rng.randint(0, max_size)
+SAMPLE_MAX_SIZE = 64  # longest randomized input word
+
+
+def _sample_word(rng: random.Random) -> str:
+    size = rng.randint(0, SAMPLE_MAX_SIZE)
     style = rng.randrange(4)
     if style == 0:
         return words.unary(size)
@@ -380,9 +389,7 @@ def _sample_word(rng: random.Random, max_size: int) -> str:
     return "".join(rng.choice(words.ALPHABET) for _ in range(size))
 
 
-def validate_class(
-    entry: OperatorEntry, samples: int, seed: int = 0, max_size: int = 64
-) -> ClassReport:
+def validate_class(entry: OperatorEntry, samples: int, seed: int = 0) -> ClassReport:
     """Property-test the declared class on randomized input tuples."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -393,9 +400,7 @@ def validate_class(
         if i < len(fixtures) and entry.arity > 0:
             inputs = tuple(fixtures[i] for _ in range(entry.arity))
         else:
-            inputs = tuple(
-                _sample_word(rng, max_size) for _ in range(entry.arity)
-            )
+            inputs = tuple(_sample_word(rng) for _ in range(entry.arity))
         output = entry.fn(*inputs)
         reason = _class_violation(entry, inputs, output)
         if reason is not None:
@@ -405,8 +410,8 @@ def validate_class(
     return report
 
 
-def validate_registry(registry: Registry, samples: int, seed: int = 0):
-    return [validate_class(e, samples, seed=seed) for e in registry]
+def validate_registry(samples: int, seed: int = 0):
+    return [validate_class(e, samples, seed=seed) for e in BUILTINS]
 
 
 def describe_entry(entry: OperatorEntry) -> dict:

@@ -158,12 +158,11 @@ def _line_col(newlines: list, offset: int) -> tuple:
 
 
 class _Parser:
-    def __init__(self, text, tokens, registry):
+    def __init__(self, text, tokens):
         self.text = text
         # One eof more, so that looking one token past eof needs no bound.
         self.tokens = tokens + [tokens[-1]]
         self.pos = 0
-        self.registry = registry
         self.depth = 0  # nesting level of the block or expression being parsed
         self.newlines = None  # built on the first position asked for
 
@@ -532,7 +531,7 @@ class _Parser:
 
     def _op_entry(self, tok):
         try:
-            return self.registry.lookup(tok[1])
+            return opreg.BUILTINS.lookup(tok[1])
         except opreg.UnknownOperator:
             raise self.error(f"unknown operator {tok[1]!r}", tok)
 
@@ -573,14 +572,13 @@ def _resolve_oracle_arities(program: Program2) -> None:
         entry[1] = boxed.get(entry[0], 1)
 
 
-def parse(text: str, registry=None, desugar: bool = True):
+def parse(text: str, desugar: bool = True):
     """Parse source text into a Program1 or Program2.
 
     For loops are rewritten into their while form unless ``desugar`` is
     False; loop ids are then assigned in pre-order.
     """
-    registry = registry or opreg.builtin_registry()
-    program = _Parser(text, tokenize(text), registry).parse_program()
+    program = _Parser(text, tokenize(text)).parse_program()
     if desugar:
         if isinstance(program, Program1):
             program.body = desugar_for(program.body)
@@ -591,9 +589,9 @@ def parse(text: str, registry=None, desugar: bool = True):
     return program
 
 
-def parse_file(path: str, registry=None, desugar: bool = True):
+def parse_file(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read(), registry=registry, desugar=desugar)
+        return parse(fh.read())
 
 
 # ---------------------------------------------------------------------------

@@ -66,25 +66,6 @@ from .syntax import (
 )
 
 
-def undeclassified_vars(e) -> frozenset:
-    """The variables of e that are not shielded by a declass first operand."""
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, OpApp):
-        out = frozenset()
-        for a in e.args:
-            out |= undeclassified_vars(a)
-        return out
-    if isinstance(e, Declass):
-        return undeclassified_vars(e.bound)
-    if isinstance(e, OracleCall):
-        out = frozenset()
-        for a in e.args:
-            out |= undeclassified_vars(a)
-        return out
-    raise TypeError(f"not an expression: {e!r}")
-
-
 # ---------------------------------------------------------------------------
 # Constraint system
 
@@ -262,8 +243,7 @@ class Constraints:
 class LevelAnalysis:
     """Generates constraints for one statement tree (a program or procedure body)."""
 
-    def __init__(self, registry):
-        self.registry = registry
+    def __init__(self):
         self.cs = Constraints()
         self.expr_counter = 0
 
@@ -385,7 +365,7 @@ class LevelAnalysis:
 
     def _entry(self, e):
         try:
-            return self.registry.lookup(e.op)
+            return opreg.BUILTINS.lookup(e.op)
         except opreg.UnknownOperator:
             self.cs.fail("unknown operator {node.op!r}", e)
             return opreg.OperatorEntry(e.op, 0, lambda: "", opreg.Neutral())
@@ -494,14 +474,6 @@ class Judgment:
     tout: object
     level: object
     children: list = field(default_factory=list)
-
-    def pretty(self, indent=0) -> str:
-        pad = "  " * indent
-        head = (
-            f"{pad}({self.rule}) |-^{level_str(self.tin)}_{level_str(self.tout)} "
-            f": {level_str(self.level)}"
-        )
-        return "\n".join([head] + [c.pretty(indent + 1) for c in self.children])
 
 
 def _level(values: dict, term):
@@ -644,7 +616,7 @@ class InferenceResult:
 
 
 def infer_safety(
-    program: Program1, registry=None, config: opreg.DeltaConfig | None = None
+    program: Program1, config: opreg.DeltaConfig | None = None
 ) -> InferenceResult:
     """Infer a variable typing environment, or explain why none exists.
 
@@ -652,21 +624,20 @@ def infer_safety(
     system.  An optional DeltaConfig restricts the admissible operator
     levels; restrictions are enforced against the inferred witness.
     """
-    registry = registry or opreg.builtin_registry()
     # Generation gives every variable of the body its unknown as it meets
     # it; only parameters and the result may not occur there.
     names = set(program.params) | {program.ret}
-    return infer_levels(program.body, names, registry, config)
+    return infer_levels(program.body, names, config)
 
 
-def infer_levels(body, names, registry, config=None) -> InferenceResult:
+def infer_levels(body, names, config=None) -> InferenceResult:
     """Level inference for one statement tree (a program or procedure body).
 
     ``names`` are variables to solve for besides those of the body; the body
     is typed from the loop-free context.  The derivation is left to the
     result to build on demand.
     """
-    analysis = LevelAnalysis(registry)
+    analysis = LevelAnalysis()
     for name in sorted(names):
         analysis.var_term(name)
     floors, sinfo = analysis.gen_stmt(body, 0, 0)
@@ -688,17 +659,17 @@ def infer_levels(body, names, registry, config=None) -> InferenceResult:
         _build=lambda: _DerivationBuilder(values, gamma).stmt(body, sinfo, 0, 0),
     )
     if config is not None:
-        offending = _config_violation(result.derivation, registry, config)
+        offending = _config_violation(result.derivation, config)
         if offending is not None:
             return InferenceResult(False, explanation=offending)
     return result
 
 
-def _config_violation(deriv: Judgment, registry, config) -> str | None:
+def _config_violation(deriv: Judgment, config) -> str | None:
     if deriv.rule == "OP":
         candidate = tuple(c.level for c in deriv.children) + (deriv.level,)
         if not opreg.delta_membership(
-            registry, deriv.subject.op, deriv.tin, deriv.tout, candidate, config
+            deriv.subject.op, deriv.tin, deriv.tout, candidate, config
         ):
             return (
                 f"operator {deriv.subject.op} with levels "
@@ -706,7 +677,7 @@ def _config_violation(deriv: Judgment, registry, config) -> str | None:
                 f"registry restriction"
             )
     for c in deriv.children:
-        hit = _config_violation(c, registry, config)
+        hit = _config_violation(c, config)
         if hit is not None:
             return hit
     return None
@@ -717,7 +688,7 @@ def _config_violation(deriv: Judgment, registry, config) -> str | None:
 
 
 def check_derivation(
-    program: Program1, gamma: dict, deriv: Judgment, registry=None,
+    program: Program1, gamma: dict, deriv: Judgment,
     config: opreg.DeltaConfig | None = None,
 ) -> bool:
     """Mechanically re-check a derivation against the typing rules.
@@ -725,21 +696,20 @@ def check_derivation(
     Accepts derivations with explicit SUB nodes as well as folded ones
     (statement nodes presented at a level above their natural one).
     """
-    registry = registry or opreg.builtin_registry()
     if any(v == INFINITY for v in gamma.values()):
         return False  # first-order environments map into the finite levels
     if deriv.subject is not program.body and deriv.subject != program.body:
         return False
     if deriv.tin != 0 or deriv.tout != 0:
         return False
-    return _check_node(deriv, gamma, registry, config)
+    return _check_node(deriv, gamma, config)
 
 
 def _finite(x) -> bool:
     return x != INFINITY
 
 
-def _check_expr_node(j, gamma, registry, config) -> bool:
+def _check_expr_node(j, gamma, config) -> bool:
     e = j.subject
     if j.rule == "VAR":
         return isinstance(e, Var) and gamma.get(e.name, 0) == j.level
@@ -749,13 +719,11 @@ def _check_expr_node(j, gamma, registry, config) -> bool:
         for kid, arg in zip(j.children, e.args):
             if kid.subject != arg or (kid.tin, kid.tout) != (j.tin, j.tout):
                 return False
-            if not _check_expr_node(kid, gamma, registry, config):
+            if not _check_expr_node(kid, gamma, config):
                 return False
         candidate = tuple(k.level for k in j.children) + (j.level,)
         try:
-            return opreg.delta_membership(
-                registry, e.op, j.tin, j.tout, candidate, config
-            )
+            return opreg.delta_membership(e.op, j.tin, j.tout, candidate, config)
         except (opreg.UnknownOperator, ValueError):
             return False
     if j.rule == "DCL":
@@ -764,22 +732,20 @@ def _check_expr_node(j, gamma, registry, config) -> bool:
         c1, c2 = j.children
         if c1.subject != e.expr or c2.subject != e.bound:
             return False
-        if not all(
-            _check_expr_node(c, gamma, registry, config) for c in (c1, c2)
-        ):
+        if not all(_check_expr_node(c, gamma, config) for c in (c1, c2)):
             return False
         return c2.level == j.tout and c1.level <= j.level <= j.tout
     if j.rule == "ORC":
         if not isinstance(e, OracleCall) or j.level != INFINITY:
             return False
-        return all(_check_expr_node(k, gamma, registry, config) for k in j.children)
+        return all(_check_expr_node(k, gamma, config) for k in j.children)
     return False
 
 
-def _check_node(j: Judgment, gamma, registry, config) -> bool:
+def _check_node(j: Judgment, gamma, config) -> bool:
     s = j.subject
     if j.rule in ("VAR", "OP", "DCL", "ORC"):
-        return _check_expr_node(j, gamma, registry, config)
+        return _check_expr_node(j, gamma, config)
     if j.rule == "SUB":
         if len(j.children) != 1:
             return False
@@ -788,7 +754,7 @@ def _check_node(j: Judgment, gamma, registry, config) -> bool:
             kid.subject == s
             and (kid.tin, kid.tout) == (j.tin, j.tout)
             and kid.level <= j.level
-            and _check_node(kid, gamma, registry, config)
+            and _check_node(kid, gamma, config)
         )
     if j.rule == "SKP":
         return isinstance(s, Skip) and j.level >= 0
@@ -798,7 +764,7 @@ def _check_node(j: Judgment, gamma, registry, config) -> bool:
         kid = j.children[0]
         if kid.subject != s.expr or (kid.tin, kid.tout) != (j.tin, j.tout):
             return False
-        if not _check_expr_node(kid, gamma, registry, config):
+        if not _check_expr_node(kid, gamma, config):
             return False
         target = gamma.get(s.var, 0)
         if j.level < target:
@@ -813,7 +779,7 @@ def _check_node(j: Judgment, gamma, registry, config) -> bool:
             k.subject == st
             and k.level == j.level
             and (k.tin, k.tout) == (j.tin, j.tout)
-            and _check_node(k, gamma, registry, config)
+            and _check_node(k, gamma, config)
             for k, st in zip(j.children, s.stmts)
         )
     if j.rule == "CND":
@@ -827,9 +793,9 @@ def _check_node(j: Judgment, gamma, registry, config) -> bool:
         if not (g.level == t.level == o.level <= j.level):
             return False
         return (
-            _check_expr_node(g, gamma, registry, config)
-            and _check_node(t, gamma, registry, config)
-            and _check_node(o, gamma, registry, config)
+            _check_expr_node(g, gamma, config)
+            and _check_node(t, gamma, config)
+            and _check_node(o, gamma, config)
         )
     if j.rule in ("WH", "WI"):
         if not isinstance(s, While) or len(j.children) != 2:
@@ -852,16 +818,14 @@ def _check_node(j: Judgment, gamma, registry, config) -> bool:
             expected = (lam, j.tout)
         if (g.tin, g.tout) != expected or (b.tin, b.tout) != expected:
             return False
-        return _check_expr_node(g, gamma, registry, config) and _check_node(
-            b, gamma, registry, config
-        )
+        return _check_expr_node(g, gamma, config) and _check_node(b, gamma, config)
     if j.rule == "BRK":
         if not isinstance(s, Break) or len(j.children) != 1:
             return False
         g = j.children[0]
         if g.subject != s.guard or (g.tin, g.tout) != (j.tin, j.tout):
             return False
-        if not _check_expr_node(g, gamma, registry, config):
+        if not _check_expr_node(g, gamma, config):
             return False
         return j.level >= j.tin and g.level >= j.tin
     if j.rule == "OBK":
@@ -876,13 +840,13 @@ def _check_node(j: Judgment, gamma, registry, config) -> bool:
         for k, v in zip(refs, s.ref_vars):
             if not (isinstance(k.subject, Var) and k.subject.name == v):
                 return False
-            if not _check_expr_node(k, gamma, registry, config):
+            if not _check_expr_node(k, gamma, config):
                 return False
             if not (j.tout < k.level):
                 return False
         return (
-            _check_expr_node(left, gamma, registry, config)
-            and _check_expr_node(right, gamma, registry, config)
+            _check_expr_node(left, gamma, config)
+            and _check_expr_node(right, gamma, config)
             and j.level >= j.tin
         )
     return False
@@ -892,19 +856,19 @@ def _check_node(j: Judgment, gamma, registry, config) -> bool:
 # Brute-force oracle
 
 
-def brute_force_safe(
-    program: Program1, max_level: int, registry=None, var_limit: int = 6
-) -> bool:
+BRUTE_FORCE_VAR_LIMIT = 6  # the enumeration is exponential in the variables
+
+
+def brute_force_safe(program: Program1, max_level: int) -> bool:
     """Decide safety by enumerating environments and derivations outright.
 
     All levels (variable, loop, and intermediate judgment levels) are drawn
     from 0..max_level.  Independent of the constraint engine; used as the
     differential-testing oracle.
     """
-    registry = registry or opreg.builtin_registry()
     names = sorted(program_vars(program))
-    if len(names) > var_limit:
-        raise TooLarge(f"brute force limited to {var_limit} variables")
+    if len(names) > BRUTE_FORCE_VAR_LIMIT:
+        raise TooLarge(f"brute force limited to {BRUTE_FORCE_VAR_LIMIT} variables")
     levels = range(max_level + 1)
     full = frozenset(levels)
 
@@ -933,9 +897,7 @@ def brute_force_safe(
                 out = set()
                 for args in itertools.product(*arg_sets):
                     for r in levels:
-                        if opreg.delta_membership(
-                            registry, e.op, tin, tout, args + (r,)
-                        ):
+                        if opreg.delta_membership(e.op, tin, tout, args + (r,)):
                             out.add(r)
                 out = frozenset(out)
             else:

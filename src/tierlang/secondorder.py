@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from . import interp1, opreg, words
 from .interp1 import DEFAULT_BUDGET, ExecError
-from .parser import _pp_expr as pp_expr
+from .parser import _pp_expr as pp_expr, parse_file
 from .safety1 import InferenceResult, infer_levels
 from .syntax import (
     Assign,
@@ -51,6 +51,7 @@ from .syntax import (
     Program2,
     TermVar,
     While,
+    free_variables,
     iter_exprs,
     level_str,
     seq_chain,
@@ -210,8 +211,6 @@ def simple_typecheck(program: Program2) -> SimpleResult:
 
     # Pairwise-disjoint binder sets (term free variables are empty for
     # closed programs; boxed names do not count as free).
-    from .syntax import free_variables
-
     groups = [("term free variables", free_variables(program))]
     for p in program.procedures:
         params = {n for n, _ in p.oracle_params} | set(p.params)
@@ -285,15 +284,14 @@ def simple_typecheck(program: Program2) -> SimpleResult:
 
 
 def infer_procedure_levels(
-    proc: Procedure, registry=None, config: opreg.DeltaConfig | None = None
+    proc: Procedure, config: opreg.DeltaConfig | None = None
 ) -> InferenceResult:
     """Infer a variable environment for one procedure body (context 0, 0).
 
     An unsafe result's explanation names the procedure.
     """
-    registry = registry or opreg.builtin_registry()
     names = set(proc.params) | set(proc.locals)
-    result = infer_levels(proc.body, names, registry, config)
+    result = infer_levels(proc.body, names, config)
     if not result.safe:
         result.explanation = f"procedure {proc.name}: {result.explanation}"
     return result
@@ -332,10 +330,9 @@ class Safety2Result:
 
 
 def infer_safety2(
-    program: Program2, registry=None, config: opreg.DeltaConfig | None = None
+    program: Program2, config: opreg.DeltaConfig | None = None
 ) -> Safety2Result:
     """Guardedness, then simple types, then per-procedure level inference."""
-    registry = registry or opreg.builtin_registry()
     try:
         check_guarded(program)
     except GuardednessError as exc:
@@ -346,7 +343,7 @@ def infer_safety2(
         return Safety2Result(False, "simple-type", str(exc))
     result = Safety2Result(True, program_type=simple.program_type)
     for proc in program.procedures:
-        check = infer_procedure_levels(proc, registry, config)
+        check = infer_procedure_levels(proc, config)
         if not check.safe:
             return Safety2Result(
                 False, "levels", check.explanation, program_type=simple.program_type
@@ -378,7 +375,7 @@ def _bitflip(w: str) -> str:
     return w.translate(str.maketrans("01", "10"))
 
 
-def make_oracle(spec: str, registry=None) -> Oracle:
+def make_oracle(spec: str) -> Oracle:
     """Build an oracle from a CLI spec string.
 
     ``builtin:append1``, ``builtin:double``, ``builtin:bitflip``,
@@ -398,10 +395,8 @@ def make_oracle(spec: str, registry=None) -> Oracle:
             return Oracle(spec, 1, lambda _w, value=value: value)
         raise OracleFailure(f"unknown builtin oracle {rest!r}")
     if spec.startswith("prog:"):
-        from .parser import parse_file
-
         path = spec[len("prog:"):]
-        prog = parse_file(path, registry=registry)
+        prog = parse_file(path)
         if not isinstance(prog, Program1):
             raise OracleFailure(f"{path} is not a first-order program")
         return Oracle(spec, len(prog.params), program=prog)
@@ -415,14 +410,14 @@ def make_oracle(spec: str, registry=None) -> Oracle:
 class Interp2(interp1.Interp):
     """The evaluator core plus procedures, closures and oracle application."""
 
-    def __init__(self, program: Program2, oracles: dict, registry=None,
+    def __init__(self, program: Program2, oracles: dict,
                  budget: int = DEFAULT_BUDGET, monitor: bool = False):
-        super().__init__(registry, budget, monitor)
+        super().__init__(budget, monitor)
         self.program = program
         self.sigma = {p.name: p for p in program.procedures}
         self.oracles = oracles
         self.env: dict = {}  # oracle parameters of the running call -> closures
-        self.sub = interp1.Interp(self.registry)  # runs every prog: oracle
+        self.sub = interp1.Interp()  # runs every prog: oracle
 
     def apply_oracle(self, store, name, args):
         self.stats.oracle_calls += 1
@@ -553,23 +548,16 @@ class Interp2(interp1.Interp):
 
 def eval_program2(
     program: Program2,
-    oracles,
+    oracles: dict,
     inputs,
-    registry=None,
     budget: int = DEFAULT_BUDGET,
     monitor: bool = False,
 ):
     """Run a second-order program; returns (result word, stats).
 
-    ``oracles`` maps boxed oracle names to Oracle values (a list in boxed
-    order is also accepted).
+    ``oracles`` maps boxed oracle names to Oracle values.
     """
-    if not isinstance(oracles, dict):
-        oracles = {
-            name: oracle
-            for (name, _), oracle in zip(program.boxed_oracles, oracles)
-        }
-    interp = Interp2(program, oracles, registry, budget, monitor)
+    interp = Interp2(program, oracles, budget, monitor)
     result = interp.run(inputs)
     return result, interp.stats
 

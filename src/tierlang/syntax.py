@@ -315,6 +315,20 @@ def expr_vars(e: Expr) -> set:
     return out
 
 
+def undeclassified_vars(e) -> frozenset:
+    """The variables of e that are not shielded by a declass first operand."""
+    if isinstance(e, Var):
+        return frozenset((e.name,))
+    if isinstance(e, (OpApp, OracleCall)):
+        out = frozenset()
+        for a in e.args:
+            out |= undeclassified_vars(a)
+        return out
+    if isinstance(e, Declass):
+        return undeclassified_vars(e.bound)
+    raise TypeError(f"not an expression: {e!r}")
+
+
 def stmt_vars(s: Stmt) -> set:
     """All order-0 variable names occurring in a statement tree."""
     out = set()

@@ -6,7 +6,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
-from tierlang import opreg, parser  # noqa: E402
+from tierlang import parser  # noqa: E402
 
 
 def corpus(name: str) -> str:
@@ -35,11 +35,6 @@ def default_recursion_limit():
     sys.setrecursionlimit(1000)
     yield
     sys.setrecursionlimit(old)
-
-
-@pytest.fixture(scope="session")
-def registry():
-    return opreg.builtin_registry()
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,9 @@
 import argparse
+import inspect
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -12,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ROOT, corpus, straight_line
-from tierlang import cli, parser, safety1, secondorder
+import tierlang
+from tierlang import cli, opreg, parser, safety1, secondorder
 
 SCHEMA = json.loads((ROOT / "report.schema.json").read_text())
 VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
@@ -493,3 +496,36 @@ def test_module_entry_point_reads_sys_argv():
     report = json.loads(proc.stdout)
     jsonschema.validate(report, SCHEMA)
     assert proc.returncode == cli.exit_code_for(report) == 0
+
+
+def test_commands_use_the_one_operator_set(capsys, monkeypatch):
+    built = []
+    build = opreg.builtin_registry
+
+    def counting_build():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(opreg, "builtin_registry", counting_build)
+    for argv in (
+        ["check", corpus("bubble.tl")],
+        ["forcheck", corpus("bubble_for.tl")],
+        ["run", corpus("bubble.tl")],
+        ["ops"],
+    ):
+        run_json(capsys, *argv)
+    assert built == []
+
+    takers = []
+    for info in pkgutil.iter_modules(tierlang.__path__):
+        module = __import__(f"tierlang.{info.name}", fromlist=["_"])
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            fns = vars(obj).values() if inspect.isclass(obj) else [obj]
+            takers += [
+                f"{module.__name__}.{f.__qualname__}"
+                for f in fns
+                if inspect.isfunction(f) and "registry" in inspect.signature(f).parameters
+            ]
+    assert takers == []

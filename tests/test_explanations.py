@@ -126,12 +126,11 @@ def golden_cases():
 
 
 def report_of(case) -> dict:
-    registry = opreg.builtin_registry()
-    program = parser.parse(case["source"], registry=registry)
+    program = parser.parse(case["source"])
     config = opreg.DeltaConfig.from_json(case["delta"]) if "delta" in case else None
     if isinstance(program, Program1):
-        return safety1.infer_safety(program, registry, config).report()
-    return secondorder.infer_safety2(program, registry, config).report()
+        return safety1.infer_safety(program, config).report()
+    return secondorder.infer_safety2(program, config).report()
 
 
 def canonical(report: dict) -> str:

@@ -1,10 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import treecheck
+from conftest import ROOT
 from tierlang import parser
 from tierlang.interp1 import (
     AperiodicityViolation,
@@ -15,8 +19,9 @@ from tierlang.interp1 import (
     TopLevelBreak,
     run_program,
 )
-from tierlang.safety1 import undeclassified_vars
-from tierlang.syntax import Assign, Break, Declass, For, If, OpApp, Seq, Skip, Var, While
+from tierlang.syntax import (
+    Assign, Break, Declass, For, If, OpApp, Seq, Skip, Var, While, undeclassified_vars,
+)
 from tierlang.words import WordError
 
 word_st = st.text(alphabet="01#", max_size=20)
@@ -273,3 +278,16 @@ def test_monitor_agrees_with_tree_oracle_smoke():
         )
         checked += 1
     assert checked > 50
+
+
+def test_importing_the_interpreter_loads_no_checker():
+    loaded = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, tierlang.interp1; "
+            "print(sorted(m for m in ('tierlang.safety1', 'tierlang.parser') if m in sys.modules))",
+        ],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert loaded.stdout == "[]\n"

@@ -116,49 +116,49 @@ def test_unknown_operator(reg):
 # Admissible functional levels
 
 
-def test_delta_neutral_comparison(reg):
-    assert delta_membership(reg, "gt", 1, 1, (1, 1, 1))
-    assert delta_membership(reg, "gt", 1, 1, (2, 1, 1))
-    assert not delta_membership(reg, "gt", 1, 1, (1, 1, 2))  # upward flow
+def test_delta_neutral_comparison():
+    assert delta_membership("gt", 1, 1, (1, 1, 1))
+    assert delta_membership("gt", 1, 1, (2, 1, 1))
+    assert not delta_membership("gt", 1, 1, (1, 1, 2))  # upward flow
 
 
-def test_delta_positive_needs_drop(reg):
-    assert not delta_membership(reg, "inc", 1, 1, (1, 1))
-    assert delta_membership(reg, "inc", 1, 1, (1, 0))
-    assert delta_membership(reg, "inc", 2, 2, (1, 1))  # 1 < inner level 2
-    assert delta_membership(reg, "inc", 0, 0, (3, 0))  # outside loops: result 0
+def test_delta_positive_needs_drop():
+    assert not delta_membership("inc", 1, 1, (1, 1))
+    assert delta_membership("inc", 1, 1, (1, 0))
+    assert delta_membership("inc", 2, 2, (1, 1))  # 1 < inner level 2
+    assert delta_membership("inc", 0, 0, (3, 0))  # outside loops: result 0
 
 
-def test_delta_truncate(reg):
-    assert delta_membership(reg, "truncate", 1, 1, (INFINITY, 1, 0))
-    assert not delta_membership(reg, "truncate", 1, 1, (INFINITY, 0, 0))  # bound below tout
-    assert not delta_membership(reg, "truncate", 1, 1, (INFINITY, 1, 1))  # result not below tin
-    assert delta_membership(reg, "truncate", 0, 0, (INFINITY, 0, 5))  # loop-free context
+def test_delta_truncate():
+    assert delta_membership("truncate", 1, 1, (INFINITY, 1, 0))
+    assert not delta_membership("truncate", 1, 1, (INFINITY, 0, 0))  # bound below tout
+    assert not delta_membership("truncate", 1, 1, (INFINITY, 1, 1))  # result not below tin
+    assert delta_membership("truncate", 0, 0, (INFINITY, 0, 5))  # loop-free context
     # every candidate whose first component is finite is rejected
     for first in range(4):
-        assert not delta_membership(reg, "truncate", 1, 1, (first, 1, 0))
+        assert not delta_membership("truncate", 1, 1, (first, 1, 0))
 
 
-def test_delta_polynomial_only_outside_loops(reg):
-    assert not delta_membership(reg, "cons", 1, 1, (0, 0, 0))
-    assert delta_membership(reg, "cons", 0, 0, (0, 0, 7))
+def test_delta_polynomial_only_outside_loops():
+    assert not delta_membership("cons", 1, 1, (0, 0, 0))
+    assert delta_membership("cons", 0, 0, (0, 0, 7))
 
 
-def test_delta_infinite_arguments_rejected(reg):
-    assert not delta_membership(reg, "gt", 1, 1, (INFINITY, 1, 1))
-    assert not delta_membership(reg, "inc", 1, 1, (INFINITY, 0))
+def test_delta_infinite_arguments_rejected():
+    assert not delta_membership("gt", 1, 1, (INFINITY, 1, 1))
+    assert not delta_membership("inc", 1, 1, (INFINITY, 0))
 
 
-def test_delta_config_subtracts(reg):
+def test_delta_config_subtracts():
     config = DeltaConfig({"gt": [[1, 1, 1]]})
-    assert not delta_membership(reg, "gt", 1, 1, (1, 1, 1), config)
-    assert delta_membership(reg, "gt", 1, 1, (2, 2, 1), config)
-    assert delta_membership(reg, "gt", 1, 1, (1, 1, 1))  # unrestricted baseline
+    assert not delta_membership("gt", 1, 1, (1, 1, 1), config)
+    assert delta_membership("gt", 1, 1, (2, 2, 1), config)
+    assert delta_membership("gt", 1, 1, (1, 1, 1))  # unrestricted baseline
 
 
-def test_delta_requires_finite_context(reg):
+def test_delta_requires_finite_context():
     with pytest.raises(ValueError):
-        delta_membership(reg, "gt", INFINITY, 0, (1, 1, 1))
+        delta_membership("gt", INFINITY, 0, (1, 1, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,8 @@ from tierlang.safety1 import (
     check_derivation,
     check_for_program,
     infer_safety,
-    undeclassified_vars,
 )
-from tierlang.syntax import Declass, OpApp, Skip, Var
+from tierlang.syntax import Declass, OpApp, Skip, Var, undeclassified_vars
 
 
 def parse(src):

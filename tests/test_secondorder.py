@@ -522,12 +522,10 @@ def test_environment_fixed_per_call(iterator_program):
 
 
 def test_inferred_procedure_derivations_recheck(iterator_program):
-    from tierlang.opreg import builtin_registry
     from tierlang.safety1 import _check_node
 
     result = so.infer_safety2(iterator_program)
     assert result.safe
-    registry = builtin_registry()
     for name, deriv in result.derivations.items():
         gamma = result.omega[name][0]
-        assert _check_node(deriv, gamma, registry, None), name
+        assert _check_node(deriv, gamma, None), name

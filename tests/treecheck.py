@@ -48,8 +48,7 @@ def u_vars(e) -> frozenset:
 
 
 class TreeBuilder:
-    def __init__(self, registry=None, fuel: int = 5000):
-        self.registry = registry or opreg.builtin_registry()
+    def __init__(self, fuel: int = 5000):
         self.fuel = fuel
 
     def spend(self):
@@ -62,7 +61,7 @@ class TreeBuilder:
         if isinstance(e, Var):
             return store.get(e.name, "")
         if isinstance(e, OpApp):
-            return self.registry.apply(e.op, [self.eval_expr(store, a) for a in e.args])
+            return opreg.BUILTINS.apply(e.op, [self.eval_expr(store, a) for a in e.args])
         if isinstance(e, Declass):
             w1 = self.eval_expr(store, e.expr)
             w2 = self.eval_expr(store, e.bound)
@@ -109,8 +108,8 @@ class TreeBuilder:
         raise TypeError(s)
 
 
-def run_tree(program, inputs, registry=None, fuel: int = 5000):
-    builder = TreeBuilder(registry, fuel)
+def run_tree(program, inputs, fuel: int = 5000):
+    builder = TreeBuilder(fuel)
     store = {name: value for name, value in zip(program.params, inputs)}
     broke, out, node = builder.exec_tree(store, program.body)
     return broke, out, node
@@ -143,7 +142,7 @@ def find_periodicity(node) -> dict | None:
     return walk(node, [])
 
 
-def periodic_by_tree(program, inputs, registry=None, fuel: int = 5000) -> bool:
+def periodic_by_tree(program, inputs, fuel: int = 5000) -> bool:
     """Direct verdict from the materialized tree (the oracle side)."""
-    _, _, node = run_tree(program, inputs, registry, fuel)
+    _, _, node = run_tree(program, inputs, fuel)
     return find_periodicity(node) is not None
