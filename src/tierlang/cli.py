@@ -3,9 +3,9 @@
 Commands: check, run, forcheck, ops, desugar, in the table COMMANDS.  A call
 builds the argument parser of the one command it names, or, naming none, the
 parser listing them all.  File extensions select the pipeline (.tl first-order,
-.tl2 second-order); --second-order overrides.  Every command can emit a
-machine-readable report with --json (schema in report.schema.json at the
-repository root); exit codes are a function of the report.
+.tl2 second-order).  Every command can emit a machine-readable report with
+--json (schema in report.schema.json at the repository root); exit codes are
+a function of the report.
 """
 
 from __future__ import annotations
@@ -128,11 +128,9 @@ def first_order_safety(report: dict, result: safety1.InferenceResult) -> None:
     report["explanation"] = result.explanation
 
 
-def load_program(path: str, second_order: bool | None):
-    if second_order is None:
-        second_order = path.endswith(".tl2")
+def load_program(path: str):
     program = parser.parse_file(path)
-    if second_order and isinstance(program, Program1):
+    if path.endswith(".tl2") and isinstance(program, Program1):
         raise parser.ParseError(f"{path}: expected a second-order program")
     return program
 
@@ -172,7 +170,7 @@ def cmd_check(args) -> int:
     lines = []
     loaded = front_end(report, args.json, lambda: (
         load_config(args.delta),
-        load_program(args.file, args.second_order or None),
+        load_program(args.file),
     ))
     if loaded is None:
         return report["exit_code"]
@@ -220,7 +218,7 @@ def cmd_run(args) -> int:
 
     def load():
         budget = args.max_steps if args.max_steps is not None else default_budget()
-        program = load_program(args.file, args.second_order or None)
+        program = load_program(args.file)
         inputs = {}
         for item in args.input or []:
             if "=" not in item:
@@ -343,7 +341,6 @@ def cmd_desugar(args) -> int:
 COMMANDS = {  # name -> (handler, help line, arguments); all take --json too
     "check": (cmd_check, "infer safety (exit 0 safe, 1 unsafe)", [
         ("file", {}),
-        ("--second-order", {"action": "store_true"}),
         ("--delta", {"help": "JSON file restricting admissible operator levels"}),
     ]),
     "run": (cmd_run, "execute a program", [
@@ -352,7 +349,6 @@ COMMANDS = {  # name -> (handler, help line, arguments); all take --json too
         ("--oracle", {"action": "append", "metavar": "NAME=SPEC"}),
         ("--max-steps", {"type": int}),
         ("--monitor", {"action": "store_true", "help": "stop on periodic loop states"}),
-        ("--second-order", {"action": "store_true"}),
     ]),
     "forcheck": (cmd_forcheck, "accept only safe programs whose loops are all for loops",
                  [("file", {})]),

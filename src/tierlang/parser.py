@@ -640,28 +640,28 @@ _PREC = {
 _SURFACE_OP = {surface: op for op, surface in _BINOP_SURFACE.items()} | {"-": "dec"}
 
 
-def _pp_expr(e, parent_prec=0) -> str:
+def pp_expr(e, parent_prec=0) -> str:
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Declass):
-        return f"declass({_pp_expr(e.expr)}, {_pp_expr(e.bound)})"
+        return f"declass({pp_expr(e.expr)}, {pp_expr(e.bound)})"
     if isinstance(e, OracleCall):
-        return f"{e.oracle}({', '.join(_pp_expr(a) for a in e.args)})"
+        return f"{e.oracle}({', '.join(pp_expr(a) for a in e.args)})"
     if isinstance(e, OpApp):
         if e.op.startswith(opreg.CONST_PREFIX):
             return f'"{e.op[len(opreg.CONST_PREFIX):]}"'
         if e.op in ("true", "false", "eps"):
             return e.op
         if e.op == "dec":
-            inner = f"{_pp_expr(e.args[0], _PREC['dec'])} - u1"
+            inner = f"{pp_expr(e.args[0], _PREC['dec'])} - u1"
             return f"({inner})" if parent_prec > _PREC["dec"] else inner
         if e.op in _BINOP_SURFACE and len(e.args) == 2:
             prec = _PREC[e.op]
-            left = _pp_expr(e.args[0], prec)
-            right = _pp_expr(e.args[1], prec + 1)
+            left = pp_expr(e.args[0], prec)
+            right = pp_expr(e.args[1], prec + 1)
             text = f"{left} {_BINOP_SURFACE[e.op]} {right}"
             return f"({text})" if parent_prec > prec else text
-        return f"{e.op}({', '.join(_pp_expr(a) for a in e.args)})"
+        return f"{e.op}({', '.join(pp_expr(a) for a in e.args)})"
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -677,28 +677,28 @@ def _pp_stmt(s, indent) -> list:
     if isinstance(s, Skip):
         return [pad + "skip"]
     if isinstance(s, Assign):
-        return [pad + f"{s.var} := {_pp_expr(s.expr)}"]
+        return [pad + f"{s.var} := {pp_expr(s.expr)}"]
     if isinstance(s, If):
-        lines = [pad + f"if({_pp_expr(s.guard)}){{"]
+        lines = [pad + f"if({pp_expr(s.guard)}){{"]
         lines += _pp_stmt(s.then, indent + 1)
         lines.append(pad + "} else {")
         lines += _pp_stmt(s.orelse, indent + 1)
         lines.append(pad + "}")
         return lines
     if isinstance(s, While):
-        lines = [pad + f"while({_pp_expr(s.guard)}){{"]
+        lines = [pad + f"while({pp_expr(s.guard)}){{"]
         lines += _pp_stmt(s.body, indent + 1)
         lines.append(pad + "}")
         return lines
     if isinstance(s, For):
-        lines = [pad + f"for {s.var} = {_pp_expr(s.low)} to {_pp_expr(s.high)} {{"]
+        lines = [pad + f"for {s.var} = {pp_expr(s.low)} to {pp_expr(s.high)} {{"]
         lines += _pp_stmt(s.body, indent + 1)
         lines.append(pad + "}")
         return lines
     if isinstance(s, Break):
-        return [pad + f"break({_pp_expr(s.guard)})"]
+        return [pad + f"break({pp_expr(s.guard)})"]
     if isinstance(s, OracleBreak):
-        call = f"{s.oracle}({', '.join(_pp_expr(a) for a in s.call_args)})"
+        call = f"{s.oracle}({', '.join(pp_expr(a) for a in s.call_args)})"
         ref = f"{s.oracle}({', '.join(s.ref_vars)})"
         return [pad + f"break(|{call}| > |{ref}|)"]
     raise TypeError(f"not a statement: {s!r}")
@@ -722,7 +722,6 @@ def pretty_print(program) -> str:
     if isinstance(program, Program1):
         lines = [f"prog({', '.join(program.params)}){{"]
         lines += _pp_stmt(program.body, 1)
-        lines[-1] += ""
         lines.append(f"  return {program.ret}")
         lines.append("}")
         return "\n".join(lines) + "\n"

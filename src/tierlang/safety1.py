@@ -15,8 +15,8 @@ statically:
   because inner loop levels are always at least 1.
 
 What remains is a difference-constraint system (v >= u, v >= u + 1,
-bounds against constants) solved by least-fixpoint propagation; the least
-solution is returned as the variable typing environment.  Every body, a
+bounds against constants) whose least solution one worklist computes; it
+is returned as the variable typing environment.  Every body, a
 second-order procedure's included, is typed from the loop-free context,
 so no constant source exceeds 1 and divergence past the number of
 unknowns witnesses an unsatisfiable strict cycle.
@@ -44,7 +44,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import opreg
-from .parser import _pp_expr as pp_expr
+from .parser import pp_expr
 from .syntax import (
     Assign,
     Break,
@@ -60,6 +60,7 @@ from .syntax import (
     Skip,
     Var,
     While,
+    is_finite,
     iter_stmts,
     level_str,
     program_vars,
@@ -168,7 +169,13 @@ class Constraints:
             self.edges.append(_Edge(a, delta, b, why, node, arg))
 
     def solve(self):
-        """Least solution, or (None, explanation) when unsatisfiable."""
+        """Least solution, or (None, explanation) when unsatisfiable.
+
+        One LIFO worklist relaxes every edge from all-zero values,
+        constant-sourced edges first; an unknown that rises re-pushes its
+        out-edges.  A value past ``len(unknowns) + 2`` witnesses a strict
+        cycle and is explained by the chain of edges that raised it.
+        """
         if self.failure is not None:
             return None, _origin(*self.failure)
         values = {u: 0 for u in self.unknowns}
@@ -177,37 +184,17 @@ class Constraints:
         for e in self.edges:
             by_src.setdefault(e.src, []).append(e)
         bound = len(self.unknowns) + 2
-
-        def relax(edge):
+        work = [e for e in reversed(self.edges) if not isinstance(e.src, int)]
+        work += [e for e in self.edges if isinstance(e.src, int)]
+        while work:
+            edge = work.pop()
             base = edge.src if isinstance(edge.src, int) else values[edge.src]
             if values[edge.dst] < base + edge.delta:
                 values[edge.dst] = base + edge.delta
                 preds[edge.dst] = edge
-                return True
-            return False
-
-        work = [e for e in self.edges if isinstance(e.src, int)]
-        while work:
-            edge = work.pop()
-            if relax(edge):
                 if values[edge.dst] > bound:
                     return None, self._chain(edge.dst, preds)
-                for nxt in by_src.get(edge.dst, []):
-                    work.append(nxt)
-        # Plain propagation above only seeds from constant sources; run a
-        # full pass loop to reach a fixpoint from zero-valued unknowns too.
-        changed = True
-        rounds = 0
-        while changed:
-            changed = False
-            rounds += 1
-            for edge in self.edges:
-                if relax(edge):
-                    changed = True
-                    if values[edge.dst] > bound:
-                        return None, self._chain(edge.dst, preds)
-            if rounds > bound + 2:
-                return None, "constraint propagation failed to stabilize"
+                work += by_src.get(edge.dst, ())
         for up in self.uppers:
             if values[up.unknown] > up.bound:
                 detail = self._chain(up.unknown, preds)
@@ -705,10 +692,6 @@ def check_derivation(
     return _check_node(deriv, gamma, config)
 
 
-def _finite(x) -> bool:
-    return x != INFINITY
-
-
 def _check_expr_node(j, gamma, config) -> bool:
     e = j.subject
     if j.rule == "VAR":
@@ -769,7 +752,7 @@ def _check_node(j: Judgment, gamma, config) -> bool:
         target = gamma.get(s.var, 0)
         if j.level < target:
             return False
-        if not _finite(kid.level):
+        if not is_finite(kid.level):
             return False
         return j.tout == 0 or target <= kid.level
     if j.rule == "SEQ":
@@ -802,7 +785,7 @@ def _check_node(j: Judgment, gamma, config) -> bool:
             return False
         g, b = j.children
         lam = g.level
-        if not _finite(lam) or lam < 1:
+        if not is_finite(lam) or lam < 1:
             return False
         if g.subject != s.guard or b.subject != s.body:
             return False

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from . import interp1, opreg, words
 from .interp1 import DEFAULT_BUDGET, ExecError
-from .parser import _pp_expr as pp_expr, parse_file
+from .parser import parse_file, pp_expr
 from .safety1 import InferenceResult, infer_levels
 from .syntax import (
     Assign,
@@ -87,23 +87,15 @@ def _allowed_assignment_call(expr) -> OracleCall | None:
     Permitted shapes: X(e...) bare, truncate(X(e...), b), declass(X(e...), b);
     the call's own arguments and the rest of the expression are oracle free.
     """
-    calls = _oracle_calls(expr)
-    if not calls:
-        return None
     if isinstance(expr, OracleCall):
-        head, rest = expr, list(expr.args)
+        head = expr
     elif isinstance(expr, OpApp) and expr.op == "truncate" and expr.args and isinstance(expr.args[0], OracleCall):
-        head, rest = expr.args[0], list(expr.args[0].args) + list(expr.args[1:])
+        head = expr.args[0]
     elif isinstance(expr, Declass) and isinstance(expr.expr, OracleCall):
-        head, rest = expr.expr, list(expr.expr.args) + [expr.bound]
+        head = expr.expr
     else:
         return None
-    for other in rest:
-        if _oracle_calls(other):
-            return None
-    if len(calls) != 1:
-        return None
-    return head
+    return head if len(_oracle_calls(expr)) == 1 else None
 
 
 def _check_guarded_stmt(s, in_loop: bool, proc: Procedure):
@@ -163,12 +155,7 @@ class SimpleTypeError(Exception):
     pass
 
 
-@dataclass
-class SimpleResult:
-    program_type: str
-
-
-def simple_typecheck(program: Program2) -> SimpleResult:
+def simple_typecheck(program: Program2) -> str:
     """Check well-formedness and the simple-type discipline.
 
     Returns the overall program type (oracles first, then word inputs, then
@@ -196,14 +183,14 @@ def simple_typecheck(program: Program2) -> SimpleResult:
             raise SimpleTypeError(
                 f"procedure {p.name} is not closed: {sorted(loose)}"
             )
-        oracle_scope = {n for n, _ in p.oracle_params}
+        arities = dict(p.oracle_params)
         for call in stmt_oracle_calls(p.body):
-            if call.oracle not in oracle_scope:
+            if call.oracle not in arities:
                 raise SimpleTypeError(
                     f"procedure {p.name}: oracle variable "
                     f"{call.oracle} is not a parameter"
                 )
-            if len(call.args) != p.oracle_arity(call.oracle):
+            if len(call.args) != arities[call.oracle]:
                 raise SimpleTypeError(
                     f"procedure {p.name}: oracle {call.oracle} "
                     f"applied at the wrong arity"
@@ -276,7 +263,7 @@ def simple_typecheck(program: Program2) -> SimpleResult:
     parts = ["(" + " -> ".join(["W"] * k) + " -> W)" for _, k in program.boxed_oracles]
     parts += ["W"] * len(program.boxed_words)
     parts.append("W")
-    return SimpleResult(" -> ".join(parts))
+    return " -> ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +325,15 @@ def infer_safety2(
     except GuardednessError as exc:
         return Safety2Result(False, "guardedness", str(exc))
     try:
-        simple = simple_typecheck(program)
+        program_type = simple_typecheck(program)
     except SimpleTypeError as exc:
         return Safety2Result(False, "simple-type", str(exc))
-    result = Safety2Result(True, program_type=simple.program_type)
+    result = Safety2Result(True, program_type=program_type)
     for proc in program.procedures:
         check = infer_procedure_levels(proc, config)
         if not check.safe:
             return Safety2Result(
-                False, "levels", check.explanation, program_type=simple.program_type
+                False, "levels", check.explanation, program_type=program_type
             )
         result.omega[proc.name] = (check.gamma, (check.body_level, 0, 0))
         result.checks[proc.name] = check
@@ -443,8 +430,6 @@ class Interp2(interp1.Interp):
             inner = dict(store)
             inner.update(zip(closure.params, args))
             return self.eval_term(inner, closure.body)
-        if isinstance(closure, Oracle):
-            return self.call_external(closure, args)
         raise ExecError(f"cannot apply {closure!r} as an oracle", self.stats)
 
     def call_external(self, oracle: Oracle, args):

@@ -174,12 +174,6 @@ class Procedure:
     body: Stmt
     ret: str
 
-    def oracle_arity(self, name: str) -> int | None:
-        for n, k in self.oracle_params:
-            if n == name:
-                return k
-        return None
-
 
 @dataclass(frozen=True)
 class TermVar:
@@ -389,20 +383,11 @@ def _term_vars(t: Term, bound: set, free: set) -> None:
 
 
 def free_variables(p: Program2) -> set:
-    """Variables neither boxed nor bound by a procedure or lambda binder."""
-    boxed = {n for n, _ in p.boxed_oracles} | set(p.boxed_words)
+    """Variables of the main term neither boxed nor bound by a lambda binder.
+
+    Procedure bodies are not walked: the simple-type check requires each to
+    be closed over its own parameters and locals.
+    """
     free: set = set()
-    for proc in p.procedures:
-        bound = (
-            {n for n, _ in proc.oracle_params}
-            | set(proc.params)
-            | set(proc.locals)
-        )
-        for name in stmt_vars(proc.body) | {proc.ret}:
-            if name not in bound:
-                free.add(name)
-        for call in stmt_oracle_calls(proc.body):
-            if call.oracle not in bound:
-                free.add(call.oracle)
-    _term_vars(p.main, boxed, free)
-    return free - boxed
+    _term_vars(p.main, {n for n, _ in p.boxed_oracles} | set(p.boxed_words), free)
+    return free

@@ -399,7 +399,6 @@ def reference_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     p = sub.add_parser("check", help="infer safety (exit 0 safe, 1 unsafe)")
     p.add_argument("file")
-    p.add_argument("--second-order", action="store_true")
     p.add_argument("--delta", help="JSON file restricting admissible operator levels")
     p.add_argument("--json", action="store_true")
     p = sub.add_parser("run", help="execute a program")
@@ -408,7 +407,6 @@ def reference_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="append", metavar="NAME=SPEC")
     p.add_argument("--max-steps", type=int, default=None)
     p.add_argument("--monitor", action="store_true", help="stop on periodic loop states")
-    p.add_argument("--second-order", action="store_true")
     p.add_argument("--json", action="store_true")
     p = sub.add_parser(
         "forcheck", help="accept only safe programs whose loops are all for loops"

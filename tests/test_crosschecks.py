@@ -94,8 +94,7 @@ def test_embedded_programs_pass_simple_typing():
     for _ in range(25):
         program = genprog.random_program(rng)
         embedded = so.embed_program1(program)
-        simple = so.simple_typecheck(embedded)
-        assert simple.program_type == " -> ".join(["W"] * (len(program.params) + 1))
+        assert so.simple_typecheck(embedded) == " -> ".join(["W"] * (len(program.params) + 1))
 
 
 def test_runs_match_the_tree_oracle():

@@ -125,6 +125,27 @@ def test_pointwise_least_solution():
     assert result.loop_levels[1] == 1
 
 
+def test_solver_reports_an_unfed_strict_cycle_as_a_chain():
+    cs = safety1.Constraints()
+    a, b, c = (cs.fresh(n) for n in "abc")
+    cs.le(c, a, "{what} below a", Var("c"))
+    cs.le(b, c, "{what} below c", Var("b"))
+    cs.lt(a, b, "{what} strictly below b", Var("a"))
+    values, explanation = cs.solve()
+    assert values is None
+    assert explanation.startswith("conflicting constraint chain:")
+
+
+def test_solver_reaches_the_least_solution_of_a_reversed_chain():
+    cs = safety1.Constraints()
+    xs = [cs.fresh(f"x{i}") for i in range(30)]
+    for lo, hi in reversed(list(zip(xs, xs[1:]))):
+        cs.lt(lo, hi, "{what} below the next", Var(lo))
+    values, explanation = cs.solve()
+    assert explanation is None
+    assert values[xs[-1]] == 29
+
+
 # ---------------------------------------------------------------------------
 # Derivation checking
 

@@ -106,12 +106,11 @@ def test_oracle_assignment_outside_loop_is_fine():
 
 
 def test_iterator_simple_type(iterator_program):
-    simple = so.simple_typecheck(iterator_program)
-    assert simple.program_type == "(W -> W) -> W -> W -> W -> W"
+    assert so.simple_typecheck(iterator_program) == "(W -> W) -> W -> W -> W -> W"
 
 
 def test_boxed_identity_type():
-    assert so.simple_typecheck(parser.parse("box[x] in x")).program_type == "W -> W"
+    assert so.simple_typecheck(parser.parse("box[x] in x")) == "W -> W"
 
 
 def test_closure_arity_mismatch_rejected(iterator_program):
@@ -444,8 +443,7 @@ def test_program_oracle_answers_from_one_sub_interpreter(iterator_program, bubbl
 def test_first_order_embedding_agrees(bubble):
     rng = random.Random(77)
     embedded = so.embed_program1(bubble)
-    simple = so.simple_typecheck(embedded)
-    assert simple.program_type == "W -> W"
+    assert so.simple_typecheck(embedded) == "W -> W"
     for _ in range(10):
         w = "".join(rng.choice("01") for _ in range(rng.randint(0, 9)))
         direct, _ = interp1.run_program(bubble, [w])
