@@ -2,10 +2,11 @@
 
 Commands: check, run, forcheck, ops, desugar, in the table COMMANDS.  A call
 builds the argument parser of the one command it names, or, naming none, the
-parser listing them all.  File extensions select the pipeline (.tl first-order,
-.tl2 second-order).  Every command can emit a machine-readable report with
---json (schema in report.schema.json at the repository root); exit codes are
-a function of the report.
+parser listing them all.  A file's extension names its language: a .tl2 file
+holds a second-order program and any other file a first-order one; a file
+holding the other language is a parse error.  Every command can emit a
+machine-readable report with --json (schema in report.schema.json at the
+repository root); exit codes are a function of the report.
 """
 
 from __future__ import annotations
@@ -130,8 +131,9 @@ def first_order_safety(report: dict, result: safety1.InferenceResult) -> None:
 
 def load_program(path: str):
     program = parser.parse_file(path)
-    if path.endswith(".tl2") and isinstance(program, Program1):
-        raise parser.ParseError(f"{path}: expected a second-order program")
+    if path.endswith(".tl2") != isinstance(program, Program2):
+        order = "second" if path.endswith(".tl2") else "first"
+        raise parser.ParseError(f"{path}: expected a {order}-order program")
     return program
 
 
@@ -278,7 +280,7 @@ def cmd_run(args) -> int:
 def cmd_forcheck(args) -> int:
     report = blank_report("forcheck", args.file)
     lines = []
-    program = front_end(report, args.json, lambda: parser.parse_file(args.file))
+    program = front_end(report, args.json, lambda: load_program(args.file))
     if program is None:
         return report["exit_code"]
     if not isinstance(program, Program1):
@@ -331,7 +333,7 @@ def cmd_ops(args) -> int:
 
 def cmd_desugar(args) -> int:
     report = blank_report("desugar", args.file)
-    program = front_end(report, args.json, lambda: parser.parse_file(args.file))
+    program = front_end(report, args.json, lambda: load_program(args.file))
     if program is None:
         return report["exit_code"]
     report["source"] = parser.pretty_print(program)

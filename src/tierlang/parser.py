@@ -17,6 +17,11 @@ Surface conventions (ASCII only):
 First- versus second-order input is detected from the leading keyword
 (``prog`` versus ``box``/``declare``/``call``).
 
+Each fact is settled where it is read: a ``for`` loop is expanded once its
+body is parsed, and an order-1 variable takes the arity of its uses in its
+procedure body or in the main term (1 if it has none); a use that disagrees
+is a parse error.
+
 The scanner makes one regular-expression pass and gives each token as a
 (kind, value, offset) triple.  Lines and columns are worked out from the
 offset only where they are read: for a ``ParseError`` and for
@@ -53,7 +58,6 @@ from .syntax import (
     While,
     assign_loop_ids,
     seq_of,
-    stmt_oracle_calls,
     stmt_vars,
 )
 
@@ -158,13 +162,18 @@ def _line_col(newlines: list, offset: int) -> tuple:
 
 
 class _Parser:
-    def __init__(self, text, tokens):
+    def __init__(self, text, tokens, desugar):
         self.text = text
+        self.desugar = desugar  # expand each for loop as it is parsed
         # One eof more, so that looking one token past eof needs no bound.
         self.tokens = tokens + [tokens[-1]]
         self.pos = 0
         self.depth = 0  # nesting level of the block or expression being parsed
         self.newlines = None  # built on the first position asked for
+        # Oracle variable -> arity of its uses in the procedure body or main
+        # term being parsed; None in a first-order program (no arity rule).
+        self.arities = None
+        self.procedures = {}  # name -> Procedure, for the main term's calls
 
     # -- token plumbing; a token is a (kind, value, offset) triple
 
@@ -201,6 +210,11 @@ class _Parser:
     def fail(self, message, expected=()):
         raise self.error(message, self.peek(), expected)
 
+    def record_arity(self, tok, arity):
+        """Note a use of the oracle variable ``tok`` at ``arity``."""
+        if self.arities is not None and self.arities.setdefault(tok[1], arity) != arity:
+            raise self.error(f"inconsistent arity for oracle variable {tok[1]}", tok)
+
     def check_depth(self, tok, low=0):
         """Fail if a point ``low`` levels below the current one is too deep."""
         if self.depth + low > MAX_NESTING:
@@ -234,13 +248,13 @@ class _Parser:
         return Program1(params, body, ret)
 
     def parse_program2(self) -> Program2:
-        boxed_oracles, boxed_words = [], []
+        oracle_names, boxed_words = [], []
         while self.accept("box"):
             self.expect("[")
             while True:
                 tok = self.peek()
                 if tok[0] == "ovar":
-                    boxed_oracles.append([self.next()[1], 0])
+                    oracle_names.append(self.next()[1])
                 elif tok[0] == "ident":
                     boxed_words.append(self.next()[1])
                 else:
@@ -253,16 +267,17 @@ class _Parser:
         while self.accept("declare"):
             procedures.append(self.parse_procedure())
             self.expect("in")
+        self.procedures = {p.name: p for p in procedures}
+        self.arities = {}
         main = self.parse_term()
         self.expect("eof")
-        program = Program2(boxed_oracles, boxed_words, procedures, main)
-        _resolve_oracle_arities(program)
-        return program
+        boxed_oracles = [[n, self.arities.get(n, 1)] for n in oracle_names]
+        return Program2(boxed_oracles, boxed_words, procedures, main)
 
     def parse_procedure(self) -> Procedure:
         name = self.expect("ident")[1]
         self.expect("(")
-        oracle_params, params = [], []
+        oracle_names, params = [], []
         if self.accept(","):  # explicit empty order-1 list: p(, x, y)
             params = self.parse_idlist(closer=")")
         elif self.peek()[0] != ")":
@@ -271,7 +286,7 @@ class _Parser:
                 if tok[0] == "ovar":
                     if params:
                         self.fail("order-1 parameters must precede order-0 ones")
-                    oracle_params.append([self.next()[1], 1])
+                    oracle_names.append(self.next()[1])
                 elif tok[0] == "ident":
                     params.append(self.next()[1])
                 else:
@@ -285,10 +300,12 @@ class _Parser:
             self.next()
             local_vars.extend(self.parse_idlist(closer=";"))
             self.expect(";")
+        self.arities = {}
         body = self.parse_stmts(stop={"return"})
         self.expect("return")
         ret = self.expect("ident")[1]
         self.expect("}")
+        oracle_params = [[n, self.arities.get(n, 1)] for n in oracle_names]
         return Procedure(name, oracle_params, params, local_vars, body, ret)
 
     def parse_term(self):
@@ -307,6 +324,7 @@ class _Parser:
 
     def parse_call(self) -> Call:
         name = self.expect("ident")[1]
+        callee = self.procedures.get(name)
         self.expect("(")
         closures, args = [], []
         self.accept(",")  # an explicit empty closure list
@@ -316,7 +334,10 @@ class _Parser:
                 if tok[0] in ("ovar", "lambda") and args:
                     self.fail("closures must precede order-0 arguments")
                 if tok[0] == "ovar":
-                    closures.append(ClosureVar(self.next()[1]))
+                    self.pos += 1
+                    if callee is not None and len(closures) < len(callee.oracle_params):
+                        self.record_arity(tok, callee.oracle_params[len(closures)][1])
+                    closures.append(ClosureVar(tok[1]))
                 elif tok[0] == "lambda":
                     self.next()
                     self.expect("(")
@@ -394,7 +415,8 @@ class _Parser:
             self.expect("to")
             high = self.parse_expr()[0]
             self.check_depth(tok, 3)
-            return For(var, low, high, self.parse_block())
+            loop = For(var, low, high, self.parse_block())
+            return desugar_for(loop) if self.desugar else loop
         if kind == "break":
             self.expect("(")
             if self.peek()[0] == "|":
@@ -415,6 +437,7 @@ class _Parser:
         self.expect("(")
         call_args = self.parse_exprlist()[0]
         self.expect(")")
+        self.record_arity(left, len(call_args))
         self.expect("|")
         self.expect(">")
         self.expect("|")
@@ -427,6 +450,7 @@ class _Parser:
         self.expect("(")
         ref_vars = self.parse_idlist(closer=")")
         self.expect(")")
+        self.record_arity(right, len(ref_vars))
         self.expect("|")
         return OracleBreak(left[1], call_args, ref_vars)
 
@@ -520,6 +544,7 @@ class _Parser:
             self.expect("(")
             args, low = self.parse_exprlist()
             self.expect(")")
+            self.record_arity(tok, len(args))
             return OracleCall(value, args), low
         self.pos -= 1
         self.fail("expected an expression", expected={"ident", "string", "("})
@@ -536,55 +561,13 @@ class _Parser:
             raise self.error(f"unknown operator {tok[1]!r}", tok)
 
 
-def _resolve_oracle_arities(program: Program2) -> None:
-    """Infer order-1 arities from use sites (calls agree or parsing fails)."""
-
-    def record(table, name, arity):
-        if name in table and table[name] != arity:
-            raise ParseError(f"inconsistent arity for oracle variable {name}")
-        table[name] = arity
-
-    proc_index = {p.name: p for p in program.procedures}
-    for proc in program.procedures:
-        seen: dict = {}
-        for call in stmt_oracle_calls(proc.body):
-            record(seen, call.oracle, len(call.args))
-        proc.oracle_params = [
-            [name, seen.get(name, 1)] for name, _ in proc.oracle_params
-        ]
-
-    boxed: dict = {}
-
-    def walk_term(t):
-        if isinstance(t, TermVar):
-            return
-        proc = proc_index.get(t.proc)
-        for i, c in enumerate(t.closures):
-            if isinstance(c, Lambda):
-                walk_term(c.body)
-            elif proc is not None and i < len(proc.oracle_params):
-                record(boxed, c.name, proc.oracle_params[i][1])
-        for a in t.args:
-            walk_term(a)
-
-    walk_term(program.main)
-    for entry in program.boxed_oracles:
-        entry[1] = boxed.get(entry[0], 1)
-
-
 def parse(text: str, desugar: bool = True):
     """Parse source text into a Program1 or Program2.
 
-    For loops are rewritten into their while form unless ``desugar`` is
-    False; loop ids are then assigned in pre-order.
+    Each for loop is rewritten into its while form as it is parsed, unless
+    ``desugar`` is False; loop ids are then assigned in pre-order.
     """
-    program = _Parser(text, tokenize(text)).parse_program()
-    if desugar:
-        if isinstance(program, Program1):
-            program.body = desugar_for(program.body)
-        else:
-            for proc in program.procedures:
-                proc.body = desugar_for(proc.body)
+    program = _Parser(text, tokenize(text), desugar).parse_program()
     assign_loop_ids(program)
     return program
 
@@ -598,33 +581,22 @@ def parse_file(path: str):
 # For-loop desugaring
 
 
-def desugar_for(s):
-    """Rewrite for x = e to d { body } into x := d; while(e <= x){ body; x := x - 1 }.
+def desugar_for(loop: For) -> Seq:
+    """Expand for x = e to d { body } into x := d; while(e <= x){ body; x := x - u1 }.
 
-    The loop variable must not occur in the body; the produced While carries
-    a for-origin mark so the decidable aperiodicity criterion can recognize
-    it.  ``seq_of`` splices the two statements into the enclosing sequence,
-    so desugared code has the same shape its printed form reparses to.
+    The parser expands each loop as it reads it, after its body.  The loop
+    variable must not occur in the body; the produced While carries a
+    for-origin mark so the decidable aperiodicity criterion can recognize it.
+    The enclosing ``seq_of`` splices the two statements into its sequence, so
+    desugared code has the same shape its printed form reparses to.
     """
-    if isinstance(s, Seq):
-        return seq_of([desugar_for(st) for st in s.stmts])
-    if isinstance(s, If):
-        return If(s.guard, desugar_for(s.then), desugar_for(s.orelse))
-    if isinstance(s, While):
-        return While(s.guard, desugar_for(s.body), s.loop_id, s.for_origin, s.line)
-    if isinstance(s, For):
-        body = desugar_for(s.body)
-        if s.var in stmt_vars(body):
-            raise DesugarError(
-                f"for-loop variable {s.var!r} must not occur in the loop body"
-            )
-        loop = While(
-            OpApp("le", [s.low, Var(s.var)]),
-            seq_of([body, Assign(s.var, OpApp("dec", [Var(s.var)]))]),
-            for_origin=True,
+    if loop.var in stmt_vars(loop.body):
+        raise DesugarError(
+            f"for-loop variable {loop.var!r} must not occur in the loop body"
         )
-        return Seq([Assign(s.var, s.high), loop])
-    return s
+    guard = OpApp("le", [loop.low, Var(loop.var)])
+    body = seq_of([loop.body, Assign(loop.var, OpApp("dec", [Var(loop.var)]))])
+    return Seq([Assign(loop.var, loop.high), While(guard, body, for_origin=True)])
 
 
 # ---------------------------------------------------------------------------

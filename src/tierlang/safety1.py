@@ -674,14 +674,12 @@ def _config_violation(deriv: Judgment, config) -> str | None:
 # Derivation checking
 
 
-def check_derivation(
-    program: Program1, gamma: dict, deriv: Judgment,
-    config: opreg.DeltaConfig | None = None,
-) -> bool:
-    """Mechanically re-check a derivation against the typing rules.
+def check_derivation(program, gamma: dict, deriv: Judgment) -> bool:
+    """Mechanically re-check a derivation of ``program.body`` against the typing rules.
 
-    Accepts derivations with explicit SUB nodes as well as folded ones
-    (statement nodes presented at a level above their natural one).
+    ``program`` is a Program1 or a second-order Procedure.  Accepts derivations
+    with explicit SUB nodes as well as folded ones (statement nodes presented
+    at a level above their natural one).
     """
     if any(v == INFINITY for v in gamma.values()):
         return False  # first-order environments map into the finite levels
@@ -689,10 +687,10 @@ def check_derivation(
         return False
     if deriv.tin != 0 or deriv.tout != 0:
         return False
-    return _check_node(deriv, gamma, config)
+    return _check_node(deriv, gamma)
 
 
-def _check_expr_node(j, gamma, config) -> bool:
+def _check_expr_node(j, gamma) -> bool:
     e = j.subject
     if j.rule == "VAR":
         return isinstance(e, Var) and gamma.get(e.name, 0) == j.level
@@ -702,11 +700,11 @@ def _check_expr_node(j, gamma, config) -> bool:
         for kid, arg in zip(j.children, e.args):
             if kid.subject != arg or (kid.tin, kid.tout) != (j.tin, j.tout):
                 return False
-            if not _check_expr_node(kid, gamma, config):
+            if not _check_expr_node(kid, gamma):
                 return False
         candidate = tuple(k.level for k in j.children) + (j.level,)
         try:
-            return opreg.delta_membership(e.op, j.tin, j.tout, candidate, config)
+            return opreg.delta_membership(e.op, j.tin, j.tout, candidate)
         except (opreg.UnknownOperator, ValueError):
             return False
     if j.rule == "DCL":
@@ -715,20 +713,20 @@ def _check_expr_node(j, gamma, config) -> bool:
         c1, c2 = j.children
         if c1.subject != e.expr or c2.subject != e.bound:
             return False
-        if not all(_check_expr_node(c, gamma, config) for c in (c1, c2)):
+        if not all(_check_expr_node(c, gamma) for c in (c1, c2)):
             return False
         return c2.level == j.tout and c1.level <= j.level <= j.tout
     if j.rule == "ORC":
         if not isinstance(e, OracleCall) or j.level != INFINITY:
             return False
-        return all(_check_expr_node(k, gamma, config) for k in j.children)
+        return all(_check_expr_node(k, gamma) for k in j.children)
     return False
 
 
-def _check_node(j: Judgment, gamma, config) -> bool:
+def _check_node(j: Judgment, gamma) -> bool:
     s = j.subject
     if j.rule in ("VAR", "OP", "DCL", "ORC"):
-        return _check_expr_node(j, gamma, config)
+        return _check_expr_node(j, gamma)
     if j.rule == "SUB":
         if len(j.children) != 1:
             return False
@@ -737,7 +735,7 @@ def _check_node(j: Judgment, gamma, config) -> bool:
             kid.subject == s
             and (kid.tin, kid.tout) == (j.tin, j.tout)
             and kid.level <= j.level
-            and _check_node(kid, gamma, config)
+            and _check_node(kid, gamma)
         )
     if j.rule == "SKP":
         return isinstance(s, Skip) and j.level >= 0
@@ -747,7 +745,7 @@ def _check_node(j: Judgment, gamma, config) -> bool:
         kid = j.children[0]
         if kid.subject != s.expr or (kid.tin, kid.tout) != (j.tin, j.tout):
             return False
-        if not _check_expr_node(kid, gamma, config):
+        if not _check_expr_node(kid, gamma):
             return False
         target = gamma.get(s.var, 0)
         if j.level < target:
@@ -762,7 +760,7 @@ def _check_node(j: Judgment, gamma, config) -> bool:
             k.subject == st
             and k.level == j.level
             and (k.tin, k.tout) == (j.tin, j.tout)
-            and _check_node(k, gamma, config)
+            and _check_node(k, gamma)
             for k, st in zip(j.children, s.stmts)
         )
     if j.rule == "CND":
@@ -776,9 +774,9 @@ def _check_node(j: Judgment, gamma, config) -> bool:
         if not (g.level == t.level == o.level <= j.level):
             return False
         return (
-            _check_expr_node(g, gamma, config)
-            and _check_node(t, gamma, config)
-            and _check_node(o, gamma, config)
+            _check_expr_node(g, gamma)
+            and _check_node(t, gamma)
+            and _check_node(o, gamma)
         )
     if j.rule in ("WH", "WI"):
         if not isinstance(s, While) or len(j.children) != 2:
@@ -801,14 +799,14 @@ def _check_node(j: Judgment, gamma, config) -> bool:
             expected = (lam, j.tout)
         if (g.tin, g.tout) != expected or (b.tin, b.tout) != expected:
             return False
-        return _check_expr_node(g, gamma, config) and _check_node(b, gamma, config)
+        return _check_expr_node(g, gamma) and _check_node(b, gamma)
     if j.rule == "BRK":
         if not isinstance(s, Break) or len(j.children) != 1:
             return False
         g = j.children[0]
         if g.subject != s.guard or (g.tin, g.tout) != (j.tin, j.tout):
             return False
-        if not _check_expr_node(g, gamma, config):
+        if not _check_expr_node(g, gamma):
             return False
         return j.level >= j.tin and g.level >= j.tin
     if j.rule == "OBK":
@@ -823,13 +821,13 @@ def _check_node(j: Judgment, gamma, config) -> bool:
         for k, v in zip(refs, s.ref_vars):
             if not (isinstance(k.subject, Var) and k.subject.name == v):
                 return False
-            if not _check_expr_node(k, gamma, config):
+            if not _check_expr_node(k, gamma):
                 return False
             if not (j.tout < k.level):
                 return False
         return (
-            _check_expr_node(left, gamma, config)
-            and _check_expr_node(right, gamma, config)
+            _check_expr_node(left, gamma)
+            and _check_expr_node(right, gamma)
             and j.level >= j.tin
         )
     return False

@@ -81,8 +81,8 @@ def _assert_oracle_free(e, where: str):
         )
 
 
-def _allowed_assignment_call(expr) -> OracleCall | None:
-    """The single permitted oracle call of an assignment RHS, if any.
+def _allowed_assignment_call(expr, calls: list) -> OracleCall | None:
+    """The single permitted oracle call of RHS ``expr``, whose calls are ``calls``.
 
     Permitted shapes: X(e...) bare, truncate(X(e...), b), declass(X(e...), b);
     the call's own arguments and the rest of the expression are oracle free.
@@ -95,7 +95,7 @@ def _allowed_assignment_call(expr) -> OracleCall | None:
         head = expr.expr
     else:
         return None
-    return head if len(_oracle_calls(expr)) == 1 else None
+    return head if len(calls) == 1 else None
 
 
 def _check_guarded_stmt(s, in_loop: bool, proc: Procedure):
@@ -103,9 +103,10 @@ def _check_guarded_stmt(s, in_loop: bool, proc: Procedure):
     for idx, st in enumerate(stmts):
         where = f"procedure {proc.name}"
         if isinstance(st, Assign):
-            if not _oracle_calls(st.expr):
+            calls = _oracle_calls(st.expr)
+            if not calls:
                 continue
-            call = _allowed_assignment_call(st.expr)
+            call = _allowed_assignment_call(st.expr, calls)
             if call is None:
                 raise GuardednessError(
                     1,

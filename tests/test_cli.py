@@ -184,6 +184,27 @@ def test_forcheck(capsys):
     assert run_json(capsys, "forcheck", corpus("exp2.tl"))[0] == 1
 
 
+def test_forcheck_rejects_a_second_order_program(capsys):
+    assert run_cli(capsys, "forcheck", corpus("I.tl2")) == (
+        1, "rejected: not a first-order program\n"
+    )
+    code, report = run_json(capsys, "forcheck", corpus("I.tl2"))
+    assert code == 1 and report["verdicts"]["for_program"] is False
+
+
+@pytest.mark.parametrize("command", ["check", "run", "forcheck", "desugar"])
+@pytest.mark.parametrize(
+    "source, name, order", [("I.tl2", "I.tl", "first"), ("exp1.tl", "exp1.tl2", "second")]
+)
+def test_the_extension_names_the_language(tmp_path, capsys, command, source, name, order):
+    mislabeled = tmp_path / name
+    mislabeled.write_text(open(corpus(source)).read())
+    code, report = run_json(capsys, command, str(mislabeled))
+    assert code == 2
+    assert report["verdicts"]["parse"] is False
+    assert report["explanation"] == f"{mislabeled}: expected a {order}-order program"
+
+
 def test_ops_listing(capsys):
     code, report = run_json(capsys, "ops")
     assert code == 0
@@ -312,7 +333,9 @@ FUZZ_OPENINGS = ["", "prog(x){", "box[F, x] in declare p(X, y){ var z;", "call p
     st.sampled_from(["", " return x }", " return z } in call p(F, x)"]),
 )
 def test_random_token_streams_get_a_report(tmp_path_factory, opening, tokens, ending):
-    path = tmp_path_factory.getbasetemp() / "fuzz.tl"
+    # Second-order openings go to a .tl2 file, so their streams reach the checker.
+    suffix = ".tl2" if opening.startswith(("box", "call")) else ".tl"
+    path = tmp_path_factory.getbasetemp() / f"fuzz{suffix}"
     path.write_text(opening + " ".join(tokens) + ending)
     out = io.StringIO()
     with redirect_stdout(out):

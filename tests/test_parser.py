@@ -121,6 +121,54 @@ def test_oracle_arity_inference(iterator_program):
     assert iterator_program.boxed_oracles == [["F", 1]]
 
 
+def assert_arity_clash_at(src: str, line: int, col: int, name: str):
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert err.value.message == f"inconsistent arity for oracle variable {name}"
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+def test_oracle_calls_of_one_body_agree_on_arity():
+    src = """box[F, x] in
+declare p(X, x){
+  y := X(x);
+  z := X(x, x)
+  return y } in
+call p(F, x)"""
+    assert_arity_clash_at(src, 4, 8, "X")
+
+
+def test_oracle_break_sides_agree_on_arity():
+    src = """box[F, x] in
+declare p(X, x){
+  while(x){ break(|X(x)| > |X(x, x)|); skip }
+  return x } in
+call p(F, x)"""
+    assert_arity_clash_at(src, 3, 29, "X")
+
+
+def test_boxed_oracle_closure_positions_agree_on_arity():
+    src = """box[F, x] in
+declare p(X, x){ y := X(x) return y } in
+declare q(Y, x){ y := Y(x, x) return y } in
+call p(F,
+  call q(F, x))"""
+    assert_arity_clash_at(src, 5, 10, "F")
+
+
+def test_unused_oracles_get_arity_one():
+    p = parse(
+        "box[F, G, x] in declare p(X, Y, x){ y := X(x, x) return y } in call p(F, x)"
+    )
+    assert p.procedures[0].oracle_params == [["X", 2], ["Y", 1]]
+    assert p.boxed_oracles == [["F", 2], ["G", 1]]
+
+
+def test_first_order_oracle_calls_have_no_arity_rule():
+    p = parse("prog(x){ y := F(x); z := F(x, x) return y }")
+    assert isinstance(p, Program1)
+
+
 def test_empty_closure_list_syntax():
     p = parse("box[x] in declare p(,x){skip return x} in call p(,x)")
     assert p.procedures[0].oracle_params == []
@@ -165,14 +213,14 @@ def test_long_program_round_trip(default_recursion_limit):
     assert parse(pretty_print(p)) == p
 
 
-def test_desugar_identity_on_for_free(bubble):
-    assert desugar_for(bubble.body) == bubble.body
+def test_desugar_identity_on_for_free():
+    text = open(corpus("bubble.tl")).read()
+    assert parse(text, desugar=False) == parse(text)
 
 
 def test_desugar_idempotent():
-    p = parse(open(corpus("bubble_for.tl")).read(), desugar=False)
-    once = desugar_for(p.body)
-    assert desugar_for(once) == once
+    p = parse(open(corpus("bubble_for.tl")).read())
+    assert parse(pretty_print(p)) == p
 
 
 def test_desugar_rejects_bound_variable_in_body():

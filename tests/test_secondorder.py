@@ -6,6 +6,7 @@ import pytest
 from conftest import corpus, procedure
 from tierlang import interp1, parser, secondorder as so
 from tierlang.interp1 import AperiodicityViolation, BudgetExhausted, ExecError
+from tierlang.safety1 import check_derivation
 from tierlang.syntax import (
     Assign,
     Call,
@@ -520,10 +521,8 @@ def test_environment_fixed_per_call(iterator_program):
 
 
 def test_inferred_procedure_derivations_recheck(iterator_program):
-    from tierlang.safety1 import _check_node
-
     result = so.infer_safety2(iterator_program)
     assert result.safe
     for name, deriv in result.derivations.items():
         gamma = result.omega[name][0]
-        assert _check_node(deriv, gamma, None), name
+        assert check_derivation(procedure(iterator_program, name), gamma, deriv), name
