@@ -106,7 +106,7 @@ def front_end(report: dict, as_json: bool, load):
     """
     try:
         loaded = load()
-    except (parser.ParseError, parser.DesugarError) as exc:
+    except parser.ParseError as exc:
         report["verdicts"]["parse"] = False
         report["explanation"] = str(exc)
         emit(report, as_json, [f"parse error: {exc}"])

@@ -58,7 +58,6 @@ from .syntax import (
     While,
     assign_loop_ids,
     seq_of,
-    stmt_vars,
 )
 
 
@@ -73,8 +72,8 @@ class ParseError(Exception):
         super().__init__(f"{message}{where}{hint}")
 
 
-class DesugarError(Exception):
-    pass
+class DesugarError(ParseError):
+    """A ``for`` loop whose variable occurs in its body."""
 
 
 # The deepest a program may nest.  A statement of an if, while or for body
@@ -174,6 +173,7 @@ class _Parser:
         # term being parsed; None in a first-order program (no arity rule).
         self.arities = None
         self.procedures = {}  # name -> Procedure, for the main term's calls
+        self.last_use = {}  # order-0 variable -> offset of its last use so far
 
     # -- token plumbing; a token is a (kind, value, offset) triple
 
@@ -393,6 +393,7 @@ class _Parser:
         kind = tok[0]
         if kind == "ident" and self.peek()[0] == ":=":
             self.pos += 1
+            self.last_use[tok[1]] = tok[2]
             return Assign(tok[1], self.parse_expr()[0])
         if kind == "skip":
             return Skip()
@@ -407,7 +408,8 @@ class _Parser:
             # Counted as the while form it desugars to, so that form parses
             # back: e moves into the guard e <= x, and x := x - u1 needs
             # three levels below the loop.
-            var = self.expect("ident")[1]
+            _, var, offset = self.expect("ident")
+            self.last_use[var] = offset
             self.expect("=")
             self.depth += 1
             low = self.parse_expr()[0]
@@ -415,7 +417,11 @@ class _Parser:
             self.expect("to")
             high = self.parse_expr()[0]
             self.check_depth(tok, 3)
+            brace = self.peek()[2]
             loop = For(var, low, high, self.parse_block())
+            if self.last_use[var] >= brace:  # a use inside the body
+                message = f"for-loop variable {var!r} must not occur in the loop body"
+                raise DesugarError(message, *self.line_col(tok))
             return desugar_for(loop) if self.desugar else loop
         if kind == "break":
             self.expect("(")
@@ -449,6 +455,7 @@ class _Parser:
             )
         self.expect("(")
         ref_vars = self.parse_idlist(closer=")")
+        self.last_use.update(dict.fromkeys(ref_vars, right[2]))  # any offset in the break
         self.expect(")")
         self.record_arity(right, len(ref_vars))
         self.expect("|")
@@ -509,6 +516,7 @@ class _Parser:
         kind, value = tok[0], tok[1]
         if kind == "ident":
             if self.peek()[0] != "(":
+                self.last_use[value] = tok[2]
                 return Var(value), 0
             self.pos += 1
             args, low = self.parse_exprlist()
@@ -584,16 +592,12 @@ def parse_file(path: str):
 def desugar_for(loop: For) -> Seq:
     """Expand for x = e to d { body } into x := d; while(e <= x){ body; x := x - u1 }.
 
-    The parser expands each loop as it reads it, after its body.  The loop
-    variable must not occur in the body; the produced While carries a
-    for-origin mark so the decidable aperiodicity criterion can recognize it.
-    The enclosing ``seq_of`` splices the two statements into its sequence, so
-    desugared code has the same shape its printed form reparses to.
+    The parser expands each loop as it reads it, after its body, once it has
+    checked that the loop variable does not occur there.  The produced While
+    carries a for-origin mark so the decidable aperiodicity criterion can
+    recognize it; the enclosing ``seq_of`` splices the two statements into its
+    sequence, so desugared code has the same shape its printed form reparses to.
     """
-    if loop.var in stmt_vars(loop.body):
-        raise DesugarError(
-            f"for-loop variable {loop.var!r} must not occur in the loop body"
-        )
     guard = OpApp("le", [loop.low, Var(loop.var)])
     body = seq_of([loop.body, Assign(loop.var, OpApp("dec", [Var(loop.var)]))])
     return Seq([Assign(loop.var, loop.high), While(guard, body, for_origin=True)])

@@ -16,10 +16,12 @@ statically:
 
 What remains is a difference-constraint system (v >= u, v >= u + 1,
 bounds against constants) whose least solution one worklist computes; it
-is returned as the variable typing environment.  Every body, a
-second-order procedure's included, is typed from the loop-free context,
-so no constant source exceeds 1 and divergence past the number of
-unknowns witnesses an unsatisfiable strict cycle.
+is returned as the variable typing environment.  A level term is an
+unknown, numbered densely from 0, ``None`` for the constant level 0 of the
+loop-free context, or ``INF``; the solution is a list indexed by unknown.
+Every body, a second-order procedure's included, is typed from the
+loop-free context, so no constant source exceeds 1 and divergence past the
+number of unknowns witnesses an unsatisfiable strict cycle.
 
 Only a verdict is computed up front.  Each constraint carries a constant
 origin template and the AST node it came from; the text is formatted only
@@ -40,7 +42,6 @@ oracle break; every other use is reported unsafe.
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass, field
 
 from . import opreg
@@ -98,35 +99,35 @@ def _origin(why: str, node, arg) -> str:
     return why.format(what=_describe(node), node=node, arg=arg)
 
 
-@dataclass(slots=True)
-class _Edge:
-    src: object  # unknown name or int
-    delta: int
-    dst: str
-    why: str
-    node: object
-    arg: object = None
-
-
-@dataclass(slots=True)
-class _Upper:
-    unknown: str
-    bound: int
-    why: str
-    node: object
-    arg: object = None
-
-
 class Constraints:
+    """Difference constraints over level unknowns, and their least solution.
+
+    An unknown is the int ``fresh`` returns; a term is an unknown, ``None``
+    (the constant level 0) or ``INF`` (one object, told apart by identity).
+    An edge ``(src, delta, dst, why, node, arg)`` asks level(dst) >=
+    level(src) + delta, an upper bound ``(u, bound, why, node, arg)`` asks
+    level(u) <= bound; ``why``, ``node`` and ``arg`` make the constraint's
+    origin (see ``_origin``).  A lower bound of 0 can never raise a value
+    and is not kept.
+    """
+
     def __init__(self):
-        self.unknowns: set = set()
+        self.unknowns: list = []  # the label of each unknown, by number
         self.edges: list = []
         self.uppers: list = []
         self.failure: tuple | None = None  # (why, node, arg) of the first failure
 
-    def fresh(self, name: str) -> str:
-        self.unknowns.add(name)
-        return name
+    def fresh(self, label=None) -> int:
+        """A new unknown; ``label`` is text, a (kind, key) pair, or None for eN."""
+        self.unknowns.append(label)
+        return len(self.unknowns) - 1
+
+    def label(self, unknown: int) -> str:
+        """The text of an unknown's label; the n-th unlabelled one reads ``en``."""
+        label = self.unknowns[unknown]
+        if label is None:
+            return f"e{self.unknowns[:unknown + 1].count(None)}"
+        return label if isinstance(label, str) else "%s:%s" % label
 
     def fail(self, why: str, node, arg=None):
         if self.failure is None:
@@ -134,39 +135,34 @@ class Constraints:
 
     def le(self, a, b, why: str, node, arg=None):
         """a <= b over levels; INF is handled eagerly."""
-        if a == INF and b == INF:
-            return
-        if a == INF:
-            self.fail(why, node, arg)
-            return
-        if b == INF:
-            return
-        self._amount(a, 0, b, why, node, arg)
+        if a is INF:
+            if b is not INF:
+                self.fail(why, node, arg)
+        elif b is not INF:
+            self._amount(a, 0, b, why, node, arg)
 
     def lt(self, a, b, why: str, node, arg=None):
-        if a == INF:
+        if a is INF:
             self.fail(why, node, arg)
-            return
-        if b == INF:
-            return
-        self._amount(a, 1, b, why, node, arg)
+        elif b is not INF:
+            self._amount(a, 1, b, why, node, arg)
 
     def eq(self, a, b, why: str, node, arg=None):
-        if a == INF or b == INF:
-            if a != b:
+        if a is INF or b is INF:
+            if a is not b:
                 self.fail(why, node, arg)
             return
-        self.le(a, b, why, node, arg)
-        self.le(b, a, why, node, arg)
+        self._amount(a, 0, b, why, node, arg)
+        self._amount(b, 0, a, why, node, arg)
 
     def _amount(self, a, delta, b, why, node, arg):
-        if isinstance(a, int) and isinstance(b, int):
-            if a + delta > b:
+        if b is None:
+            if a is not None:
+                self.uppers.append((a, -delta, why, node, arg))
+            elif delta:
                 self.fail(why, node, arg)
-        elif isinstance(b, int):
-            self.uppers.append(_Upper(a, b - delta, why, node, arg))
-        else:
-            self.edges.append(_Edge(a, delta, b, why, node, arg))
+        elif a is not None or delta:
+            self.edges.append((a, delta, b, why, node, arg))
 
     def solve(self):
         """Least solution, or (None, explanation) when unsatisfiable.
@@ -178,49 +174,56 @@ class Constraints:
         """
         if self.failure is not None:
             return None, _origin(*self.failure)
-        values = {u: 0 for u in self.unknowns}
-        preds: dict = {}
-        by_src: dict = {}
-        for e in self.edges:
-            by_src.setdefault(e.src, []).append(e)
-        bound = len(self.unknowns) + 2
-        work = [e for e in reversed(self.edges) if not isinstance(e.src, int)]
-        work += [e for e in self.edges if isinstance(e.src, int)]
+        edges = self.edges
+        size = len(self.unknowns)
+        values = [0] * size
+        preds = [None] * size  # the edge that last raised each unknown
+        out = [None] * size  # each source's out-edges in order; None if none
+        work = [edge for edge in reversed(edges) if edge[0] is not None]
+        for edge in reversed(work):
+            if out[edge[0]] is None:
+                out[edge[0]] = [edge]
+            else:
+                out[edge[0]].append(edge)
+        work += [edge for edge in edges if edge[0] is None]
+        bound = size + 2
         while work:
             edge = work.pop()
-            base = edge.src if isinstance(edge.src, int) else values[edge.src]
-            if values[edge.dst] < base + edge.delta:
-                values[edge.dst] = base + edge.delta
-                preds[edge.dst] = edge
-                if values[edge.dst] > bound:
-                    return None, self._chain(edge.dst, preds)
-                work += by_src.get(edge.dst, ())
-        for up in self.uppers:
-            if values[up.unknown] > up.bound:
-                detail = self._chain(up.unknown, preds)
-                origin = _origin(up.why, up.node, up.arg)
+            src, delta, dst, _, _, _ = edge
+            level = delta if src is None else values[src] + delta
+            if values[dst] < level:
+                values[dst] = level
+                preds[dst] = edge
+                if level > bound:
+                    return None, self._chain(dst, preds)
+                edges_out = out[dst]
+                if edges_out is not None:
+                    work += edges_out
+        for unknown, bound, why, node, arg in self.uppers:
+            if values[unknown] > bound:
+                detail = self._chain(unknown, preds)
                 return None, (
-                    f"{origin}: needs level({up.unknown}) <= {up.bound} "
-                    f"but other constraints force {values[up.unknown]}"
+                    f"{_origin(why, node, arg)}: needs level({self.label(unknown)}) "
+                    f"<= {bound} but other constraints force {values[unknown]}"
                     + (f"; {detail}" if detail else "")
                 )
         return values, None
 
-    def _chain(self, unknown: str, preds: dict) -> str:
+    def _chain(self, unknown: int, preds: list) -> str:
+        """The origins of the edges that raised ``unknown``, latest first.
+
+        Twelve steps at most; a walk round a cycle repeats origins, which
+        are given once.
+        """
         parts = []
-        cur = unknown
-        for _ in range(min(len(self.unknowns) + 1, 12)):
-            edge = preds.get(cur)
-            if edge is None:
-                break
-            parts.append(_origin(edge.why, edge.node, edge.arg))
-            if isinstance(edge.src, int):
-                break
-            cur = edge.src
+        edge = preds[unknown]
+        while edge is not None and len(parts) < 12:
+            src, _, _, why, node, arg = edge
+            parts.append(_origin(why, node, arg))
+            edge = None if src is None else preds[src]
         if not parts:
             return ""
-        unique = list(dict.fromkeys(parts))
-        return "conflicting constraint chain: " + " <- ".join(unique)
+        return "conflicting constraint chain: " + " <- ".join(dict.fromkeys(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -232,24 +235,21 @@ class LevelAnalysis:
 
     def __init__(self):
         self.cs = Constraints()
-        self.expr_counter = 0
+        self.var_ids: dict = {}  # variable name -> its unknown
+        self.loop_ids: dict = {}  # loop id -> its unknown
 
-    # -- terms
+    # -- terms; a context level (inner or outer) is None outside loops and
+    # the unknown of a loop inside one
 
-    def var_term(self, name: str) -> str:
-        return self.cs.fresh(sys.intern(f"var:{name}"))  # one string per variable
+    def var_term(self, name: str) -> int:
+        if name not in self.var_ids:
+            self.var_ids[name] = self.cs.fresh(("var", name))
+        return self.var_ids[name]
 
-    def loop_term(self, loop_id: int) -> str:
-        return self.cs.fresh(f"loop:{loop_id}")
-
-    def fresh_expr(self) -> str:
-        self.expr_counter += 1
-        return self.cs.fresh(f"e{self.expr_counter}")
-
-    @staticmethod
-    def _in_loop(level) -> bool:
-        """Whether a context level (inner or outer) lies inside a loop."""
-        return not (isinstance(level, int) and level == 0)
+    def loop_term(self, loop_id: int) -> int:
+        if loop_id not in self.loop_ids:
+            self.loop_ids[loop_id] = self.cs.fresh(("loop", loop_id))
+        return self.loop_ids[loop_id]
 
     # -- expressions
     #
@@ -274,7 +274,7 @@ class LevelAnalysis:
                 "loop level",
                 e.bound,
             )
-            result = self.fresh_expr()
+            result = cs.fresh()
             cs.le(
                 t1, result,
                 "declass(..., {what}): declassified operand caps the result from below",
@@ -292,12 +292,12 @@ class LevelAnalysis:
             pairs = [self.gen_expr(a, tin, tout) for a in e.args]
             args = [t for t, _ in pairs]
             kids = [i for _, i in pairs]
-            result = self.fresh_expr()
+            result = cs.fresh()
             if entry.is_truncate:
-                if args[0] != INF:
+                if args[0] is not INF:
                     cs.fail("{what}: truncate's first operand must be an oracle call", e)
                     return result, (result, kids)
-                if args[1] == INF:
+                if args[1] is INF:
                     cs.fail("{what}: truncate's bound cannot be an oracle call", e)
                     return result, (result, kids)
                 cs.le(
@@ -306,7 +306,7 @@ class LevelAnalysis:
                     "outermost loop level",
                     e,
                 )
-                if self._in_loop(tin):
+                if tin is not None:
                     cs.lt(
                         result, tin,
                         "{what}: a truncated oracle answer cannot reach the "
@@ -316,7 +316,7 @@ class LevelAnalysis:
                 return result, (result, kids)
             klass = entry.klass
             if isinstance(klass, opreg.Polynomial):
-                if self._in_loop(tout):
+                if tout is not None:
                     cs.fail(
                         "{what}: operator {node.op} can grow polynomially and is "
                         "not allowed inside loops",
@@ -324,7 +324,7 @@ class LevelAnalysis:
                     )
                 return result, (result, kids)
             for a in args:
-                if a == INF:
+                if a is INF:
                     cs.fail(
                         "{what}: operator {node.op} cannot be applied to an "
                         "oracle answer; truncate or declassify it first",
@@ -333,7 +333,7 @@ class LevelAnalysis:
                     return result, (result, kids)
                 cs.le(result, a, "{what}: no upward flow through {node.op}", e)
             if isinstance(klass, opreg.Positive):
-                if self._in_loop(tin):
+                if tin is not None:
                     cs.lt(
                         result, tin,
                         "{what}: a growing operator's result stays below the "
@@ -342,7 +342,7 @@ class LevelAnalysis:
                     )
                 else:
                     cs.le(
-                        result, 0,
+                        result, None,
                         "{what}: outside loops a growing operator's result "
                         "sits at level 0",
                         e,
@@ -367,14 +367,14 @@ class LevelAnalysis:
         if isinstance(s, Assign):
             t, einfo = self.gen_expr(s.expr, tin, tout)
             gx = self.var_term(s.var)
-            if t == INF:
+            if t is INF:
                 cs.fail(
                     "{what}: an oracle answer cannot be assigned directly; "
                     "truncate or declassify it first",
                     s,
                 )
                 return [gx], ("asg", einfo)
-            if self._in_loop(tout):
+            if tout is not None:
                 cs.le(
                     gx, t,
                     "{what}: inside a loop the target's level cannot exceed "
@@ -392,7 +392,7 @@ class LevelAnalysis:
         if isinstance(s, Skip):
             return [], ("skip",)
         if isinstance(s, If):
-            iota = self.fresh_expr()
+            iota = cs.fresh()
             t, ginfo = self.gen_expr(s.guard, tin, tout)
             cs.eq(t, iota, "{what}: the branch level is the guard's level", s)
             ft, it_ = self.gen_stmt(s.then, tin, tout)
@@ -402,8 +402,8 @@ class LevelAnalysis:
             return [iota], ("if", iota, ginfo, it_, io)
         if isinstance(s, While):
             lam = self.loop_term(s.loop_id)
-            cs.le(1, lam, "{what}: loop levels start at 1", s)
-            if self._in_loop(tout):
+            cs.lt(None, lam, "{what}: loop levels start at 1", s)
+            if tout is not None:
                 inner_out = tout
                 cs.le(
                     lam, tout,
@@ -413,7 +413,7 @@ class LevelAnalysis:
             else:
                 inner_out = lam
             t, ginfo = self.gen_expr(s.guard, lam, inner_out)
-            if t == INF:
+            if t is INF:
                 cs.fail("{what}: a loop cannot be guarded by an oracle answer", s)
             else:
                 cs.eq(t, lam, "{what}: the guard types exactly at the loop level", s)
@@ -423,7 +423,7 @@ class LevelAnalysis:
             return [lam], ("wh", lam, ginfo, binfo)
         if isinstance(s, Break):
             t, ginfo = self.gen_expr(s.guard, tin, tout)
-            if t != INF:
+            if t is not INF:
                 cs.le(
                     tin, t,
                     "{what}: a break guard sits at or above the innermost "
@@ -463,19 +463,19 @@ class Judgment:
     children: list = field(default_factory=list)
 
 
-def _level(values: dict, term):
+def _level(values: list, term):
     """The solved level of a level term."""
-    if term == INF:
+    if term is None:
+        return 0
+    if term is INF:
         return INFINITY
-    if isinstance(term, int):
-        return term
     return values[term]
 
 
 class _DerivationBuilder:
     """Turns solved constraints plus generation infos into a checkable tree."""
 
-    def __init__(self, values: dict, gamma: dict):
+    def __init__(self, values: list, gamma: dict):
         self.values = values
         self.gamma = gamma
 
@@ -627,19 +627,13 @@ def infer_levels(body, names, config=None) -> InferenceResult:
     analysis = LevelAnalysis()
     for name in sorted(names):
         analysis.var_term(name)
-    floors, sinfo = analysis.gen_stmt(body, 0, 0)
+    floors, sinfo = analysis.gen_stmt(body, None, None)
     values, explanation = analysis.cs.solve()
-    del analysis  # free the constraints; the result keeps only the infos
     if values is None:
         return InferenceResult(False, explanation=explanation)
-    gamma = {
-        name[len("var:"):]: lvl for name, lvl in values.items() if name.startswith("var:")
-    }
-    loops = {
-        int(name[len("loop:"):]): lvl
-        for name, lvl in values.items()
-        if name.startswith("loop:")
-    }
+    gamma = {name: values[u] for name, u in analysis.var_ids.items()}
+    loops = {loop_id: values[u] for loop_id, u in analysis.loop_ids.items()}
+    del analysis  # free the constraints; the result keeps only the infos
     body_level = max((_level(values, f) for f in floors), default=0)
     result = InferenceResult(
         True, gamma, loops, body_level,

@@ -56,3 +56,26 @@ def test_every_boundary_exists_and_uninstall_restores_it():
         after = vars(ns)
         changed = [k for k, v in before[id(ns)].items() if after.get(k) is not v]
         assert changed == [], (ns, changed)
+
+
+def test_a_traced_check_records_the_constraint_counts(capsys):
+    """``spans.install`` sizes the solver's constraints with ``len``.
+
+    bubble.tl has no upper bound; bubble_for.tl has two.
+    """
+    spans = load_spans()
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        for op_id, name in enumerate(("bubble.tl", "bubble_for.tl")):
+            code = tracer.run_op(op_id, "small", lambda: cli.main(
+                ["check", str(ROOT / "corpus" / name), "--json"]
+            ))
+            assert code == 0, name
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    for name in ("safety1.unknowns", "safety1.edges", "safety1.uppers"):
+        assert tracer.counts.get(name, 0) > 0, name
+    totals = tracer.span_totals()
+    assert "safety1.solve" in totals and totals["safety1.solve"][0] > 0

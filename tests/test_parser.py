@@ -20,6 +20,7 @@ from tierlang.syntax import (
     Var,
     While,
     iter_stmts,
+    stmt_vars,
 )
 
 
@@ -224,11 +225,35 @@ def test_desugar_idempotent():
 
 
 def test_desugar_rejects_bound_variable_in_body():
-    p = parse("prog(n){for i = u0 to n { i := n } return n}", desugar=False)
-    with pytest.raises(DesugarError):
-        desugar_for(p.body)
-    with pytest.raises(DesugarError):
-        parse("prog(n){for i = u0 to n { i := n } return n}")
+    for desugar in (False, True):
+        with pytest.raises(DesugarError) as info:
+            parse("prog(n){for i = u0 to n { i := n } return n}", desugar=desugar)
+        assert isinstance(info.value, ParseError)
+        assert (info.value.line, info.value.col) == (1, 9)
+
+
+@pytest.mark.parametrize("text, rejected", [
+    ("prog(n){for i = u0 to n { n := tl(n) } return n}", False),
+    ("prog(n){for i = i to i { skip }; i := n return i}", False),
+    ("prog(n){for i = u0 to n { skip }; for i = u0 to n { skip } return n}", False),
+    ("prog(n){for i = u0 to n { n := i } return n}", True),
+    ("prog(n){for i = u0 to n { while(i > eps){ skip } } return n}", True),
+    ("prog(n){for i = u0 to n { if(n){ skip } else { break(tl(i)) } } return n}", True),
+    ("prog(n){for i = u0 to n { for i = u0 to n { skip } } return n}", True),
+    ("prog(n){for i = u0 to n { for j = u0 to i { skip } } return n}", True),
+    ("box[F, z] in declare p(X, y){ var r; for i = u0 to y { "
+     "break(|X(y)| > |X(i)|) }; return y } in call p(F, z)", True),
+])
+def test_for_variable_is_rejected_only_in_its_body(text, rejected):
+    """Accepted loops are those whose body a ``stmt_vars`` walk finds free of it."""
+    for desugar in (False, True):
+        if rejected:
+            with pytest.raises(DesugarError):
+                parse(text, desugar=desugar)
+            continue
+        loops = [s for s in iter_stmts(parse(text, desugar=False).body) if isinstance(s, For)]
+        assert loops and all(s.var not in stmt_vars(s.body) for s in loops)
+        parse(text, desugar=desugar)
 
 
 def test_for_never_survives_parse():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import corpus
-from tierlang import genprog, opreg, parser, safety1
+from tierlang import genprog, opreg, parser, safety1, secondorder
 from tierlang.opreg import DeltaConfig
 from tierlang.safety1 import (
     Judgment,
@@ -144,6 +144,56 @@ def test_solver_reaches_the_least_solution_of_a_reversed_chain():
     values, explanation = cs.solve()
     assert explanation is None
     assert values[xs[-1]] == 29
+
+
+def test_fresh_unknowns_are_dense_ints_with_lazy_labels():
+    cs = safety1.Constraints()
+    unknowns = [cs.fresh(("var", "x")), cs.fresh(), cs.fresh(("loop", 3)), cs.fresh()]
+    assert unknowns == [0, 1, 2, 3]
+    assert [cs.label(u) for u in unknowns] == ["var:x", "e1", "loop:3", "e2"]
+
+
+def test_a_zero_lower_bound_keeps_no_edge():
+    cs = safety1.Constraints()
+    u = cs.fresh("u")
+    cs.le(None, u, "{what} at or above 0", Var("u"))
+    assert cs.edges == [] and cs.failure is None
+    assert cs.solve() == ([0], None)
+
+
+def test_a_loop_level_floor_is_named_in_the_chain():
+    cs = safety1.Constraints()
+    lam, x = cs.fresh(("loop", 1)), cs.fresh(("var", "x"))
+    cs.lt(None, lam, "{what}: loop levels start at 1", Var("w"))
+    cs.le(lam, x, "{what}: x sits at the loop level", Var("x"))
+    cs.le(x, None, "{what}: x stays at 0", Var("x"))
+    values, explanation = cs.solve()
+    assert values is None
+    assert explanation == (
+        "x: x stays at 0: needs level(var:x) <= 0 but other constraints force 1; "
+        "conflicting constraint chain: x: x sits at the loop level <- "
+        "w: loop levels start at 1"
+    )
+
+
+def test_a_reference_variable_floor_is_named_in_the_chain():
+    program = parse("""box[F, z] in
+declare p(X, s, r){ var y; break(|X(s)| > |X(r)|); y := declass(s, r); return y } in
+call p(F, z, z)""")
+    result = secondorder.infer_safety2(program)
+    assert result.explanation == (
+        "procedure p: the declass bound r must sit exactly at the outermost loop "
+        "level: needs level(var:r) <= 0 but other constraints force 1; "
+        "conflicting constraint chain: break(|X(...)| > |X(r)|): reference "
+        "variable r must sit strictly above the outermost loop level"
+    )
+
+
+def test_a_strict_bound_between_constants_fails_at_once():
+    cs = safety1.Constraints()
+    cs.lt(None, None, "{what} lies strictly below 0", Var("z"))
+    assert cs.failure is not None and cs.edges == [] and cs.uppers == []
+    assert cs.solve() == (None, "z lies strictly below 0")
 
 
 # ---------------------------------------------------------------------------
