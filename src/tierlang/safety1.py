@@ -26,8 +26,13 @@ number of unknowns witnesses an unsatisfiable strict cycle.
 Only a verdict is computed up front.  Each constraint carries a constant
 origin template and the AST node it came from; the text is formatted only
 when a failure is explained.  The typing derivation of a safe result is
-built on its first read, from the generation infos and solved values the
-result keeps, or at once when a ``DeltaConfig`` must be checked against it.
+built on its first read, or at once when a ``DeltaConfig`` must be checked
+against it, from the solution alone: variables and loops take their levels
+from the environments, oracle calls sit at ``INF``, and every other level
+is an unlabelled unknown.  Generation makes those in one fixed order (an
+if's before its guard, an operator's or a declass's after its operands),
+and the builder takes their solved values back in that order as it walks
+the AST; the result keeps only that list, not the constraints.
 
 ``brute_force_safe`` is an independent oracle: it enumerates variable
 environments and rule-directed derivations outright, with all levels drawn
@@ -251,23 +256,24 @@ class LevelAnalysis:
             self.loop_ids[loop_id] = self.cs.fresh(("loop", loop_id))
         return self.loop_ids[loop_id]
 
-    # -- expressions
+    # -- expressions; generation returns the level term
     #
-    # Generation returns (level term, info); the info mirrors the expression
-    # shape (term plus child infos) so the derivation builder never needs to
-    # key anything by node identity (subtrees may be shared objects).
+    # Every operator result, declass result and if-statement gets an
+    # unlabelled unknown, made in the order the derivation builder takes
+    # the solved levels back: an if's before its guard, an operator's or a
+    # declass's after its operands.
 
     def gen_expr(self, e, tin, tout):
         if isinstance(e, Var):
-            term = self.var_term(e.name)
-            return term, (term, ())
+            return self.var_term(e.name)
         cs = self.cs
         if isinstance(e, OracleCall):
-            kids = [self.gen_expr(a, tin, tout)[1] for a in e.args]
-            return INF, (INF, kids)
+            for a in e.args:
+                self.gen_expr(a, tin, tout)
+            return INF
         if isinstance(e, Declass):
-            t1, i1 = self.gen_expr(e.expr, tin, tout)
-            t2, i2 = self.gen_expr(e.bound, tin, tout)
+            t1 = self.gen_expr(e.expr, tin, tout)
+            t2 = self.gen_expr(e.bound, tin, tout)
             cs.eq(
                 t2, tout,
                 "the declass bound {what} must sit exactly at the outermost "
@@ -286,20 +292,18 @@ class LevelAnalysis:
                 "outermost loop level",
                 e.bound,
             )
-            return result, (result, [i1, i2])
+            return result
         if isinstance(e, OpApp):
             entry = self._entry(e)
-            pairs = [self.gen_expr(a, tin, tout) for a in e.args]
-            args = [t for t, _ in pairs]
-            kids = [i for _, i in pairs]
+            args = [self.gen_expr(a, tin, tout) for a in e.args]
             result = cs.fresh()
             if entry.is_truncate:
                 if args[0] is not INF:
                     cs.fail("{what}: truncate's first operand must be an oracle call", e)
-                    return result, (result, kids)
+                    return result
                 if args[1] is INF:
                     cs.fail("{what}: truncate's bound cannot be an oracle call", e)
-                    return result, (result, kids)
+                    return result
                 cs.le(
                     tout, args[1],
                     "{what}: the truncation bound must be at or above the "
@@ -313,7 +317,7 @@ class LevelAnalysis:
                         "innermost loop level",
                         e,
                     )
-                return result, (result, kids)
+                return result
             klass = entry.klass
             if isinstance(klass, opreg.Polynomial):
                 if tout is not None:
@@ -322,7 +326,7 @@ class LevelAnalysis:
                         "not allowed inside loops",
                         e,
                     )
-                return result, (result, kids)
+                return result
             for a in args:
                 if a is INF:
                     cs.fail(
@@ -330,7 +334,7 @@ class LevelAnalysis:
                         "oracle answer; truncate or declassify it first",
                         e,
                     )
-                    return result, (result, kids)
+                    return result
                 cs.le(result, a, "{what}: no upward flow through {node.op}", e)
             if isinstance(klass, opreg.Positive):
                 if tin is not None:
@@ -347,7 +351,7 @@ class LevelAnalysis:
                         "sits at level 0",
                         e,
                     )
-            return result, (result, kids)
+            return result
         raise TypeError(f"not an expression: {e!r}")
 
     def _entry(self, e):
@@ -357,15 +361,12 @@ class LevelAnalysis:
             self.cs.fail("unknown operator {node.op!r}", e)
             return opreg.OperatorEntry(e.op, 0, lambda: "", opreg.Neutral())
 
-    # -- statements; returns (floor level terms, statement info)
-    #
-    # Statement infos mirror the statement shape; the derivation builder
-    # consumes them in step with the AST.
+    # -- statements; generation returns the floor level terms
 
     def gen_stmt(self, s, tin, tout):
         cs = self.cs
         if isinstance(s, Assign):
-            t, einfo = self.gen_expr(s.expr, tin, tout)
+            t = self.gen_expr(s.expr, tin, tout)
             gx = self.var_term(s.var)
             if t is INF:
                 cs.fail(
@@ -373,7 +374,7 @@ class LevelAnalysis:
                     "truncate or declassify it first",
                     s,
                 )
-                return [gx], ("asg", einfo)
+                return [gx]
             if tout is not None:
                 cs.le(
                     gx, t,
@@ -381,25 +382,23 @@ class LevelAnalysis:
                     "the source's",
                     s,
                 )
-            return [gx], ("asg", einfo)
+            return [gx]
         if isinstance(s, Seq):
-            floors, infos = [], []
+            floors = []
             for st in s.stmts:
-                f, i = self.gen_stmt(st, tin, tout)
-                floors += f
-                infos.append(i)
-            return floors, ("seq", infos)
+                floors += self.gen_stmt(st, tin, tout)
+            return floors
         if isinstance(s, Skip):
-            return [], ("skip",)
+            return []
         if isinstance(s, If):
             iota = cs.fresh()
-            t, ginfo = self.gen_expr(s.guard, tin, tout)
+            t = self.gen_expr(s.guard, tin, tout)
             cs.eq(t, iota, "{what}: the branch level is the guard's level", s)
-            ft, it_ = self.gen_stmt(s.then, tin, tout)
-            fo, io = self.gen_stmt(s.orelse, tin, tout)
-            for f in ft + fo:
+            floors = self.gen_stmt(s.then, tin, tout)
+            floors += self.gen_stmt(s.orelse, tin, tout)
+            for f in floors:
                 cs.le(f, iota, "{what}: branches type at the guard's level", s)
-            return [iota], ("if", iota, ginfo, it_, io)
+            return [iota]
         if isinstance(s, While):
             lam = self.loop_term(s.loop_id)
             cs.lt(None, lam, "{what}: loop levels start at 1", s)
@@ -412,17 +411,16 @@ class LevelAnalysis:
                 )
             else:
                 inner_out = lam
-            t, ginfo = self.gen_expr(s.guard, lam, inner_out)
+            t = self.gen_expr(s.guard, lam, inner_out)
             if t is INF:
                 cs.fail("{what}: a loop cannot be guarded by an oracle answer", s)
             else:
                 cs.eq(t, lam, "{what}: the guard types exactly at the loop level", s)
-            fb, binfo = self.gen_stmt(s.body, lam, inner_out)
-            for f in fb:
+            for f in self.gen_stmt(s.body, lam, inner_out):
                 cs.le(f, lam, "{what}: the body types at the loop level", s)
-            return [lam], ("wh", lam, ginfo, binfo)
+            return [lam]
         if isinstance(s, Break):
-            t, ginfo = self.gen_expr(s.guard, tin, tout)
+            t = self.gen_expr(s.guard, tin, tout)
             if t is not INF:
                 cs.le(
                     tin, t,
@@ -430,20 +428,18 @@ class LevelAnalysis:
                     "loop level",
                     s,
                 )
-            return [tin], ("brk", ginfo)
+            return [tin]
         if isinstance(s, OracleBreak):
-            arg_infos = [self.gen_expr(a, tin, tout)[1] for a in s.call_args]
-            ref_terms = []
+            for a in s.call_args:
+                self.gen_expr(a, tin, tout)
             for v in s.ref_vars:
-                gv = self.var_term(v)
-                ref_terms.append(gv)
                 cs.lt(
-                    tout, gv,
+                    tout, self.var_term(v),
                     "{what}: reference variable {arg} must sit strictly above "
                     "the outermost loop level",
                     s, v,
                 )
-            return [tin], ("obk", arg_infos, ref_terms)
+            return [tin]
         if isinstance(s, For):
             raise ValueError("for loops must be desugared before safety analysis")
         raise TypeError(f"not a statement: {s!r}")
@@ -463,45 +459,32 @@ class Judgment:
     children: list = field(default_factory=list)
 
 
-def _level(values: list, term):
-    """The solved level of a level term."""
-    if term is None:
-        return 0
-    if term is INF:
-        return INFINITY
-    return values[term]
-
-
 class _DerivationBuilder:
-    """Turns solved constraints plus generation infos into a checkable tree."""
+    """Turns a solution into a checkable tree, walking the AST once.
 
-    def __init__(self, values: list, gamma: dict):
-        self.values = values
+    A variable's level is in ``gamma`` and a loop's in ``loop_levels``;
+    every other level comes from ``levels``, the solved unlabelled unknowns
+    in the order generation made them, taken one at a time in the same
+    order: an if's before its guard, an operator's or a declass's after
+    its operands.
+    """
+
+    def __init__(self, levels: list, gamma: dict, loop_levels: dict):
+        self.next_level = iter(levels).__next__
         self.gamma = gamma
+        self.loop_levels = loop_levels
 
-    def value(self, term):
-        return _level(self.values, term)
-
-    def expr(self, e, info, tin, tout) -> Judgment:
-        term, kid_infos = info
-        lvl = self.value(term)
+    def expr(self, e, tin, tout) -> Judgment:
         if isinstance(e, Var):
-            return Judgment("VAR", e, tin, tout, lvl)
+            return Judgment("VAR", e, tin, tout, self.gamma[e.name])
         if isinstance(e, OpApp):
-            kids = [
-                self.expr(a, i, tin, tout) for a, i in zip(e.args, kid_infos)
-            ]
-            return Judgment("OP", e, tin, tout, lvl, kids)
+            kids = [self.expr(a, tin, tout) for a in e.args]
+            return Judgment("OP", e, tin, tout, self.next_level(), kids)
         if isinstance(e, Declass):
-            kids = [
-                self.expr(e.expr, kid_infos[0], tin, tout),
-                self.expr(e.bound, kid_infos[1], tin, tout),
-            ]
-            return Judgment("DCL", e, tin, tout, lvl, kids)
+            kids = [self.expr(e.expr, tin, tout), self.expr(e.bound, tin, tout)]
+            return Judgment("DCL", e, tin, tout, self.next_level(), kids)
         if isinstance(e, OracleCall):
-            kids = [
-                self.expr(a, i, tin, tout) for a, i in zip(e.args, kid_infos)
-            ]
+            kids = [self.expr(a, tin, tout) for a in e.args]
             return Judgment("ORC", e, tin, tout, INFINITY, kids)
         raise TypeError(f"not an expression: {e!r}")
 
@@ -510,51 +493,42 @@ class _DerivationBuilder:
             return j
         return Judgment("SUB", j.subject, j.tin, j.tout, level, [j])
 
-    def stmt(self, s, info, tin, tout) -> Judgment:
+    def stmt(self, s, tin, tout) -> Judgment:
         if isinstance(s, Skip):
             return Judgment("SKP", s, tin, tout, 0)
         if isinstance(s, Assign):
-            kid = self.expr(s.expr, info[1], tin, tout)
-            return Judgment("ASG", s, tin, tout, self.gamma.get(s.var, 0), [kid])
+            kid = self.expr(s.expr, tin, tout)
+            return Judgment("ASG", s, tin, tout, self.gamma[s.var], [kid])
         if isinstance(s, Seq):
             # One k-ary node stands for k-1 binary sequence rules at one level.
-            kids = [self.stmt(st, i, tin, tout) for st, i in zip(s.stmts, info[1])]
+            kids = [self.stmt(st, tin, tout) for st in s.stmts]
             lvl = max(k.level for k in kids)
             return Judgment("SEQ", s, tin, tout, lvl, [self.raise_to(k, lvl) for k in kids])
         if isinstance(s, If):
-            _, iota, ginfo, tinfo, oinfo = info
-            g = self.expr(s.guard, ginfo, tin, tout)
-            t = self.stmt(s.then, tinfo, tin, tout)
-            o = self.stmt(s.orelse, oinfo, tin, tout)
-            lvl = self.value(iota)
+            lvl = self.next_level()
+            g = self.expr(s.guard, tin, tout)
+            t = self.stmt(s.then, tin, tout)
+            o = self.stmt(s.orelse, tin, tout)
             return Judgment(
                 "CND", s, tin, tout, lvl,
                 [g, self.raise_to(t, lvl), self.raise_to(o, lvl)],
             )
         if isinstance(s, While):
-            _, lam_term, ginfo, binfo = info
-            lam = self.value(lam_term)
-            outside = isinstance(tout, int) and tout == 0
+            lam = self.loop_levels[s.loop_id]
+            outside = tout == 0
             inner_out = lam if outside else tout
-            g = self.expr(s.guard, ginfo, lam, inner_out)
-            b = self.stmt(s.body, binfo, lam, inner_out)
+            g = self.expr(s.guard, lam, inner_out)
+            b = self.stmt(s.body, lam, inner_out)
             rule = "WI" if outside and tin == 0 else "WH"
             return Judgment(rule, s, tin, tout, lam, [g, self.raise_to(b, lam)])
         if isinstance(s, Break):
-            g = self.expr(s.guard, info[1], tin, tout)
+            g = self.expr(s.guard, tin, tout)
             return Judgment("BRK", s, tin, tout, tin, [g])
         if isinstance(s, OracleBreak):
-            _, arg_infos, ref_terms = info
             left = OracleCall(s.oracle, s.call_args)
             right = OracleCall(s.oracle, tuple(Var(v) for v in s.ref_vars))
-            lk = [
-                self.expr(a, i, tin, tout)
-                for a, i in zip(s.call_args, arg_infos)
-            ]
-            rk = [
-                Judgment("VAR", Var(v), tin, tout, self.value(t))
-                for v, t in zip(s.ref_vars, ref_terms)
-            ]
+            lk = [self.expr(a, tin, tout) for a in s.call_args]
+            rk = [self.expr(v, tin, tout) for v in right.args]
             kids = [
                 Judgment("ORC", left, tin, tout, INFINITY, lk),
                 Judgment("ORC", right, tin, tout, INFINITY, rk),
@@ -578,8 +552,8 @@ class InferenceResult:
     loop_levels: dict | None = None
     body_level: object = None
     explanation: str | None = None
-    # Builds the derivation of a safe result from the statement tree,
-    # generation info and solved values it holds; dropped once it has run.
+    # Builds the derivation of a safe result from the statement tree and
+    # the solved levels it holds; dropped once it has run.
     _build: object = field(default=None, repr=False, compare=False)
     _derivation: Judgment | None = field(default=None, repr=False, compare=False)
 
@@ -627,17 +601,18 @@ def infer_levels(body, names, config=None) -> InferenceResult:
     analysis = LevelAnalysis()
     for name in sorted(names):
         analysis.var_term(name)
-    floors, sinfo = analysis.gen_stmt(body, None, None)
+    floors = analysis.gen_stmt(body, None, None)
     values, explanation = analysis.cs.solve()
     if values is None:
         return InferenceResult(False, explanation=explanation)
     gamma = {name: values[u] for name, u in analysis.var_ids.items()}
     loops = {loop_id: values[u] for loop_id, u in analysis.loop_ids.items()}
-    del analysis  # free the constraints; the result keeps only the infos
-    body_level = max((_level(values, f) for f in floors), default=0)
+    levels = [v for v, label in zip(values, analysis.cs.unknowns) if label is None]
+    body_level = max((0 if f is None else values[f] for f in floors), default=0)
+    del analysis, values, floors  # free the constraints before any derivation
     result = InferenceResult(
         True, gamma, loops, body_level,
-        _build=lambda: _DerivationBuilder(values, gamma).stmt(body, sinfo, 0, 0),
+        _build=lambda: _DerivationBuilder(levels, gamma, loops).stmt(body, 0, 0),
     )
     if config is not None:
         offending = _config_violation(result.derivation, config)

@@ -229,17 +229,15 @@ Program = Union[Program1, Program2]
 
 
 def iter_exprs(e: Expr) -> Iterator[Expr]:
-    """Pre-order traversal of an expression tree."""
-    yield e
-    if isinstance(e, OpApp):
-        for a in e.args:
-            yield from iter_exprs(a)
-    elif isinstance(e, Declass):
-        yield from iter_exprs(e.expr)
-        yield from iter_exprs(e.bound)
-    elif isinstance(e, OracleCall):
-        for a in e.args:
-            yield from iter_exprs(a)
+    """Pre-order traversal of an expression tree, on an explicit stack."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        if isinstance(e, (OpApp, OracleCall)):
+            stack.extend(reversed(e.args))
+        elif isinstance(e, Declass):
+            stack += (e.bound, e.expr)
 
 
 def stmt_exprs(s: Stmt) -> Iterator[Expr]:

@@ -28,6 +28,22 @@ def straight_line(n: int) -> str:
     return f"prog(a){{\n{body}\n  return c\n}}\n"
 
 
+# An oracle break whose call arguments hold operators and a declass.
+ORACLE_BREAK_WITH_OPERATORS = """box[F, z] in
+declare p(X, s, r){
+  var y, i;
+  y := s;
+  i := s;
+  while(y > u0){
+    break(|X(tl(i), declass(hd(i), y))| > |X(r, s)|);
+    i := truncate(X(tl(i), declass(hd(i), y)), r);
+    if(hd(y) = u1){ y := y - u1 } else { y := tl(y) }
+  };
+  return y
+} in
+call p(F, z, z)"""
+
+
 @pytest.fixture
 def default_recursion_limit():
     """Run the test at Python's default recursion limit."""

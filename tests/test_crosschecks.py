@@ -18,6 +18,14 @@ def test_inferred_derivations_always_recheck():
         assert safety1.check_derivation(program, result.gamma, result.derivation), (
             parser.pretty_print(program)
         )
+        embedded = so.embed_program1(program)
+        checked = so.infer_safety2(embedded)
+        assert checked.safe
+        for proc in embedded.procedures:
+            check = checked.checks[proc.name]
+            assert safety1.check_derivation(proc, check.gamma, check.derivation), (
+                parser.pretty_print(program)
+            )
         seen += 1
     assert seen > 40
 

@@ -1,8 +1,11 @@
+import collections
+import gc
 import random
+import tracemalloc
 
 import pytest
 
-from conftest import corpus
+from conftest import ORACLE_BREAK_WITH_OPERATORS, corpus, straight_line
 from tierlang import genprog, opreg, parser, safety1, secondorder
 from tierlang.opreg import DeltaConfig
 from tierlang.safety1 import (
@@ -13,7 +16,15 @@ from tierlang.safety1 import (
     check_for_program,
     infer_safety,
 )
-from tierlang.syntax import Declass, OpApp, Skip, Var, undeclassified_vars
+from tierlang.syntax import (
+    Declass,
+    If,
+    OpApp,
+    Program1,
+    Skip,
+    Var,
+    undeclassified_vars,
+)
 
 
 def parse(src):
@@ -282,6 +293,104 @@ def test_explicit_sub_nodes_accepted():
     inner = Judgment("SKP", program.body, 0, 0, 0)
     outer = Judgment("SUB", program.body, 0, 0, 3, [inner])
     assert check_derivation(program, {"x": 0}, outer)
+
+
+# ---------------------------------------------------------------------------
+# The level order: the builder takes each anonymous level where it was made
+
+
+class RecordingAnalysis(safety1.LevelAnalysis):
+    """Generation that notes the node each anonymous unknown is made for."""
+
+    def __init__(self):
+        super().__init__()
+        self.made = []  # (node, unknown) of every operator, declass and if
+
+    def gen_expr(self, e, tin, tout):
+        term = super().gen_expr(e, tin, tout)
+        if isinstance(e, (OpApp, Declass)):
+            self.made.append((e, term))
+        return term
+
+    def gen_stmt(self, s, tin, tout):
+        floors = super().gen_stmt(s, tin, tout)
+        if isinstance(s, If):
+            self.made.append((s, floors[0]))
+        return floors
+
+
+def preorder(j):
+    stack = [j]
+    while stack:
+        j = stack.pop()
+        yield j
+        stack.extend(reversed(j.children))
+
+
+def check_level_order(body, names) -> bool:
+    """Generate, solve and build by hand; False when the body is unsafe.
+
+    The builder is handed the anonymous unknowns themselves for levels, so
+    each operator, declass and if judgment shows which unknown it took:
+    every one must be taken exactly once, by the node it was made for.
+    """
+    analysis = RecordingAnalysis()
+    for name in sorted(names):
+        analysis.var_term(name)
+    analysis.gen_stmt(body, None, None)
+    values, _ = analysis.cs.solve()
+    if values is None:
+        return False
+    anonymous = [u for u, label in enumerate(analysis.cs.unknowns) if label is None]
+    gamma = {name: values[u] for name, u in analysis.var_ids.items()}
+    loops = {loop_id: values[u] for loop_id, u in analysis.loop_ids.items()}
+    deriv = safety1._DerivationBuilder(anonymous, gamma, loops).stmt(body, 0, 0)
+    taken = [
+        (j.subject, j.level) for j in preorder(deriv) if j.rule in ("OP", "DCL", "CND")
+    ]
+    assert sorted(u for _, u in taken) == anonymous
+    assert collections.Counter((id(node), u) for node, u in taken) == (
+        collections.Counter((id(node), u) for node, u in analysis.made)
+    )
+    return True
+
+
+def level_order_bodies():
+    """(body, names) of corpus, oracle-break and seeded genprog programs."""
+    programs = [parser.parse_file(corpus(name)) for name in (
+        "bubble.tl", "bubble_for.tl", "exp1.tl", "exp2.tl", "inc_loop.tl", "I.tl2",
+    )]
+    programs.append(parse(ORACLE_BREAK_WITH_OPERATORS))
+    rng = random.Random(4242)
+    programs += [genprog.random_program(rng) for _ in range(150)]
+    for program in programs:
+        if isinstance(program, Program1):
+            yield program.body, set(program.params) | {program.ret}
+        else:
+            for proc in program.procedures:
+                yield proc.body, set(proc.params) | set(proc.locals)
+
+
+def test_every_anonymous_level_is_taken_once_where_it_was_made():
+    safe = [check_level_order(body, names) for body, names in level_order_bodies()]
+    assert safe[:3] == [True, True, True]  # bubble, bubble_for, exp1
+    assert all(safe[5:8])  # I.tl2's two procedures and the oracle-break one
+    assert sum(safe) > 60
+
+
+def test_a_safe_result_holds_little_memory():
+    n = 30_000
+    program = parse(straight_line(n))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = infer_safety(program)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert result.safe
+    assert held <= 64 * n, f"{held / n:.1f} bytes per statement"
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import corpus, procedure
+from conftest import ORACLE_BREAK_WITH_OPERATORS, corpus, procedure
 from tierlang import interp1, parser, secondorder as so
 from tierlang.interp1 import AperiodicityViolation, BudgetExhausted, ExecError
 from tierlang.safety1 import check_derivation
@@ -520,9 +520,13 @@ def test_environment_fixed_per_call(iterator_program):
     assert len(serials) >= 2
 
 
-def test_inferred_procedure_derivations_recheck(iterator_program):
-    result = so.infer_safety2(iterator_program)
+@pytest.mark.parametrize("source", [
+    open(corpus("I.tl2")).read(), ORACLE_BREAK_WITH_OPERATORS,
+])
+def test_inferred_procedure_derivations_recheck(source):
+    program = parser.parse(source)
+    result = so.infer_safety2(program)
     assert result.safe
     for name, deriv in result.derivations.items():
         gamma = result.omega[name][0]
-        assert check_derivation(procedure(iterator_program, name), gamma, deriv), name
+        assert check_derivation(procedure(program, name), gamma, deriv), name

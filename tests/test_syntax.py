@@ -1,21 +1,27 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tierlang import parser
+from tierlang import genprog, parser
 from tierlang.syntax import (
     Assign,
+    Declass,
     For,
     If,
     INFINITY,
     OpApp,
+    OracleCall,
     Program1,
     Seq,
     Skip,
     Var,
     While,
     free_variables,
+    iter_exprs,
     iter_stmts,
+    stmt_exprs,
 )
 
 
@@ -115,3 +121,45 @@ def test_for_origin_is_metadata_not_identity():
 def test_nesting_depth_rejects_sugar():
     with pytest.raises(ValueError):
         loop_nesting_depth(For("i", Var("a"), Var("b"), Skip()))
+
+
+def recursive_exprs(e) -> list:
+    """The pre-order of an expression tree, by recursion: the reference."""
+    out = [e]
+    if isinstance(e, (OpApp, OracleCall)):
+        for a in e.args:
+            out += recursive_exprs(a)
+    elif isinstance(e, Declass):
+        out += recursive_exprs(e.expr) + recursive_exprs(e.bound)
+    return out
+
+
+def same_nodes(a: list, b: list) -> bool:
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
+def test_iter_exprs_is_pre_order_on_generated_expressions():
+    rng = random.Random(7)
+    seen = 0
+    for _ in range(200):
+        program = genprog.random_program(rng)
+        for stmt in iter_stmts(program.body):
+            for e in stmt_exprs(stmt):
+                assert same_nodes(list(iter_exprs(e)), recursive_exprs(e))
+                seen += isinstance(e, (OpApp, Declass))
+    assert seen > 200
+    call = OracleCall("X", (OpApp("tl", [Var("a")]), Declass(Var("b"), Var("c")), Var("d")))
+    assert same_nodes(list(iter_exprs(call)), recursive_exprs(call))
+
+
+def test_iter_exprs_is_pre_order_at_the_nesting_limit():
+    e = Var("x")
+    for depth in range(parser.MAX_NESTING):
+        kind = depth % 3
+        if kind == 0:
+            e = OpApp("append", [e, Var(f"y{depth}")])
+        elif kind == 1:
+            e = Declass(Var(f"y{depth}"), e)
+        else:
+            e = OracleCall("X", (e,))
+    assert same_nodes(list(iter_exprs(e)), recursive_exprs(e))
