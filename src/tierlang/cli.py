@@ -287,14 +287,15 @@ def cmd_forcheck(args) -> int:
         report["verdicts"]["for_program"] = False
         report["explanation"] = "the for criterion applies to first-order programs"
         return emit(report, args.json, ["rejected: not a first-order program"])
-    all_for = safety1.check_for_program(program)
-    report["verdicts"]["for_program"] = all_for
-    if all_for:
+    why_not = safety1.check_for_program(program)
+    report["verdicts"]["for_program"] = why_not is None
+    if why_not is None:
         result = safety1.infer_safety(program)
         first_order_safety(report, result)
         lines.append("accepted" if result.safe else f"rejected: {result.explanation}")
     else:
-        lines.append("rejected: contains a loop that is not a for loop")
+        report["explanation"] = why_not
+        lines.append(f"rejected: {why_not}")
     return emit(report, args.json, lines)
 
 

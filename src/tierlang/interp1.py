@@ -21,19 +21,39 @@ wraps it); any single statement runs as its closure,
 ``interp.compiled(s)(interp, store)``.
 
 A step is one rule application, so the step count is proportional to the
-size of the evaluation derivation.  Each closure ticks where its rule
-applies, in the order the rules nest, so compiling changes wall time and
-never the step count or the point at which the budget runs out.  With the
-monitor enabled, every guard evaluation of a loop activation projects the
-store onto the guard's undeclassified variables; seeing the same
-projection twice within one activation stops execution with an
-aperiodicity violation.
+size of the evaluation derivation.  Steps are taken in batches: a compiled
+node carries a prefix, the ticks it takes before its first observable event
+(a store write, an oracle call, a monitor observation or a failure), and
+whoever runs the node takes the prefix in one check.  A check that would
+pass the budget sets the count to budget + 1 and stops the run.
+No event lies inside a batch, so the run stops where ticking rule by rule
+would have, with the same stats: batching changes wall time and never the
+step count, the stats or the stop.
+
+An expression is pure when it applies only known operators at their arities
+(``const:`` words included) and ``declass``, and reads only names that cannot
+hold an oracle.  It cannot fail, so it compiles to a tick-free kernel whose
+prefix is its size; variable and constant operands are read inline, fused
+into their operator (Proebsting's superoperators, 1995).  Every variable
+read is pure but one: a read of a name that may hold an oracle
+(``Interp2``'s boxed oracle names) may fail, so it ticks as its own node, as
+oracle calls, oracle breaks and failing operators do; the operands of such a
+node take their prefixes just before they run.  A sequence takes its tick
+before a statement with that statement's prefix, and a loop its
+unrolled-sequence tick with its body's.
+
+With the monitor enabled, every guard evaluation of a loop activation
+projects the store onto the guard's undeclassified variables; seeing the
+same projection twice within one activation stops execution with an
+aperiodicity violation.  The loop takes its guard's ticks after that
+observation, which may stop the run first.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from . import opreg, words
 from .syntax import (
@@ -123,7 +143,7 @@ class LoopMonitorState:
     def observe(self, store: dict):
         """Record the current projection; return a violation witness or None."""
         self.evaluations += 1
-        projection = tuple(lookup(store, v) for v in self.uvars)
+        projection = tuple(map(store.get, self.uvars, repeat(words.EPSILON)))
         if projection in self.seen:
             return dict(zip(self.uvars, projection))
         self.seen.add(projection)
@@ -135,8 +155,80 @@ def store_size(store: dict) -> int:
     return sum(len(v) for v in store.values() if isinstance(v, str))
 
 
+# A compiled expression is a tuple (prefix, fn, pure, read): take ``prefix``
+# ticks in one check, then call ``fn(m, store)``, which takes any later ticks
+# itself.  A pure expression's fn is a tick-free kernel and its prefix is its
+# size; a pure variable or constant also has ``read``, the (key, default) of
+# a ``store.get`` that yields its value.  A constant w reads as
+# ``store.get(None, w)``, since no variable is named None.  A compiled
+# statement is the pair (prefix, fn).
+
+
+def _read(key, default) -> tuple:
+    return 1, lambda m, store: store.get(key, default), True, (key, default)
+
+
+def _declass(w1: str, w2: str) -> str:
+    return words.unary(min(len(w1), len(w2)))
+
+
+def _kernel(fn, args: list):
+    """Tick-free closure of ``fn`` on pure operands, reading leaves inline."""
+    if len(args) == 1:
+        ((_, fa, _, ra),) = args
+        if ra:
+            ka, da = ra
+            return lambda m, store: fn(store.get(ka, da))
+        return lambda m, store: fn(fa(m, store))
+    if len(args) == 2:
+        (_, fa, _, ra), (_, fb, _, rb) = args
+        if ra and rb:
+            (ka, da), (kb, db) = ra, rb
+            return lambda m, store: fn(store.get(ka, da), store.get(kb, db))
+        if ra:
+            ka, da = ra
+            return lambda m, store: fn(store.get(ka, da), fb(m, store))
+        if rb:
+            kb, db = rb
+            return lambda m, store: fn(fa(m, store), store.get(kb, db))
+        return lambda m, store: fn(fa(m, store), fb(m, store))
+    fns = [a[1] for a in args]
+    return lambda m, store: fn(*[f(m, store) for f in fns])
+
+
+def _node(args: list, finish) -> tuple:
+    """An impure node: its tick and its first operand's prefix make its prefix.
+
+    Each later operand's prefix is taken just before that operand runs;
+    ``finish(m, store, values)`` then does what the node does.
+    """
+    if not args:
+        return 1, lambda m, store: finish(m, store, []), False, None
+    first, rest = args[0][1], [a[:2] for a in args[1:]]
+
+    def node(m, store):
+        values = [first(m, store)]
+        for k, fn in rest:
+            m.tick(k)
+            values.append(fn(m, store))
+        return finish(m, store, values)
+    return 1 + args[0][0], node, False, None
+
+
+def _apply(fn, args: list) -> tuple:
+    """``fn``, which is total, applied to ``args``: a kernel when they are pure."""
+    if not args:
+        return _read(None, fn())
+    size = 1
+    for a in args:
+        if not a[2]:
+            return _node(args, lambda m, store, values: fn(*values))
+        size += a[0]
+    return size, _kernel(fn, args), True, None
+
+
 class Interp:
-    """The evaluator core.  A compiled node is a closure ``fn(interp, store)``.
+    """The evaluator core.
 
     Closures read the budget, stats and frame size off the interpreter they
     are given and keep no reference to it.  Hot closures tick inline.
@@ -150,13 +242,19 @@ class Interp:
         self.activation_serial = 0
         self.activation_stack: list = []  # (loop_id, serial) of running loops
         self.code: dict = {}  # id(statement) -> (statement, its closure)
+        self.order1: set = set()  # names that may hold an oracle
 
-    def tick(self):
-        self.stats.steps += 1
-        if self.stats.steps > self.budget:
+    def tick(self, k: int = 1):
+        """Take k steps in one check."""
+        st = self.stats
+        n = st.steps + k
+        if n > self.budget:
             self.exhausted()
+        st.steps = n
 
     def exhausted(self):
+        """Stop where ticking one step at a time would have: at budget + 1."""
+        self.stats.steps = self.budget + 1
         raise BudgetExhausted(f"step budget of {self.budget} exhausted", self.stats)
 
     def note_store(self, store: dict):
@@ -172,168 +270,132 @@ class Interp:
         )
 
     def compiled(self, s):
-        """The closure of statement ``s``, compiled on its first use here."""
+        """The closure running statement ``s`` and its prefix, compiled once."""
         entry = self.code.get(id(s))
         if entry is None or entry[0] is not s:
-            entry = self.code[id(s)] = (s, self.compile_stmt(s))
+            k, fn = self.compile_stmt(s)
+
+            def run(m, store):
+                m.tick(k)
+                return fn(m, store)
+            entry = self.code[id(s)] = (s, run)
         return entry[1]
 
     # -- expressions
 
-    def compile_expr(self, e):
+    def evaluate(self, e, store: dict) -> str:
+        """The value of expression ``e`` in ``store``, its steps counted."""
+        k, fn = self.compile_expr(e)[:2]
+        self.tick(k)
+        return fn(self, store)
+
+    def compile_expr(self, e) -> tuple:
         if isinstance(e, Var):
             name = e.name
+            if name not in self.order1:
+                return _read(name, words.EPSILON)
 
             def var(m, store):
-                st = m.stats
-                st.steps += 1
-                if st.steps > m.budget:
-                    m.exhausted()
                 value = store.get(name, words.EPSILON)
                 if isinstance(value, str):
                     return value
-                raise ExecError(f"order-1 variable {name} used as a word", st)
-            return var
+                raise ExecError(f"order-1 variable {name} used as a word", m.stats)
+            return 1, var, False, None
         if isinstance(e, OpApp):
             return self.compile_op(e.op, [self.compile_expr(a) for a in e.args])
         if isinstance(e, Declass):
-            expr, bound = self.compile_expr(e.expr), self.compile_expr(e.bound)
-
-            def declass(m, store):
-                m.tick()
-                w1 = expr(m, store)
-                return words.unary(min(len(w1), len(bound(m, store))))
-            return declass
+            return _apply(_declass, [self.compile_expr(e.expr), self.compile_expr(e.bound)])
         if isinstance(e, OracleCall):
             oracle, args = e.oracle, [self.compile_expr(a) for a in e.args]
-
-            def oracle_call(m, store):
-                m.tick()
-                return m.apply_oracle(store, oracle, [a(m, store) for a in args])
-            return oracle_call
+            return _node(args, lambda m, store, values: m.apply_oracle(store, oracle, values))
 
         def not_expr(m, store):
-            m.tick()
             raise ExecError(f"not an expression: {e!r}", m.stats)
-        return not_expr
+        return 1, not_expr, False, None
 
-    def compile_op(self, op: str, args: list):
+    def compile_op(self, op: str, args: list) -> tuple:
         try:
             entry = opreg.BUILTINS.lookup(op)
         except (opreg.UnknownOperator, words.WordError):
             entry = None
-        if entry is None or entry.arity != len(args):
-            # Fails when run, after its arguments, as Registry.apply does.
-            def failing(m, store):
-                m.tick()
-                values = [a(m, store) for a in args]
-                try:
-                    return opreg.BUILTINS.apply(op, values)
-                except opreg.UnknownOperator as exc:
-                    raise ExecError(f"unknown operator: {exc}", m.stats)
-            return failing
-        fn = entry.fn
-        if not args:
-            def op0(m, store):
-                m.tick()
-                return fn()
-            return op0
-        if len(args) == 1:
-            (a,) = args
+        if entry is not None and entry.arity == len(args):
+            return _apply(entry.fn, args)
 
-            def op1(m, store):
-                st = m.stats
-                st.steps += 1
-                if st.steps > m.budget:
-                    m.exhausted()
-                return fn(a(m, store))
-            return op1
-        if len(args) == 2:
-            a, b = args
-
-            def op2(m, store):
-                st = m.stats
-                st.steps += 1
-                if st.steps > m.budget:
-                    m.exhausted()
-                return fn(a(m, store), b(m, store))
-            return op2
-
-        def op_n(m, store):
-            m.tick()
-            return fn(*[a(m, store) for a in args])
-        return op_n
+        # Fails when run, after its arguments, as Registry.apply does.
+        def failing(m, store, values):
+            try:
+                return opreg.BUILTINS.apply(op, values)
+            except opreg.UnknownOperator as exc:
+                raise ExecError(f"unknown operator: {exc}", m.stats)
+        return _node(args, failing)
 
     # -- statements
 
-    def compile_stmt(self, s):
+    def compile_stmt(self, s) -> tuple:
         if isinstance(s, Skip):
-            def skip(m, store):
-                m.tick()
-                return False
-            return skip
+            return 1, lambda m, store: False
         if isinstance(s, Assign):
-            var, expr = s.var, self.compile_expr(s.expr)
+            var, (k, expr) = s.var, self.compile_expr(s.expr)[:2]
 
             def assign(m, store):
-                st = m.stats
-                st.steps += 1
-                if st.steps > m.budget:
-                    m.exhausted()
                 value = expr(m, store)
                 old = store.get(var)
                 store[var] = value
                 size = m.size + len(value) - (len(old) if isinstance(old, str) else 0)
                 m.size = size
-                if size > st.max_store_size:
-                    st.max_store_size = size
+                if size > m.stats.max_store_size:
+                    m.stats.max_store_size = size
                 return False
-            return assign
+            return 1 + k, assign
         if isinstance(s, Seq):
             # k statements apply the binary sequence rule k-1 times: one tick
-            # just before each statement but the last.
-            *firsts, last = [self.compile_stmt(st) for st in s.stmts]
+            # just before each statement but the last, taken with its prefix.
+            codes = [self.compile_stmt(t) for t in s.stmts]
+            codes[:-1] = [(k + 1, fn) for k, fn in codes[:-1]]
+            (k, first), rest = codes[0], codes[1:]
 
             def seq(m, store):
+                if first(m, store):
+                    return True
                 st = m.stats
-                for first in firsts:
-                    st.steps += 1
-                    if st.steps > m.budget:
+                for k, fn in rest:
+                    n = st.steps + k
+                    if n > m.budget:
                         m.exhausted()
-                    if first(m, store):
+                    st.steps = n
+                    if fn(m, store):
                         return True
-                return last(m, store)
-            return seq
+                return False
+            return k, seq
         if isinstance(s, If):
-            guard = self.compile_expr(s.guard)
+            k, guard = self.compile_expr(s.guard)[:2]
             then, orelse = self.compile_stmt(s.then), self.compile_stmt(s.orelse)
 
             def if_(m, store):
-                m.tick()
-                return (then if guard(m, store) == words.TRUE else orelse)(m, store)
-            return if_
+                kb, branch = then if guard(m, store) == words.TRUE else orelse
+                st = m.stats
+                n = st.steps + kb
+                if n > m.budget:
+                    m.exhausted()
+                st.steps = n
+                return branch(m, store)
+            return 1 + k, if_
         if isinstance(s, While):
             return self.compile_while(s)
         if isinstance(s, Break):
-            guard = self.compile_expr(s.guard)
-
-            def break_(m, store):
-                m.tick()
-                return guard(m, store) == words.TRUE
-            return break_
+            k, guard = self.compile_expr(s.guard)[:2]
+            return 1 + k, lambda m, store: guard(m, store) == words.TRUE
         if isinstance(s, OracleBreak):
             oracle, ref_vars = s.oracle, s.ref_vars
-            call_args = [self.compile_expr(a) for a in s.call_args]
 
-            def oracle_break(m, store):
-                m.tick()
-                left = m.apply_oracle(store, oracle, [a(m, store) for a in call_args])
+            def oracle_break(m, store, values):
+                left = m.apply_oracle(store, oracle, values)
                 right = m.apply_oracle(store, oracle, [lookup(store, v) for v in ref_vars])
                 if m.activation_stack:
                     loop_id, serial = m.activation_stack[-1]
                     m.stats.obk_events.append((loop_id, serial, len(left), len(right)))
                 return len(left) > len(right)
-            return oracle_break
+            return _node([self.compile_expr(a) for a in s.call_args], oracle_break)[:2]
         if isinstance(s, For):
             message = "for loops must be desugared before execution"
         else:
@@ -341,41 +403,52 @@ class Interp:
 
         def not_runnable(m, store):
             raise ExecError(message, m.stats)
-        return not_runnable
+        return 0, not_runnable
 
-    def compile_while(self, s: While):
-        loop_id, guard = s.loop_id, self.compile_expr(s.guard)
-        body = self.compile_stmt(s.body)
-        uvars = tuple(sorted(undeclassified_vars(s.guard))) if self.monitor else None
+    def compile_while(self, s: While) -> tuple:
+        loop_id, (kg, guard) = s.loop_id, self.compile_expr(s.guard)[:2]
+        kb, body = self.compile_stmt(s.body)
+        kb += 1  # the unrolled sequence rule
+        if self.monitor:
+            # The guard's ticks follow the observation, which may stop first.
+            uvars, again = tuple(sorted(undeclassified_vars(s.guard))), 1
+        else:
+            uvars, again = None, 1 + kg
 
         def while_(m, store):
             st = m.stats
             state = None if uvars is None else LoopMonitorState(loop_id, uvars)
             m.activation_serial += 1
             m.activation_stack.append((loop_id, m.activation_serial))
+            iterations = 0
             try:
                 while True:
-                    st.steps += 1  # one while-rule application per guard evaluation
-                    if st.steps > m.budget:
-                        m.exhausted()
                     if state is not None:
                         witness = state.observe(store)
                         if witness is not None:
                             raise AperiodicityViolation(
                                 loop_id, state.evaluations, witness, st
                             )
+                        m.tick(kg)
                     if guard(m, store) != words.TRUE:
                         return False
-                    st.loop_iterations[loop_id] += 1
-                    st.steps += 1  # the unrolled sequence rule
-                    if st.steps > m.budget:
+                    iterations += 1
+                    n = st.steps + kb
+                    if n > m.budget:
                         m.exhausted()
+                    st.steps = n
                     if body(m, store):
                         # A break inside the body terminates the loop normally.
                         return False
+                    n = st.steps + again  # the while rule, at the next guard
+                    if n > m.budget:
+                        m.exhausted()
+                    st.steps = n
             finally:
                 m.activation_stack.pop()
-        return while_
+                if iterations:
+                    st.loop_iterations[loop_id] += iterations
+        return again, while_
 
     def run(self, program: Program1, inputs) -> str:
         if len(inputs) != len(program.params):

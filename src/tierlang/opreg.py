@@ -109,7 +109,8 @@ def _pred(b: bool) -> str:
 
 
 def _op_eq(a, b):
-    return _pred(words.shortlex_compare(a, b) == 0)
+    # Shortlex equality is string equality.
+    return words.TRUE if a == b else words.FALSE
 
 
 def _op_lt(a, b):
@@ -125,7 +126,7 @@ def _op_gt(a, b):
 
 
 def _op_ne(a, b):
-    return _pred(words.shortlex_compare(a, b) != 0)
+    return words.FALSE if a == b else words.TRUE
 
 
 def _op_not(a):
@@ -148,10 +149,9 @@ def _op_inc(a):
 
 def _op_dec(a):
     """Unary predecessor; the empty word stays empty (and is the failure value)."""
-    n = words.unary_value(a)
-    if n is None or n == 0:
+    if a.count("1") != len(a):
         return words.EPSILON
-    return words.unary(n - 1)
+    return a[1:]
 
 
 def _op_hd(a):

@@ -422,7 +422,7 @@ class _Parser:
             if self.last_use[var] >= brace:  # a use inside the body
                 message = f"for-loop variable {var!r} must not occur in the loop body"
                 raise DesugarError(message, *self.line_col(tok))
-            return desugar_for(loop) if self.desugar else loop
+            return desugar_for(loop, self.line_col(tok)[0]) if self.desugar else loop
         if kind == "break":
             self.expect("(")
             if self.peek()[0] == "|":
@@ -589,18 +589,19 @@ def parse_file(path: str):
 # For-loop desugaring
 
 
-def desugar_for(loop: For) -> Seq:
+def desugar_for(loop: For, line: int = 0) -> Seq:
     """Expand for x = e to d { body } into x := d; while(e <= x){ body; x := x - u1 }.
 
     The parser expands each loop as it reads it, after its body, once it has
     checked that the loop variable does not occur there.  The produced While
-    carries a for-origin mark so the decidable aperiodicity criterion can
-    recognize it; the enclosing ``seq_of`` splices the two statements into its
-    sequence, so desugared code has the same shape its printed form reparses to.
+    carries a for-origin mark and the ``for``'s line, so the decidable
+    aperiodicity criterion can recognize and name it; the enclosing ``seq_of``
+    splices the two statements into its sequence, so desugared code has the
+    same shape its printed form reparses to.
     """
     guard = OpApp("le", [loop.low, Var(loop.var)])
     body = seq_of([loop.body, Assign(loop.var, OpApp("dec", [Var(loop.var)]))])
-    return Seq([Assign(loop.var, loop.high), While(guard, body, for_origin=True)])
+    return Seq([Assign(loop.var, loop.high), While(guard, body, for_origin=True, line=line)])
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from . import opreg
+from . import interp1, opreg, words
 from .parser import pp_expr
 from .syntax import (
     Assign,
@@ -66,6 +66,7 @@ from .syntax import (
     Skip,
     Var,
     While,
+    expr_vars,
     is_finite,
     iter_stmts,
     level_str,
@@ -907,11 +908,31 @@ def brute_force_safe(program: Program1, max_level: int) -> bool:
 # The decidable for-loop criterion
 
 
-def check_for_program(program: Program1) -> bool:
-    """True iff every while loop originated from for-loop sugar."""
+def check_for_program(program: Program1) -> str | None:
+    """None iff every loop is a for loop that ends; else why the first is not.
+
+    A for loop counts its variable down through ``while(e <= x)``.  It ends
+    only when its lower bound e is a constant non-empty word: the empty word
+    lies below every word, and a bound with variables can move.
+    """
     for st in iter_stmts(program.body):
-        if isinstance(st, While) and not st.for_origin:
-            return False
         if isinstance(st, For):
-            return False
-    return True
+            return "a for loop was not desugared"
+        if isinstance(st, While) and not st.for_origin:
+            return f"the while loop at line {st.line} is not a for loop"
+        if isinstance(st, While) and not _constant_word(st.guard.args[0]):
+            return (
+                f"the for loop at line {st.line} counts down to {pp_expr(st.guard.args[0])}, "
+                "which is not a constant non-empty word, so it need not end"
+            )
+    return None
+
+
+def _constant_word(e) -> str | None:
+    """The value of ``e`` when it has no variables and does not fail."""
+    if expr_vars(e):
+        return None
+    try:
+        return interp1.Interp().evaluate(e, {})
+    except (interp1.RuntimeStop, words.WordError):
+        return None

@@ -403,6 +403,7 @@ class Interp2(interp1.Interp):
         super().__init__(budget, monitor)
         self.program = program
         self.sigma = {p.name: p for p in program.procedures}
+        self.order1.update(name for name, _ in program.boxed_oracles)
         self.oracles = oracles
         self.env: dict = {}  # oracle parameters of the running call -> closures
         self.sub = interp1.Interp()  # runs every prog: oracle

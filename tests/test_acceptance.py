@@ -100,11 +100,10 @@ def test_criterion_03_exp2_detection(capsys):
 def test_criterion_04_declass_semantics():
     rng = random.Random(404)
     interp = interp1.Interp()
-    declass = interp.compile_expr(Declass(Var("a"), Var("b")))
     for _ in range(1000):
         w1 = "".join(rng.choice("01#") for _ in range(rng.randint(0, 40)))
         w2 = "".join(rng.choice("01#") for _ in range(rng.randint(0, 40)))
-        value = declass(interp, {"a": w1, "b": w2})
+        value = interp.evaluate(Declass(Var("a"), Var("b")), {"a": w1, "b": w2})
         assert value == "1" * min(len(w1), len(w2))
     ok(4, "1000 randomized pairs evaluate declass to the exact unary minimum")
 
@@ -173,7 +172,7 @@ def test_criterion_07_for_criterion(capsys):
         "prog(n){ s := u0; for i = u1 to declass(n, n) { s := s + u1 } return s }"
     )
     accepted = [parser.parse_file(corpus("bubble_for.tl"))]
-    if safety1.check_for_program(extra) and safety1.infer_safety(extra).safe:
+    if safety1.check_for_program(extra) is None and safety1.infer_safety(extra).safe:
         accepted.append(extra)
     assert len(accepted) == 2
     runs = 0

@@ -184,6 +184,20 @@ def test_forcheck(capsys):
     assert run_json(capsys, "forcheck", corpus("exp2.tl"))[0] == 1
 
 
+def test_forcheck_rejects_a_for_loop_that_never_ends(capsys, tmp_path):
+    # while(eps <= i) always holds: the run exhausts any budget
+    path = tmp_path / "forever.tl"
+    path.write_text("prog(n){for i = u0 to n { skip } return n}\n")
+    code, report = run_json(capsys, "forcheck", str(path))
+    assert code == 1 and report["verdicts"]["for_program"] is False
+    assert report["explanation"] == (
+        "the for loop at line 1 counts down to eps, which is not a constant "
+        "non-empty word, so it need not end"
+    )
+    code, report = run_json(capsys, "run", str(path), "--input", "n=u2", "--max-steps", "5000")
+    assert report["stop"]["kind"] == "budget-exhausted"
+
+
 def test_forcheck_rejects_a_second_order_program(capsys):
     assert run_cli(capsys, "forcheck", corpus("I.tl2")) == (
         1, "rejected: not a first-order program\n"

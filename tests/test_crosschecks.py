@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 import treecheck
 from tierlang import genprog, interp1, parser, safety1, secondorder as so
 from tierlang.words import EPSILON
@@ -108,6 +110,9 @@ def test_embedded_programs_pass_simple_typing():
 def test_runs_match_the_tree_oracle():
     # treecheck materializes the derivation by literal unrolling and spends
     # one unit of fuel per rule application, which is what a step counts.
+    # At every budget below a finished run's steps, the run stops where the
+    # builder's fuel runs out, with the builder's largest store and loop
+    # iterations up to that rule.
     rng = random.Random(2718)
     budget = 1500
     finished = 0
@@ -117,18 +122,18 @@ def test_runs_match_the_tree_oracle():
             "".join(rng.choice("01#") for _ in range(rng.randint(0, 4)))
             for _ in program.params
         ]
+        store = dict(zip(program.params, inputs))
         builder = treecheck.TreeBuilder(fuel=budget + 1)
         try:
-            broke, out, node = builder.exec_tree(
-                dict(zip(program.params, inputs)), program.body
-            )
+            broke, out, node = builder.exec_tree(store, program.body)
         except treecheck.TreeFuelExhausted:
             broke = out = node = None
         where = parser.pretty_print(program)
         try:
             result, stats = interp1.run_program(program, inputs, budget=budget)
         except interp1.BudgetExhausted as stop:
-            assert node is None and stop.stats.steps == budget + 1, where
+            assert node is None, where
+            assert_stopped_like(stop, builder, budget, where)
             continue
         except interp1.TopLevelBreak:
             assert broke, where
@@ -136,21 +141,21 @@ def test_runs_match_the_tree_oracle():
         assert node is not None and not broke, where
         assert result == out.get(program.ret, EPSILON), where
         assert stats.steps == budget + 1 - builder.fuel, where
-        assert stats.max_store_size == largest_store(node, out), where
+        assert stats.max_store_size == builder.largest, where
+        assert stats.loop_iterations == builder.iterations, where
         for b in range(stats.steps):
             stop = run_or_stop(lambda: interp1.run_program(program, inputs, budget=b))[0]
             assert isinstance(stop, interp1.BudgetExhausted), where
-            assert stop.stats.steps == b + 1, where
+            cut = treecheck.TreeBuilder(fuel=b + 1)
+            with pytest.raises(treecheck.TreeFuelExhausted):
+                cut.exec_tree(store, program.body)
+            assert_stopped_like(stop, cut, b, f"budget {b}\n{where}")
         finished += 1
     assert finished > 800
 
 
-def largest_store(node, final: dict) -> int:
-    """Symbols in the largest store of a materialized tree or its final store."""
-    sizes = [sum(map(len, final.values()))]
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        sizes.append(sum(map(len, n["store"].values())))
-        stack.extend(n["children"])
-    return max(sizes)
+def assert_stopped_like(stop, builder, budget: int, where: str):
+    """A budget stop agrees with a builder whose fuel ran out at the same rule."""
+    assert stop.stats.steps == budget + 1, where
+    assert stop.stats.max_store_size == builder.largest, where
+    assert stop.stats.loop_iterations == builder.iterations, where

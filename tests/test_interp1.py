@@ -29,8 +29,7 @@ word_st = st.text(alphabet="01#", max_size=20)
 
 def evaluate(store, e):
     """The value of expression ``e`` in ``store``."""
-    interp = Interp()
-    return interp.compile_expr(e)(interp, store)
+    return Interp().evaluate(e, store)
 
 
 def execute(store, s, interp=None):
@@ -111,12 +110,16 @@ def test_seq_short_circuits_on_break():
     ],
 )
 def test_bad_nodes_fail_only_when_run(bad, error, steps):
+    # The failure keeps its place at every budget: below its step the run
+    # stops on the budget, from it on with the same error.
     stmt = Seq([Skip(), If(Var("x"), bad, Skip())])
     assert execute({"x": "0"}, stmt)[1].stats.steps == 5
-    interp = Interp()
-    with pytest.raises(error):
-        execute({"x": "1"}, stmt, interp)
-    assert interp.stats.steps == 4 + steps
+    failing_step = 4 + steps
+    for budget in range(failing_step + 3):
+        interp = Interp(budget)
+        with pytest.raises(BudgetExhausted if budget < failing_step else error):
+            execute({"x": "1"}, stmt, interp)
+        assert interp.stats.steps == min(budget + 1, failing_step)
 
 
 def test_if_dispatches_on_truthiness():

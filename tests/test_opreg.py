@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,6 +78,42 @@ def test_comparisons_shortlex(reg):
     assert reg.apply("gt", ["10", "01"]) == "1"
     assert reg.apply("eq", ["", ""]) == "1"
     assert reg.apply("ne", ["#", "1"]) == "1"
+
+
+def kernel_words(n: int, seed: int = 74) -> list:
+    """n random words over {0,1,#} of up to 8 symbols, after the edge cases."""
+    rng = random.Random(seed)
+    fixed = ["", "1", "0", "#"] + [words.unary(k) for k in range(2, 6)]
+    drawn = ["".join(rng.choice("01#") for _ in range(rng.randint(0, 8))) for _ in range(n)]
+    # Unary words are rare in uniform draws; half of the rest are unary.
+    drawn[::2] = [words.unary(len(w)) for w in drawn[::2]]
+    return fixed + drawn
+
+
+def test_operator_kernels_match_their_definitions():
+    # The evaluator and treecheck both call entry.fn, so the kernels are
+    # judged here against the shortlex and unary definitions.
+    def pred(b):
+        return words.TRUE if b else words.FALSE
+
+    cmp = words.shortlex_compare
+    comparisons = {
+        "eq": lambda a, b: pred(cmp(a, b) == 0),
+        "ne": lambda a, b: pred(cmp(a, b) != 0),
+        "lt": lambda a, b: pred(cmp(a, b) < 0),
+        "le": lambda a, b: pred(cmp(a, b) <= 0),
+        "gt": lambda a, b: pred(cmp(a, b) > 0),
+    }
+    left, right = kernel_words(3000), kernel_words(3000, seed=75)
+    # Random pairs, then each word paired with itself.
+    for name, definition in comparisons.items():
+        fn = opreg.BUILTINS.lookup(name).fn
+        for a, b in zip(left + left, right + left):
+            assert fn(a, b) == definition(a, b), (name, a, b)
+    dec = opreg.BUILTINS.lookup("dec").fn
+    for a in left + right:
+        n = words.unary_value(a)
+        assert dec(a) == ("" if not n else words.unary(n - 1)), a
 
 
 def test_booleans(reg):

@@ -446,7 +446,23 @@ def test_config_restriction_monotone():
 
 
 def test_for_check_on_corpus(bubble):
-    assert check_for_program(parser.parse_file(corpus("bubble_for.tl")))
-    assert not check_for_program(bubble)
-    assert not check_for_program(parser.parse_file(corpus("exp2.tl")))
-    assert check_for_program(parse("prog(x){skip return x}"))
+    assert check_for_program(parser.parse_file(corpus("bubble_for.tl"))) is None
+    assert check_for_program(bubble) == "the while loop at line 7 is not a for loop"
+    assert check_for_program(parser.parse_file(corpus("exp2.tl"))) is not None
+    assert check_for_program(parse("prog(x){skip return x}")) is None
+
+
+@pytest.mark.parametrize(
+    "low, ends",
+    [("u1", True), ("u2", True), ('"0#1"', True), ("hd(u3)", True),
+     ("u0", False), ("eps", False), ("tl(u1)", False), ("n", False), ("hd(n)", False)],
+)
+def test_for_loop_counts_only_with_a_constant_non_empty_lower_bound(low, ends):
+    # while(e <= i) holds forever when e is eps, and a bound with variables
+    # can move; neither loop is sure to end.
+    program = parse(f"prog(n){{\n  skip;\n  for i = {low} to n {{ skip }}\n  return n\n}}")
+    why_not = check_for_program(program)
+    if ends:
+        assert why_not is None
+    else:
+        assert why_not.startswith("the for loop at line 3 counts down to ")

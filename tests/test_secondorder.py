@@ -404,6 +404,22 @@ def test_runtime_errors(run, error):
     assert err.value.stats is not None
 
 
+def test_order1_read_fails_in_place_at_every_budget():
+    # t := F reads the boxed oracle F as a word: below the step of that read
+    # the run stops on the budget, from it on with the same error.
+    program = call_p(Assign("t", Var("F")), ClosureVar("F"))
+    with pytest.raises(ExecError) as err:
+        so.eval_program2(program, APPEND1, ["1"])
+    failing_step = err.value.stats.steps
+    assert failing_step > 1
+    for budget in range(failing_step + 3):
+        with pytest.raises(BudgetExhausted if budget < failing_step else ExecError) as stop:
+            so.eval_program2(program, APPEND1, ["1"], budget=budget)
+        assert stop.value.stats.steps == min(budget + 1, failing_step)
+        if budget >= failing_step:
+            assert str(stop.value) == str(err.value)
+
+
 def test_stop_inside_program_oracle_reports_whole_run(iterator_program):
     # bubble.tl as the oracle of I.tl2: the budget runs out inside a nested
     # first-order run, and the stop carries the stats of the whole run

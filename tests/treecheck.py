@@ -15,6 +15,8 @@ the AST types are shared.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from tierlang import opreg, words
 from tierlang.syntax import (
     Assign,
@@ -48,8 +50,21 @@ def u_vars(e) -> frozenset:
 
 
 class TreeBuilder:
+    """Spends one unit of fuel per rule application.
+
+    ``largest`` is the size, in symbols, of the largest store seen: each
+    store a rule starts from and each store an assignment leaves.
+    ``iterations`` counts each loop's unrollings.  When the fuel runs out,
+    both hold what was reached up to that rule.
+    """
+
     def __init__(self, fuel: int = 5000):
         self.fuel = fuel
+        self.largest = 0
+        self.iterations = Counter()
+
+    def note(self, store):
+        self.largest = max(self.largest, sum(map(len, store.values())))
 
     def spend(self):
         self.fuel -= 1
@@ -70,6 +85,7 @@ class TreeBuilder:
 
     def exec_tree(self, store, s):
         """Returns (broke, store, node); node = dict(stmt, store, children)."""
+        self.note(store)
         self.spend()
         node = {"stmt": s, "store": dict(store), "children": []}
         if isinstance(s, Skip):
@@ -77,6 +93,7 @@ class TreeBuilder:
         if isinstance(s, Assign):
             out = dict(store)
             out[s.var] = self.eval_expr(store, s.expr)
+            self.note(out)
             return False, out, node
         if isinstance(s, Seq):
             head, *rest = s.stmts
@@ -98,6 +115,7 @@ class TreeBuilder:
             guard = self.eval_expr(store, s.guard)
             if not words.truthy(guard):
                 return False, store, node
+            self.iterations[s.loop_id] += 1
             # Literal unrolling: the premise is (body ; while ...).
             broke, out, child = self.exec_tree(store, Seq([s.body, s]))
             node["children"].append(child)
