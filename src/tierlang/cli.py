@@ -12,6 +12,7 @@ repository root); exit codes are a function of the report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -111,7 +112,7 @@ def front_end(report: dict, as_json: bool, load):
         report["explanation"] = str(exc)
         emit(report, as_json, [f"parse error: {exc}"])
         return None
-    except (OSError, ValueError, secondorder.OracleFailure) as exc:
+    except (OSError, ValueError) as exc:
         report["error"] = "io"
         report["explanation"] = str(exc)
         emit(report, as_json, [f"error: {exc}"])
@@ -127,14 +128,6 @@ def first_order_safety(report: dict, result: safety1.InferenceResult) -> None:
     report["gamma"] = details["gamma"]
     report["loop_levels"] = details["loop_levels"]
     report["explanation"] = result.explanation
-
-
-def load_program(path: str):
-    program = parser.parse_file(path)
-    if path.endswith(".tl2") != isinstance(program, Program2):
-        order = "second" if path.endswith(".tl2") else "first"
-        raise parser.ParseError(f"{path}: expected a {order}-order program")
-    return program
 
 
 def default_budget() -> int:
@@ -172,7 +165,7 @@ def cmd_check(args) -> int:
     lines = []
     loaded = front_end(report, args.json, lambda: (
         load_config(args.delta),
-        load_program(args.file),
+        parser.parse_file(args.file),
     ))
     if loaded is None:
         return report["exit_code"]
@@ -220,7 +213,7 @@ def cmd_run(args) -> int:
 
     def load():
         budget = args.max_steps if args.max_steps is not None else default_budget()
-        program = load_program(args.file)
+        program = parser.parse_file(args.file)
         inputs = {}
         for item in args.input or []:
             if "=" not in item:
@@ -240,29 +233,26 @@ def cmd_run(args) -> int:
         return report["exit_code"]
     budget, program, inputs, oracles = loaded
 
-    param_names = (
-        program.params if isinstance(program, Program1) else program.boxed_words
-    )
+    if isinstance(program, Program1):
+        interp = interp1.Interp(budget, args.monitor)
+        param_names, start = program.params, functools.partial(interp.run, program)
+    else:
+        interp = secondorder.Interp2(program, oracles, budget, args.monitor)
+        param_names, start = program.boxed_words, interp.run
     values = []
     for name in param_names:
         if name not in inputs:
             print(f"warning: input {name} missing, defaulting to eps", file=sys.stderr)
         values.append(inputs.get(name, words.EPSILON))
     try:
-        if isinstance(program, Program1):
-            result, stats = interp1.run_program(program, values, budget, args.monitor)
-        else:
-            result, stats = secondorder.eval_program2(
-                program, oracles, values, budget, args.monitor
-            )
+        result = start(values)
         report["verdicts"]["ran"] = True
         if args.monitor:
             report["verdicts"]["aperiodic"] = True
         report["result"] = result
-        report["stats"] = stats.as_dict()
         lines.append(f'result: "{result}"')
-        lines.append(f"steps: {stats.steps}")
-        for loop, count in sorted(stats.loop_iterations.items()):
+        lines.append(f"steps: {interp.stats.steps}")
+        for loop, count in sorted(interp.stats.loop_iterations.items()):
             lines.append(f"loop {loop}: {count} iteration(s)")
         if args.monitor:
             lines.append("aperiodicity: no violation")
@@ -271,16 +261,15 @@ def cmd_run(args) -> int:
         report["stop"] = _stop_details(exc)
         if isinstance(exc, interp1.AperiodicityViolation):
             report["verdicts"]["aperiodic"] = False
-        if exc.stats is not None:
-            report["stats"] = exc.stats.as_dict()
         lines.append(f"stopped ({exc.subcode}): {exc}")
+    report["stats"] = interp.stats.as_dict()
     return emit(report, args.json, lines)
 
 
 def cmd_forcheck(args) -> int:
     report = blank_report("forcheck", args.file)
     lines = []
-    program = front_end(report, args.json, lambda: load_program(args.file))
+    program = front_end(report, args.json, lambda: parser.parse_file(args.file))
     if program is None:
         return report["exit_code"]
     if not isinstance(program, Program1):
@@ -334,7 +323,7 @@ def cmd_ops(args) -> int:
 
 def cmd_desugar(args) -> int:
     report = blank_report("desugar", args.file)
-    program = front_end(report, args.json, lambda: load_program(args.file))
+    program = front_end(report, args.json, lambda: parser.parse_file(args.file))
     if program is None:
         return report["exit_code"]
     report["source"] = parser.pretty_print(program)

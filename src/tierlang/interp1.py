@@ -16,8 +16,10 @@ current frame), loops with the monitor, and the ``(loop_id, serial)``
 activation labels of oracle-break events.  Oracle calls and oracle breaks
 go through its ``apply_oracle`` hook, which rejects them in a first-order
 run; ``secondorder.Interp2`` extends the core with procedures, closures
-and oracles.  A program runs through ``Interp.run`` (``run_program``
-wraps it); any single statement runs as its closure,
+and oracles.  A run starts as ``Interp(budget, monitor).run(program,
+inputs)``, which returns the result word or raises a ``RuntimeStop``; either
+way ``interp.stats`` then holds the run's statistics, and a stop carries
+none.  Any single statement runs as its closure,
 ``interp.compiled(s)(interp, store)``.
 
 A step is one rule application, so the step count is proportional to the
@@ -96,10 +98,6 @@ class ExecStats:
 class RuntimeStop(Exception):
     subcode = "runtime-stop"
 
-    def __init__(self, message, stats=None):
-        super().__init__(message)
-        self.stats = stats
-
 
 class BudgetExhausted(RuntimeStop):
     subcode = "budget-exhausted"
@@ -112,11 +110,10 @@ class TopLevelBreak(RuntimeStop):
 class AperiodicityViolation(RuntimeStop):
     subcode = "aperiodicity-violation"
 
-    def __init__(self, loop_id, iteration, witness, stats=None):
+    def __init__(self, loop_id, iteration, witness):
         super().__init__(
             f"loop {loop_id} revisited an equivalent store at guard "
-            f"evaluation {iteration}: {witness}",
-            stats,
+            f"evaluation {iteration}: {witness}"
         )
         self.loop_id = loop_id
         self.iteration = iteration
@@ -255,7 +252,7 @@ class Interp:
     def exhausted(self):
         """Stop where ticking one step at a time would have: at budget + 1."""
         self.stats.steps = self.budget + 1
-        raise BudgetExhausted(f"step budget of {self.budget} exhausted", self.stats)
+        raise BudgetExhausted(f"step budget of {self.budget} exhausted")
 
     def note_store(self, store: dict):
         """Make ``store`` the current frame and count its size."""
@@ -265,19 +262,18 @@ class Interp:
 
     def apply_oracle(self, store: dict, name: str, args: list) -> str:
         """Answer of oracle ``name`` on ``args``; a first-order run has none."""
-        raise ExecError(
-            "oracle calls cannot occur in first-order programs", self.stats
-        )
+        raise ExecError("oracle calls cannot occur in first-order programs")
 
     def compiled(self, s):
         """The closure running statement ``s`` and its prefix, compiled once."""
         entry = self.code.get(id(s))
-        if entry is None or entry[0] is not s:
+        if entry is None:
             k, fn = self.compile_stmt(s)
 
             def run(m, store):
                 m.tick(k)
                 return fn(m, store)
+            # The entry holds s alive, so no other object can take its id.
             entry = self.code[id(s)] = (s, run)
         return entry[1]
 
@@ -299,7 +295,7 @@ class Interp:
                 value = store.get(name, words.EPSILON)
                 if isinstance(value, str):
                     return value
-                raise ExecError(f"order-1 variable {name} used as a word", m.stats)
+                raise ExecError(f"order-1 variable {name} used as a word")
             return 1, var, False, None
         if isinstance(e, OpApp):
             return self.compile_op(e.op, [self.compile_expr(a) for a in e.args])
@@ -310,7 +306,7 @@ class Interp:
             return _node(args, lambda m, store, values: m.apply_oracle(store, oracle, values))
 
         def not_expr(m, store):
-            raise ExecError(f"not an expression: {e!r}", m.stats)
+            raise ExecError(f"not an expression: {e!r}")
         return 1, not_expr, False, None
 
     def compile_op(self, op: str, args: list) -> tuple:
@@ -326,7 +322,7 @@ class Interp:
             try:
                 return opreg.BUILTINS.apply(op, values)
             except opreg.UnknownOperator as exc:
-                raise ExecError(f"unknown operator: {exc}", m.stats)
+                raise ExecError(f"unknown operator: {exc}")
         return _node(args, failing)
 
     # -- statements
@@ -402,7 +398,7 @@ class Interp:
             message = f"not a statement: {s!r}"
 
         def not_runnable(m, store):
-            raise ExecError(message, m.stats)
+            raise ExecError(message)
         return 0, not_runnable
 
     def compile_while(self, s: While) -> tuple:
@@ -426,9 +422,7 @@ class Interp:
                     if state is not None:
                         witness = state.observe(store)
                         if witness is not None:
-                            raise AperiodicityViolation(
-                                loop_id, state.evaluations, witness, st
-                            )
+                            raise AperiodicityViolation(loop_id, state.evaluations, witness)
                         m.tick(kg)
                     if guard(m, store) != words.TRUE:
                         return False
@@ -453,28 +447,13 @@ class Interp:
     def run(self, program: Program1, inputs) -> str:
         if len(inputs) != len(program.params):
             raise ExecError(
-                f"program expects {len(program.params)} inputs, got {len(inputs)}",
-                self.stats,
+                f"program expects {len(program.params)} inputs, got {len(inputs)}"
             )
         store = {}
         for name, value in zip(program.params, inputs):
             store[name] = words.word(value)
         self.note_store(store)
         if self.compiled(program.body)(self, store):
-            raise TopLevelBreak(
-                "a break escaped the program body; the result is undefined",
-                self.stats,
-            )
+            raise TopLevelBreak("a break escaped the program body; the result is undefined")
         return lookup(store, program.ret)
 
-
-def run_program(program: Program1, inputs,
-                budget: int = DEFAULT_BUDGET, monitor: bool = False):
-    """Run a program on input words; returns (result word, stats).
-
-    Raises RuntimeStop subclasses for budget exhaustion, monitored
-    aperiodicity violations, and top-level breaks.
-    """
-    interp = Interp(budget, monitor)
-    result = interp.run(program, inputs)
-    return result, interp.stats

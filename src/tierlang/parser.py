@@ -15,7 +15,8 @@ Surface conventions (ASCII only):
 * blocks and expressions nest at most ``MAX_NESTING`` levels deep.
 
 First- versus second-order input is detected from the leading keyword
-(``prog`` versus ``box``/``declare``/``call``).
+(``prog`` versus ``box``/``declare``/``call``).  A file's extension names
+its language, and ``parse_file`` rejects a file holding the other one.
 
 Each fact is settled where it is read: a ``for`` loop is expanded once its
 body is parsed, and an order-1 variable takes the arity of its uses in its
@@ -581,8 +582,13 @@ def parse(text: str, desugar: bool = True):
 
 
 def parse_file(path: str):
+    """The program in ``path``: second-order in a .tl2 file, else first-order."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+        program = parse(fh.read())
+    if path.endswith(".tl2") != isinstance(program, Program2):
+        order = "second" if path.endswith(".tl2") else "first"
+        raise ParseError(f"{path}: expected a {order}-order program")
+    return program
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,10 @@ evaluate under the store current at the oracle call, with the closure's
 binders shadowing it.  A ``prog:`` oracle runs as a nested first-order run
 whose steps count toward the whole run's budget; one sub-interpreter per
 run serves every such call, so each oracle program is compiled once per
-run.
+run.  A run starts as ``Interp2(program, oracles, budget, monitor).run(inputs)``,
+where ``oracles`` maps boxed oracle names to ``Oracle`` values; after a result
+or a ``RuntimeStop``, ``interp.stats`` holds the whole run's statistics, a
+stop inside a ``prog:`` oracle included.
 """
 
 from __future__ import annotations
@@ -355,8 +358,8 @@ class Oracle:
     program: Program1 | None = None
 
 
-class OracleFailure(interp1.RuntimeStop):
-    subcode = "oracle-failure"
+class OracleFailure(ValueError):
+    """An oracle spec that gives no oracle; raised while the inputs are loaded."""
 
 
 def _bitflip(w: str) -> str:
@@ -412,7 +415,7 @@ class Interp2(interp1.Interp):
         self.stats.oracle_calls += 1
         closure = self.env.get(name)
         if closure is None:
-            raise ExecError(f"oracle variable {name} is not bound here", self.stats)
+            raise ExecError(f"oracle variable {name} is not bound here")
         self.tick()
         if isinstance(closure, ClosureVar):
             value = store.get(closure.name)
@@ -420,43 +423,31 @@ class Interp2(interp1.Interp):
                 # Unbound order-1 variables denote the constant empty function.
                 return words.EPSILON
             if not isinstance(value, Oracle):
-                raise ExecError(
-                    f"{closure.name} does not hold an oracle", self.stats
-                )
+                raise ExecError(f"{closure.name} does not hold an oracle")
             return self.call_external(value, args)
         if isinstance(closure, Lambda):
             if len(closure.params) != len(args):
-                raise ExecError(
-                    f"closure for {name} got {len(args)} argument(s)", self.stats
-                )
+                raise ExecError(f"closure for {name} got {len(args)} argument(s)")
             inner = dict(store)
             inner.update(zip(closure.params, args))
             return self.eval_term(inner, closure.body)
-        raise ExecError(f"cannot apply {closure!r} as an oracle", self.stats)
+        raise ExecError(f"cannot apply {closure!r} as an oracle")
 
     def call_external(self, oracle: Oracle, args):
         if len(args) != oracle.arity:
-            raise ExecError(
-                f"oracle {oracle.name} expects {oracle.arity} argument(s)",
-                self.stats,
-            )
+            raise ExecError(f"oracle {oracle.name} expects {oracle.arity} argument(s)")
         if oracle.program is None:
             return words.word(oracle.fn(*args))
         # Each call is a fresh first-order run on the budget left.  A stop
-        # inside the oracle ends the whole run: it reports the run's budget
-        # and stats, not the oracle's.
+        # inside the oracle ends the whole run, whose stats are self.stats; a
+        # budget stop names the whole run's budget, not the oracle's.
         sub = self.sub
         sub.budget = self.budget - self.stats.steps
         sub.stats = interp1.ExecStats()
         try:
             return sub.run(oracle.program, list(args))
         except interp1.BudgetExhausted:
-            raise interp1.BudgetExhausted(
-                f"step budget of {self.budget} exhausted", self.stats
-            ) from None
-        except interp1.RuntimeStop as stop:
-            stop.stats = self.stats
-            raise
+            raise interp1.BudgetExhausted(f"step budget of {self.budget} exhausted") from None
         finally:
             self.stats.steps += sub.stats.steps
 
@@ -467,22 +458,17 @@ class Interp2(interp1.Interp):
         if isinstance(t, TermVar):
             value = store.get(t.name, words.EPSILON)
             if isinstance(value, Oracle):
-                raise ExecError(
-                    f"order-1 variable {t.name} used as a word", self.stats
-                )
+                raise ExecError(f"order-1 variable {t.name} used as a word")
             return value
         if isinstance(t, Call):
             proc = self.sigma.get(t.proc)
             if proc is None:
-                raise ExecError(f"undeclared procedure {t.proc}", self.stats)
+                raise ExecError(f"undeclared procedure {t.proc}")
             values = [self.eval_term(store, a) for a in t.args]
             if len(values) != len(proc.params) or len(t.closures) != len(
                 proc.oracle_params
             ):
-                raise ExecError(
-                    f"call of {t.proc} does not match its parameter list",
-                    self.stats,
-                )
+                raise ExecError(f"call of {t.proc} does not match its parameter list")
             frame = dict(store)
             frame.update(zip(proc.params, values))
             frame.update({name: words.EPSILON for name in proc.locals})
@@ -497,56 +483,34 @@ class Interp2(interp1.Interp):
             if self.compiled(proc.body)(self, frame):
                 raise interp1.TopLevelBreak(
                     f"a break escaped the body of procedure {t.proc}; the "
-                    f"result is undefined",
-                    self.stats,
+                    f"result is undefined"
                 )
             self.size, self.env = caller_size, caller_env
             result = frame.get(proc.ret, words.EPSILON)
             if isinstance(result, Oracle):
-                raise ExecError(
-                    f"{t.proc} returned an order-1 value", self.stats
-                )
+                raise ExecError(f"{t.proc} returned an order-1 value")
             return result
-        raise ExecError(f"not a term: {t!r}", self.stats)
+        raise ExecError(f"not a term: {t!r}")
 
     def run(self, inputs) -> str:
         if len(inputs) != len(self.program.boxed_words):
             raise ExecError(
                 f"program expects {len(self.program.boxed_words)} word "
-                f"input(s), got {len(inputs)}",
-                self.stats,
+                f"input(s), got {len(inputs)}"
             )
         store: dict = {}
         for (name, arity) in self.program.boxed_oracles:
             oracle = self.oracles.get(name)
             if oracle is None:
-                raise ExecError(f"no oracle supplied for {name}", self.stats)
+                raise ExecError(f"no oracle supplied for {name}")
             if oracle.arity != arity:
                 raise ExecError(
-                    f"oracle for {name} must have arity {arity}, got "
-                    f"{oracle.arity}",
-                    self.stats,
+                    f"oracle for {name} must have arity {arity}, got {oracle.arity}"
                 )
             store[name] = oracle
         for name, value in zip(self.program.boxed_words, inputs):
             store[name] = words.word(value)
         return self.eval_term(store, self.program.main)
-
-
-def eval_program2(
-    program: Program2,
-    oracles: dict,
-    inputs,
-    budget: int = DEFAULT_BUDGET,
-    monitor: bool = False,
-):
-    """Run a second-order program; returns (result word, stats).
-
-    ``oracles`` maps boxed oracle names to Oracle values.
-    """
-    interp = Interp2(program, oracles, budget, monitor)
-    result = interp.run(inputs)
-    return result, interp.stats
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,22 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 from tierlang import parser  # noqa: E402
+from tierlang.interp1 import DEFAULT_BUDGET, Interp  # noqa: E402
+from tierlang.secondorder import Interp2  # noqa: E402
+from tierlang.syntax import Program2  # noqa: E402
 
 
 def corpus(name: str) -> str:
     return str(ROOT / "corpus" / name)
+
+
+def run(program, inputs, oracles=None, budget=DEFAULT_BUDGET, monitor=False):
+    """(result, stats) of a run of either order that ends in a result."""
+    if isinstance(program, Program2):
+        interp = Interp2(program, oracles or {}, budget, monitor)
+        return interp.run(inputs), interp.stats
+    interp = Interp(budget, monitor)
+    return interp.run(program, inputs), interp.stats
 
 
 def procedure(program, name: str):

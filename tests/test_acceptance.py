@@ -12,7 +12,7 @@ import time
 import pytest
 
 import treecheck
-from conftest import corpus, procedure
+from conftest import corpus, procedure, run
 from tierlang import cli, genprog, interp1, parser, safety1, secondorder as so
 from tierlang.interp1 import AperiodicityViolation, BudgetExhausted, TopLevelBreak
 from tierlang.syntax import (
@@ -86,7 +86,7 @@ def test_criterion_03_exp2_detection(capsys):
         for tail in itertools.product("01", repeat=size - 1):
             y = "1" + "".join(tail)  # every binary numeral of this size
             with pytest.raises(AperiodicityViolation) as err:
-                interp1.run_program(program, [y], monitor=True)
+                interp1.Interp(monitor=True).run(program, [y])
             assert err.value.loop_id == loop.loop_id
             assert err.value.iteration == 2
             checked += 1
@@ -134,7 +134,7 @@ def test_criterion_05_inference_vs_brute_force():
 
 
 def _steps(program, inputs):
-    _, stats = interp1.run_program(program, inputs)
+    _, stats = run(program, inputs)
     return stats.steps
 
 
@@ -178,7 +178,7 @@ def test_criterion_07_for_criterion(capsys):
     runs = 0
     for program in accepted:
         for n in range(0, 9):
-            interp1.run_program(program, ["1" * n] * len(program.params), monitor=True)
+            run(program, ["1" * n] * len(program.params), monitor=True)
             runs += 1
     ok(7, f"forcheck verdicts as expected; {runs} monitored unary runs all clean")
 
@@ -202,9 +202,7 @@ def test_criterion_08_second_order_pipeline(capsys):
     assert report["verdicts"]["safety"] is True
 
     program = parser.parse_file(corpus("I.tl2"))
-    out, _ = so.eval_program2(
-        program, {"F": so.make_oracle("builtin:append1")}, ["1", "1111", "111"]
-    )
+    out, _ = run(program, ["1", "1111", "111"], {"F": so.make_oracle("builtin:append1")})
     assert out == "1111" == _reference_iterate(lambda x: x + "1", "1", "1111", "111")
 
     rng = random.Random(808)
@@ -220,9 +218,7 @@ def test_criterion_08_second_order_pipeline(capsys):
         u = "".join(rng.choice("01") for _ in range(rng.randint(0, 6)))
         v = "".join(rng.choice("01") for _ in range(rng.randint(1, 7)))
         w = "1" * rng.randint(0, 6)
-        out, _ = so.eval_program2(
-            program, {"F": so.make_oracle(spec)}, [u, v, w]
-        )
+        out, _ = run(program, [u, v, w], {"F": so.make_oracle(spec)})
         assert out == _reference_iterate(pyfn, u, v, w), (spec, u, v, w)
 
     import copy
@@ -252,7 +248,7 @@ def test_criterion_08_second_order_pipeline(capsys):
 
 def _monitor_verdict(program, inputs) -> bool:
     try:
-        interp1.run_program(program, inputs, budget=5000, monitor=True)
+        interp1.Interp(5000, monitor=True).run(program, inputs)
     except AperiodicityViolation:
         return True
     except TopLevelBreak:
@@ -347,7 +343,7 @@ def test_criterion_09_monitor_matches_tree_oracle():
     total = agreements = violations = 0
     for program, inputs in _family():
         try:
-            interp1.run_program(program, inputs, budget=50)
+            interp1.Interp(budget=50).run(program, inputs)
         except BudgetExhausted:
             continue
         except TopLevelBreak:

@@ -219,6 +219,53 @@ def test_the_extension_names_the_language(tmp_path, capsys, command, source, nam
     assert report["explanation"] == f"{mislabeled}: expected a {order}-order program"
 
 
+@pytest.mark.parametrize(
+    "source, name, order", [("bubble.tl", "X.tl2", "second"), ("I.tl2", "X.tl", "first")]
+)
+def test_the_extension_names_a_program_oracles_language(tmp_path, capsys, source, name, order):
+    mislabeled = tmp_path / name
+    mislabeled.write_text(open(corpus(source)).read())
+    code, report = run_json(capsys, "run", corpus("I.tl2"), "--oracle", f"F=prog:{mislabeled}")
+    assert code == 2
+    assert report["verdicts"]["parse"] is False
+    assert report["explanation"] == f"{mislabeled}: expected a {order}-order program"
+
+
+@pytest.mark.parametrize("source, explanation", [
+    pytest.param(
+        "box[z] in declare p(,y){skip return y} in declare p(,x){skip return x} in call p(,z)",
+        "procedure p declared more than once", id="duplicate-procedure"),
+    pytest.param(
+        "box[z] in declare p(,y){var y; skip return y} in call p(,z)",
+        "procedure p: parameters and locals overlap: ['y']", id="parameter-is-a-local"),
+    pytest.param(
+        "box[F, z] in declare p(X, y){var t; t := G(y) return t} in call p(F, z)",
+        "procedure p: oracle variable G is not a parameter", id="oracle-not-a-parameter"),
+    pytest.param(
+        "box[z] in declare p(,y){skip return y} in declare q(,y){skip return y} in call p(,z)",
+        "name clash between parameters of p and parameters of q: ['y']", id="binder-clash"),
+    pytest.param(
+        "box[z] in declare p(,y){skip return y} in call p(,w)",
+        "unbound term variable w", id="unbound-term-variable"),
+    pytest.param(
+        "box[F, z] in declare p(X, y){var t; t := X(y) return t} in call p(G, z)",
+        "closure variable G is not a boxed oracle", id="closure-variable-not-boxed"),
+    pytest.param(
+        "box[F, z] in declare p(X, y){var t; t := X(y) return t} in call p(lambda(a, b). a, z)",
+        "closure for X of p must take 1 argument(s), got 2", id="lambda-arity"),
+    pytest.param(
+        "box[z] in declare p(,y){skip return y} in call p(,z, z)",
+        "p expects 1 word argument(s), got 2", id="word-argument-count"),
+])
+def test_simple_type_errors_are_explained(tmp_path, capsys, source, explanation):
+    path = tmp_path / "ill_typed.tl2"
+    path.write_text(source + "\n")
+    code, report = run_json(capsys, "check", str(path))
+    assert code == 1
+    assert report["verdicts"]["simple_type"] is False
+    assert report["explanation"] == explanation
+
+
 def test_ops_listing(capsys):
     code, report = run_json(capsys, "ops")
     assert code == 0

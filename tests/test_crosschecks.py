@@ -50,14 +50,8 @@ def compare_embedding_runs(monitor: bool):
             for _ in program.params
         ]
         extra = 1 + len(program.params)
-        direct = run_or_stop(
-            lambda: interp1.run_program(program, inputs, budget=2000, monitor=monitor)
-        )
-        via2 = run_or_stop(
-            lambda: so.eval_program2(
-                embedded, {}, inputs, budget=2000 + extra, monitor=monitor
-            )
-        )
+        direct = run_or_stop(interp1.Interp(2000, monitor), program, inputs)
+        via2 = run_or_stop(so.Interp2(embedded, {}, 2000 + extra, monitor), inputs)
         (out1, stats1), (out2, stats2) = direct, via2
         where = f"monitor={monitor}\n{parser.pretty_print(program)}"
         assert type(out1) is type(out2), where
@@ -80,8 +74,8 @@ def test_escaping_break_stops_both_runs():
     )
     embedded = so.embed_program1(program)
     for word, stops in (("1", True), ("0", False)):
-        direct = run_or_stop(lambda: interp1.run_program(program, [word]))
-        via2 = run_or_stop(lambda: so.eval_program2(embedded, {}, [word]))
+        direct = run_or_stop(interp1.Interp(), program, [word])
+        via2 = run_or_stop(so.Interp2(embedded, {}), [word])
         (out1, stats1), (out2, stats2) = direct, via2
         assert isinstance(out1, interp1.TopLevelBreak) is stops
         assert type(out1) is type(out2)
@@ -91,12 +85,12 @@ def test_escaping_break_stops_both_runs():
         assert stats1.max_store_size == stats2.max_store_size
 
 
-def run_or_stop(run):
-    """(result, stats) of a run, or (the RuntimeStop, its stats)."""
+def run_or_stop(interp, *args):
+    """(result, stats) of ``interp.run(*args)``, or (the RuntimeStop, the stats)."""
     try:
-        return run()
+        return interp.run(*args), interp.stats
     except interp1.RuntimeStop as stop:
-        return stop, stop.stats
+        return stop, interp.stats
 
 
 def test_embedded_programs_pass_simple_typing():
@@ -129,33 +123,35 @@ def test_runs_match_the_tree_oracle():
         except treecheck.TreeFuelExhausted:
             broke = out = node = None
         where = parser.pretty_print(program)
+        interp = interp1.Interp(budget)
         try:
-            result, stats = interp1.run_program(program, inputs, budget=budget)
-        except interp1.BudgetExhausted as stop:
+            result = interp.run(program, inputs)
+        except interp1.BudgetExhausted:
             assert node is None, where
-            assert_stopped_like(stop, builder, budget, where)
+            assert_stopped_like(interp.stats, builder, budget, where)
             continue
         except interp1.TopLevelBreak:
             assert broke, where
             continue
         assert node is not None and not broke, where
+        stats = interp.stats
         assert result == out.get(program.ret, EPSILON), where
         assert stats.steps == budget + 1 - builder.fuel, where
         assert stats.max_store_size == builder.largest, where
         assert stats.loop_iterations == builder.iterations, where
         for b in range(stats.steps):
-            stop = run_or_stop(lambda: interp1.run_program(program, inputs, budget=b))[0]
+            stop, cut_stats = run_or_stop(interp1.Interp(b), program, inputs)
             assert isinstance(stop, interp1.BudgetExhausted), where
             cut = treecheck.TreeBuilder(fuel=b + 1)
             with pytest.raises(treecheck.TreeFuelExhausted):
                 cut.exec_tree(store, program.body)
-            assert_stopped_like(stop, cut, b, f"budget {b}\n{where}")
+            assert_stopped_like(cut_stats, cut, b, f"budget {b}\n{where}")
         finished += 1
     assert finished > 800
 
 
-def assert_stopped_like(stop, builder, budget: int, where: str):
-    """A budget stop agrees with a builder whose fuel ran out at the same rule."""
-    assert stop.stats.steps == budget + 1, where
-    assert stop.stats.max_store_size == builder.largest, where
-    assert stop.stats.loop_iterations == builder.iterations, where
+def assert_stopped_like(stats, builder, budget: int, where: str):
+    """A budget stop's stats agree with a builder whose fuel ran out at the same rule."""
+    assert stats.steps == budget + 1, where
+    assert stats.max_store_size == builder.largest, where
+    assert stats.loop_iterations == builder.iterations, where

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import treecheck
-from conftest import ROOT
+from conftest import ROOT, run
 from tierlang import parser
 from tierlang.interp1 import (
     AperiodicityViolation,
@@ -17,7 +17,6 @@ from tierlang.interp1 import (
     Interp,
     LoopMonitorState,
     TopLevelBreak,
-    run_program,
 )
 from tierlang.syntax import (
     Assign, Break, Declass, For, If, OpApp, Seq, Skip, Var, While, undeclassified_vars,
@@ -127,41 +126,41 @@ def test_if_dispatches_on_truthiness():
         'prog(x){if(x){y := "1"} else {y := "0"} return y}'
     )
     for w, expect in [("1", "1"), ("0", "0"), ("", "0"), ("11", "0"), ("#", "0")]:
-        out, _ = run_program(p, [w])
+        out, _ = run(p, [w])
         assert out == expect
 
 
 def test_identity_and_copy_programs():
     p = parser.parse("prog(x){skip return x}")
-    assert run_program(p, ["01"])[0] == "01"
+    assert run(p, ["01"])[0] == "01"
     q = parser.parse("prog(x){y := x return y}")
-    assert run_program(q, ["10#"])[0] == "10#"
+    assert run(q, ["10#"])[0] == "10#"
 
 
 def test_countdown_on_a_long_unary_word():
     # 8 steps per iteration; dec reads the whole word on each of them
     n = 5000
     p = parser.parse("prog(x){ while(x != eps){ x := dec(x) } return x }")
-    result, stats = run_program(p, ["1" * n])
+    result, stats = run(p, ["1" * n])
     assert (result, stats.steps) == ("", 8 * n + 4)
 
 
 def test_top_level_break():
     p = parser.parse("prog(x){break(true) return x}")
     with pytest.raises(TopLevelBreak):
-        run_program(p, ["1"])
+        Interp().run(p, ["1"])
 
 
 def test_budget_exhaustion():
     p = parser.parse("prog(x){while(true){skip} return x}")
     with pytest.raises(BudgetExhausted):
-        run_program(p, ["1"], budget=200)
+        Interp(budget=200).run(p, ["1"])
 
 
 def test_input_arity_checked():
     p = parser.parse("prog(x){skip return x}")
     with pytest.raises(ExecError):
-        run_program(p, ["1", "0"])
+        Interp().run(p, ["1", "0"])
 
 
 def test_oracle_call_rejected_in_first_order():
@@ -175,13 +174,13 @@ def test_bubble_sorts(bubble):
     rng = random.Random(11)
     for _ in range(25):
         w = "".join(rng.choice("01") for _ in range(rng.randint(0, 12)))
-        out, _ = run_program(bubble, [w], monitor=True)
+        out, _ = run(bubble, [w], monitor=True)
         assert out == "".join(sorted(w))
 
 
 def test_determinism(bubble):
-    a = run_program(bubble, ["100101"], monitor=False)
-    b = run_program(bubble, ["100101"], monitor=False)
+    a = run(bubble, ["100101"], monitor=False)
+    b = run(bubble, ["100101"], monitor=False)
     assert a[0] == b[0]
     assert a[1].steps == b[1].steps
     assert a[1].loop_iterations == b[1].loop_iterations
@@ -203,14 +202,14 @@ def test_monitor_guard_standalone():
 def test_exp2_monitor_flags_iteration_two():
     p = parser.parse_file(__file__.rsplit("/", 2)[0] + "/corpus/exp2.tl")
     with pytest.raises(AperiodicityViolation) as err:
-        run_program(p, ["100"], monitor=True)
+        Interp(monitor=True).run(p, ["100"])
     assert err.value.iteration == 2
     assert err.value.witness == {"x": "1"}
 
 
 def test_bubble_monitor_clean(bubble):
-    out, _ = run_program(bubble, ["cab".replace("c", "1").replace("a", "0").replace("b", "0")], monitor=True)
-    out, _ = run_program(bubble, ["10#0"], monitor=True)
+    out, _ = run(bubble, ["cab".replace("c", "1").replace("a", "0").replace("b", "0")], monitor=True)
+    out, _ = run(bubble, ["10#0"], monitor=True)
 
 
 def test_declass_guard_projects_to_bound_only():
@@ -224,7 +223,7 @@ def test_declass_guard_projects_to_bound_only():
     ).guard
     assert undeclassified_vars(guard) == {"z"}
     with pytest.raises(AperiodicityViolation) as err:
-        run_program(p, ["111", "1"], monitor=True)
+        Interp(monitor=True).run(p, ["111", "1"])
     assert err.value.iteration == 2
 
 
@@ -246,7 +245,7 @@ def test_final_false_guard_counts():
         "prog(y, z){while(declass(y, z) = u1){y := eps} return y}"
     )
     with pytest.raises(AperiodicityViolation):
-        run_program(p, ["1", "1"], monitor=True)
+        Interp(monitor=True).run(p, ["1", "1"])
     # the tree oracle agrees
     assert treecheck.periodic_by_tree(p, ["1", "1"])
 
@@ -263,14 +262,14 @@ def test_monitor_agrees_with_tree_oracle_smoke():
             for _ in program.params
         ]
         try:
-            run_program(program, inputs, budget=50)
+            Interp(budget=50).run(program, inputs)
         except BudgetExhausted:
             continue
         except TopLevelBreak:
             pass
         try:
             streaming = False
-            run_program(program, inputs, budget=5000, monitor=True)
+            Interp(5000, monitor=True).run(program, inputs)
         except AperiodicityViolation:
             streaming = True
         except TopLevelBreak:

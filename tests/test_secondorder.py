@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import ORACLE_BREAK_WITH_OPERATORS, corpus, procedure
+from conftest import ORACLE_BREAK_WITH_OPERATORS, corpus, procedure, run
 from tierlang import interp1, parser, secondorder as so
 from tierlang.interp1 import AperiodicityViolation, BudgetExhausted, ExecError
 from tierlang.safety1 import check_derivation
@@ -260,18 +260,14 @@ def oracles(**kw):
 
 
 def test_iterator_matches_reference(iterator_program):
-    out, stats = so.eval_program2(
-        iterator_program, oracles(F="builtin:append1"), ["1", "1111", "111"]
-    )
+    out, stats = run(iterator_program, ["1", "1111", "111"], oracles(F="builtin:append1"))
     assert out == "1111"
     assert out == reference_iterate(lambda w: w + "1", "1", "1111", "111")
     assert stats.oracle_calls > 0
 
 
 def test_iterator_with_constant_empty_oracle(iterator_program):
-    out, _ = so.eval_program2(
-        iterator_program, oracles(F="builtin:const:"), ["1", "1111", "111"]
-    )
+    out, _ = run(iterator_program, ["1", "1111", "111"], oracles(F="builtin:const:"))
     assert out == reference_iterate(lambda w: "", "1", "1111", "111") == ""
 
 
@@ -289,13 +285,13 @@ def test_iterator_randomized_against_reference(iterator_program):
         u = "".join(rng.choice("01") for _ in range(rng.randint(0, 5)))
         v = "".join(rng.choice("01") for _ in range(rng.randint(1, 6)))
         w = "1" * rng.randint(0, 5)
-        out, _ = so.eval_program2(iterator_program, oracles(F=spec), [u, v, w])
+        out, _ = run(iterator_program, [u, v, w], oracles(F=spec))
         assert out == reference_iterate(pyfn, u, v, w), (spec, u, v, w)
 
 
 def test_identity_through_call():
     program = parser.parse("box[x] in declare p(,x){skip return x} in call p(,x)")
-    out, _ = so.eval_program2(program, {}, ["10"])
+    out, _ = run(program, ["10"])
     assert out == "10"
 
 
@@ -303,7 +299,7 @@ def test_lambda_closure_shadows_store():
     src = """box[x] in
     declare p(X, a){ var t; t := X(a) return t } in
     call p(lambda(x). x, x)"""
-    out, _ = so.eval_program2(parser.parse(src), {}, ["111"])
+    out, _ = run(parser.parse(src), ["111"])
     assert out == "111"  # the binder wins over the boxed x
 
 
@@ -315,7 +311,7 @@ def test_program_oracle(tmp_path):
     program = parser.parse(
         "box[F, a] in declare p(X, b){ var t; t := X(b) return t } in call p(F, a)"
     )
-    out, stats = so.eval_program2(program, {"F": oracle}, ["10"])
+    out, stats = run(program, ["10"], {"F": oracle})
     assert out == "10#10"
     assert stats.oracle_calls == 1
 
@@ -328,7 +324,7 @@ def test_program_oracle_budget_propagates(tmp_path):
         "box[F, a] in declare p(X, b){ var t; t := X(b) return t } in call p(F, a)"
     )
     with pytest.raises(BudgetExhausted):
-        so.eval_program2(program, {"F": oracle}, ["1"], budget=500)
+        so.Interp2(program, {"F": oracle}, budget=500).run(["1"])
 
 
 def call_p(body, closure):
@@ -342,94 +338,87 @@ APPEND1 = {"F": so.make_oracle("builtin:append1")}
 
 
 @pytest.mark.parametrize(
-    "run, error",
+    "program, oracles, error",
     [
         pytest.param(
-            lambda: so.eval_program2(
-                call_p(Assign("t", Var("F")), ClosureVar("F")), APPEND1, ["1"]
-            ),
+            call_p(Assign("t", Var("F")), ClosureVar("F")), APPEND1,
             "order-1 variable F used as a word",
             id="word-variable-holds-oracle",
         ),
         pytest.param(
-            lambda: so.eval_program2(call_p(APPLY_X, ClosureVar("F")), {}, ["1"]),
+            call_p(APPLY_X, ClosureVar("F")), {},
             "no oracle supplied for F",
             id="missing-oracle",
         ),
         pytest.param(
-            lambda: so.eval_program2(
-                call_p(APPLY_X, ClosureVar("F")),
-                {"F": so.Oracle("pair", 2, lambda a, b: a + b)},
-                ["1"],
-            ),
+            call_p(APPLY_X, ClosureVar("F")),
+            {"F": so.Oracle("pair", 2, lambda a, b: a + b)},
             "must have arity 1, got 2",
             id="oracle-of-wrong-arity",
         ),
         pytest.param(
-            lambda: so.eval_program2(call_p(APPLY_X, ClosureVar("z")), APPEND1, ["1"]),
+            call_p(APPLY_X, ClosureVar("z")), APPEND1,
             "z does not hold an oracle",
             id="closure-names-a-word",
         ),
         pytest.param(
-            lambda: so.eval_program2(call_p(APPLY_X, ClosureVar("G")), APPEND1, ["1"]),
+            call_p(APPLY_X, ClosureVar("G")), APPEND1,
             None,  # the constant empty function: no error, t is eps
             id="unbound-closure-variable",
         ),
         pytest.param(
-            lambda: interp1.run_program(
-                Program1(["x"], Assign("y", OracleCall("F", (Var("x"),))), "y"), ["1"]
-            ),
+            Program1(["x"], Assign("y", OracleCall("F", (Var("x"),))), "y"), None,
             "cannot occur in first-order programs",
             id="oracle-call-in-first-order-run",
         ),
         pytest.param(
-            lambda: interp1.run_program(
-                Program1(
-                    ["x"], While(Var("x"), OracleBreak("F", (Var("x"),), ("x",)), 1), "x"
-                ),
-                ["1"],
-            ),
+            Program1(["x"], While(Var("x"), OracleBreak("F", (Var("x"),), ("x",)), 1), "x"),
+            None,
             "cannot occur in first-order programs",
             id="oracle-break-in-first-order-run",
         ),
     ],
 )
-def test_runtime_errors(run, error):
+def test_runtime_errors(program, oracles, error):
     if error is None:
-        out, _ = run()
+        out, _ = run(program, ["1"], oracles)
         assert out == ""
         return
-    with pytest.raises(ExecError, match=error) as err:
-        run()
-    assert err.value.stats is not None
+    if isinstance(program, Program1):
+        interp, args = interp1.Interp(), (program, ["1"])
+    else:
+        interp, args = so.Interp2(program, oracles), (["1"],)
+    with pytest.raises(ExecError, match=error):
+        interp.run(*args)
+    assert interp.stats.steps <= interp.budget  # the run's stats, read after the stop
 
 
 def test_order1_read_fails_in_place_at_every_budget():
     # t := F reads the boxed oracle F as a word: below the step of that read
     # the run stops on the budget, from it on with the same error.
     program = call_p(Assign("t", Var("F")), ClosureVar("F"))
+    interp = so.Interp2(program, APPEND1)
     with pytest.raises(ExecError) as err:
-        so.eval_program2(program, APPEND1, ["1"])
-    failing_step = err.value.stats.steps
+        interp.run(["1"])
+    failing_step = interp.stats.steps
     assert failing_step > 1
     for budget in range(failing_step + 3):
+        interp = so.Interp2(program, APPEND1, budget=budget)
         with pytest.raises(BudgetExhausted if budget < failing_step else ExecError) as stop:
-            so.eval_program2(program, APPEND1, ["1"], budget=budget)
-        assert stop.value.stats.steps == min(budget + 1, failing_step)
+            interp.run(["1"])
+        assert interp.stats.steps == min(budget + 1, failing_step)
         if budget >= failing_step:
             assert str(stop.value) == str(err.value)
 
 
 def test_stop_inside_program_oracle_reports_whole_run(iterator_program):
     # bubble.tl as the oracle of I.tl2: the budget runs out inside a nested
-    # first-order run, and the stop carries the stats of the whole run
+    # first-order run, and the interpreter holds the stats of the whole run
     oracle = so.make_oracle(f"prog:{corpus('bubble.tl')}")
+    interp = so.Interp2(iterator_program, {"F": oracle}, budget=2000)
     with pytest.raises(BudgetExhausted) as err:
-        so.eval_program2(
-            iterator_program, {"F": oracle}, ["10", "110100110101", "111111"],
-            budget=2000,
-        )
-    stats = err.value.stats
+        interp.run(["10", "110100110101", "111111"])
+    stats = interp.stats
     assert stats.steps == 2001  # budget + 1, as in a first-order budget stop
     assert set(stats.loop_iterations) <= {1, 2}  # I.tl2's loops, not bubble's
     assert stats.oracle_calls > 0
@@ -453,7 +442,7 @@ def test_program_oracle_answers_from_one_sub_interpreter(iterator_program, bubbl
     assert interp.stats.steps == 27292  # the whole run, nested oracle runs included
     assert len(answers) > 10
     for args, answer in answers:
-        assert answer == interp1.run_program(bubble, args)[0], args
+        assert answer == interp1.Interp().run(bubble, args), args
     assert len(interp.sub.code) == 1
 
 
@@ -463,8 +452,8 @@ def test_first_order_embedding_agrees(bubble):
     assert so.simple_typecheck(embedded) == "W -> W"
     for _ in range(10):
         w = "".join(rng.choice("01") for _ in range(rng.randint(0, 9)))
-        direct, _ = interp1.run_program(bubble, [w])
-        via2, _ = so.eval_program2(embedded, {}, [w])
+        direct, _ = run(bubble, [w])
+        via2, _ = run(embedded, [w])
         assert direct == via2
 
 
@@ -474,12 +463,7 @@ def test_first_order_embedding_agrees(bubble):
 
 def test_iterator_monitor_clean(iterator_program):
     for spec in ("builtin:append1", "builtin:double", "builtin:const:101"):
-        out, _ = so.eval_program2(
-            iterator_program,
-            oracles(F=spec),
-            ["1", "1111", "111"],
-            monitor=True,
-        )
+        out, _ = run(iterator_program, ["1", "1111", "111"], oracles(F=spec), monitor=True)
 
 
 def test_stuck_counter_triggers_monitor(iterator_program):
@@ -489,8 +473,8 @@ def test_stuck_counter_triggers_monitor(iterator_program):
     # drop the counter decrement: the guard variable never changes
     loop.body = Seq([chain[0], chain[1]])
     with pytest.raises(AperiodicityViolation) as err:
-        so.eval_program2(
-            variant, oracles(F="builtin:const:101"), ["1", "1111", "111"], monitor=True
+        so.Interp2(variant, oracles(F="builtin:const:101"), monitor=True).run(
+            ["1", "1111", "111"]
         )
     assert err.value.iteration == 2
 
@@ -499,20 +483,15 @@ def test_loop_free_procedure_vacuously_clean():
     program = parser.parse(
         "box[F, z] in declare p(X, y){ var t; t := truncate(X(y), y) return t } in call p(F, z)"
     )
-    out, _ = so.eval_program2(
-        program, oracles(F="builtin:append1"), ["101"], monitor=True
-    )
+    out, _ = run(program, ["101"], oracles(F="builtin:append1"), monitor=True)
     assert out == "101"  # truncated back to |y|
 
 
 def test_post_break_answers_bounded_by_reference(iterator_program):
     # within one activation the reference-side size never changes, and
     # passing checks have left size at most the reference size
-    _, stats = so.eval_program2(
-        iterator_program,
-        oracles(F="builtin:double"),
-        ["1", "11111111", "1111"],
-        monitor=True,
+    _, stats = run(
+        iterator_program, ["1", "11111111", "1111"], oracles(F="builtin:double"), monitor=True
     )
     per_activation = {}
     for loop_id, serial, left, right in stats.obk_events:
@@ -529,9 +508,7 @@ def test_environment_fixed_per_call(iterator_program):
     # two calls of iterate in one run get distinct environments; the oracle
     # identity inside each call never changes (exercised by the randomized
     # reference agreement); here we check the activation bookkeeping
-    _, stats = so.eval_program2(
-        iterator_program, oracles(F="builtin:append1"), ["1", "1111", "111"]
-    )
+    _, stats = run(iterator_program, ["1", "1111", "111"], oracles(F="builtin:append1"))
     serials = {serial for _, serial, _, _ in stats.obk_events}
     assert len(serials) >= 2
 
