@@ -54,7 +54,6 @@ observation, which may stop the run first.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import repeat
 
 from . import opreg, words
@@ -68,6 +67,7 @@ from .syntax import (
     OracleBreak,
     OracleCall,
     Program1,
+    Record,
     Seq,
     Skip,
     Var,
@@ -78,13 +78,16 @@ from .syntax import (
 DEFAULT_BUDGET = 10_000_000
 
 
-@dataclass
-class ExecStats:
-    steps: int = 0
-    loop_iterations: Counter = field(default_factory=Counter)
-    max_store_size: int = 0
-    oracle_calls: int = 0
-    obk_events: list = field(default_factory=list)
+class ExecStats(Record):
+    __slots__ = ("steps", "loop_iterations", "max_store_size", "oracle_calls", "obk_events")
+
+    def __init__(self, steps: int = 0, loop_iterations: Counter | None = None,
+                 max_store_size: int = 0, oracle_calls: int = 0, obk_events: list | None = None):
+        self.steps = steps
+        self.loop_iterations = Counter() if loop_iterations is None else loop_iterations
+        self.max_store_size = max_store_size
+        self.oracle_calls = oracle_calls
+        self.obk_events = [] if obk_events is None else obk_events
 
     def as_dict(self) -> dict:
         return {
@@ -96,7 +99,7 @@ class ExecStats:
 
 
 class RuntimeStop(Exception):
-    subcode = "runtime-stop"
+    """A run that ends without a result; each kind names itself by ``subcode``."""
 
 
 class BudgetExhausted(RuntimeStop):
@@ -128,14 +131,16 @@ def lookup(store: dict, name: str) -> str:
     return store.get(name, words.EPSILON)
 
 
-@dataclass
-class LoopMonitorState:
+class LoopMonitorState(Record):
     """Projections seen at guard evaluations of one loop activation."""
 
-    loop_id: int
-    uvars: tuple
-    seen: set = field(default_factory=set)
-    evaluations: int = 0
+    __slots__ = ("loop_id", "uvars", "seen", "evaluations")
+
+    def __init__(self, loop_id: int, uvars: tuple, seen: set | None = None, evaluations: int = 0):
+        self.loop_id = loop_id
+        self.uvars = uvars
+        self.seen = set() if seen is None else seen
+        self.evaluations = evaluations
 
     def observe(self, store: dict):
         """Record the current projection; return a violation witness or None."""

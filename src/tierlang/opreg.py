@@ -29,40 +29,46 @@ them with a ``DeltaConfig`` (``--delta`` on the command line).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable
 
 from . import words
-from .syntax import INFINITY, Level, is_finite, level_from_json, level_str
+from .syntax import INFINITY, Frozen, Level, Record, is_finite, level_from_json, level_str
 
 
-@dataclass(frozen=True)
-class Neutral:
+class Neutral(Frozen):
+    __slots__ = ()
     kind = "neutral"
 
 
-@dataclass(frozen=True)
-class Positive:
-    growth: int
+class Positive(Frozen):
+    __slots__ = ("growth",)
     kind = "positive"
 
+    def __init__(self, growth: int):
+        self.growth = growth
 
-@dataclass(frozen=True)
-class Polynomial:
-    degree: int
+
+class Polynomial(Frozen):
+    __slots__ = ("degree",)
     kind = "polynomial"
+
+    def __init__(self, degree: int):
+        self.degree = degree
 
 
 OperatorClass = Neutral | Positive | Polynomial
 
 
-@dataclass
-class OperatorEntry:
-    name: str
-    arity: int
-    fn: Callable
-    klass: OperatorClass
-    is_truncate: bool = False
+class OperatorEntry(Record):
+    __slots__ = ("name", "arity", "fn", "klass", "is_truncate")
+
+    def __init__(self, name: str, arity: int, fn: Callable, klass: OperatorClass,
+                 is_truncate: bool = False):
+        self.name = name
+        self.arity = arity
+        self.fn = fn
+        self.klass = klass
+        self.is_truncate = is_truncate
 
 
 class UnknownOperator(KeyError):
@@ -328,19 +334,23 @@ def delta_membership(
 # Randomized class validation
 
 
-@dataclass
-class Counterexample:
-    op: str
-    inputs: tuple
-    output: str
-    reason: str
+class Counterexample(Record):
+    __slots__ = ("op", "inputs", "output", "reason")
+
+    def __init__(self, op: str, inputs: tuple, output: str, reason: str):
+        self.op = op
+        self.inputs = inputs
+        self.output = output
+        self.reason = reason
 
 
-@dataclass
-class ClassReport:
-    op: str
-    samples: int
-    counterexamples: list = field(default_factory=list)
+class ClassReport(Record):
+    __slots__ = ("op", "samples", "counterexamples")
+
+    def __init__(self, op: str, samples: int, counterexamples: list | None = None):
+        self.op = op
+        self.samples = samples
+        self.counterexamples = [] if counterexamples is None else counterexamples
 
     @property
     def ok(self) -> bool:

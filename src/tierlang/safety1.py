@@ -47,7 +47,6 @@ oracle break; every other use is reported unsafe.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from . import interp1, opreg, words
 from .parser import pp_expr
@@ -62,6 +61,7 @@ from .syntax import (
     OracleBreak,
     OracleCall,
     Program1,
+    Record,
     Seq,
     Skip,
     Var,
@@ -450,14 +450,16 @@ class LevelAnalysis:
 # Typing derivations
 
 
-@dataclass(slots=True)
-class Judgment:
-    rule: str
-    subject: object
-    tin: object
-    tout: object
-    level: object
-    children: list = field(default_factory=list)
+class Judgment(Record):
+    __slots__ = ("rule", "subject", "tin", "tout", "level", "children")
+
+    def __init__(self, rule: str, subject, tin, tout, level, children: list | None = None):
+        self.rule = rule
+        self.subject = subject
+        self.tin = tin
+        self.tout = tout
+        self.level = level
+        self.children = [] if children is None else children
 
 
 class _DerivationBuilder:
@@ -546,17 +548,22 @@ class TooLarge(Exception):
     pass
 
 
-@dataclass
-class InferenceResult:
-    safe: bool
-    gamma: dict | None = None
-    loop_levels: dict | None = None
-    body_level: object = None
-    explanation: str | None = None
-    # Builds the derivation of a safe result from the statement tree and
-    # the solved levels it holds; dropped once it has run.
-    _build: object = field(default=None, repr=False, compare=False)
-    _derivation: Judgment | None = field(default=None, repr=False, compare=False)
+class InferenceResult(Record):
+    __slots__ = ("safe", "gamma", "loop_levels", "body_level", "explanation",
+                 "_build", "_derivation")
+    _compared = _shown = __slots__[:5]
+
+    def __init__(self, safe: bool, gamma: dict | None = None, loop_levels: dict | None = None,
+                 body_level=None, explanation: str | None = None, _build=None):
+        self.safe = safe
+        self.gamma = gamma
+        self.loop_levels = loop_levels
+        self.body_level = body_level
+        self.explanation = explanation
+        # Builds the derivation of a safe result from the statement tree and
+        # the solved levels it holds; dropped once it has run.
+        self._build = _build
+        self._derivation = None
 
     @property
     def derivation(self) -> Judgment | None:

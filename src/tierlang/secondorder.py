@@ -32,8 +32,6 @@ stop inside a ``prog:`` oracle included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import interp1, opreg, words
 from .interp1 import DEFAULT_BUDGET, ExecError
 from .parser import parse_file, pp_expr
@@ -52,6 +50,7 @@ from .syntax import (
     Procedure,
     Program1,
     Program2,
+    Record,
     TermVar,
     While,
     free_variables,
@@ -288,14 +287,18 @@ def infer_procedure_levels(
     return result
 
 
-@dataclass
-class Safety2Result:
-    safe: bool
-    stage: str | None = None  # failing stage when unsafe
-    explanation: str | None = None
-    omega: dict = field(default_factory=dict)
-    program_type: str | None = None
-    checks: dict = field(default_factory=dict)  # procedure name -> InferenceResult
+class Safety2Result(Record):
+    __slots__ = ("safe", "stage", "explanation", "omega", "program_type", "checks")
+
+    def __init__(self, safe: bool, stage: str | None = None, explanation: str | None = None,
+                 omega: dict | None = None, program_type: str | None = None,
+                 checks: dict | None = None):
+        self.safe = safe
+        self.stage = stage  # failing stage when unsafe
+        self.explanation = explanation
+        self.omega = {} if omega is None else omega
+        self.program_type = program_type
+        self.checks = {} if checks is None else checks  # procedure name -> InferenceResult
 
     @property
     def derivations(self) -> dict:
@@ -348,14 +351,16 @@ def infer_safety2(
 # Oracles
 
 
-@dataclass
-class Oracle:
+class Oracle(Record):
     """A named total word function; external input to a second-order run."""
 
-    name: str
-    arity: int
-    fn: object = None
-    program: Program1 | None = None
+    __slots__ = ("name", "arity", "fn", "program")
+
+    def __init__(self, name: str, arity: int, fn=None, program: Program1 | None = None):
+        self.name = name
+        self.arity = arity
+        self.fn = fn
+        self.program = program
 
 
 class OracleFailure(ValueError):
@@ -387,9 +392,9 @@ def make_oracle(spec: str) -> Oracle:
         raise OracleFailure(f"unknown builtin oracle {rest!r}")
     if spec.startswith("prog:"):
         path = spec[len("prog:"):]
+        if path.endswith(".tl2"):
+            raise OracleFailure(f"{path} is a .tl2 file; a prog: oracle is a first-order program")
         prog = parse_file(path)
-        if not isinstance(prog, Program1):
-            raise OracleFailure(f"{path} is not a first-order program")
         return Oracle(spec, len(prog.params), program=prog)
     raise OracleFailure(f"unknown oracle spec {spec!r}")
 

@@ -4,7 +4,9 @@ First-order programs are ``Program1``; second-order programs with
 procedures, closures, and oracle calls are ``Program2``.  Statements and
 expressions are shared between the two (``OracleCall`` and ``OracleBreak``
 only ever occur in second-order code).  Nodes are treated as immutable
-after parsing; structural equality is dataclass equality.
+after parsing, though nothing enforces it; every node is a ``Record``, equal
+to another of its class with equal fields, and the expressions and terms
+are ``Frozen``, so they hash.
 
 A sequence is one ``Seq`` node holding the list of its statements, built
 by ``seq_of``; no pass over a program recurses along a sequence, so
@@ -14,7 +16,6 @@ the parser bounds (``parser.MAX_NESTING``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 # ---------------------------------------------------------------------------
@@ -42,38 +43,76 @@ def level_from_json(value) -> Level:
 
 
 # ---------------------------------------------------------------------------
+# Records
+
+
+class Record:
+    """A record whose fields are its ``__slots__``, set by its ``__init__``.
+
+    Records are equal when they are of one class and their ``_compared``
+    fields are equal; the printed form names the ``_shown`` fields.  Both
+    are all the slots unless a class lists fewer.  Records are unhashable;
+    the immutable kinds derive from ``Frozen``.
+    """
+
+    __slots__ = ()
+    _compared = _shown = None
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._compared or self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown or self.__slots__)
+        return f"{type(self).__name__}({shown})"
+
+
+class Frozen(Record):
+    """A record never changed after it is built, hashed by its compared fields."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+# ---------------------------------------------------------------------------
 # Expressions
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Frozen):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class OpApp:
-    op: str
-    args: tuple
+class OpApp(Frozen):
+    __slots__ = ("op", "args")
 
     def __init__(self, op: str, args=()):
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "args", tuple(args))
+        self.op = op
+        self.args = tuple(args)
 
 
-@dataclass(frozen=True)
-class Declass:
-    expr: "Expr"
-    bound: "Expr"
+class Declass(Frozen):
+    __slots__ = ("expr", "bound")
+
+    def __init__(self, expr: "Expr", bound: "Expr"):
+        self.expr = expr
+        self.bound = bound
 
 
-@dataclass(frozen=True)
-class OracleCall:
-    oracle: str
-    args: tuple
+class OracleCall(Frozen):
+    __slots__ = ("oracle", "args")
 
     def __init__(self, oracle: str, args=()):
-        object.__setattr__(self, "oracle", oracle)
-        object.__setattr__(self, "args", tuple(args))
+        self.oracle = oracle
+        self.args = tuple(args)
 
 
 Expr = Union[Var, OpApp, Declass, OracleCall]
@@ -83,57 +122,65 @@ Expr = Union[Var, OpApp, Declass, OracleCall]
 # Statements
 
 
-@dataclass
-class Skip:
-    pass
+class Skip(Record):
+    __slots__ = ()
 
 
-@dataclass
-class Assign:
-    var: str
-    expr: Expr
+class Assign(Record):
+    __slots__ = ("var", "expr")
+
+    def __init__(self, var: str, expr: Expr):
+        self.var = var
+        self.expr = expr
 
 
-@dataclass
-class Seq:
+class Seq(Record):
     """Statements run in order; build it with ``seq_of``.
 
     A Seq holds at least two statements and none of them is a Seq.
     """
 
-    stmts: list
+    __slots__ = ("stmts",)
+
+    def __init__(self, stmts: list):
+        self.stmts = stmts
 
 
-@dataclass
-class If:
-    guard: Expr
-    then: "Stmt"
-    orelse: "Stmt"
+class If(Record):
+    __slots__ = ("guard", "then", "orelse")
+
+    def __init__(self, guard: Expr, then: "Stmt", orelse: "Stmt"):
+        self.guard = guard
+        self.then = then
+        self.orelse = orelse
 
 
-@dataclass
-class While:
-    guard: Expr
-    body: "Stmt"
-    loop_id: int = -1
+class While(Record):
+    __slots__ = ("guard", "body", "loop_id", "for_origin", "line")
     # Provenance metadata (sugar origin, source line); not part of the
     # structural identity, since printing never reconstructs for syntax.
-    for_origin: bool = field(default=False, compare=False)
-    line: int = field(default=0, compare=False)
+    _compared = ("guard", "body", "loop_id")
+
+    def __init__(self, guard: Expr, body: "Stmt", loop_id: int = -1,
+                 for_origin: bool = False, line: int = 0):
+        self.guard = guard
+        self.body = body
+        self.loop_id = loop_id
+        self.for_origin = for_origin
+        self.line = line
 
 
-@dataclass
-class Break:
-    guard: Expr
+class Break(Record):
+    __slots__ = ("guard",)
+
+    def __init__(self, guard: Expr):
+        self.guard = guard
 
 
-@dataclass
-class OracleBreak:
+class OracleBreak(Record):
     """break(|X(args)| > |X(ref_vars)|): the dedicated oracle-guarded break."""
 
-    oracle: str
-    call_args: tuple
-    ref_vars: tuple
+    __slots__ = ("oracle", "call_args", "ref_vars")
 
     def __init__(self, oracle: str, call_args=(), ref_vars=()):
         self.oracle = oracle
@@ -141,14 +188,16 @@ class OracleBreak:
         self.ref_vars = tuple(ref_vars)
 
 
-@dataclass
-class For:
+class For(Record):
     """Parser-level sugar; never survives desugaring."""
 
-    var: str
-    low: Expr
-    high: Expr
-    body: "Stmt"
+    __slots__ = ("var", "low", "high", "body")
+
+    def __init__(self, var: str, low: Expr, high: Expr, body: "Stmt"):
+        self.var = var
+        self.low = low
+        self.high = high
+        self.body = body
 
 
 Stmt = Union[Skip, Assign, Seq, If, While, Break, OracleBreak, For]
@@ -158,67 +207,73 @@ Stmt = Union[Skip, Assign, Seq, If, While, Break, OracleBreak, For]
 # Programs
 
 
-@dataclass
-class Program1:
-    params: list
-    body: Stmt
-    ret: str
+class Program1(Record):
+    __slots__ = ("params", "body", "ret")
+
+    def __init__(self, params: list, body: Stmt, ret: str):
+        self.params = params
+        self.body = body
+        self.ret = ret
 
 
-@dataclass
-class Procedure:
-    name: str
-    oracle_params: list  # [(name, arity)]
-    params: list
-    locals: list
-    body: Stmt
-    ret: str
+class Procedure(Record):
+    __slots__ = ("name", "oracle_params", "params", "locals", "body", "ret")
+
+    def __init__(self, name: str, oracle_params: list, params: list, locals: list,
+                 body: Stmt, ret: str):
+        self.name = name
+        self.oracle_params = oracle_params  # [(name, arity)]
+        self.params = params
+        self.locals = locals
+        self.body = body
+        self.ret = ret
 
 
-@dataclass(frozen=True)
-class TermVar:
-    name: str
+class TermVar(Frozen):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class Call:
-    proc: str
-    closures: tuple
-    args: tuple
+class Call(Frozen):
+    __slots__ = ("proc", "closures", "args")
 
     def __init__(self, proc: str, closures=(), args=()):
-        object.__setattr__(self, "proc", proc)
-        object.__setattr__(self, "closures", tuple(closures))
-        object.__setattr__(self, "args", tuple(args))
+        self.proc = proc
+        self.closures = tuple(closures)
+        self.args = tuple(args)
 
 
 Term = Union[TermVar, Call]
 
 
-@dataclass(frozen=True)
-class ClosureVar:
-    name: str
+class ClosureVar(Frozen):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
 
 
-@dataclass(frozen=True)
-class Lambda:
-    params: tuple
-    body: Term
+class Lambda(Frozen):
+    __slots__ = ("params", "body")
 
-    def __init__(self, params, body):
-        object.__setattr__(self, "params", tuple(params))
-        object.__setattr__(self, "body", body)
+    def __init__(self, params, body: Term):
+        self.params = tuple(params)
+        self.body = body
 
 
 Closure = Union[ClosureVar, Lambda]
 
 
-@dataclass
-class Program2:
-    boxed_oracles: list  # [(name, arity)]
-    boxed_words: list
-    procedures: list
-    main: Term
+class Program2(Record):
+    __slots__ = ("boxed_oracles", "boxed_words", "procedures", "main")
+
+    def __init__(self, boxed_oracles: list, boxed_words: list, procedures: list, main: Term):
+        self.boxed_oracles = boxed_oracles  # [(name, arity)]
+        self.boxed_words = boxed_words
+        self.procedures = procedures
+        self.main = main
 
 
 Program = Union[Program1, Program2]

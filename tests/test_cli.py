@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import ROOT, corpus, straight_line
 import tierlang
-from tierlang import cli, opreg, parser, safety1, secondorder
+from tierlang import cli, interp1, opreg, parser, safety1, secondorder
 
 SCHEMA = json.loads((ROOT / "report.schema.json").read_text())
 VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
@@ -99,6 +99,18 @@ def test_io_errors(tmp_path, capsys, argv):
         delta.write_text(argv[-1])
         argv = argv[:-1] + (str(delta),)
     assert_io_error(capsys, *argv)
+
+
+def test_stop_kinds_are_the_runtime_stops():
+    """The schema's stop kinds are exactly the subcodes a run can stop with."""
+    kinds = SCHEMA["properties"]["stop"]["properties"]["kind"]["enum"]
+    stops, subcodes = [interp1.RuntimeStop], set()
+    while stops:
+        for sub in stops.pop().__subclasses__():
+            subcodes.add(sub.subcode)
+            stops.append(sub)
+    assert sorted(kinds) == sorted(subcodes)
+    assert not hasattr(interp1.RuntimeStop, "subcode")
 
 
 @pytest.mark.parametrize("command", ["check", "run", "forcheck", "desugar"])
@@ -219,16 +231,25 @@ def test_the_extension_names_the_language(tmp_path, capsys, command, source, nam
     assert report["explanation"] == f"{mislabeled}: expected a {order}-order program"
 
 
-@pytest.mark.parametrize(
-    "source, name, order", [("bubble.tl", "X.tl2", "second"), ("I.tl2", "X.tl", "first")]
-)
-def test_the_extension_names_a_program_oracles_language(tmp_path, capsys, source, name, order):
+TL2_ORACLE = "{} is a .tl2 file; a prog: oracle is a first-order program"
+
+
+@pytest.mark.parametrize("source, name, code, explanation", [
+    ("bubble.tl", "X.tl2", 4, TL2_ORACLE),
+    ("I.tl2", "X.tl2", 4, TL2_ORACLE),
+    ("I.tl2", "X.tl", 2, "{}: expected a first-order program"),
+])
+def test_the_extension_names_a_program_oracles_language(
+    tmp_path, capsys, source, name, code, explanation
+):
+    """A .tl2 path is no oracle whatever it holds; a .tl path must hold a .tl program."""
     mislabeled = tmp_path / name
     mislabeled.write_text(open(corpus(source)).read())
-    code, report = run_json(capsys, "run", corpus("I.tl2"), "--oracle", f"F=prog:{mislabeled}")
-    assert code == 2
-    assert report["verdicts"]["parse"] is False
-    assert report["explanation"] == f"{mislabeled}: expected a {order}-order program"
+    got, report = run_json(capsys, "run", corpus("I.tl2"), "--oracle", f"F=prog:{mislabeled}")
+    assert got == code
+    assert report["error"] == ("io" if code == 4 else None)
+    assert report["verdicts"]["parse"] is (None if code == 4 else False)
+    assert report["explanation"] == explanation.format(mislabeled)
 
 
 @pytest.mark.parametrize("source, explanation", [

@@ -293,3 +293,23 @@ def test_importing_the_interpreter_loads_no_checker():
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert loaded.stdout == "[]\n"
+
+
+def test_importing_the_cli_loads_no_introspection_modules():
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    loaded = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys; before = set(sys.modules); import tierlang.cli; "
+            f"print(sorted(m for m in {heavy!r} if m in set(sys.modules) - before))",
+        ],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert loaded.stdout == "[]\n"
+
+
+def test_no_module_uses_dataclasses():
+    sources = sorted((ROOT / "src" / "tierlang").glob("*.py"))
+    assert sources
+    assert [p.name for p in sources if "dataclass" in p.read_text(encoding="utf-8")] == []

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -212,6 +214,21 @@ def test_long_program_round_trip(default_recursion_limit):
     p = parse(straight_line(3000))
     assert isinstance(p.body, Seq) and len(p.body.stmts) == 3000
     assert parse(pretty_print(p)) == p
+
+
+def test_a_parsed_program_holds_little_memory():
+    n = 30_000
+    text = straight_line(n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        program = parse(text)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(program.body.stmts) == n
+    assert held <= 256 * n, f"{held / n:.1f} bytes per statement"
 
 
 def test_desugar_identity_on_for_free():
