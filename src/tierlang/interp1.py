@@ -36,8 +36,9 @@ An expression is pure when it applies only known operators at their arities
 (``const:`` words included) and ``declass``, and reads only names that cannot
 hold an oracle.  It cannot fail, so it compiles to a tick-free kernel whose
 prefix is its size; variable and constant operands are read inline, fused
-into their operator (Proebsting's superoperators, 1995).  Every variable
-read is pure but one: a read of a name that may hold an oracle
+into their operator (Proebsting's superoperators, 1995).  An assignment of a
+read, or of an operator on one or two reads, runs as one closure.  Every
+variable read is pure but one: a read of a name that may hold an oracle
 (``Interp2``'s boxed oracle names) may fail, so it ticks as its own node, as
 oracle calls, oracle breaks and failing operators do; the operands of such a
 node take their prefixes just before they run.  A sequence takes its tick
@@ -48,7 +49,11 @@ With the monitor enabled, every guard evaluation of a loop activation
 projects the store onto the guard's undeclassified variables; seeing the
 same projection twice within one activation stops execution with an
 aperiodicity violation.  The loop takes its guard's ticks after that
-observation, which may stop the run first.
+observation, which may stop the run first.  A loop whose guard holds only
+while some variable is non-empty, and whose every pass shortens that
+variable, is not observed (``Interp.discharged``): the length is a ranking
+function (Podelski and Rybalchenko, 2004), so no projection could repeat,
+no verdict changes, and the loop keeps no projections.
 """
 
 from __future__ import annotations
@@ -72,6 +77,8 @@ from .syntax import (
     Skip,
     Var,
     While,
+    iter_stmts,
+    seq_chain,
     undeclassified_vars,
 )
 
@@ -157,17 +164,19 @@ def store_size(store: dict) -> int:
     return sum(len(v) for v in store.values() if isinstance(v, str))
 
 
-# A compiled expression is a tuple (prefix, fn, pure, read): take ``prefix``
-# ticks in one check, then call ``fn(m, store)``, which takes any later ticks
-# itself.  A pure expression's fn is a tick-free kernel and its prefix is its
-# size; a pure variable or constant also has ``read``, the (key, default) of
-# a ``store.get`` that yields its value.  A constant w reads as
-# ``store.get(None, w)``, since no variable is named None.  A compiled
-# statement is the pair (prefix, fn).
+# A compiled expression is a tuple (prefix, fn, pure, read, call): take
+# ``prefix`` ticks in one check, then call ``fn(m, store)``, which takes any
+# later ticks itself.  A pure expression's fn is a tick-free kernel and its
+# prefix is its size; a pure variable or constant also has ``read``, the
+# (key, default) of a ``store.get`` that yields its value.  A constant w reads
+# as ``store.get(None, w)``, since no variable is named None.  A pure operator
+# on one or two such reads also has ``call``, the pair (operator, reads), so
+# an assignment can apply it in its own frame.  A compiled statement is the
+# pair (prefix, fn).
 
 
 def _read(key, default) -> tuple:
-    return 1, lambda m, store: store.get(key, default), True, (key, default)
+    return 1, lambda m, store: store.get(key, default), True, (key, default), None
 
 
 def _declass(w1: str, w2: str) -> str:
@@ -177,13 +186,13 @@ def _declass(w1: str, w2: str) -> str:
 def _kernel(fn, args: list):
     """Tick-free closure of ``fn`` on pure operands, reading leaves inline."""
     if len(args) == 1:
-        ((_, fa, _, ra),) = args
+        ((_, fa, _, ra, _),) = args
         if ra:
             ka, da = ra
             return lambda m, store: fn(store.get(ka, da))
         return lambda m, store: fn(fa(m, store))
     if len(args) == 2:
-        (_, fa, _, ra), (_, fb, _, rb) = args
+        (_, fa, _, ra, _), (_, fb, _, rb, _) = args
         if ra and rb:
             (ka, da), (kb, db) = ra, rb
             return lambda m, store: fn(store.get(ka, da), store.get(kb, db))
@@ -205,7 +214,7 @@ def _node(args: list, finish) -> tuple:
     ``finish(m, store, values)`` then does what the node does.
     """
     if not args:
-        return 1, lambda m, store: finish(m, store, []), False, None
+        return 1, lambda m, store: finish(m, store, []), False, None, None
     first, rest = args[0][1], [a[:2] for a in args[1:]]
 
     def node(m, store):
@@ -214,7 +223,7 @@ def _node(args: list, finish) -> tuple:
             m.tick(k)
             values.append(fn(m, store))
         return finish(m, store, values)
-    return 1 + args[0][0], node, False, None
+    return 1 + args[0][0], node, False, None, None
 
 
 def _apply(fn, args: list) -> tuple:
@@ -226,7 +235,9 @@ def _apply(fn, args: list) -> tuple:
         if not a[2]:
             return _node(args, lambda m, store, values: fn(*values))
         size += a[0]
-    return size, _kernel(fn, args), True, None
+    reads = [a[3] for a in args]
+    call = (fn, reads) if len(args) <= 2 and all(reads) else None
+    return size, _kernel(fn, args), True, None, call
 
 
 class Interp:
@@ -301,7 +312,7 @@ class Interp:
                 if isinstance(value, str):
                     return value
                 raise ExecError(f"order-1 variable {name} used as a word")
-            return 1, var, False, None
+            return 1, var, False, None, None
         if isinstance(e, OpApp):
             return self.compile_op(e.op, [self.compile_expr(a) for a in e.args])
         if isinstance(e, Declass):
@@ -312,7 +323,7 @@ class Interp:
 
         def not_expr(m, store):
             raise ExecError(f"not an expression: {e!r}")
-        return 1, not_expr, False, None
+        return 1, not_expr, False, None, None
 
     def compile_op(self, op: str, args: list) -> tuple:
         try:
@@ -336,17 +347,51 @@ class Interp:
         if isinstance(s, Skip):
             return 1, lambda m, store: False
         if isinstance(s, Assign):
-            var, (k, expr) = s.var, self.compile_expr(s.expr)[:2]
+            # A read, or an operator on one or two reads, runs in this frame.
+            var, (k, expr, _, read, call) = s.var, self.compile_expr(s.expr)
+            fn, reads = call or (None, [read] if read else [])
+            if len(reads) == 2:
+                (ka, da), (kb, db) = reads
 
-            def assign(m, store):
-                value = expr(m, store)
-                old = store.get(var)
-                store[var] = value
-                size = m.size + len(value) - (len(old) if isinstance(old, str) else 0)
-                m.size = size
-                if size > m.stats.max_store_size:
-                    m.stats.max_store_size = size
-                return False
+                def assign(m, store):
+                    new = fn(store.get(ka, da), store.get(kb, db))
+                    old = store.get(var)
+                    store[var] = new
+                    m.size = size = m.size + len(new) - (len(old) if isinstance(old, str) else 0)
+                    if size > m.stats.max_store_size:
+                        m.stats.max_store_size = size
+                    return False
+            elif reads and fn:
+                ((ka, da),) = reads
+
+                def assign(m, store):
+                    new = fn(store.get(ka, da))
+                    old = store.get(var)
+                    store[var] = new
+                    m.size = size = m.size + len(new) - (len(old) if isinstance(old, str) else 0)
+                    if size > m.stats.max_store_size:
+                        m.stats.max_store_size = size
+                    return False
+            elif reads:
+                ((ka, da),) = reads
+
+                def assign(m, store):
+                    new = store.get(ka, da)
+                    old = store.get(var)
+                    store[var] = new
+                    m.size = size = m.size + len(new) - (len(old) if isinstance(old, str) else 0)
+                    if size > m.stats.max_store_size:
+                        m.stats.max_store_size = size
+                    return False
+            else:
+                def assign(m, store):
+                    new = expr(m, store)
+                    old = store.get(var)
+                    store[var] = new
+                    m.size = size = m.size + len(new) - (len(old) if isinstance(old, str) else 0)
+                    if size > m.stats.max_store_size:
+                        m.stats.max_store_size = size
+                    return False
             return 1 + k, assign
         if isinstance(s, Seq):
             # k statements apply the binary sequence rule k-1 times: one tick
@@ -410,7 +455,7 @@ class Interp:
         loop_id, (kg, guard) = s.loop_id, self.compile_expr(s.guard)[:2]
         kb, body = self.compile_stmt(s.body)
         kb += 1  # the unrolled sequence rule
-        if self.monitor:
+        if self.monitor and not self.discharged(s):
             # The guard's ticks follow the observation, which may stop first.
             uvars, again = tuple(sorted(undeclassified_vars(s.guard))), 1
         else:
@@ -448,6 +493,34 @@ class Interp:
                 if iterations:
                     st.loop_iterations[loop_id] += iterations
         return again, while_
+
+    def discharged(self, s: While) -> bool:
+        """Is loop ``s`` ranked by the length of a guard variable v?
+
+        It is when the guard holds only while v is non-empty (``v != eps``,
+        ``v > c``, ``c < v``, or ``c <= v`` for a non-empty constant c) and
+        the body, holding no ``for``, writes v once, by one of its own
+        statements ``v := dec(v)`` or ``v := tl(v)``.
+        """
+        g = s.guard
+        if not (isinstance(g, OpApp) and len(g.args) == 2):
+            return False
+        reads = [self.compile_expr(a)[3] for a in g.args]
+        if g.op in ("lt", "le"):
+            reads.reverse()
+        if not all(reads):
+            return False
+        (v, _), (key, c) = reads  # a variable, then a constant: key None
+        holds = {"ne": c == words.EPSILON, "gt": True, "lt": True, "le": c != words.EPSILON}
+        if v is None or key is not None or not holds.get(g.op):
+            return False
+        nested = list(iter_stmts(s.body))
+        writes = [t for t in nested if isinstance(t, Assign) and t.var == v]
+        return (
+            not any(isinstance(t, For) for t in nested)
+            and len(writes) == 1 and writes[0] in seq_chain(s.body)
+            and writes[0].expr in (OpApp("dec", [Var(v)]), OpApp("tl", [Var(v)]))
+        )
 
     def run(self, program: Program1, inputs) -> str:
         if len(inputs) != len(program.params):

@@ -120,15 +120,15 @@ def _op_eq(a, b):
 
 
 def _op_lt(a, b):
-    return _pred(words.shortlex_compare(a, b) < 0)
+    return words.TRUE if words.shortlex_compare(a, b) < 0 else words.FALSE
 
 
 def _op_le(a, b):
-    return _pred(words.shortlex_compare(a, b) <= 0)
+    return words.TRUE if words.shortlex_compare(a, b) <= 0 else words.FALSE
 
 
 def _op_gt(a, b):
-    return _pred(words.shortlex_compare(a, b) > 0)
+    return words.TRUE if words.shortlex_compare(a, b) > 0 else words.FALSE
 
 
 def _op_ne(a, b):

@@ -178,6 +178,25 @@ def test_bubble_sorts(bubble):
         assert out == "".join(sorted(w))
 
 
+@pytest.mark.parametrize("monitor", [False, True])
+def test_bubble_takes_few_python_calls_per_step(bubble, monitor):
+    # Counts frames, not seconds: a fused assignment or a skipped monitor
+    # shows on any machine.
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+    interp = Interp(monitor=monitor)
+    sys.setprofile(profile)
+    try:
+        interp.run(bubble, ["01" * 20])
+    finally:
+        sys.setprofile(None)
+    assert interp.stats.steps == 41_141
+    assert calls <= 0.70 * interp.stats.steps
+
+
 def test_determinism(bubble):
     a = run(bubble, ["100101"], monitor=False)
     b = run(bubble, ["100101"], monitor=False)

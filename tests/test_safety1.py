@@ -17,12 +17,17 @@ from tierlang.safety1 import (
     infer_safety,
 )
 from tierlang.syntax import (
+    Assign,
+    Break,
     Declass,
     If,
     OpApp,
     Program1,
+    Seq,
     Skip,
     Var,
+    While,
+    seq_of,
     undeclassified_vars,
 )
 
@@ -93,6 +98,39 @@ def test_exp1_inference():
     assert result.safe
     assert result.gamma["x"] == 1
     assert result.gamma["y"] == 0
+
+
+def erase_declass(s):
+    """Statement ``s`` with every ``declass(e, b)`` replaced by ``e``."""
+    def expr(e):
+        if isinstance(e, Declass):
+            return expr(e.expr)
+        return OpApp(e.op, [expr(a) for a in e.args]) if isinstance(e, OpApp) else e
+    if isinstance(s, Assign):
+        return Assign(s.var, expr(s.expr))
+    if isinstance(s, Seq):
+        return seq_of([erase_declass(t) for t in s.stmts])
+    if isinstance(s, If):
+        return If(expr(s.guard), erase_declass(s.then), erase_declass(s.orelse))
+    if isinstance(s, While):
+        return While(expr(s.guard), erase_declass(s.body), s.loop_id, s.for_origin, s.line)
+    return Break(expr(s.guard)) if isinstance(s, Break) else s
+
+
+@pytest.mark.parametrize("name, with_declass, erased", [
+    # bubble's declassified bounds only restate len, which is safe as it is.
+    ("bubble.tl", True, True),
+    ("bubble_for.tl", True, True),
+    # exp1 and exp2 need their declass to be typable at all.
+    ("exp1.tl", True, False),
+    ("exp2.tl", True, False),
+    ("inc_loop.tl", False, False),
+])
+def test_corpus_verdicts_with_declass_erased(name, with_declass, erased):
+    program = parser.parse_file(corpus(name))
+    bare = Program1(program.params, erase_declass(program.body), program.ret)
+    assert "declass" not in parser.pretty_print(bare)
+    assert (infer_safety(program).safe, infer_safety(bare).safe) == (with_declass, erased)
 
 
 def test_nested_loops_force_level_two():

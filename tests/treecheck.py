@@ -133,12 +133,15 @@ def run_tree(program, inputs, fuel: int = 5000):
     return broke, out, node
 
 
-def find_periodicity(node) -> dict | None:
-    """First pair of nested, equivalent while configurations, else None."""
+def find_periodicity(node, only=None) -> dict | None:
+    """First pair of nested, equivalent while configurations, else None.
+
+    With ``only``, a set of loop ids, other loops' configurations are ignored.
+    """
 
     def walk(n, active):
         stmt = n["stmt"]
-        if isinstance(stmt, While):
+        if isinstance(stmt, While) and (only is None or stmt.loop_id in only):
             uset = tuple(sorted(u_vars(stmt.guard)))
             mine = tuple(n["store"].get(v, "") for v in uset)
             for wid, proj, store0 in active:
@@ -160,7 +163,7 @@ def find_periodicity(node) -> dict | None:
     return walk(node, [])
 
 
-def periodic_by_tree(program, inputs, fuel: int = 5000) -> bool:
+def periodic_by_tree(program, inputs, fuel: int = 5000, only=None) -> bool:
     """Direct verdict from the materialized tree (the oracle side)."""
     _, _, node = run_tree(program, inputs, fuel)
-    return find_periodicity(node) is not None
+    return find_periodicity(node, only) is not None
