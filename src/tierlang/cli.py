@@ -130,14 +130,22 @@ def first_order_safety(report: dict, result: safety1.InferenceResult) -> None:
     report["explanation"] = result.explanation
 
 
+def not_negative(n: int, source: str) -> int:
+    """``n``, a count read from ``source``; a negative count is malformed."""
+    if n < 0:
+        raise ValueError(f"{source} must not be negative, got {n}")
+    return n
+
+
 def default_budget() -> int:
     value = os.environ.get(ENV_BUDGET)
     if not value:
         return interp1.DEFAULT_BUDGET
     try:
-        return int(value)
+        budget = int(value)
     except ValueError:
         raise ValueError(f"{ENV_BUDGET} must be an integer, got {value!r}") from None
+    return not_negative(budget, ENV_BUDGET)
 
 
 def load_config(path: str | None) -> opreg.DeltaConfig | None:
@@ -152,7 +160,7 @@ def load_config(path: str | None) -> opreg.DeltaConfig | None:
 
 def parse_input_word(text: str) -> str:
     if text and text[0] == "u" and text[1:].isdigit():
-        return words.unary(int(text[1:]))
+        return words.unary_digits(text[1:])
     return words.word(text)
 
 
@@ -212,7 +220,10 @@ def cmd_run(args) -> int:
     lines = []
 
     def load():
-        budget = args.max_steps if args.max_steps is not None else default_budget()
+        if args.max_steps is None:
+            budget = default_budget()
+        else:
+            budget = not_negative(args.max_steps, "--max-steps")
         program = parser.parse_file(args.file)
         inputs = {}
         for item in args.input or []:
@@ -290,7 +301,8 @@ def cmd_forcheck(args) -> int:
 
 def cmd_ops(args) -> int:
     report = blank_report("ops")
-    report["verdicts"]["parse"] = True
+    if front_end(report, args.json, lambda: not_negative(args.validate, "--validate")) is None:
+        return report["exit_code"]
     listing = [opreg.describe_entry(e) for e in opreg.BUILTINS]
     report["operators"] = listing
     lines = [

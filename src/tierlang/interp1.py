@@ -19,8 +19,8 @@ run; ``secondorder.Interp2`` extends the core with procedures, closures
 and oracles.  A run starts as ``Interp(budget, monitor).run(program,
 inputs)``, which returns the result word or raises a ``RuntimeStop``; either
 way ``interp.stats`` then holds the run's statistics, and a stop carries
-none.  Any single statement runs as its closure,
-``interp.compiled(s)(interp, store)``.
+none.  Program and procedure bodies run through ``run_body``; any single
+statement runs as its closure, ``interp.compiled(s)(interp, store)``.
 
 A step is one rule application, so the step count is proportional to the
 size of the evaluation derivation.  Steps are taken in batches: a compiled
@@ -35,15 +35,16 @@ step count, the stats or the stop.
 An expression is pure when it applies only known operators at their arities
 (``const:`` words included) and ``declass``, and reads only names that cannot
 hold an oracle.  It cannot fail, so it compiles to a tick-free kernel whose
-prefix is its size; variable and constant operands are read inline, fused
-into their operator (Proebsting's superoperators, 1995).  An assignment of a
-read, or of an operator on one or two reads, runs as one closure.  Every
-variable read is pure but one: a read of a name that may hold an oracle
-(``Interp2``'s boxed oracle names) may fail, so it ticks as its own node, as
-oracle calls, oracle breaks and failing operators do; the operands of such a
-node take their prefixes just before they run.  A sequence takes its tick
-before a statement with that statement's prefix, and a loop its
-unrolled-sequence tick with its body's.
+prefix is its size.  An operator has one or two operands, and each runs as
+its own kernel except two reads (variables or constants), which are read
+inline: the one fused shape that runs call often (Proebsting, 1995).  An
+assignment of a read, or of an operator on one or two reads, runs as one
+closure.  Every variable read is pure but one: a read of a name that may
+hold an oracle (``Interp2``'s boxed oracle names) may fail, so it ticks as
+its own node, as oracle calls, oracle breaks and failing operators do; the
+operands of such a node take their prefixes just before they run.  A
+sequence takes its tick before a statement with that statement's prefix,
+and a loop its unrolled-sequence tick with its body's.
 
 With the monitor enabled, every guard evaluation of a loop activation
 projects the store onto the guard's undeclassified variables; seeing the
@@ -134,10 +135,6 @@ class ExecError(RuntimeStop):
     subcode = "exec-error"
 
 
-def lookup(store: dict, name: str) -> str:
-    return store.get(name, words.EPSILON)
-
-
 class LoopMonitorState(Record):
     """Projections seen at guard evaluations of one loop activation."""
 
@@ -184,27 +181,15 @@ def _declass(w1: str, w2: str) -> str:
 
 
 def _kernel(fn, args: list):
-    """Tick-free closure of ``fn`` on pure operands, reading leaves inline."""
+    """Tick-free closure of ``fn`` on one or two pure operands; two reads run inline."""
     if len(args) == 1:
-        ((_, fa, _, ra, _),) = args
-        if ra:
-            ka, da = ra
-            return lambda m, store: fn(store.get(ka, da))
+        fa = args[0][1]
         return lambda m, store: fn(fa(m, store))
-    if len(args) == 2:
-        (_, fa, _, ra, _), (_, fb, _, rb, _) = args
-        if ra and rb:
-            (ka, da), (kb, db) = ra, rb
-            return lambda m, store: fn(store.get(ka, da), store.get(kb, db))
-        if ra:
-            ka, da = ra
-            return lambda m, store: fn(store.get(ka, da), fb(m, store))
-        if rb:
-            kb, db = rb
-            return lambda m, store: fn(fa(m, store), store.get(kb, db))
-        return lambda m, store: fn(fa(m, store), fb(m, store))
-    fns = [a[1] for a in args]
-    return lambda m, store: fn(*[f(m, store) for f in fns])
+    (_, fa, _, ra, _), (_, fb, _, rb, _) = args
+    if ra and rb:
+        (ka, da), (kb, db) = ra, rb
+        return lambda m, store: fn(store.get(ka, da), store.get(kb, db))
+    return lambda m, store: fn(fa(m, store), fb(m, store))
 
 
 def _node(args: list, finish) -> tuple:
@@ -236,7 +221,7 @@ def _apply(fn, args: list) -> tuple:
             return _node(args, lambda m, store, values: fn(*values))
         size += a[0]
     reads = [a[3] for a in args]
-    call = (fn, reads) if len(args) <= 2 and all(reads) else None
+    call = (fn, reads) if all(reads) else None
     return size, _kernel(fn, args), True, None, call
 
 
@@ -436,7 +421,8 @@ class Interp:
 
             def oracle_break(m, store, values):
                 left = m.apply_oracle(store, oracle, values)
-                right = m.apply_oracle(store, oracle, [lookup(store, v) for v in ref_vars])
+                reference = [store.get(v, words.EPSILON) for v in ref_vars]
+                right = m.apply_oracle(store, oracle, reference)
                 if m.activation_stack:
                     loop_id, serial = m.activation_stack[-1]
                     m.stats.obk_events.append((loop_id, serial, len(left), len(right)))
@@ -522,16 +508,17 @@ class Interp:
             and writes[0].expr in (OpApp("dec", [Var(v)]), OpApp("tl", [Var(v)]))
         )
 
+    def run_body(self, store: dict, body, ret: str, where: str) -> str:
+        """Run ``body`` in frame ``store``, return ``ret``; a break escaping ``where`` stops."""
+        self.note_store(store)
+        if self.compiled(body)(self, store):
+            raise TopLevelBreak(f"a break escaped {where}; the result is undefined")
+        return store.get(ret, words.EPSILON)
+
     def run(self, program: Program1, inputs) -> str:
         if len(inputs) != len(program.params):
             raise ExecError(
                 f"program expects {len(program.params)} inputs, got {len(inputs)}"
             )
-        store = {}
-        for name, value in zip(program.params, inputs):
-            store[name] = words.word(value)
-        self.note_store(store)
-        if self.compiled(program.body)(self, store):
-            raise TopLevelBreak("a break escaped the program body; the result is undefined")
-        return lookup(store, program.ret)
-
+        store = dict(zip(program.params, map(words.word, inputs)))
+        return self.run_body(store, program.body, program.ret, "the program body")

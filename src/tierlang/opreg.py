@@ -254,6 +254,10 @@ BUILTINS = builtin_registry()
 # Admissible functional levels
 
 
+def _is_level(value) -> bool:
+    return value == "inf" or (type(value) is int and value >= 0)
+
+
 class DeltaConfig:
     """Optional restriction of the maximal admissible level sets.
 
@@ -270,13 +274,28 @@ class DeltaConfig:
 
     @classmethod
     def from_json(cls, data) -> "DeltaConfig":
-        """Read the JSON form; raises ValueError on any other shape."""
-        try:
-            return cls(data)
-        except (AttributeError, TypeError, ValueError):
-            raise ValueError(
-                "expected an object mapping operator names to lists of level vectors"
-            ) from None
+        """Read the JSON form; raises ValueError on any other shape.
+
+        The form is an object whose keys are known operators, each mapped to
+        a list of vectors of arity + 1 levels, a level being an int >= 0
+        (not a bool) or "inf".
+        """
+        if not isinstance(data, dict):
+            raise ValueError("expected an object mapping operator names to lists of level vectors")
+        for op, cands in data.items():
+            try:
+                width = BUILTINS.lookup(op).arity + 1
+            except (UnknownOperator, words.WordError):
+                raise ValueError(f"unknown operator {op!r}") from None
+            if not (isinstance(cands, list) and all(
+                isinstance(cand, list) and len(cand) == width and all(map(_is_level, cand))
+                for cand in cands
+            )):
+                raise ValueError(
+                    f"{op}: expected a list of vectors of {width} levels, "
+                    'each an integer >= 0 or "inf"'
+                )
+        return cls(data)
 
     def allows(self, op: str, candidate: tuple) -> bool:
         return tuple(candidate) not in self.forbidden.get(op, set())

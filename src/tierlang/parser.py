@@ -36,7 +36,7 @@ import bisect
 import re
 import sys
 
-from . import opreg
+from . import opreg, words
 from .syntax import (
     Assign,
     Break,
@@ -531,7 +531,10 @@ class _Parser:
                 )
             return OpApp(value, args), low
         if kind == "ulit":
-            return self._literal("1" * int(value[1:])), 0
+            try:
+                return self._literal(words.unary_digits(value[1:])), 0
+            except words.WordError as exc:
+                raise self.error(str(exc), tok) from None
         if kind == "string":
             return self._literal(value[1:-1]), 0
         if kind == "(":

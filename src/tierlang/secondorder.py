@@ -18,8 +18,8 @@ Evaluation extends the first-order evaluator core (``interp1.Interp``),
 which runs every expression and statement; ``Interp2`` adds procedure
 calls, oracle application and terms.  A procedure call copies the caller's
 store, binds parameters and locals, and fixes the oracle environment for
-the duration of the body; a break that escapes the body stops the run with
-``TopLevelBreak``, as it does a first-order program.  Closure bodies
+the duration of the body, which ``Interp.run_body`` runs as it runs a
+first-order program: a break that escapes it stops the run.  Closure bodies
 evaluate under the store current at the oracle call, with the closure's
 binders shadowing it.  A ``prog:`` oracle runs as a nested first-order run
 whose steps count toward the whole run's budget; one sub-interpreter per
@@ -470,9 +470,7 @@ class Interp2(interp1.Interp):
             if proc is None:
                 raise ExecError(f"undeclared procedure {t.proc}")
             values = [self.eval_term(store, a) for a in t.args]
-            if len(values) != len(proc.params) or len(t.closures) != len(
-                proc.oracle_params
-            ):
+            if len(values) != len(proc.params) or len(t.closures) != len(proc.oracle_params):
                 raise ExecError(f"call of {t.proc} does not match its parameter list")
             frame = dict(store)
             frame.update(zip(proc.params, values))
@@ -480,18 +478,11 @@ class Interp2(interp1.Interp):
             # A stop ends the run, so the caller's frame size and environment
             # need no restoring on the way out of an exception.
             caller_size, caller_env = self.size, self.env
-            self.note_store(frame)
-            self.env = {
-                oname: closure
-                for (oname, _), closure in zip(proc.oracle_params, t.closures)
-            }
-            if self.compiled(proc.body)(self, frame):
-                raise interp1.TopLevelBreak(
-                    f"a break escaped the body of procedure {t.proc}; the "
-                    f"result is undefined"
-                )
+            self.env = {oname: closure
+                        for (oname, _), closure in zip(proc.oracle_params, t.closures)}
+            where = f"the body of procedure {t.proc}"
+            result = self.run_body(frame, proc.body, proc.ret, where)
             self.size, self.env = caller_size, caller_env
-            result = frame.get(proc.ret, words.EPSILON)
             if isinstance(result, Oracle):
                 raise ExecError(f"{t.proc} returned an order-1 value")
             return result

@@ -7,10 +7,15 @@ truthy value; everything else (including the empty word) counts as false.
 
 from __future__ import annotations
 
+import sys
+
 ALPHABET = "01#"
 EPSILON = ""
 TRUE = "1"
 FALSE = "0"
+
+# No string, so no word, is longer than this: the digits of sys.maxsize.
+_LONGEST = str(sys.maxsize)
 
 # Symbol order used by shortlex: 0 < 1 < #.  With '#' read as '2', code
 # point order agrees with it.
@@ -53,6 +58,17 @@ def shortlex_compare(v: str, w: str) -> int:
 def unary(n: int) -> str:
     """The unary numeral 1^n (zero is the empty word)."""
     return "1" * n
+
+
+def unary_digits(digits: str) -> str:
+    """The unary numeral 1^N for N written in decimal ``digits``.
+
+    An N past ``sys.maxsize`` is a WordError: no string is that long.
+    """
+    n = digits.lstrip("0")
+    if (len(n), n) > (len(_LONGEST), _LONGEST):
+        raise WordError(f"u{digits} is longer than the longest word, {_LONGEST} symbols")
+    return "1" * int(n or "0")
 
 
 def unary_value(w: str) -> int | None:

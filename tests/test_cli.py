@@ -89,8 +89,26 @@ def test_run_bad_word(capsys):
         ("run", corpus("I.tl2"), "--oracle", "F=builtin:nope"),
         ("run", corpus("I.tl2"), "--oracle", "F"),
         ("run", corpus("I.tl2"), "--oracle", "F=prog:no/such/file.tl"),
+        ("run", corpus("exp1.tl"), "--input", "x=u3", "--max-steps", "-5"),
+        ("run", corpus("exp1.tl"), "--input", f"x=u{sys.maxsize + 1}"),
+        ("run", corpus("exp1.tl"), "--input", "x=u99999999999999999999"),
+        ("ops", "--validate", "-1"),
         ("check", corpus("bubble.tl"), "--delta", "{bad"),
         ("check", corpus("bubble.tl"), "--delta", "[1,2]"),
+        ("check", corpus("bubble.tl"), "--delta", "null"),
+        ("check", corpus("bubble.tl"), "--delta", "[]"),
+        ("check", corpus("bubble.tl"), "--delta", "0"),
+        ("check", corpus("bubble.tl"), "--delta", "false"),
+        ("check", corpus("bubble.tl"), "--delta", '""'),
+        ("check", corpus("bubble.tl"), "--delta", '{"nope": [[1, 1]]}'),
+        ("check", corpus("bubble.tl"), "--delta", '{"const:2": [[1]]}'),
+        ("check", corpus("bubble.tl"), "--delta", '{"dec": [[1, 1, 1]]}'),
+        ("check", corpus("bubble.tl"), "--delta", '{"dec": [[1]]}'),
+        ("check", corpus("bubble.tl"), "--delta", '{"dec": [[1, 1.5]]}'),
+        ("check", corpus("bubble.tl"), "--delta", '{"dec": [[1, true]]}'),
+        ("check", corpus("bubble.tl"), "--delta", '{"dec": [[1, "1"]]}'),
+        ("check", corpus("bubble.tl"), "--delta", '{"dec": [[1, -1]]}'),
+        ("check", corpus("bubble.tl"), "--delta", '{"dec": "11"}'),
     ],
 )
 def test_io_errors(tmp_path, capsys, argv):
@@ -359,6 +377,51 @@ def test_env_budget_not_a_number(capsys, monkeypatch):
     assert cli.ENV_BUDGET in report["explanation"]
 
 
+def assert_zero_budget_stops_at_once(capsys, *argv):
+    code, report = run_json(capsys, "run", corpus("exp1.tl"), "--input", "x=u3", *argv)
+    assert code == 3
+    assert report["stop"]["kind"] == "budget-exhausted"
+    assert report["stats"]["steps"] == 1
+
+
+def test_env_budget_negative(capsys, monkeypatch):
+    monkeypatch.setenv(cli.ENV_BUDGET, "-3")
+    report = assert_io_error(capsys, "run", corpus("exp1.tl"), "--input", "x=u3")
+    assert cli.ENV_BUDGET in report["explanation"]
+    assert report["stats"] is None
+    monkeypatch.setenv(cli.ENV_BUDGET, "0")
+    assert_zero_budget_stops_at_once(capsys)
+
+
+def test_max_steps_negative(capsys):
+    report = assert_io_error(
+        capsys, "run", corpus("exp1.tl"), "--input", "x=u3", "--max-steps", "-5"
+    )
+    assert "--max-steps" in report["explanation"]
+    assert report["stats"] is None
+    assert_zero_budget_stops_at_once(capsys, "--max-steps", "0")
+
+
+def test_ops_validate_negative(capsys):
+    report = assert_io_error(capsys, "ops", "--validate", "-1")
+    assert "--validate" in report["explanation"]
+    assert report["operators"] is None
+    code, report = run_json(capsys, "ops", "--validate", "0")
+    assert code == 0
+    assert report["validation"] is None
+    assert len(report["operators"]) == 22
+
+
+def test_delta_levels_are_ints_or_inf(tmp_path, capsys):
+    config = tmp_path / "delta.json"
+    config.write_text(json.dumps({"gt": [[1, "inf", 0]], "dec": [], "const:1": [[0]]}))
+    code, report = run_json(capsys, "check", corpus("bubble.tl"), "--delta", str(config))
+    assert code == 1
+    assert "const:1 with levels 0 is forbidden" in report["explanation"]
+    config.write_text(json.dumps({"const:1": [[False]]}))
+    assert_io_error(capsys, "check", corpus("bubble.tl"), "--delta", str(config))
+
+
 def test_exit_codes_pure_function_of_report(capsys):
     cases = [
         ("check", corpus("bubble.tl")),
@@ -422,6 +485,41 @@ def test_random_token_streams_get_a_report(tmp_path_factory, opening, tokens, en
     out = io.StringIO()
     with redirect_stdout(out):
         code = cli.main(["check", str(path), "--json"])
+    report = json.loads(out.getvalue())
+    VALIDATOR.validate(report)
+    assert code == cli.exit_code_for(report)
+    assert report["error"] != "internal", report["explanation"]
+
+
+def option_value_cases():
+    """Budgets, validation counts and unary inputs, valid or malformed."""
+    budget = st.integers(-10**20, 10**6)
+    run = ["run", corpus("exp1.tl")]
+    return st.one_of(
+        budget.map(lambda n: (run + ["--input", "x=u3", "--max-steps", str(n)], None)),
+        budget.map(lambda n: (run + ["--input", "x=u3"], str(n))),
+        st.integers(-10**20, 3).map(lambda n: (["ops", "--validate", str(n)], None)),
+        st.one_of(st.integers(0, 50), st.integers(sys.maxsize + 1, 10**30)).map(
+            lambda n: (run + ["--input", f"x=u{n}"], None)
+        ),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(option_value_cases())
+def test_option_values_get_a_report(case):
+    argv, env_budget = case
+    out = io.StringIO()
+    saved = os.environ.pop(cli.ENV_BUDGET, None)
+    try:
+        if env_budget is not None:
+            os.environ[cli.ENV_BUDGET] = env_budget
+        with redirect_stdout(out):
+            code = cli.main(argv + ["--json"])
+    finally:
+        os.environ.pop(cli.ENV_BUDGET, None)
+        if saved is not None:
+            os.environ[cli.ENV_BUDGET] = saved
     report = json.loads(out.getvalue())
     VALIDATOR.validate(report)
     assert code == cli.exit_code_for(report)

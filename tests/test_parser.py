@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -99,6 +100,17 @@ def test_parse_error_position():
     with pytest.raises(ParseError) as err:
         parse("prog(x){\n  y := ;\n  return x}")
     assert err.value.line == 2
+
+
+def test_unary_literal_past_the_longest_word_is_a_parse_error():
+    big = sys.maxsize + 1
+    with pytest.raises(ParseError) as err:
+        parse(f"prog(x){{\n  x := u{big}\nreturn x}}")
+    assert (err.value.line, err.value.col) == (2, 8)
+    assert f"u{big}" in err.value.message
+    with pytest.raises(ParseError):
+        parse(f"prog(x){{x := u{'9' * 5000} return x}}")
+    assert parse(f"prog(x){{x := u{'0' * 5000}3 return x}}").body.expr == OpApp("const:111")
 
 
 def test_comments_ignored():
