@@ -1,21 +1,21 @@
 """Command-line front end.
 
-Commands: check, run, forcheck, ops, desugar, in the table COMMANDS.  A call
-builds the argument parser of the one command it names, or, naming none, the
-parser listing them all.  A file's extension names its language: a .tl2 file
-holds a second-order program and any other file a first-order one; a file
-holding the other language is a parse error.  Every command can emit a
+Commands: check, run, forcheck, ops, desugar, in the table COMMANDS; read_args
+reads a plain command line from it, and argparse, imported only for any other
+line, prints help and usage errors.  A file's extension names its language: a
+.tl2 file holds a second-order program, any other file a first-order one, and
+a file of the other language is a parse error.  Every command can emit a
 machine-readable report with --json (schema in report.schema.json at the
 repository root); exit codes are a function of the report.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
+import types
 
 from . import interp1, opreg, parser, safety1, secondorder, words
 from .syntax import Program1, Program2
@@ -159,7 +159,7 @@ def load_config(path: str | None) -> opreg.DeltaConfig | None:
 
 
 def parse_input_word(text: str) -> str:
-    if text and text[0] == "u" and text[1:].isdigit():
+    if text[:1] == "u" and text[1:].isascii() and text[1:].isdigit():
         return words.unary_digits(text[1:])
     return words.word(text)
 
@@ -364,28 +364,75 @@ COMMANDS = {  # name -> (handler, help line, arguments); all take --json too
 }
 
 
+JSON_OPTION = ("--json", {"action": "store_true"})
+
+
+def read_args(argv: list) -> types.SimpleNamespace | None:
+    """The attributes argparse gives a plain command line, or None.
+
+    A plain line is a command of COMMANDS and then, in any order, its one file
+    (if it takes one) and its options, each in full as its own token; a value
+    option's value is the next token and does not start with "-".
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    fn, _, arguments = COMMANDS[argv[0]]
+    args = types.SimpleNamespace(fn=fn, command=argv[0])
+    options = {name: (name[2:].replace("-", "_"), spec)
+               for name, spec in arguments + [JSON_OPTION] if name[0] == "-"}
+    for dest, spec in options.values():
+        setattr(args, dest, False if spec.get("action") == "store_true" else spec.get("default"))
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-" and not hasattr(args, "file") and ("file", {}) in arguments:
+            args.file = token
+            continue
+        if token not in options:  # a second file, or an option the reader leaves to argparse
+            return None
+        dest, spec = options[token]
+        if spec.get("action") == "store_true":
+            setattr(args, dest, True)
+            continue
+        value = next(tokens, "-")
+        if value[:1] == "-":
+            return None
+        try:
+            value = spec.get("type", str)(value)
+        except ValueError:  # not an int
+            return None
+        if spec.get("action") == "append":
+            value = (getattr(args, dest) or []) + [value]
+        setattr(args, dest, value)
+    return args if hasattr(args, "file") == (("file", {}) in arguments) else None
+
+
 def command_parser(ap: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
     """Give ``ap`` the arguments of ``command``, and its handler as ``fn``."""
-    fn, _, arguments = COMMANDS[command]
-    for name, options in arguments + [("--json", {"action": "store_true"})]:
+    for name, options in COMMANDS[command][2] + [JSON_OPTION]:
         ap.add_argument(name, **options)
-    ap.set_defaults(fn=fn, command=command)
+    ap.set_defaults(fn=COMMANDS[command][0], command=command)
     return ap
+
+
+def parse_args(argv: list) -> argparse.Namespace:
+    """Read ``argv`` with argparse, which alone prints help and usage errors."""
+    import argparse
+
+    if argv and argv[0] in COMMANDS:
+        ap = command_parser(argparse.ArgumentParser(prog=f"tierlang {argv[0]}"), argv[0])
+        return ap.parse_args(argv[1:])
+    ap = argparse.ArgumentParser(prog="tierlang", description="Safety inference, "
+                                 "execution, and aperiodicity monitoring for the "
+                                 "tiered toy languages.")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for command, (_, help_line, _) in COMMANDS.items():
+        command_parser(sub.add_parser(command, help=help_line), command)
+    return ap.parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in COMMANDS:
-        ap = command_parser(argparse.ArgumentParser(prog=f"tierlang {argv[0]}"), argv[0])
-        args = ap.parse_args(argv[1:])
-    else:  # no command, -h or an unknown command: argparse prints help or an error
-        ap = argparse.ArgumentParser(prog="tierlang", description="Safety inference, "
-                                     "execution, and aperiodicity monitoring for the "
-                                     "tiered toy languages.")
-        sub = ap.add_subparsers(dest="command", required=True)
-        for command, (_, help_line, _) in COMMANDS.items():
-            command_parser(sub.add_parser(command, help=help_line), command)
-        args = ap.parse_args(argv)
+    args = read_args(argv) or parse_args(argv)
     try:
         return args.fn(args)
     except Exception as exc:  # a bug; it still gets a report and its own exit code

@@ -63,12 +63,15 @@ def unary(n: int) -> str:
 def unary_digits(digits: str) -> str:
     """The unary numeral 1^N for N written in decimal ``digits``.
 
-    An N past ``sys.maxsize`` is a WordError: no string is that long.
+    An N past ``sys.maxsize``, or too long to allocate, is a WordError.
     """
     n = digits.lstrip("0")
     if (len(n), n) > (len(_LONGEST), _LONGEST):
         raise WordError(f"u{digits} is longer than the longest word, {_LONGEST} symbols")
-    return "1" * int(n or "0")
+    try:
+        return "1" * int(n or "0")
+    except MemoryError:
+        raise WordError(f"u{digits} is too long a word to allocate") from None
 
 
 def unary_value(w: str) -> int | None:

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import inspect
 import io
 import json
@@ -6,7 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import jsonschema
 import pytest
@@ -77,6 +78,44 @@ def test_check_missing_file(capsys):
 
 def test_run_bad_word(capsys):
     assert_io_error(capsys, "run", corpus("exp2.tl"), "--input", "y=abc")
+    for digits in ("\u0663", "\u00b2"):  # Arabic-Indic three, superscript two
+        report = assert_io_error(capsys, "run", corpus("exp2.tl"), "--input", f"y=u{digits}")
+        assert report["explanation"].startswith("not a word")
+
+
+UNALLOCATABLE = """
+import contextlib, io, json, resource, sys
+from tierlang import cli
+
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+outcomes = []
+for argv in (["check", sys.argv[1]], ["run", sys.argv[2], "--input", "x=u9999999999"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv + ["--json"])
+    outcomes.append((code, json.loads(out.getvalue())))
+print(json.dumps(outcomes))
+"""
+
+
+def test_unary_literals_too_long_to_allocate(tmp_path):
+    # 10^10 symbols fit in sys.maxsize but not in the child's 1 GiB of address space.
+    source = tmp_path / "big.tl"
+    source.write_text("prog(x){x := u9999999999 return x}")
+    proc = subprocess.run(
+        [sys.executable, "-c", UNALLOCATABLE, str(source), corpus("exp1.tl")],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    (check_code, check), (run_code, run) = json.loads(proc.stdout)
+    for report in (check, run):
+        VALIDATOR.validate(report)
+        assert "u9999999999 is too long a word to allocate" in report["explanation"]
+    assert check_code == 2 and check["verdicts"]["parse"] is False
+    assert check["explanation"].endswith(" at 1:14")  # at the literal
+    assert run_code == 4 and run["error"] == "io"
 
 
 @pytest.mark.parametrize(
@@ -672,7 +711,8 @@ def test_unknown_option_after_a_command(capsys):
     assert err.endswith("error: unrecognized arguments: --bogus\n")
 
 
-def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
+def count_parsers(monkeypatch) -> list:
+    """The ``prog`` of every ArgumentParser built from now on."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -681,9 +721,94 @@ def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+def test_a_plain_command_line_builds_no_parser(capsys, monkeypatch):
+    built = count_parsers(monkeypatch)
     code, _ = run_json(capsys, "check", corpus("bubble.tl"))
     assert code == 0
+    assert built == []
+
+
+def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
+    built = count_parsers(monkeypatch)
+    code, _, _ = usage_outcome(capsys, cli.main, ["check", "f.tl", "--bogus"])
+    assert code == 2
     assert built == ["tierlang check"]
+
+
+def test_a_plain_command_leaves_no_parser_garbage():
+    def from_argparse(obj):
+        return "argparse" in (type(obj).__module__, getattr(obj, "__module__", None))
+
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["check", corpus("bubble.tl"), "--json"]) == 0
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert [obj for obj in garbage if from_argparse(obj)] == []
+
+
+def command_lines():
+    """argvs over commands, options in full, abbreviated and with =, and odd values.
+
+    A command's line is its file (if it takes one) and some of its options,
+    in any order, plus at most one stray token (one of its options alone, a
+    value, or an odd token), so that many lines are plain ones the reader
+    accepts and many are one token away from one.
+    """
+    options = sorted({name for _, _, arguments in cli.COMMANDS.values()
+                      for name, _ in arguments if name[0] == "-"} | {"--json"})
+    values = st.sampled_from(["5", "x=u3", "", "f.tl", "corpus/I.tl2", "d.json"])
+    numbers = st.sampled_from(["5", "0", "12", "\u00b2"])
+    odd = values | st.sampled_from(
+        options
+        + [name[:size] for name in options for size in (3, 5)]
+        + [f"{name}={value}" for name in options for value in ("5", "x=u3")]
+        + ["-h", "--help", "--", "-5", "-"]
+    )
+
+    def option(argument):
+        name, spec = argument
+        if spec.get("action") == "store_true":
+            return st.just((name,))
+        return st.tuples(st.just(name), numbers if "type" in spec else values)
+
+    def line(command):
+        arguments = cli.COMMANDS[command][2] + [cli.JSON_OPTION]
+        own = [argument for argument in arguments if argument[0][0] == "-"]
+        files = [values.map(lambda file: [(file,)])] * (("file", {}) in arguments)
+        stray = st.sampled_from([name for name, _ in own]) | odd
+        chunks = st.tuples(
+            st.lists(st.sampled_from(own).flatmap(option), max_size=3),
+            *files,
+            st.lists(st.tuples(stray), max_size=1),
+        ).map(lambda parts: sum(parts, [])).flatmap(st.permutations)
+        return chunks.map(lambda cs: [command] + [token for c in cs for token in c])
+
+    return st.one_of(
+        st.lists(odd, max_size=3),
+        st.sampled_from(sorted(cli.COMMANDS)).flatmap(line),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_lines())
+def test_read_args_agrees_with_argparse(argv):
+    read = cli.read_args(argv)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            expected = cli.parse_args(argv)
+    except SystemExit:
+        assert read is None
+    else:
+        assert read is None or vars(read) == vars(expected)
 
 
 def test_module_entry_point_reads_sys_argv():

@@ -315,7 +315,7 @@ def test_importing_the_interpreter_loads_no_checker():
 
 
 def test_importing_the_cli_loads_no_introspection_modules():
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "argparse", "gettext")
     loaded = subprocess.run(
         [
             sys.executable, "-c",
