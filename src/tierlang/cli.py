@@ -406,7 +406,7 @@ def read_args(argv: list) -> types.SimpleNamespace | None:
     return args if hasattr(args, "file") == (("file", {}) in arguments) else None
 
 
-def command_parser(ap: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+def command_parser(ap, command: str):
     """Give ``ap`` the arguments of ``command``, and its handler as ``fn``."""
     for name, options in COMMANDS[command][2] + [JSON_OPTION]:
         ap.add_argument(name, **options)
@@ -414,7 +414,7 @@ def command_parser(ap: argparse.ArgumentParser, command: str) -> argparse.Argume
     return ap
 
 
-def parse_args(argv: list) -> argparse.Namespace:
+def parse_args(argv: list):
     """Read ``argv`` with argparse, which alone prints help and usage errors."""
     import argparse
 

@@ -33,18 +33,17 @@ would have, with the same stats: batching changes wall time and never the
 step count, the stats or the stop.
 
 An expression is pure when it applies only known operators at their arities
-(``const:`` words included) and ``declass``, and reads only names that cannot
-hold an oracle.  It cannot fail, so it compiles to a tick-free kernel whose
-prefix is its size.  An operator has one or two operands, and each runs as
-its own kernel except two reads (variables or constants), which are read
-inline: the one fused shape that runs call often (Proebsting, 1995).  An
-assignment of a read, or of an operator on one or two reads, runs as one
-closure.  Every variable read is pure but one: a read of a name that may
-hold an oracle (``Interp2``'s boxed oracle names) may fail, so it ticks as
-its own node, as oracle calls, oracle breaks and failing operators do; the
-operands of such a node take their prefixes just before they run.  A
-sequence takes its tick before a statement with that statement's prefix,
-and a loop its unrolled-sequence tick with its body's.
+(``const:`` words included) and ``declass``; every stored value is a word, so
+every variable read is pure.  A pure expression cannot fail, so it compiles
+to a tick-free kernel whose prefix is its size.  An operator has one or two
+operands, and each runs as its own kernel except two reads (variables or
+constants), which are read inline: the one fused shape that runs call often
+(Proebsting, 1995).  An assignment of a read, or of an operator on one or
+two reads, runs as one closure.  Oracle calls, oracle breaks and failing
+operators tick as their own nodes; the operands of such a node take their
+prefixes just before they run.  A sequence takes its tick before a
+statement with that statement's prefix, and a loop its unrolled-sequence
+tick with its body's.
 
 With the monitor enabled, every guard evaluation of a loop activation
 projects the store onto the guard's undeclassified variables; seeing the
@@ -157,8 +156,7 @@ class LoopMonitorState(Record):
 
 
 def store_size(store: dict) -> int:
-    # Order-1 values (oracles) held by second-order frames have no size.
-    return sum(len(v) for v in store.values() if isinstance(v, str))
+    return sum(map(len, store.values()))
 
 
 # A compiled expression is a tuple (prefix, fn, pure, read, call): take
@@ -240,7 +238,6 @@ class Interp:
         self.activation_serial = 0
         self.activation_stack: list = []  # (loop_id, serial) of running loops
         self.code: dict = {}  # id(statement) -> (statement, its closure)
-        self.order1: set = set()  # names that may hold an oracle
 
     def tick(self, k: int = 1):
         """Take k steps in one check."""
@@ -288,16 +285,7 @@ class Interp:
 
     def compile_expr(self, e) -> tuple:
         if isinstance(e, Var):
-            name = e.name
-            if name not in self.order1:
-                return _read(name, words.EPSILON)
-
-            def var(m, store):
-                value = store.get(name, words.EPSILON)
-                if isinstance(value, str):
-                    return value
-                raise ExecError(f"order-1 variable {name} used as a word")
-            return 1, var, False, None, None
+            return _read(e.name, words.EPSILON)
         if isinstance(e, OpApp):
             return self.compile_op(e.op, [self.compile_expr(a) for a in e.args])
         if isinstance(e, Declass):
@@ -340,9 +328,8 @@ class Interp:
 
                 def assign(m, store):
                     new = fn(store.get(ka, da), store.get(kb, db))
-                    old = store.get(var)
+                    m.size = size = m.size + len(new) - len(store.get(var, words.EPSILON))
                     store[var] = new
-                    m.size = size = m.size + len(new) - (len(old) if isinstance(old, str) else 0)
                     if size > m.stats.max_store_size:
                         m.stats.max_store_size = size
                     return False
@@ -351,9 +338,8 @@ class Interp:
 
                 def assign(m, store):
                     new = fn(store.get(ka, da))
-                    old = store.get(var)
+                    m.size = size = m.size + len(new) - len(store.get(var, words.EPSILON))
                     store[var] = new
-                    m.size = size = m.size + len(new) - (len(old) if isinstance(old, str) else 0)
                     if size > m.stats.max_store_size:
                         m.stats.max_store_size = size
                     return False
@@ -362,18 +348,16 @@ class Interp:
 
                 def assign(m, store):
                     new = store.get(ka, da)
-                    old = store.get(var)
+                    m.size = size = m.size + len(new) - len(store.get(var, words.EPSILON))
                     store[var] = new
-                    m.size = size = m.size + len(new) - (len(old) if isinstance(old, str) else 0)
                     if size > m.stats.max_store_size:
                         m.stats.max_store_size = size
                     return False
             else:
                 def assign(m, store):
                     new = expr(m, store)
-                    old = store.get(var)
+                    m.size = size = m.size + len(new) - len(store.get(var, words.EPSILON))
                     store[var] = new
-                    m.size = size = m.size + len(new) - (len(old) if isinstance(old, str) else 0)
                     if size > m.stats.max_store_size:
                         m.stats.max_store_size = size
                     return False

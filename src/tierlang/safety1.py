@@ -39,9 +39,9 @@ environments and rule-directed derivations outright, with all levels drawn
 from a finite range.
 
 Oracle calls (second-order bodies) are handled by the same generator:
-their level is the infinite sentinel, which may only flow into the first
-operand of truncate, a declass operand position that tolerates it, or an
-oracle break; every other use is reported unsafe.
+their level is the infinite sentinel, which only the first operand of
+truncate and a break accept (guardedness admits only an oracle break); every
+other use, a declass operand included, is reported unsafe.
 """
 
 from __future__ import annotations

@@ -27,7 +27,10 @@ run serves every such call, so each oracle program is compiled once per
 run.  A run starts as ``Interp2(program, oracles, budget, monitor).run(inputs)``,
 where ``oracles`` maps boxed oracle names to ``Oracle`` values; after a result
 or a ``RuntimeStop``, ``interp.stats`` holds the whole run's statistics, a
-stop inside a ``prog:`` oracle included.
+stop inside a ``prog:`` oracle included.  The boxed oracles live in the run's
+oracle table (``Interp2.boxed``), never in a store, so every store holds
+words only.  A closure variable the table lacks denotes the constant empty
+function, even when an oracle was supplied under that unboxed name.
 """
 
 from __future__ import annotations
@@ -411,8 +414,8 @@ class Interp2(interp1.Interp):
         super().__init__(budget, monitor)
         self.program = program
         self.sigma = {p.name: p for p in program.procedures}
-        self.order1.update(name for name, _ in program.boxed_oracles)
         self.oracles = oracles
+        self.boxed: dict = {}  # boxed oracle names -> the run's oracles
         self.env: dict = {}  # oracle parameters of the running call -> closures
         self.sub = interp1.Interp()  # runs every prog: oracle
 
@@ -423,13 +426,9 @@ class Interp2(interp1.Interp):
             raise ExecError(f"oracle variable {name} is not bound here")
         self.tick()
         if isinstance(closure, ClosureVar):
-            value = store.get(closure.name)
-            if value is None:
-                # Unbound order-1 variables denote the constant empty function.
-                return words.EPSILON
-            if not isinstance(value, Oracle):
-                raise ExecError(f"{closure.name} does not hold an oracle")
-            return self.call_external(value, args)
+            # A name that is not boxed denotes the constant empty function.
+            oracle = self.boxed.get(closure.name)
+            return words.EPSILON if oracle is None else self.call_external(oracle, args)
         if isinstance(closure, Lambda):
             if len(closure.params) != len(args):
                 raise ExecError(f"closure for {name} got {len(args)} argument(s)")
@@ -461,10 +460,7 @@ class Interp2(interp1.Interp):
     def eval_term(self, store, t) -> str:
         self.tick()
         if isinstance(t, TermVar):
-            value = store.get(t.name, words.EPSILON)
-            if isinstance(value, Oracle):
-                raise ExecError(f"order-1 variable {t.name} used as a word")
-            return value
+            return store.get(t.name, words.EPSILON)
         if isinstance(t, Call):
             proc = self.sigma.get(t.proc)
             if proc is None:
@@ -483,8 +479,6 @@ class Interp2(interp1.Interp):
             where = f"the body of procedure {t.proc}"
             result = self.run_body(frame, proc.body, proc.ret, where)
             self.size, self.env = caller_size, caller_env
-            if isinstance(result, Oracle):
-                raise ExecError(f"{t.proc} returned an order-1 value")
             return result
         raise ExecError(f"not a term: {t!r}")
 
@@ -494,7 +488,6 @@ class Interp2(interp1.Interp):
                 f"program expects {len(self.program.boxed_words)} word "
                 f"input(s), got {len(inputs)}"
             )
-        store: dict = {}
         for (name, arity) in self.program.boxed_oracles:
             oracle = self.oracles.get(name)
             if oracle is None:
@@ -503,9 +496,8 @@ class Interp2(interp1.Interp):
                 raise ExecError(
                     f"oracle for {name} must have arity {arity}, got {oracle.arity}"
                 )
-            store[name] = oracle
-        for name, value in zip(self.program.boxed_words, inputs):
-            store[name] = words.word(value)
+            self.boxed[name] = oracle
+        store = dict(zip(self.program.boxed_words, map(words.word, inputs)))
         return self.eval_term(store, self.program.main)
 
 

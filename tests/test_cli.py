@@ -7,6 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import typing
 from contextlib import redirect_stderr, redirect_stdout
 
 import jsonschema
@@ -245,6 +246,19 @@ def test_run_second_order(capsys):
     assert code == 0
     assert report["result"] == "1111"
     assert report["stats"]["oracle_calls"] > 0
+
+
+def test_an_oracle_under_an_unboxed_name_binds_nothing(tmp_path, capsys):
+    # G is not boxed, so it denotes the constant empty function whatever
+    # oracle the command line supplies under that name.
+    path = tmp_path / "unboxed.tl2"
+    path.write_text("box[F, z] in\n"
+                    "declare p(X, y){ var t; t := X(y) return t } in\n"
+                    "call p(G, z)\n")
+    argv = ["run", str(path), "--oracle", "F=builtin:double", "--input", "z=1"]
+    code, report = run_json(capsys, *argv)
+    assert (code, report["result"], report["stats"]["oracle_calls"]) == (0, "", 1)
+    assert run_json(capsys, *argv, "--oracle", "G=builtin:append1") == (code, report)
 
 
 def test_forcheck(capsys):
@@ -842,16 +856,32 @@ def test_commands_use_the_one_operator_set(capsys, monkeypatch):
         run_json(capsys, *argv)
     assert built == []
 
-    takers = []
+    takers = [name for name, f in package_functions()
+              if "registry" in inspect.signature(f).parameters]
+    assert takers == []
+
+
+def package_functions() -> list:
+    """(qualified name, function) of every function and method of the package."""
+    found = []
     for info in pkgutil.iter_modules(tierlang.__path__):
         module = __import__(f"tierlang.{info.name}", fromlist=["_"])
         for obj in vars(module).values():
             if getattr(obj, "__module__", None) != module.__name__:
                 continue
-            fns = vars(obj).values() if inspect.isclass(obj) else [obj]
-            takers += [
-                f"{module.__name__}.{f.__qualname__}"
-                for f in fns
-                if inspect.isfunction(f) and "registry" in inspect.signature(f).parameters
-            ]
-    assert takers == []
+            for f in vars(obj).values() if inspect.isclass(obj) else [obj]:
+                f = getattr(f, "__func__", getattr(f, "fget", f))  # static, class, property
+                if inspect.isfunction(f):
+                    found.append((f"{module.__name__}.{f.__qualname__}", f))
+    return found
+
+
+def test_every_annotation_resolves():
+    # An annotation may only name what its module imports at module level.
+    functions, unresolved = package_functions(), []
+    for name, f in functions:
+        try:
+            typing.get_type_hints(f)
+        except NameError:
+            unresolved.append(name)
+    assert len(functions) > 100 and unresolved == []

@@ -341,11 +341,6 @@ APPEND1 = {"F": so.make_oracle("builtin:append1")}
     "program, oracles, error",
     [
         pytest.param(
-            call_p(Assign("t", Var("F")), ClosureVar("F")), APPEND1,
-            "order-1 variable F used as a word",
-            id="word-variable-holds-oracle",
-        ),
-        pytest.param(
             call_p(APPLY_X, ClosureVar("F")), {},
             "no oracle supplied for F",
             id="missing-oracle",
@@ -358,7 +353,7 @@ APPEND1 = {"F": so.make_oracle("builtin:append1")}
         ),
         pytest.param(
             call_p(APPLY_X, ClosureVar("z")), APPEND1,
-            "z does not hold an oracle",
+            None,  # z is not a boxed oracle: the constant empty function
             id="closure-names-a-word",
         ),
         pytest.param(
@@ -393,22 +388,58 @@ def test_runtime_errors(program, oracles, error):
     assert interp.stats.steps <= interp.budget  # the run's stats, read after the stop
 
 
-def test_order1_read_fails_in_place_at_every_budget():
-    # t := F reads the boxed oracle F as a word: below the step of that read
-    # the run stops on the budget, from it on with the same error.
-    program = call_p(Assign("t", Var("F")), ClosureVar("F"))
-    interp = so.Interp2(program, APPEND1)
-    with pytest.raises(ExecError) as err:
-        interp.run(["1"])
-    failing_step = interp.stats.steps
-    assert failing_step > 1
-    for budget in range(failing_step + 3):
-        interp = so.Interp2(program, APPEND1, budget=budget)
-        with pytest.raises(BudgetExhausted if budget < failing_step else ExecError) as stop:
-            interp.run(["1"])
-        assert interp.stats.steps == min(budget + 1, failing_step)
-        if budget >= failing_step:
-            assert str(stop.value) == str(err.value)
+@pytest.mark.parametrize(
+    "program, explanation",
+    [
+        (call_p(Assign("t", Var("F")), ClosureVar("F")), "is not closed"),
+        (call_p(APPLY_X, ClosureVar("z")), "is not a boxed oracle"),
+    ],
+    ids=["word-variable-names-an-oracle", "closure-names-a-word"],
+)
+def test_checker_rejects_what_the_evaluator_no_longer_guards(program, explanation):
+    # The evaluator reads an oracle name as eps and a closure naming a word
+    # as the constant empty function; the checker still rejects both.
+    result = so.infer_safety2(program)
+    assert (result.safe, result.stage) == (False, "simple-type")
+    assert explanation in result.explanation
+
+
+PAIR = so.Oracle("pair", 2, lambda a, b: a + b)
+STORE_RUNS = [
+    pytest.param("I.tl2", spec, inputs, id=f"I.tl2-{spec}-{'-'.join(inputs)}")
+    for spec in ["builtin:append1", "builtin:double", "builtin:bitflip",
+                 "builtin:const:101", "prog:bubble.tl"]
+    for inputs in (["1", "1111", "111"], ["10", "110100", "11"], ["", "11", "1"])
+] + [
+    pytest.param(ORACLE_BREAK_WITH_OPERATORS, "pair", [z], id=f"oracle-break-with-operators-{z}")
+    for z in ["", "1", "11#0"]
+]
+
+
+@pytest.mark.parametrize("source, spec, inputs", STORE_RUNS)
+def test_no_store_holds_a_non_word(monkeypatch, source, spec, inputs):
+    # Every procedure frame (note_store) and every store a term is evaluated
+    # in (eval_term, closure bodies included) holds words only.
+    seen, non_words = [], []
+
+    def watched(method):
+        def watch(m, store, *rest):
+            seen.append(len(store))
+            non_words.extend(v for v in store.values() if not isinstance(v, str))
+            return method(m, store, *rest)
+        return watch
+    monkeypatch.setattr(interp1.Interp, "note_store", watched(interp1.Interp.note_store))
+    monkeypatch.setattr(so.Interp2, "eval_term", watched(so.Interp2.eval_term))
+    if source == "I.tl2":
+        program = parser.parse_file(corpus(source))
+        oracle = so.make_oracle(f"prog:{corpus('bubble.tl')}" if spec == "prog:bubble.tl" else spec)
+    else:
+        program, oracle = parser.parse(source), PAIR
+    try:
+        run(program, inputs, {"F": oracle}, budget=20_000)
+    except interp1.RuntimeStop:
+        pass
+    assert seen and non_words == []
 
 
 def test_stop_inside_program_oracle_reports_whole_run(iterator_program):
