@@ -7,20 +7,22 @@ unary numeral for min(|w1|, |w2|).
 
 ``Interp`` is the one evaluator of expressions and statements.  It compiles
 each node once into a Python closure (Feeley and Lapalme, "Using closures
-for code generation", 1987) and runs the closures.  Operator entries and
-arities are resolved at compile time; a node that cannot run (an unknown
-operator, a wrong arity, a bad ``const:`` word, a ``for`` loop) compiles to
-a closure that raises the same error when it is executed.  The interpreter
-owns the step budget, store-size accounting (kept incrementally for the
-current frame), loops with the monitor, and the ``(loop_id, serial)``
-activation labels of oracle-break events.  Oracle calls and oracle breaks
-go through its ``apply_oracle`` hook, which rejects them in a first-order
-run; ``secondorder.Interp2`` extends the core with procedures, closures
-and oracles.  A run starts as ``Interp(budget, monitor).run(program,
-inputs)``, which returns the result word or raises a ``RuntimeStop``; either
-way ``interp.stats`` then holds the run's statistics, and a stop carries
-none.  Program and procedure bodies run through ``run_body``; any single
-statement runs as its closure, ``interp.compiled(s)(interp, store)``.
+for code generation", 1987) and runs the closures.  Programs come from
+``parser.parse`` or ``parser.parse_file``, or are built to the same rules:
+every operator is known and applied at its arity, every ``const:`` word is
+a word, and no ``for`` loop is left.  Operator entries are resolved at
+compile time; a node that is not an expression or a statement raises
+``TypeError`` when it is compiled.  The interpreter owns the step budget,
+store-size accounting (kept incrementally for the current frame), loops
+with the monitor, and the ``(loop_id, serial)`` activation labels of
+oracle-break events.  Oracle calls and oracle breaks go through its
+``apply_oracle`` hook, which rejects them in a first-order run;
+``secondorder.Interp2`` extends the core with procedures, closures and
+oracles.  A run starts as ``Interp(budget, monitor).run(program, inputs)``,
+which returns the result word or raises a ``RuntimeStop``; either way
+``interp.stats`` then holds the run's statistics, and a stop carries none.
+Program and procedure bodies run through ``run_body``; any single statement
+runs as its closure, ``interp.compiled(s)(interp, store)``.
 
 A step is one rule application, so the step count is proportional to the
 size of the evaluation derivation.  Steps are taken in batches: a compiled
@@ -32,16 +34,15 @@ No event lies inside a batch, so the run stops where ticking rule by rule
 would have, with the same stats: batching changes wall time and never the
 step count, the stats or the stop.
 
-An expression is pure when it applies only known operators at their arities
-(``const:`` words included) and ``declass``; every stored value is a word, so
-every variable read is pure.  A pure expression cannot fail, so it compiles
-to a tick-free kernel whose prefix is its size.  An operator has one or two
-operands, and each runs as its own kernel except two reads (variables or
-constants), which are read inline: the one fused shape that runs call often
-(Proebsting, 1995).  An assignment of a read, or of an operator on one or
-two reads, runs as one closure.  Oracle calls, oracle breaks and failing
-operators tick as their own nodes; the operands of such a node take their
-prefixes just before they run.  A sequence takes its tick before a
+An expression is pure exactly when it holds no oracle call: operators are
+total on words and every stored value is a word.  A pure expression cannot
+fail, so it compiles to a tick-free kernel whose prefix is its size.  An
+operator has one or two operands, and each runs as its own kernel except
+two reads (variables or constants), which are read inline: the one fused
+shape that runs call often (Proebsting, 1995).  An assignment of a read,
+or of an operator on one or two reads, runs as one closure.  Oracle calls
+and oracle breaks tick as their own nodes; the operands of such a node take
+their prefixes just before they run.  A sequence takes its tick before a
 statement with that statement's prefix, and a loop its unrolled-sequence
 tick with its body's.
 
@@ -66,7 +67,6 @@ from .syntax import (
     Assign,
     Break,
     Declass,
-    For,
     If,
     OpApp,
     OracleBreak,
@@ -287,32 +287,14 @@ class Interp:
         if isinstance(e, Var):
             return _read(e.name, words.EPSILON)
         if isinstance(e, OpApp):
-            return self.compile_op(e.op, [self.compile_expr(a) for a in e.args])
+            args = [self.compile_expr(a) for a in e.args]
+            return _apply(opreg.BUILTINS.lookup(e.op).fn, args)
         if isinstance(e, Declass):
             return _apply(_declass, [self.compile_expr(e.expr), self.compile_expr(e.bound)])
         if isinstance(e, OracleCall):
             oracle, args = e.oracle, [self.compile_expr(a) for a in e.args]
             return _node(args, lambda m, store, values: m.apply_oracle(store, oracle, values))
-
-        def not_expr(m, store):
-            raise ExecError(f"not an expression: {e!r}")
-        return 1, not_expr, False, None, None
-
-    def compile_op(self, op: str, args: list) -> tuple:
-        try:
-            entry = opreg.BUILTINS.lookup(op)
-        except (opreg.UnknownOperator, words.WordError):
-            entry = None
-        if entry is not None and entry.arity == len(args):
-            return _apply(entry.fn, args)
-
-        # Fails when run, after its arguments, as Registry.apply does.
-        def failing(m, store, values):
-            try:
-                return opreg.BUILTINS.apply(op, values)
-            except opreg.UnknownOperator as exc:
-                raise ExecError(f"unknown operator: {exc}")
-        return _node(args, failing)
+        raise TypeError(f"not an expression: {e!r}")
 
     # -- statements
 
@@ -412,14 +394,7 @@ class Interp:
                     m.stats.obk_events.append((loop_id, serial, len(left), len(right)))
                 return len(left) > len(right)
             return _node([self.compile_expr(a) for a in s.call_args], oracle_break)[:2]
-        if isinstance(s, For):
-            message = "for loops must be desugared before execution"
-        else:
-            message = f"not a statement: {s!r}"
-
-        def not_runnable(m, store):
-            raise ExecError(message)
-        return 0, not_runnable
+        raise TypeError(f"not a statement: {s!r}")
 
     def compile_while(self, s: While) -> tuple:
         loop_id, (kg, guard) = s.loop_id, self.compile_expr(s.guard)[:2]
@@ -469,8 +444,8 @@ class Interp:
 
         It is when the guard holds only while v is non-empty (``v != eps``,
         ``v > c``, ``c < v``, or ``c <= v`` for a non-empty constant c) and
-        the body, holding no ``for``, writes v once, by one of its own
-        statements ``v := dec(v)`` or ``v := tl(v)``.
+        the body writes v once, by one of its own statements ``v := dec(v)``
+        or ``v := tl(v)``.
         """
         g = s.guard
         if not (isinstance(g, OpApp) and len(g.args) == 2):
@@ -484,11 +459,9 @@ class Interp:
         holds = {"ne": c == words.EPSILON, "gt": True, "lt": True, "le": c != words.EPSILON}
         if v is None or key is not None or not holds.get(g.op):
             return False
-        nested = list(iter_stmts(s.body))
-        writes = [t for t in nested if isinstance(t, Assign) and t.var == v]
+        writes = [t for t in iter_stmts(s.body) if isinstance(t, Assign) and t.var == v]
         return (
-            not any(isinstance(t, For) for t in nested)
-            and len(writes) == 1 and writes[0] in seq_chain(s.body)
+            len(writes) == 1 and writes[0] in seq_chain(s.body)
             and writes[0].expr in (OpApp("dec", [Var(v)]), OpApp("tl", [Var(v)]))
         )
 

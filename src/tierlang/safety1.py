@@ -48,13 +48,12 @@ from __future__ import annotations
 
 import itertools
 
-from . import interp1, opreg, words
+from . import interp1, opreg
 from .parser import pp_expr
 from .syntax import (
     Assign,
     Break,
     Declass,
-    For,
     If,
     INFINITY,
     OpApp,
@@ -295,7 +294,7 @@ class LevelAnalysis:
             )
             return result
         if isinstance(e, OpApp):
-            entry = self._entry(e)
+            entry = opreg.BUILTINS.lookup(e.op)
             args = [self.gen_expr(a, tin, tout) for a in e.args]
             result = cs.fresh()
             if entry.is_truncate:
@@ -354,13 +353,6 @@ class LevelAnalysis:
                     )
             return result
         raise TypeError(f"not an expression: {e!r}")
-
-    def _entry(self, e):
-        try:
-            return opreg.BUILTINS.lookup(e.op)
-        except opreg.UnknownOperator:
-            self.cs.fail("unknown operator {node.op!r}", e)
-            return opreg.OperatorEntry(e.op, 0, lambda: "", opreg.Neutral())
 
     # -- statements; generation returns the floor level terms
 
@@ -441,8 +433,6 @@ class LevelAnalysis:
                     s, v,
                 )
             return [tin]
-        if isinstance(s, For):
-            raise ValueError("for loops must be desugared before safety analysis")
         raise TypeError(f"not a statement: {s!r}")
 
 
@@ -923,8 +913,6 @@ def check_for_program(program: Program1) -> str | None:
     lies below every word, and a bound with variables can move.
     """
     for st in iter_stmts(program.body):
-        if isinstance(st, For):
-            return "a for loop was not desugared"
         if isinstance(st, While) and not st.for_origin:
             return f"the while loop at line {st.line} is not a for loop"
         if isinstance(st, While) and not _constant_word(st.guard.args[0]):
@@ -941,5 +929,5 @@ def _constant_word(e) -> str | None:
         return None
     try:
         return interp1.Interp().evaluate(e, {})
-    except (interp1.RuntimeStop, words.WordError):
+    except interp1.RuntimeStop:
         return None

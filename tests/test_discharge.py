@@ -279,13 +279,11 @@ def test_near_misses_stay_observed(source, inputs, iteration):
     assert end[:2] == ("aperiodicity-violation", iteration)
 
 
-def test_a_for_loop_left_in_the_body_blocks_discharge():
+def test_a_desugared_for_loop_in_the_body_keeps_discharge():
     program = parser.parse(
-        "prog(v, a){ while(v != eps){ for i = u1 to a { skip }; v := dec(v) } return v }",
-        desugar=False,
+        "prog(v, a){ while(v != eps){ for i = u1 to a { skip }; v := dec(v) } return v }"
     )
-    assert discharged_ids(program) == set()
-    assert discharged_ids(parser.parse(parser.pretty_print(program))) == {1, 2}
+    assert discharged_ids(program) == {1, 2}
 
 
 def test_oracle_break_shrinking_in_a_branch_stays_observed():

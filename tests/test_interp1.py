@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -19,9 +20,9 @@ from tierlang.interp1 import (
     TopLevelBreak,
 )
 from tierlang.syntax import (
-    Assign, Break, Declass, For, If, OpApp, Seq, Skip, Var, While, undeclassified_vars,
+    Assign, Break, Declass, If, OpApp, OracleBreak, OracleCall, Seq, Skip, Var, While,
+    undeclassified_vars,
 )
-from tierlang.words import WordError
 
 word_st = st.text(alphabet="01#", max_size=20)
 
@@ -74,7 +75,7 @@ def test_break_flags():
 
 
 def test_false_guard_never_runs_body():
-    # the body would crash on an unknown operator if executed
+    # x holds true, so the break would be taken if the body ran
     loop = While(OpApp("false"), Break(Var("x")))
     broke, interp = execute({"x": "1"}, loop)
     assert not broke
@@ -99,24 +100,23 @@ def test_seq_short_circuits_on_break():
 
 
 @pytest.mark.parametrize(
-    "bad, error, steps",
+    "bad, steps",
     [
-        # an operator fails after its arguments are evaluated (and ticked)
-        (Assign("y", OpApp("frob", [Var("x")])), ExecError, 3),  # unknown
-        (Assign("y", OpApp("hd", [Var("x"), Var("x")])), ExecError, 4),  # arity
-        (Assign("y", OpApp("const:12")), WordError, 2),  # not a word
-        (For("i", Var("x"), Var("x"), Skip()), ExecError, 0),
+        (Assign("y", OracleCall("F", (Var("x"),))), 3),
+        (OracleBreak("F", (Var("x"),), ("x",)), 2),
     ],
+    ids=["oracle-call", "oracle-break"],
 )
-def test_bad_nodes_fail_only_when_run(bad, error, steps):
-    # The failure keeps its place at every budget: below its step the run
-    # stops on the budget, from it on with the same error.
+def test_an_oracle_node_fails_in_place_in_a_first_order_run(bad, steps):
+    # It fails after its operands are evaluated (and ticked), and keeps its
+    # place at every budget: below its step the run stops on the budget,
+    # from it on with the error.
     stmt = Seq([Skip(), If(Var("x"), bad, Skip())])
     assert execute({"x": "0"}, stmt)[1].stats.steps == 5
     failing_step = 4 + steps
     for budget in range(failing_step + 3):
         interp = Interp(budget)
-        with pytest.raises(BudgetExhausted if budget < failing_step else error):
+        with pytest.raises(BudgetExhausted if budget < failing_step else ExecError):
             execute({"x": "1"}, stmt, interp)
         assert interp.stats.steps == min(budget + 1, failing_step)
 
@@ -332,3 +332,25 @@ def test_no_module_uses_dataclasses():
     sources = sorted((ROOT / "src" / "tierlang").glob("*.py"))
     assert sources
     assert [p.name for p in sources if "dataclass" in p.read_text(encoding="utf-8")] == []
+
+
+def unused_imports(path) -> list:
+    """``file:line name`` of each name that module ``path`` imports and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_module_has_an_unused_import():
+    sources = sorted((ROOT / "src" / "tierlang").glob("*.py")) + sorted(
+        (ROOT / "tests").glob("*.py")
+    )
+    assert len(sources) > 20
+    assert [u for p in sources for u in unused_imports(p)] == []

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ROOT, corpus, procedure, straight_line
+from test_levels import GENPROG_CASES, GENPROG_SEED
 from tokencheck import tokenize_stepwise
 from tierlang import genprog, parser
+from tierlang.opreg import BUILTINS
 from tierlang.parser import DesugarError, ParseError, desugar_for, parse, pretty_print
 from tierlang.syntax import (
     Assign,
@@ -22,7 +24,9 @@ from tierlang.syntax import (
     Skip,
     Var,
     While,
+    iter_exprs,
     iter_stmts,
+    stmt_exprs,
     stmt_vars,
 )
 
@@ -420,3 +424,60 @@ def test_while_lines_are_source_lines(name):
         assert source_lines[line - 1].lstrip().startswith("while")
     expected = [t[2] for t in tokenize_stepwise(text) if t[0] == "while"]
     assert lines == expected
+
+
+# -- the parser is the one gate: what it returns, the evaluator can run
+
+
+def assert_well_formed(program):
+    """Every operator is known and applied at its arity, and no for loop is left."""
+    bodies = [program.body] if isinstance(program, Program1) else [
+        p.body for p in program.procedures
+    ]
+    for s in (s for b in bodies for s in iter_stmts(b)):
+        assert not isinstance(s, For)
+        for e in (e for top in stmt_exprs(s) for e in iter_exprs(top)):
+            if isinstance(e, OpApp):
+                assert BUILTINS.lookup(e.op).arity == len(e.args), e
+
+
+CORPUS_TOKENS = [
+    [t[1] for t in parser.tokenize(open(corpus(name)).read())[:-1]] for name in CORPUS_FILES
+]
+VOCABULARY = sorted({t for tokens in CORPUS_TOKENS for t in tokens} | {"frob", "for", "to"})
+
+
+@st.composite
+def mutated_sources(draw) -> str:
+    """A corpus source with a run of 1-3 tokens deleted, inserted or duplicated."""
+    tokens = list(draw(st.sampled_from(CORPUS_TOKENS)))
+    i, k = draw(st.integers(0, len(tokens) - 1)), draw(st.integers(1, 3))
+    how = draw(st.sampled_from(["delete", "insert", "duplicate"]))
+    if how == "delete":
+        del tokens[i:i + k]
+    elif how == "duplicate":
+        tokens[i:i] = tokens[i:i + k]
+    else:
+        tokens[i:i] = draw(st.lists(st.sampled_from(VOCABULARY), min_size=k, max_size=k))
+    return " ".join(tokens)
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated_sources())
+def test_a_mutated_source_parses_only_to_a_well_formed_program(text):
+    try:
+        program = parse(text)
+    except ParseError:
+        return
+    assert_well_formed(program)
+
+
+@pytest.mark.parametrize("name", CORPUS_FILES)
+def test_a_corpus_file_parses_well_formed(name):
+    assert_well_formed(parse(open(corpus(name)).read()))
+
+
+def test_generated_programs_parse_well_formed():
+    rng = random.Random(GENPROG_SEED)  # the genprog programs of the levels golden file
+    for _ in range(GENPROG_CASES):
+        assert_well_formed(parse(pretty_print(genprog.random_program(rng))))

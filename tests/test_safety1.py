@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from conftest import ORACLE_BREAK_WITH_OPERATORS, corpus, straight_line
-from tierlang import genprog, opreg, parser, safety1, secondorder
+from tierlang import genprog, parser, safety1, secondorder
 from tierlang.opreg import DeltaConfig
 from tierlang.safety1 import (
     Judgment,
