@@ -41,7 +41,8 @@ from a finite range.
 Oracle calls (second-order bodies) are handled by the same generator:
 their level is the infinite sentinel, which only the first operand of
 truncate and a break accept (guardedness admits only an oracle break); every
-other use, a declass operand included, is reported unsafe.
+other use, a declass operand included, is reported unsafe.  A first-order
+run cannot answer an oracle node, so ``infer_safety`` reports each unsafe.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ from .syntax import (
 # Constraint system
 
 INF = INFINITY  # expression-level sentinel; never a solver unknown
+NO_ORACLES = "{what}: oracle calls cannot occur in first-order programs"
 
 
 def _describe(node) -> str:
@@ -238,10 +240,11 @@ class Constraints:
 class LevelAnalysis:
     """Generates constraints for one statement tree (a program or procedure body)."""
 
-    def __init__(self):
+    def __init__(self, first_order: bool = False):
         self.cs = Constraints()
         self.var_ids: dict = {}  # variable name -> its unknown
         self.loop_ids: dict = {}  # loop id -> its unknown
+        self.first_order = first_order  # a first-order body runs no oracle node
 
     # -- terms; a context level (inner or outer) is None outside loops and
     # the unknown of a loop inside one
@@ -268,6 +271,8 @@ class LevelAnalysis:
             return self.var_term(e.name)
         cs = self.cs
         if isinstance(e, OracleCall):
+            if self.first_order:
+                cs.fail(NO_ORACLES, e)
             for a in e.args:
                 self.gen_expr(a, tin, tout)
             return INF
@@ -423,6 +428,8 @@ class LevelAnalysis:
                 )
             return [tin]
         if isinstance(s, OracleBreak):
+            if self.first_order:
+                cs.fail(NO_ORACLES, s)
             for a in s.call_args:
                 self.gen_expr(a, tin, tout)
             for v in s.ref_vars:
@@ -586,17 +593,18 @@ def infer_safety(
     # Generation gives every variable of the body its unknown as it meets
     # it; only parameters and the result may not occur there.
     names = set(program.params) | {program.ret}
-    return infer_levels(program.body, names, config)
+    return infer_levels(program.body, names, config, first_order=True)
 
 
-def infer_levels(body, names, config=None) -> InferenceResult:
+def infer_levels(body, names, config=None, first_order=False) -> InferenceResult:
     """Level inference for one statement tree (a program or procedure body).
 
     ``names`` are variables to solve for besides those of the body; the body
-    is typed from the loop-free context.  The derivation is left to the
-    result to build on demand.
+    is typed from the loop-free context; a ``first_order`` body holding an
+    oracle node is unsafe.  The derivation is left to the result to build on
+    demand.
     """
-    analysis = LevelAnalysis()
+    analysis = LevelAnalysis(first_order)
     for name in sorted(names):
         analysis.var_term(name)
     floors = analysis.gen_stmt(body, None, None)

@@ -24,7 +24,10 @@ evaluate under the store current at the oracle call, with the closure's
 binders shadowing it.  A ``prog:`` oracle runs as a nested first-order run
 whose steps count toward the whole run's budget; one sub-interpreter per
 run serves every such call, so each oracle program is compiled once per
-run.  A run starts as ``Interp2(program, oracles, budget, monitor).run(inputs)``,
+run.  A repeat of one of the run's ``PROG_ANSWERS`` most recent ``prog:``
+calls takes its answer from that table and the steps its first run took,
+unless they pass the budget left, so answers, steps and stops are those of
+fresh runs.  A run starts as ``Interp2(program, oracles, budget, monitor).run(inputs)``,
 where ``oracles`` maps boxed oracle names to ``Oracle`` values; after a result
 or a ``RuntimeStop``, ``interp.stats`` holds the whole run's statistics, a
 stop inside a ``prog:`` oracle included.  The boxed oracles live in the run's
@@ -405,6 +408,8 @@ def make_oracle(spec: str) -> Oracle:
 # ---------------------------------------------------------------------------
 # Evaluation
 
+PROG_ANSWERS = 8  # the prog: oracle answers one run keeps
+
 
 class Interp2(interp1.Interp):
     """The evaluator core plus procedures, closures and oracle application."""
@@ -418,6 +423,7 @@ class Interp2(interp1.Interp):
         self.boxed: dict = {}  # boxed oracle names -> the run's oracles
         self.env: dict = {}  # oracle parameters of the running call -> closures
         self.sub = interp1.Interp()  # runs every prog: oracle
+        self.answers: dict = {}  # (id(oracle), *args) -> (answer, steps), oldest first
 
     def apply_oracle(self, store, name, args):
         self.stats.oracle_calls += 1
@@ -442,18 +448,30 @@ class Interp2(interp1.Interp):
             raise ExecError(f"oracle {oracle.name} expects {oracle.arity} argument(s)")
         if oracle.program is None:
             return words.word(oracle.fn(*args))
-        # Each call is a fresh first-order run on the budget left.  A stop
+        # A recent call whose steps fit in the budget left is answered from
+        # the table: the program is deterministic and its stats are dropped.
+        # Any other call is a first-order run on the budget left.  A stop
         # inside the oracle ends the whole run, whose stats are self.stats; a
         # budget stop names the whole run's budget, not the oracle's.
+        key = (id(oracle), *args)
+        left = self.budget - self.stats.steps
+        hit = self.answers.pop(key, None)
+        if hit is not None and hit[1] <= left:
+            self.answers[key] = hit
+            self.stats.steps += hit[1]
+            return hit[0]
         sub = self.sub
-        sub.budget = self.budget - self.stats.steps
-        sub.stats = interp1.ExecStats()
+        sub.budget, sub.stats = left, interp1.ExecStats()
         try:
-            return sub.run(oracle.program, list(args))
+            answer = sub.run(oracle.program, list(args))
         except interp1.BudgetExhausted:
             raise interp1.BudgetExhausted(f"step budget of {self.budget} exhausted") from None
         finally:
             self.stats.steps += sub.stats.steps
+        self.answers[key] = (answer, sub.stats.steps)
+        if len(self.answers) > PROG_ANSWERS:
+            del self.answers[next(iter(self.answers))]
+        return answer
 
     # -- terms and programs
 

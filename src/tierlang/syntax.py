@@ -3,9 +3,9 @@
 First-order programs are ``Program1``; second-order programs with
 procedures, closures, and oracle calls are ``Program2``.  Statements and
 expressions are shared between the two.  The parser accepts ``OracleCall``
-and ``OracleBreak`` in a first-order program too: level inference types an
-oracle answer at the infinite level, so ``check`` reports most such programs
-unsafe, and a first-order run stops with ``exec-error`` when it reaches one.
+and ``OracleBreak`` in a first-order program too: ``check`` reports every
+such program unsafe, and a first-order run stops with ``exec-error`` when it
+reaches one.
 Nodes are treated as immutable after parsing, though nothing enforces it;
 every node is a ``Record``, equal to another of its class with equal
 fields, and the expressions and terms are ``Frozen``, so they hash.

@@ -261,6 +261,43 @@ def test_an_oracle_under_an_unboxed_name_binds_nothing(tmp_path, capsys):
     assert run_json(capsys, *argv, "--oracle", "G=builtin:append1") == (code, report)
 
 
+@pytest.mark.parametrize("source", [
+    "prog(x){ y := truncate(F(x), x) return y }",
+    "prog(x, y){ break(|F(x)| > |F(y)|) return x }",
+], ids=["truncate", "break"])
+def test_a_first_order_oracle_node_is_unsafe_and_cannot_run(tmp_path, capsys, source):
+    path = tmp_path / "oracle.tl"
+    path.write_text(source + "\n")
+    message = "oracle calls cannot occur in first-order programs"
+    for command in ("check", "forcheck"):
+        code, report = run_json(capsys, command, str(path))
+        assert (code, report["verdicts"]["safety"]) == (1, False)
+        assert report["explanation"].endswith(": " + message)
+        assert "F(" in report["explanation"]
+    code, report = run_json(capsys, "run", str(path), "--input", "x=1", "--input", "y=1")
+    assert (code, report["stop"]) == (3, {"kind": "exec-error", "message": message})
+
+
+def readme_command_lines() -> list:
+    """The ``tierlang`` lines of the README's Command line block, continuations joined."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("tierlang ")]
+
+
+@pytest.mark.parametrize("line", readme_command_lines(),
+                         ids=lambda line: " ".join(line.partition("#")[0].split()[1:]))
+def test_the_readme_command_lines_run_as_documented(capsys, monkeypatch, line):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("TIERLANG_MAX_STEPS", raising=False)
+    command, _, comment = line.partition("#")
+    code, report = run_json(capsys, *command.split()[1:])
+    assert code != 5, report
+    if comment.strip().startswith("exit "):
+        assert code == int(comment.split()[1].rstrip(","))
+
+
 def test_forcheck(capsys):
     assert run_json(capsys, "forcheck", corpus("bubble_for.tl"))[0] == 0
     assert run_json(capsys, "forcheck", corpus("bubble.tl"))[0] == 1

@@ -477,6 +477,84 @@ def test_program_oracle_answers_from_one_sub_interpreter(iterator_program, bubbl
     assert len(interp.sub.code) == 1
 
 
+class FreshOracleRuns(so.Interp2):
+    """The reference: every prog: call is a fresh first-order run, with no table."""
+
+    def call_external(self, oracle, args):
+        if oracle.program is None:
+            return super().call_external(oracle, args)
+        sub = self.sub
+        sub.budget, sub.stats = self.budget - self.stats.steps, interp1.ExecStats()
+        try:
+            return sub.run(oracle.program, list(args))
+        except BudgetExhausted:
+            raise BudgetExhausted(f"step budget of {self.budget} exhausted") from None
+        finally:
+            self.stats.steps += sub.stats.steps
+
+
+def append1_oracle(tmp_path):
+    path = tmp_path / "append1.tl"
+    path.write_text('prog(x){ x := x + "1" return x }\n')
+    return so.make_oracle(f"prog:{path}")
+
+
+def outcome(cls, program, oracle, inputs, budget, monitor):
+    interp = cls(program, {"F": oracle}, budget, monitor)
+    try:
+        result = interp.run(inputs)
+    except interp1.RuntimeStop as stop:
+        result = (stop.subcode, str(stop))
+    return result, interp.stats.as_dict(), interp.stats.obk_events
+
+
+@pytest.mark.parametrize("monitor", [False, True], ids=["plain", "monitor"])
+@pytest.mark.parametrize("spec, inputs, budgets", [
+    ("bubble.tl", ["1", "01", "11"], None),
+    (None, ["1", "111", "11"], None),
+    ("inc_loop.tl", ["1", "01", "11"], 300),  # every oracle run exhausts the budget
+], ids=["bubble", "append1", "inc_loop"])
+def test_repeated_program_oracle_calls_match_fresh_runs(
+        iterator_program, tmp_path, spec, inputs, budgets, monitor):
+    # At every budget a run answering repeats from its table reports what a
+    # run of fresh oracle runs reports: result or stop, message and stats.
+    oracle = append1_oracle(tmp_path) if spec is None else so.make_oracle(f"prog:{corpus(spec)}")
+    if budgets is None:
+        interp = FreshOracleRuns(iterator_program, {"F": oracle})
+        interp.run(inputs)
+        budgets = interp.stats.steps + 1
+    for budget in range(budgets + 1):
+        args = iterator_program, oracle, inputs, budget, monitor
+        assert outcome(so.Interp2, *args) == outcome(FreshOracleRuns, *args), budget
+
+
+def test_the_answer_table_is_bounded_and_per_run(iterator_program, tmp_path):
+    class Counting(so.Interp2):
+        def call_external(self, oracle, args):
+            answer = super().call_external(oracle, args)
+            sizes.append(len(self.answers))
+            return answer
+
+    oracles = {"F": append1_oracle(tmp_path)}
+    sizes = []
+    first = Counting(iterator_program, oracles)
+    out = first.run(["1", "1" * 12, "1" * 10])
+    assert max(sizes) == so.PROG_ANSWERS == 8  # many distinct arguments, 8 kept
+    second = Counting(iterator_program, oracles)
+    assert second.answers == {}  # nothing carries over from the first run
+    assert second.run(["1", "1" * 12, "1" * 10]) == out
+    assert second.stats == first.stats
+
+    # Under bubble.tl the sub-interpreter runs fewer programs than calls come in.
+    runs = []
+    interp = Counting(iterator_program, {"F": so.make_oracle(f"prog:{corpus('bubble.tl')}")})
+    sub_run = interp.sub.run
+    interp.sub.run = lambda program, inputs: runs.append(inputs) or sub_run(program, inputs)
+    sizes = []
+    interp.run(["101", "011010011010110101", "111111111"])
+    assert 0 < len(runs) < len(sizes)
+
+
 def test_first_order_embedding_agrees(bubble):
     rng = random.Random(77)
     embedded = so.embed_program1(bubble)
