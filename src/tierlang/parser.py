@@ -23,18 +23,21 @@ body is parsed, and an order-1 variable takes the arity of its uses in its
 procedure body or in the main term (1 if it has none); a use that disagrees
 is a parse error.
 
-The scanner makes one regular-expression pass and gives each token as a
-(kind, value, offset) triple.  Lines and columns are worked out from the
-offset only where they are read: for a ``ParseError`` and for
-``While.line``, from a table of newline offsets built at most once per
-parse.
+The scanner splits the text with one regular expression into whitespace
+and candidate tokens, classifies each distinct candidate once, and gives
+the tokens as flat lists of kinds, values and the lengths of the gaps
+before them; it builds no object per token.  Offsets, lines and columns
+are worked out from those lengths only where they are read: for a
+``ParseError``, and for ``While.line`` through a cursor that moves forward
+over the gaps.  The parser indexes the lists directly, passes the nesting
+depth down as an argument, and numbers the while loops in pre-order as it
+reads them.
 """
 
 from __future__ import annotations
 
-import bisect
 import re
-import sys
+from itertools import islice
 
 from . import opreg, words
 from .syntax import (
@@ -57,7 +60,6 @@ from .syntax import (
     TermVar,
     Var,
     While,
-    assign_loop_ids,
     seq_of,
 )
 
@@ -95,155 +97,172 @@ KEYWORDS = {
     "true", "false", "eps", "and", "or",
 }
 
-# One match per token: the whitespace and comments before it, then exactly
-# one token, the end of the input, or one character no token starts with.
-# Keywords and symbols form one group, whose kind is their own text.
-_TOKEN_RE = re.compile(
-    r"""
-    (?:\s+|//[^\n]*)*
-    (?:
-        (?P<string>"[01\#]*")
-      | (?P<ulit>u[0-9]+\b)
-      | (?P<literal>(?:"""
-    + "|".join(sorted(KEYWORDS))
-    + r""")(?![A-Za-z0-9_])|:=|<=|>=|!=|[=<>+\-(){}\[\];,.|])
-      | (?P<ident>[a-z][A-Za-z0-9_]*)
-      | (?P<ovar>[A-Z][A-Za-z0-9_]*)
-      | (?P<eof>\Z)
-      | (?P<badstring>"[^"\n]*")
-      | (?P<bad>.)
-    )
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+_SYMBOLS = {":=", "<=", ">=", "!=", *"=<>+-(){}[];,.|"}
 
-_NEWLINE_RE = re.compile("\n")
+# Splits a text into whitespace and candidate tokens, alternately: a word
+# (a keyword, a name or a ``uN`` literal), a two-character symbol, a quoted
+# string, or any other single character; ``_kind`` tells which of them are
+# tokens.  Every non-space character starts a candidate, so the pieces
+# between them are whitespace alone.
+_SPLIT_RE = re.compile(r'((?a:[A-Za-z]\w*)|:=|<=|>=|!=|"[^"\n]*"|\S)')
+# A comment, to blank out, or a string, kept as it is: a "//" in a string
+# starts no comment.
+_COMMENT_RE = re.compile(r'"[^"\n]*"|//[^\n]*')
+_OWN_KINDS = {t: t for t in (*KEYWORDS, *_SYMBOLS)}
 
 
-def tokenize(text: str) -> list:
-    """The tokens of ``text`` as (kind, value, offset) triples, ending in eof.
+def _kind(text: str) -> str:
+    """The kind of a candidate token; bad and badstring are no token's."""
+    kind = _OWN_KINDS.get(text)
+    if kind is not None:
+        return kind
+    first = text[0]
+    if first.isascii() and first.isalpha():
+        if first == "u" and text[1:].isdigit():
+            return "ulit"
+        return "ident" if first.islower() else "ovar"
+    if first == '"' and len(text) > 1:
+        return "badstring" if text.strip('"01#') else "string"
+    return "bad"
 
-    A keyword or symbol is its own kind; the other kinds are ident, ovar,
-    string and ulit.  The offset is where the token starts in ``text``; the
-    eof token sits at ``len(text)``.  Lines and columns are worked out from
-    offsets only for an error or a while loop (see ``_line_col``).
+
+def _blank(match) -> str:
+    text = match[0]
+    return text if text[0] == '"' else " " * len(text)
+
+
+class Tokens:
+    """The tokens of a text as flat lists, ending in one eof token.
+
+    Token i has kind ``kinds[i]`` (a keyword or symbol is its own kind; the
+    other kinds are ident, ovar, string and ulit) and text ``values[i]``,
+    and ``gaps[i]`` characters of whitespace and comments come before it.
+    Lines and columns are worked out from these only where they are read.
     """
-    tokens = []
-    append = tokens.append
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        value = m[kind]
-        if kind == "literal":
-            append((value, value, m.start(kind)))
-        elif kind == "eof":
-            break
-        elif kind == "bad" or kind == "badstring":
-            offset = m.start(kind)
-            raise ParseError(
-                f"unexpected character {value!r}" if kind == "bad"
-                else "word literals may only contain 0, 1, #",
-                *_line_col(_newlines(text[:offset]), offset),
-            )
-        else:  # names repeat: one string each for the tokens and the tree
-            append((kind, sys.intern(value), m.start(kind)))
-    append(("eof", "", len(text)))
+
+    __slots__ = ("text", "kinds", "values", "gaps")
+
+    def __init__(self, text, kinds, values, gaps):
+        self.text = text
+        self.kinds = kinds
+        self.values = values
+        self.gaps = gaps
+
+    def __len__(self) -> int:  # the number of tokens, eof included
+        return len(self.kinds)
+
+    def line_col(self, i: int) -> tuple:
+        """The 1-based line and column of token i."""
+        offset = sum(self.gaps[:i + 1]) + sum(map(len, self.values[:i]))
+        text = self.text
+        return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def tokenize(text: str) -> Tokens:
+    """The tokens of ``text``, from one split pass; see ``Tokens``.
+
+    Comments are first blanked out, so they count as whitespace.  Each
+    distinct candidate is classified once, and equal names are one string,
+    shared by the tokens and the tree.
+    """
+    pieces = _SPLIT_RE.split(_COMMENT_RE.sub(_blank, text) if "//" in text else text)
+    one = {}  # each distinct candidate -> its first occurrence
+    values = list(map(one.setdefault, islice(pieces, 1, None, 2), islice(pieces, 1, None, 2)))
+    tokens = Tokens(text, None, values, list(map(len, islice(pieces, 0, None, 2))))
+    kind_of = {t: _kind(t) for t in one}
+    bad = [values.index(t) for t, kind in kind_of.items() if kind in ("bad", "badstring")]
+    if bad:  # the first bad candidate is the error
+        i = min(bad)
+        if kind_of[values[i]] == "bad":
+            raise ParseError(f"unexpected character {values[i]!r}", *tokens.line_col(i))
+        raise ParseError("word literals may only contain 0, 1, #", *tokens.line_col(i))
+    tokens.kinds = list(map(kind_of.__getitem__, values))
+    tokens.kinds.append("eof")
+    values.append("")
     return tokens
 
 
-def _newlines(text: str) -> list:
-    """The offsets of the newlines of ``text``, in order."""
-    return [m.start() for m in _NEWLINE_RE.finditer(text)]
-
-
-def _line_col(newlines: list, offset: int) -> tuple:
-    """The 1-based line and column of ``offset``, given the newline offsets."""
-    line = bisect.bisect_left(newlines, offset)  # newlines before the offset
-    return line + 1, offset - (newlines[line - 1] if line else -1)
-
-
 class _Parser:
-    def __init__(self, text, tokens, desugar):
-        self.text = text
+    """Recursive descent over the flat token lists.
+
+    Each method that reads a block or an expression takes the nesting
+    level of the point it reads from, ``depth``.  Positions are token
+    indexes; ``line`` turns one into a source line with a cursor that only
+    moves forward.
+    """
+
+    def __init__(self, tokens, desugar):
+        self.tokens = tokens
+        self.kinds = tokens.kinds
+        self.values = tokens.values
         self.desugar = desugar  # expand each for loop as it is parsed
-        # One eof more, so that looking one token past eof needs no bound.
-        self.tokens = tokens + [tokens[-1]]
         self.pos = 0
-        self.depth = 0  # nesting level of the block or expression being parsed
-        self.newlines = None  # built on the first position asked for
+        self.loops = 0  # while loops numbered so far, in pre-order
+        self.cursor = (0, tokens.gaps[0], 1 + tokens.text.count("\n", 0, tokens.gaps[0]))
         # Oracle variable -> arity of its uses in the procedure body or main
         # term being parsed; None in a first-order program (no arity rule).
         self.arities = None
         self.procedures = {}  # name -> Procedure, for the main term's calls
-        self.last_use = {}  # order-0 variable -> offset of its last use so far
+        self.last_use = {}  # order-0 variable -> position of its last use so far
 
-    # -- token plumbing; a token is a (kind, value, offset) triple
+    # -- token plumbing
 
-    def peek(self, ahead=0) -> tuple:
-        return self.tokens[self.pos + ahead]
+    def expect(self, kind) -> str:
+        """The value of the next token, which must be of ``kind``."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            raise self.error(f"unexpected {self.values[pos]!r}", pos, expected={kind})
+        self.pos = pos + 1
+        return self.values[pos]
 
-    def next(self) -> tuple:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind) -> tuple:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            raise self.error(f"unexpected {tok[1]!r}", tok, expected={kind})
-        self.pos += 1
-        return tok
-
-    def accept(self, kind) -> tuple | None:
-        tok = self.tokens[self.pos]
-        if tok[0] == kind:
+    def accept(self, kind) -> bool:
+        if self.kinds[self.pos] == kind:
             self.pos += 1
-            return tok
-        return None
+            return True
+        return False
 
-    def line_col(self, tok) -> tuple:
-        if self.newlines is None:
-            self.newlines = _newlines(self.text)
-        return _line_col(self.newlines, tok[2])
+    def line(self, pos) -> int:
+        """The line of the token at ``pos``, at or after the last one asked for."""
+        last, offset, line = self.cursor
+        tokens = self.tokens
+        start = offset + sum(map(len, self.values[last:pos])) + sum(tokens.gaps[last + 1:pos + 1])
+        line += tokens.text.count("\n", offset, start)
+        self.cursor = (pos, start, line)
+        return line
 
-    def error(self, message, tok, expected=()) -> ParseError:
-        return ParseError(message, *self.line_col(tok), expected=expected)
+    def error(self, message, pos, expected=()) -> ParseError:
+        return ParseError(message, *self.tokens.line_col(pos), expected=expected)
 
     def fail(self, message, expected=()):
-        raise self.error(message, self.peek(), expected)
+        raise self.error(message, self.pos, expected)
 
-    def record_arity(self, tok, arity):
-        """Note a use of the oracle variable ``tok`` at ``arity``."""
-        if self.arities is not None and self.arities.setdefault(tok[1], arity) != arity:
-            raise self.error(f"inconsistent arity for oracle variable {tok[1]}", tok)
+    def record_arity(self, pos, arity):
+        """Note a use of the oracle variable at ``pos`` at ``arity``."""
+        name = self.values[pos]
+        if self.arities is not None and self.arities.setdefault(name, arity) != arity:
+            raise self.error(f"inconsistent arity for oracle variable {name}", pos)
 
-    def check_depth(self, tok, low=0):
-        """Fail if a point ``low`` levels below the current one is too deep."""
-        if self.depth + low > MAX_NESTING:
-            raise self.error(
-                f"blocks and expressions nest deeper than {MAX_NESTING} levels", tok
-            )
+    def too_deep(self, pos) -> ParseError:
+        return self.error(f"blocks and expressions nest deeper than {MAX_NESTING} levels", pos)
 
     # -- programs
 
     def parse_program(self):
-        first = self.peek()[0]
+        first = self.kinds[0]
         if first == "prog":
             return self.parse_program1()
-        if first in ("box", "declare", "call") or (
-            first == "ident" and self.peek(1)[0] == "eof"
-        ):
+        if first in ("box", "declare", "call") or (first == "ident" and self.kinds[1] == "eof"):
             return self.parse_program2()
         self.fail("expected a program", expected={"prog", "box", "declare", "call"})
 
     def parse_program1(self) -> Program1:
         self.expect("prog")
         self.expect("(")
-        params = self.parse_idlist(closer=")")
-        self.expect(")")
+        params = self.parse_idlist(")")
         self.expect("{")
-        body = self.parse_stmts(stop={"return"})
+        body = self.parse_stmts(0, "return")
         self.expect("return")
-        ret = self.expect("ident")[1]
+        ret = self.expect("ident")
         self.expect("}")
         self.expect("eof")
         return Program1(params, body, ret)
@@ -253,11 +272,11 @@ class _Parser:
         while self.accept("box"):
             self.expect("[")
             while True:
-                tok = self.peek()
-                if tok[0] == "ovar":
-                    oracle_names.append(self.next()[1])
-                elif tok[0] == "ident":
-                    boxed_words.append(self.next()[1])
+                kind = self.kinds[self.pos]
+                if kind == "ovar":
+                    oracle_names.append(self.expect("ovar"))
+                elif kind == "ident":
+                    boxed_words.append(self.expect("ident"))
                 else:
                     self.fail("expected a boxed variable", expected={"ident", "ovar"})
                 if not self.accept(","):
@@ -270,197 +289,210 @@ class _Parser:
             self.expect("in")
         self.procedures = {p.name: p for p in procedures}
         self.arities = {}
-        main = self.parse_term()
+        main = self.parse_term(0)
         self.expect("eof")
         boxed_oracles = [[n, self.arities.get(n, 1)] for n in oracle_names]
         return Program2(boxed_oracles, boxed_words, procedures, main)
 
     def parse_procedure(self) -> Procedure:
-        name = self.expect("ident")[1]
+        name = self.expect("ident")
         self.expect("(")
         oracle_names, params = [], []
         if self.accept(","):  # explicit empty order-1 list: p(, x, y)
-            params = self.parse_idlist(closer=")")
-        elif self.peek()[0] != ")":
+            params = self.parse_idlist(")")
+        elif not self.accept(")"):
             while True:
-                tok = self.peek()
-                if tok[0] == "ovar":
+                kind = self.kinds[self.pos]
+                if kind == "ovar":
                     if params:
                         self.fail("order-1 parameters must precede order-0 ones")
-                    oracle_names.append(self.next()[1])
-                elif tok[0] == "ident":
-                    params.append(self.next()[1])
+                    oracle_names.append(self.expect("ovar"))
+                elif kind == "ident":
+                    params.append(self.expect("ident"))
                 else:
                     self.fail("expected a parameter", expected={"ident", "ovar"})
                 if not self.accept(","):
                     break
-        self.expect(")")
+            self.expect(")")
         self.expect("{")
         local_vars = []
-        while self.peek()[0] == "var":
-            self.next()
-            local_vars.extend(self.parse_idlist(closer=";"))
-            self.expect(";")
+        while self.accept("var"):
+            local_vars.extend(self.parse_idlist(";"))
         self.arities = {}
-        body = self.parse_stmts(stop={"return"})
+        body = self.parse_stmts(0, "return")
         self.expect("return")
-        ret = self.expect("ident")[1]
+        ret = self.expect("ident")
         self.expect("}")
         oracle_params = [[n, self.arities.get(n, 1)] for n in oracle_names]
         return Procedure(name, oracle_params, params, local_vars, body, ret)
 
-    def parse_term(self):
-        """A term, one level below the term that contains it."""
-        tok = self.peek()
-        self.depth += 1
-        self.check_depth(tok)
-        if tok[0] == "ident":
-            term = TermVar(self.next()[1])
-        elif self.accept("call"):
-            term = self.parse_call()
-        else:
-            self.fail("expected a term", expected={"ident", "call"})
-        self.depth -= 1
-        return term
+    def parse_term(self, depth):
+        """A term, one level below ``depth``, the level of the term containing it."""
+        depth += 1
+        if depth > MAX_NESTING:
+            raise self.too_deep(self.pos)
+        kind = self.kinds[self.pos]
+        if kind == "ident":
+            return TermVar(self.expect("ident"))
+        if kind == "call":
+            self.pos += 1
+            return self.parse_call(depth)
+        self.fail("expected a term", expected={"ident", "call"})
 
-    def parse_call(self) -> Call:
-        name = self.expect("ident")[1]
+    def parse_call(self, depth) -> Call:
+        name = self.expect("ident")
         callee = self.procedures.get(name)
         self.expect("(")
         closures, args = [], []
         self.accept(",")  # an explicit empty closure list
-        if self.peek()[0] != ")":
+        if self.kinds[self.pos] != ")":
             while True:
-                tok = self.peek()
-                if tok[0] in ("ovar", "lambda") and args:
+                pos = self.pos
+                kind = self.kinds[pos]
+                if kind in ("ovar", "lambda") and args:
                     self.fail("closures must precede order-0 arguments")
-                if tok[0] == "ovar":
+                if kind == "ovar":
                     self.pos += 1
                     if callee is not None and len(closures) < len(callee.oracle_params):
-                        self.record_arity(tok, callee.oracle_params[len(closures)][1])
-                    closures.append(ClosureVar(tok[1]))
-                elif tok[0] == "lambda":
-                    self.next()
+                        self.record_arity(pos, callee.oracle_params[len(closures)][1])
+                    closures.append(ClosureVar(self.values[pos]))
+                elif kind == "lambda":
+                    self.pos += 1
                     self.expect("(")
-                    lam_params = self.parse_idlist(closer=")")
-                    self.expect(")")
+                    lam_params = self.parse_idlist(")")
                     self.expect(".")
-                    closures.append(Lambda(lam_params, self.parse_term()))
+                    closures.append(Lambda(lam_params, self.parse_term(depth)))
                 else:
-                    args.append(self.parse_term())
+                    args.append(self.parse_term(depth))
                 if not self.accept(","):
                     break
         self.expect(")")
         return Call(name, closures, args)
 
     def parse_idlist(self, closer) -> list:
+        """Comma-separated order-0 names up to ``closer``, which is read too."""
         names = []
-        if self.peek()[0] == closer:
-            return names
-        names.append(self.expect("ident")[1])
-        while self.accept(","):
-            names.append(self.expect("ident")[1])
+        if not self.accept(closer):
+            names.append(self.expect("ident"))
+            while self.accept(","):
+                names.append(self.expect("ident"))
+            self.expect(closer)
         return names
 
     # -- statements
 
-    def parse_stmts(self, stop):
-        stmts = [self.parse_statement()]
-        while self.accept(";"):
-            kind = self.peek()[0]
-            if kind in stop or kind == "}":
+    def parse_stmts(self, depth, stop):
+        """Statements at ``depth`` up to ``stop`` or ``}``, as one statement."""
+        kinds = self.kinds
+        stmts = []
+        self.parse_statement(depth, stmts)
+        while kinds[self.pos] == ";":
+            self.pos += 1
+            kind = kinds[self.pos]
+            if kind == stop or kind == "}":
                 break  # tolerate a trailing semicolon
-            stmts.append(self.parse_statement())
-        return seq_of(stmts)
+            self.parse_statement(depth, stmts)
+        return Seq(stmts) if len(stmts) > 1 else stmts[0]
 
-    def parse_block(self):
-        """``{ statements }``, one level below the statement that owns it."""
-        tok = self.expect("{")
-        self.depth += 1
-        self.check_depth(tok)
-        body = self.parse_stmts(stop=set())
-        self.depth -= 1
+    def parse_block(self, depth):
+        """``{ statements }``, one level below ``depth``, that of the statement owning it."""
+        pos = self.pos
+        self.expect("{")
+        depth += 1
+        if depth > MAX_NESTING:
+            raise self.too_deep(pos)
+        body = self.parse_stmts(depth, "}")
         self.expect("}")
         return body
 
-    def parse_guard(self):
+    def parse_guard(self, depth):
         self.expect("(")
-        guard = self.parse_expr()[0]
+        guard = self.parse_expr(depth)[0]
         self.expect(")")
         return guard
 
-    def parse_statement(self):
-        tok = self.next()
-        kind = tok[0]
-        if kind == "ident" and self.peek()[0] == ":=":
-            self.pos += 1
-            self.last_use[tok[1]] = tok[2]
-            return Assign(tok[1], self.parse_expr()[0])
-        if kind == "skip":
-            return Skip()
-        if kind == "if":
-            guard, then = self.parse_guard(), self.parse_block()
+    def parse_statement(self, depth, stmts):
+        """Append the statement at ``depth`` that starts here to ``stmts``.
+
+        A desugared for loop appends the two statements it expands to.
+        """
+        pos = self.pos
+        kinds = self.kinds
+        kind = kinds[pos]
+        self.pos = pos + 1
+        if kind == "ident" and kinds[pos + 1] == ":=":
+            var = self.values[pos]
+            self.last_use[var] = pos
+            self.pos = pos + 2
+            stmts.append(Assign(var, self.parse_expr(depth)[0]))
+        elif kind == "skip":
+            stmts.append(Skip())
+        elif kind == "if":
+            guard, then = self.parse_guard(depth), self.parse_block(depth)
             self.expect("else")
-            return If(guard, then, self.parse_block())
-        if kind == "while":
-            guard = self.parse_guard()
-            return While(guard, self.parse_block(), line=self.line_col(tok)[0])
-        if kind == "for":
+            stmts.append(If(guard, then, self.parse_block(depth)))
+        elif kind == "while":
+            self.loops += 1
+            line, loop_id = self.line(pos), self.loops
+            guard = self.parse_guard(depth)
+            stmts.append(While(guard, self.parse_block(depth), loop_id, line=line))
+        elif kind == "for":
+            if self.desugar:
+                self.loops += 1
+                line, loop_id = self.line(pos), self.loops
             # Counted as the while form it desugars to, so that form parses
             # back: e moves into the guard e <= x, and x := x - u1 needs
             # three levels below the loop.
-            _, var, offset = self.expect("ident")
-            self.last_use[var] = offset
+            var_pos = self.pos
+            var = self.expect("ident")
+            self.last_use[var] = var_pos
             self.expect("=")
-            self.depth += 1
-            low = self.parse_expr()[0]
-            self.depth -= 1
+            low = self.parse_expr(depth + 1)[0]
             self.expect("to")
-            high = self.parse_expr()[0]
-            self.check_depth(tok, 3)
-            brace = self.peek()[2]
-            loop = For(var, low, high, self.parse_block())
+            high = self.parse_expr(depth)[0]
+            if depth + 3 > MAX_NESTING:
+                raise self.too_deep(pos)
+            brace = self.pos
+            loop = For(var, low, high, self.parse_block(depth))
             if self.last_use[var] >= brace:  # a use inside the body
                 message = f"for-loop variable {var!r} must not occur in the loop body"
-                raise DesugarError(message, *self.line_col(tok))
-            return desugar_for(loop, self.line_col(tok)[0]) if self.desugar else loop
-        if kind == "break":
-            self.expect("(")
-            if self.peek()[0] == "|":
-                stmt = self.parse_oracle_break()
+                raise DesugarError(message, *self.tokens.line_col(pos))
+            if self.desugar:
+                stmts += desugar_for(loop, line, loop_id).stmts
             else:
-                stmt = Break(self.parse_expr()[0])
+                stmts.append(loop)
+        elif kind == "break":
+            self.expect("(")
+            if kinds[self.pos] == "|":
+                stmts.append(self.parse_oracle_break(depth))
+            else:
+                stmts.append(Break(self.parse_expr(depth)[0]))
             self.expect(")")
-            return stmt
-        self.pos -= 1
-        self.fail(
-            "expected a statement",
-            expected={"skip", "if", "while", "for", "break", "ident"},
-        )
+        else:
+            self.pos = pos
+            self.fail(
+                "expected a statement",
+                expected={"skip", "if", "while", "for", "break", "ident"},
+            )
 
-    def parse_oracle_break(self) -> OracleBreak:
+    def parse_oracle_break(self, depth) -> OracleBreak:
         self.expect("|")
-        left = self.expect("ovar")
-        self.expect("(")
-        call_args = self.parse_exprlist()[0]
-        self.expect(")")
+        left = self.pos
+        oracle = self.expect("ovar")
+        call_args = self.parse_args(depth)[0]
         self.record_arity(left, len(call_args))
         self.expect("|")
         self.expect(">")
         self.expect("|")
-        right = self.expect("ovar")
-        if right[1] != left[1]:
-            raise self.error(
-                "both sides of an oracle break must call the same oracle",
-                right,
-            )
+        right = self.pos
+        if self.expect("ovar") != oracle:
+            raise self.error("both sides of an oracle break must call the same oracle", right)
         self.expect("(")
-        ref_vars = self.parse_idlist(closer=")")
-        self.last_use.update(dict.fromkeys(ref_vars, right[2]))  # any offset in the break
-        self.expect(")")
+        ref_vars = self.parse_idlist(")")
+        self.last_use.update(dict.fromkeys(ref_vars, right))  # any position in the break
         self.record_arity(right, len(ref_vars))
         self.expect("|")
-        return OracleBreak(left[1], call_args, ref_vars)
+        return OracleBreak(oracle, call_args, ref_vars)
 
     # -- expressions
     #
@@ -469,119 +501,117 @@ class _Parser:
     # operators only move down once the operator is seen, so the limit is
     # checked again as each binary node is built.
 
-    def parse_exprlist(self) -> tuple:
+    def parse_args(self, depth) -> tuple:
+        """``(e, ...)``: the arguments, each one level below ``depth``, and their low."""
+        self.expect("(")
         args, low = [], 0
-        if self.peek()[0] == ")":
-            return args, low
-        while True:
-            arg, arg_low = self.parse_expr()
-            args.append(arg)
-            low = max(low, 1 + arg_low)
-            if not self.accept(","):
-                return args, low
+        if not self.accept(")"):
+            while True:
+                arg, arg_low = self.parse_expr(depth)
+                args.append(arg)
+                low = max(low, 1 + arg_low)
+                if not self.accept(","):
+                    break
+            self.expect(")")
+        return args, low
 
-    def parse_expr(self, prec=1) -> tuple:
-        """An expression one level down whose binary operators bind at ``prec`` or tighter."""
-        self.depth += 1
-        self.check_depth(self.peek())
-        node, low = self.parse_primary()
+    def parse_expr(self, depth, prec=1) -> tuple:
+        """An expression one level below ``depth``, binding at ``prec`` or tighter."""
+        depth += 1
+        pos = self.pos
+        if depth > MAX_NESTING:
+            raise self.too_deep(pos)
+        kinds = self.kinds
+        if kinds[pos] == "ident" and kinds[pos + 1] != "(":  # a variable, the commonest operand
+            name = self.values[pos]
+            self.last_use[name] = pos
+            self.pos = pos + 1
+            node, low = Var(name), 0
+        else:
+            node, low = self.parse_primary(depth)
         while True:
-            tok = self.peek()
-            op = _SURFACE_OP.get(tok[0])
+            pos = self.pos
+            op = _SURFACE_OP.get(kinds[pos])
             if op is None:
-                if tok[0] == ">=":
-                    raise self.error(
-                        "there is no >= operator; swap the operands and use <=", tok
-                    )
+                if kinds[pos] == ">=":
+                    raise self.error("there is no >= operator; swap the operands and use <=", pos)
                 break
             if _PREC[op] < prec:
                 break
-            self.pos += 1
-            rhs, rhs_low = self.parse_expr(_PREC[op] + 1)  # left associative
+            self.pos = pos + 1
+            rhs, rhs_low = self.parse_expr(depth, _PREC[op] + 1)  # left associative
             if op != "dec":
-                node, low = OpApp(op, [node, rhs]), 1 + max(low, rhs_low)
-            elif rhs == OpApp("const:1", []):
-                node, low = OpApp("dec", [node]), 1 + low
+                node, low = OpApp(op, (node, rhs)), 1 + max(low, rhs_low)
+            elif type(rhs) is OpApp and rhs.op == "const:1":
+                node, low = OpApp("dec", (node,)), 1 + low
             else:
                 raise self.error(
                     "only decrement by one is supported; write e - u1 "
                     "(or decb(e) for binary numerals)",
-                    tok,
+                    pos,
                 )
-            self.check_depth(tok, low)
-        self.depth -= 1
+            if depth + low > MAX_NESTING:
+                raise self.too_deep(pos)
         return node, low
 
-    def parse_primary(self) -> tuple:
-        tok = self.next()
-        kind, value = tok[0], tok[1]
-        if kind == "ident":
-            if self.peek()[0] != "(":
-                self.last_use[value] = tok[2]
-                return Var(value), 0
-            self.pos += 1
-            args, low = self.parse_exprlist()
-            self.expect(")")
-            entry = self._op_entry(tok)
-            if entry.arity != len(args):
+    def parse_primary(self, depth) -> tuple:
+        """The operand at ``depth`` that starts here, and its low."""
+        pos = self.pos
+        kind, value = self.kinds[pos], self.values[pos]
+        self.pos = pos + 1
+        if kind == "ident":  # an operator call: parse_expr reads a variable itself
+            args, low = self.parse_args(depth)
+            try:
+                arity = opreg.BUILTINS.lookup(value).arity
+            except opreg.UnknownOperator:
+                raise self.error(f"unknown operator {value!r}", pos) from None
+            if arity != len(args):
                 raise self.error(
-                    f"operator {value} expects {entry.arity} "
-                    f"argument(s), got {len(args)}",
-                    tok,
+                    f"operator {value} expects {arity} argument(s), got {len(args)}", pos
                 )
             return OpApp(value, args), low
         if kind == "ulit":
             try:
-                return self._literal(words.unary_digits(value[1:])), 0
+                return _literal(words.unary_digits(value[1:])), 0
             except words.WordError as exc:
-                raise self.error(str(exc), tok) from None
+                raise self.error(str(exc), pos) from None
         if kind == "string":
-            return self._literal(value[1:-1]), 0
+            return _literal(value[1:-1]), 0
         if kind == "(":
-            node, low = self.parse_expr()
+            node, low = self.parse_expr(depth)
             self.expect(")")
             return node, 1 + low
         if kind == "true" or kind == "false" or kind == "eps":
-            return OpApp(kind, []), 0
+            return OpApp(kind), 0
         if kind == "declass":
             self.expect("(")
-            first, low1 = self.parse_expr()
-            if self.peek()[0] == ")":
-                raise self.error("declass requires two arguments: declass(e, bound)", tok)
+            first, low1 = self.parse_expr(depth)
+            if self.kinds[self.pos] == ")":
+                raise self.error("declass requires two arguments: declass(e, bound)", pos)
             self.expect(",")
-            second, low2 = self.parse_expr()
+            second, low2 = self.parse_expr(depth)
             self.expect(")")
             return Declass(first, second), 1 + max(low1, low2)
         if kind == "ovar":
-            self.expect("(")
-            args, low = self.parse_exprlist()
-            self.expect(")")
-            self.record_arity(tok, len(args))
+            args, low = self.parse_args(depth)
+            self.record_arity(pos, len(args))
             return OracleCall(value, args), low
-        self.pos -= 1
+        self.pos = pos
         self.fail("expected an expression", expected={"ident", "string", "("})
 
-    def _literal(self, text: str):
-        if text == "":
-            return OpApp("eps", [])
-        return OpApp("const:" + text, [])
 
-    def _op_entry(self, tok):
-        try:
-            return opreg.BUILTINS.lookup(tok[1])
-        except opreg.UnknownOperator:
-            raise self.error(f"unknown operator {tok[1]!r}", tok)
+def _literal(text: str) -> OpApp:
+    return OpApp("const:" + text) if text else OpApp("eps")
 
 
 def parse(text: str, desugar: bool = True):
     """Parse source text into a Program1 or Program2.
 
     Each for loop is rewritten into its while form as it is parsed, unless
-    ``desugar`` is False; loop ids are then assigned in pre-order.
+    ``desugar`` is False; every while loop is numbered in pre-order, from 1,
+    as it is read.
     """
-    program = _Parser(text, tokenize(text), desugar).parse_program()
-    assign_loop_ids(program)
-    return program
+    return _Parser(tokenize(text), desugar).parse_program()
 
 
 def parse_file(path: str):
@@ -598,19 +628,20 @@ def parse_file(path: str):
 # For-loop desugaring
 
 
-def desugar_for(loop: For, line: int = 0) -> Seq:
+def desugar_for(loop: For, line: int = 0, loop_id: int = -1) -> Seq:
     """Expand for x = e to d { body } into x := d; while(e <= x){ body; x := x - u1 }.
 
     The parser expands each loop as it reads it, after its body, once it has
     checked that the loop variable does not occur there.  The produced While
-    carries a for-origin mark and the ``for``'s line, so the decidable
-    aperiodicity criterion can recognize and name it; the enclosing ``seq_of``
-    splices the two statements into its sequence, so desugared code has the
-    same shape its printed form reparses to.
+    carries a for-origin mark, the ``for``'s line and the loop id taken when
+    the ``for`` was read, so the decidable aperiodicity criterion can
+    recognize and name it; the parser splices the two statements into the
+    enclosing sequence, so desugared code has the same shape its printed
+    form reparses to.
     """
     guard = OpApp("le", [loop.low, Var(loop.var)])
     body = seq_of([loop.body, Assign(loop.var, OpApp("dec", [Var(loop.var)]))])
-    return Seq([Assign(loop.var, loop.high), While(guard, body, for_origin=True, line=line)])
+    return Seq([Assign(loop.var, loop.high), While(guard, body, loop_id, True, line)])
 
 
 # ---------------------------------------------------------------------------

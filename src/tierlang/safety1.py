@@ -267,95 +267,71 @@ class LevelAnalysis:
     # declass's after its operands.
 
     def gen_expr(self, e, tin, tout):
-        if isinstance(e, Var):
-            return self.var_term(e.name)
+        kind = type(e)
+        if kind is Var:
+            term = self.var_ids.get(e.name)
+            return self.var_term(e.name) if term is None else term
         cs = self.cs
-        if isinstance(e, OracleCall):
+        if kind is OpApp:
+            var_ids = self.var_ids
+            args = []
+            for a in e.args:
+                term = var_ids.get(a.name) if type(a) is Var else None
+                args.append(self.gen_expr(a, tin, tout) if term is None else term)
+            cs.unknowns.append(None)
+            result = len(cs.unknowns) - 1
+            if e.op.startswith(opreg.CONST_PREFIX):
+                return result  # a word constant: neutral, and no operands
+            entry = opreg.BUILTINS.lookup(e.op)
+            if entry.is_truncate:
+                if args[0] is not INF:
+                    cs.fail("{what}: truncate's first operand must be an oracle call", e)
+                elif args[1] is INF:
+                    cs.fail("{what}: truncate's bound cannot be an oracle call", e)
+                else:
+                    cs.le(tout, args[1], "{what}: the truncation bound must be at or above "
+                          "the outermost loop level", e)
+                    if tin is not None:
+                        cs.lt(result, tin, "{what}: a truncated oracle answer cannot reach "
+                              "the innermost loop level", e)
+                return result
+            klass = entry.klass
+            if isinstance(klass, opreg.Polynomial):
+                if tout is not None:
+                    cs.fail("{what}: operator {node.op} can grow polynomially and is not "
+                            "allowed inside loops", e)
+                return result
+            edges = cs.edges
+            for a in args:
+                if a is INF:
+                    cs.fail("{what}: operator {node.op} cannot be applied to an oracle "
+                            "answer; truncate or declassify it first", e)
+                    return result
+                edges.append((result, 0, a, "{what}: no upward flow through {node.op}", e, None))
+            if isinstance(klass, opreg.Positive):
+                if tin is None:
+                    cs.uppers.append((result, 0, "{what}: outside loops a growing operator's "
+                                      "result sits at level 0", e, None))
+                else:
+                    edges.append((result, 1, tin, "{what}: a growing operator's result stays "
+                                   "below the innermost loop level", e, None))
+            return result
+        if kind is OracleCall:
             if self.first_order:
                 cs.fail(NO_ORACLES, e)
             for a in e.args:
                 self.gen_expr(a, tin, tout)
             return INF
-        if isinstance(e, Declass):
+        if kind is Declass:
             t1 = self.gen_expr(e.expr, tin, tout)
             t2 = self.gen_expr(e.bound, tin, tout)
-            cs.eq(
-                t2, tout,
-                "the declass bound {what} must sit exactly at the outermost "
-                "loop level",
-                e.bound,
-            )
+            cs.eq(t2, tout, "the declass bound {what} must sit exactly at the outermost "
+                  "loop level", e.bound)
             result = cs.fresh()
-            cs.le(
-                t1, result,
-                "declass(..., {what}): declassified operand caps the result from below",
-                e.bound,
-            )
-            cs.le(
-                result, tout,
-                "declass(..., {what}): the result level is capped by the "
-                "outermost loop level",
-                e.bound,
-            )
-            return result
-        if isinstance(e, OpApp):
-            entry = opreg.BUILTINS.lookup(e.op)
-            args = [self.gen_expr(a, tin, tout) for a in e.args]
-            result = cs.fresh()
-            if entry.is_truncate:
-                if args[0] is not INF:
-                    cs.fail("{what}: truncate's first operand must be an oracle call", e)
-                    return result
-                if args[1] is INF:
-                    cs.fail("{what}: truncate's bound cannot be an oracle call", e)
-                    return result
-                cs.le(
-                    tout, args[1],
-                    "{what}: the truncation bound must be at or above the "
-                    "outermost loop level",
-                    e,
-                )
-                if tin is not None:
-                    cs.lt(
-                        result, tin,
-                        "{what}: a truncated oracle answer cannot reach the "
-                        "innermost loop level",
-                        e,
-                    )
-                return result
-            klass = entry.klass
-            if isinstance(klass, opreg.Polynomial):
-                if tout is not None:
-                    cs.fail(
-                        "{what}: operator {node.op} can grow polynomially and is "
-                        "not allowed inside loops",
-                        e,
-                    )
-                return result
-            for a in args:
-                if a is INF:
-                    cs.fail(
-                        "{what}: operator {node.op} cannot be applied to an "
-                        "oracle answer; truncate or declassify it first",
-                        e,
-                    )
-                    return result
-                cs.le(result, a, "{what}: no upward flow through {node.op}", e)
-            if isinstance(klass, opreg.Positive):
-                if tin is not None:
-                    cs.lt(
-                        result, tin,
-                        "{what}: a growing operator's result stays below the "
-                        "innermost loop level",
-                        e,
-                    )
-                else:
-                    cs.le(
-                        result, None,
-                        "{what}: outside loops a growing operator's result "
-                        "sits at level 0",
-                        e,
-                    )
+            cs.le(t1, result, "declass(..., {what}): declassified operand caps the result "
+                  "from below", e.bound)
+            cs.le(result, tout, "declass(..., {what}): the result level is capped by the "
+                  "outermost loop level", e.bound)
             return result
         raise TypeError(f"not an expression: {e!r}")
 
@@ -363,32 +339,29 @@ class LevelAnalysis:
 
     def gen_stmt(self, s, tin, tout):
         cs = self.cs
-        if isinstance(s, Assign):
-            t = self.gen_expr(s.expr, tin, tout)
-            gx = self.var_term(s.var)
-            if t is INF:
-                cs.fail(
-                    "{what}: an oracle answer cannot be assigned directly; "
-                    "truncate or declassify it first",
-                    s,
-                )
-                return [gx]
-            if tout is not None:
-                cs.le(
-                    gx, t,
-                    "{what}: inside a loop the target's level cannot exceed "
-                    "the source's",
-                    s,
-                )
-            return [gx]
-        if isinstance(s, Seq):
+        kind = type(s)
+        if kind is Seq or kind is Assign:  # an assignment is a sequence of one
+            var_ids = self.var_ids
             floors = []
-            for st in s.stmts:
-                floors += self.gen_stmt(st, tin, tout)
+            for st in s.stmts if kind is Seq else (s,):
+                if type(st) is not Assign:
+                    floors += self.gen_stmt(st, tin, tout)
+                    continue
+                t = self.gen_expr(st.expr, tin, tout)
+                gx = var_ids.get(st.var)
+                if gx is None:
+                    gx = self.var_term(st.var)
+                floors.append(gx)
+                if t is INF:
+                    cs.fail("{what}: an oracle answer cannot be assigned directly; "
+                            "truncate or declassify it first", st)
+                elif tout is not None:
+                    cs.edges.append((gx, 0, t, "{what}: inside a loop the target's level "
+                                     "cannot exceed the source's", st, None))
             return floors
-        if isinstance(s, Skip):
+        if kind is Skip:
             return []
-        if isinstance(s, If):
+        if kind is If:
             iota = cs.fresh()
             t = self.gen_expr(s.guard, tin, tout)
             cs.eq(t, iota, "{what}: the branch level is the guard's level", s)
@@ -397,18 +370,12 @@ class LevelAnalysis:
             for f in floors:
                 cs.le(f, iota, "{what}: branches type at the guard's level", s)
             return [iota]
-        if isinstance(s, While):
+        if kind is While:
             lam = self.loop_term(s.loop_id)
             cs.lt(None, lam, "{what}: loop levels start at 1", s)
+            inner_out = lam if tout is None else tout
             if tout is not None:
-                inner_out = tout
-                cs.le(
-                    lam, tout,
-                    "{what}: a nested loop's level is capped by the outermost",
-                    s,
-                )
-            else:
-                inner_out = lam
+                cs.le(lam, tout, "{what}: a nested loop's level is capped by the outermost", s)
             t = self.gen_expr(s.guard, lam, inner_out)
             if t is INF:
                 cs.fail("{what}: a loop cannot be guarded by an oracle answer", s)
@@ -417,28 +384,19 @@ class LevelAnalysis:
             for f in self.gen_stmt(s.body, lam, inner_out):
                 cs.le(f, lam, "{what}: the body types at the loop level", s)
             return [lam]
-        if isinstance(s, Break):
+        if kind is Break:
             t = self.gen_expr(s.guard, tin, tout)
             if t is not INF:
-                cs.le(
-                    tin, t,
-                    "{what}: a break guard sits at or above the innermost "
-                    "loop level",
-                    s,
-                )
+                cs.le(tin, t, "{what}: a break guard sits at or above the innermost loop level", s)
             return [tin]
-        if isinstance(s, OracleBreak):
+        if kind is OracleBreak:
             if self.first_order:
                 cs.fail(NO_ORACLES, s)
             for a in s.call_args:
                 self.gen_expr(a, tin, tout)
             for v in s.ref_vars:
-                cs.lt(
-                    tout, self.var_term(v),
-                    "{what}: reference variable {arg} must sit strictly above "
-                    "the outermost loop level",
-                    s, v,
-                )
+                cs.lt(tout, self.var_term(v), "{what}: reference variable {arg} must sit "
+                      "strictly above the outermost loop level", s, v)
             return [tin]
         raise TypeError(f"not a statement: {s!r}")
 

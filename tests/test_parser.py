@@ -24,6 +24,7 @@ from tierlang.syntax import (
     Skip,
     Var,
     While,
+    assign_loop_ids,
     iter_exprs,
     iter_stmts,
     stmt_exprs,
@@ -247,6 +248,21 @@ def test_a_parsed_program_holds_little_memory():
     assert held <= 256 * n, f"{held / n:.1f} bytes per statement"
 
 
+def test_parsing_peaks_at_little_memory():
+    """Tokens and parser state on top of the tree stay small while parsing."""
+    n = 30_000
+    text = straight_line(n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        program = parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(program.body.stmts) == n
+    assert peak <= 700 * n, f"{peak / n:.1f} bytes per statement"
+
+
 def test_desugar_identity_on_for_free():
     text = open(corpus("bubble.tl")).read()
     assert parse(text, desugar=False) == parse(text)
@@ -329,12 +345,17 @@ def test_random_program_round_trip(seed):
 
 
 def positioned(text: str) -> list:
-    """parser.tokenize's triples with the line and column of each offset."""
-    out = []
-    for kind, value, offset in parser.tokenize(text):
+    """parser.tokenize's tokens with the line and column of each offset."""
+    tokens = parser.tokenize(text)
+    out, offset = [], 0
+    for kind, value, gap in zip(tokens.kinds, tokens.values, tokens.gaps):
+        offset += gap
         line = text.count("\n", 0, offset) + 1
         col = offset - text.rfind("\n", 0, offset)
         out.append((kind, value, line, col))
+        assert tokens.line_col(len(out) - 1) == (line, col)
+        offset += len(value)
+    assert offset == len(text) and len(tokens) == len(out)
     return out
 
 
@@ -366,7 +387,8 @@ LEXEMES = [
     "Fo", "X", "u0", "u12", "u12x", "u", '"01#"', '""', '"012"', '"01', ":=",
     "<=", ">=", "!=", "=", "<", ">", "+", "-", "(", ")", "{", "}", "[", "]",
     ";", ",", ".", "|", ":", "@", "é", "\x00", " ", "  ", "\t", "\n", "\r\n",
-    "\n\n  ", "// note", "// note\n", "/", "\u00a0",
+    "\n\n  ", "// note", "// note\n", "/", "\u00a0", "\u0663", "\u00df", "U1",
+    "u1_", "x9", "//",
 ]
 
 
@@ -426,6 +448,20 @@ def test_while_lines_are_source_lines(name):
     assert lines == expected
 
 
+@pytest.mark.parametrize("desugar", [False, True])
+@pytest.mark.parametrize("name", CORPUS_FILES)
+def test_loops_are_numbered_in_pre_order_as_read(name, desugar):
+    """The ids the parser gives as it reads are those of a pre-order walk."""
+    program = parse(open(corpus(name)).read(), desugar=desugar)
+    bodies = [program.body] if isinstance(program, Program1) else [
+        p.body for p in program.procedures
+    ]
+    loops = [s for b in bodies for s in iter_stmts(b) if isinstance(s, While)]
+    read = [s.loop_id for s in loops]
+    assign_loop_ids(program)
+    assert read == [s.loop_id for s in loops] and len(set(read)) == len(read)
+
+
 # -- the parser is the one gate: what it returns, the evaluator can run
 
 
@@ -442,7 +478,7 @@ def assert_well_formed(program):
 
 
 CORPUS_TOKENS = [
-    [t[1] for t in parser.tokenize(open(corpus(name)).read())[:-1]] for name in CORPUS_FILES
+    parser.tokenize(open(corpus(name)).read()).values[:-1] for name in CORPUS_FILES
 ]
 VOCABULARY = sorted({t for tokens in CORPUS_TOKENS for t in tokens} | {"frob", "for", "to"})
 
