@@ -672,7 +672,7 @@ def pp_expr(e, parent_prec=0) -> str:
         if e.op == "dec":
             inner = f"{pp_expr(e.args[0], _PREC['dec'])} - u1"
             return f"({inner})" if parent_prec > _PREC["dec"] else inner
-        if e.op in _BINOP_SURFACE and len(e.args) == 2:
+        if e.op in _BINOP_SURFACE:
             prec = _PREC[e.op]
             left = pp_expr(e.args[0], prec)
             right = pp_expr(e.args[1], prec + 1)

@@ -7,6 +7,12 @@ as the first operand of truncate or declass) and to size-comparison breaks;
 inside a loop every oracle-carrying assignment must directly follow a break
 comparing that same call against a fixed reference call.
 
+Arities are the parser's: every use of an oracle variable, and every closure
+position the main term passes it to, has one arity.  Simple typing decides
+the rest once: procedures are declared once and closed, oracle calls name
+order-1 parameters, and each call of the main term fits its procedure, with
+every name bound.
+
 Level inference reuses the first-order constraint engine
 (``safety1.infer_levels``): oracle calls sit at the infinite level, which
 may only be consumed by truncate, and loops can never be guarded by it.
@@ -28,12 +34,13 @@ run.  A repeat of one of the run's ``PROG_ANSWERS`` most recent ``prog:``
 calls takes its answer from that table and the steps its first run took,
 unless they pass the budget left, so answers, steps and stops are those of
 fresh runs.  A run starts as ``Interp2(program, oracles, budget, monitor).run(inputs)``,
-where ``oracles`` maps boxed oracle names to ``Oracle`` values; after a result
-or a ``RuntimeStop``, ``interp.stats`` holds the whole run's statistics, a
-stop inside a ``prog:`` oracle included.  The boxed oracles live in the run's
-oracle table (``Interp2.boxed``), never in a store, so every store holds
-words only.  A closure variable the table lacks denotes the constant empty
-function, even when an oracle was supplied under that unboxed name.
+where ``oracles`` maps each boxed oracle name to an ``Oracle`` of its arity,
+which ``run`` checks; after a result or a ``RuntimeStop``, ``interp.stats``
+holds the whole run's statistics, a stop inside a ``prog:`` oracle included.
+The boxed oracles live in the run's oracle table (``Interp2.boxed``), never
+in a store, so every store holds words only.  A closure variable the table
+lacks denotes the constant empty function, even when an oracle was supplied
+under that unboxed name.
 """
 
 from __future__ import annotations
@@ -49,7 +56,6 @@ from .syntax import (
     ClosureVar,
     Declass,
     If,
-    Lambda,
     OpApp,
     OracleBreak,
     OracleCall,
@@ -59,7 +65,6 @@ from .syntax import (
     Record,
     TermVar,
     While,
-    free_variables,
     iter_exprs,
     level_str,
     seq_chain,
@@ -97,7 +102,7 @@ def _allowed_assignment_call(expr, calls: list) -> OracleCall | None:
     """
     if isinstance(expr, OracleCall):
         head = expr
-    elif isinstance(expr, OpApp) and expr.op == "truncate" and expr.args and isinstance(expr.args[0], OracleCall):
+    elif isinstance(expr, OpApp) and expr.op == "truncate" and isinstance(expr.args[0], OracleCall):
         head = expr.args[0]
     elif isinstance(expr, Declass) and isinstance(expr.expr, OracleCall):
         head = expr.expr
@@ -182,7 +187,7 @@ def simple_typecheck(program: Program2) -> str:
         procs[p.name] = p
 
     boxed_words = set(program.boxed_words)
-    boxed_oracles = dict(program.boxed_oracles)
+    boxed_oracles = {n for n, _ in program.boxed_oracles}
 
     # Closed procedures: every name used in a body is a parameter or local.
     for p in program.procedures:
@@ -192,22 +197,17 @@ def simple_typecheck(program: Program2) -> str:
             raise SimpleTypeError(
                 f"procedure {p.name} is not closed: {sorted(loose)}"
             )
-        arities = dict(p.oracle_params)
+        oracle_params = {n for n, _ in p.oracle_params}
         for call in stmt_oracle_calls(p.body):
-            if call.oracle not in arities:
+            if call.oracle not in oracle_params:
                 raise SimpleTypeError(
                     f"procedure {p.name}: oracle variable "
                     f"{call.oracle} is not a parameter"
                 )
-            if len(call.args) != arities[call.oracle]:
-                raise SimpleTypeError(
-                    f"procedure {p.name}: oracle {call.oracle} "
-                    f"applied at the wrong arity"
-                )
 
-    # Pairwise-disjoint binder sets (term free variables are empty for
-    # closed programs; boxed names do not count as free).
-    groups = [("term free variables", free_variables(program))]
+    # Pairwise-disjoint binder sets of the procedures; a free name of the
+    # main term is an unbound variable, which type_term rejects.
+    groups = []
     for p in program.procedures:
         params = {n for n, _ in p.oracle_params} | set(p.params)
         groups.append((f"parameters of {p.name}", params))
@@ -244,11 +244,6 @@ def simple_typecheck(program: Program2) -> str:
                     if c.name not in boxed_oracles:
                         raise SimpleTypeError(
                             f"closure variable {c.name} is not a boxed oracle"
-                        )
-                    if boxed_oracles[c.name] != arity:
-                        raise SimpleTypeError(
-                            f"oracle {c.name} has arity {boxed_oracles[c.name]} "
-                            f"but {t.proc} needs arity {arity} for {oname}"
                         )
                 else:
                     if len(c.params) != arity:
@@ -435,17 +430,13 @@ class Interp2(interp1.Interp):
             # A name that is not boxed denotes the constant empty function.
             oracle = self.boxed.get(closure.name)
             return words.EPSILON if oracle is None else self.call_external(oracle, args)
-        if isinstance(closure, Lambda):
-            if len(closure.params) != len(args):
-                raise ExecError(f"closure for {name} got {len(args)} argument(s)")
-            inner = dict(store)
-            inner.update(zip(closure.params, args))
-            return self.eval_term(inner, closure.body)
-        raise ExecError(f"cannot apply {closure!r} as an oracle")
+        if len(closure.params) != len(args):
+            raise ExecError(f"closure for {name} got {len(args)} argument(s)")
+        inner = dict(store)
+        inner.update(zip(closure.params, args))
+        return self.eval_term(inner, closure.body)
 
     def call_external(self, oracle: Oracle, args):
-        if len(args) != oracle.arity:
-            raise ExecError(f"oracle {oracle.name} expects {oracle.arity} argument(s)")
         if oracle.program is None:
             return words.word(oracle.fn(*args))
         # A recent call whose steps fit in the budget left is answered from

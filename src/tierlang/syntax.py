@@ -416,33 +416,3 @@ def assign_loop_ids(program: Program) -> None:
     else:
         for proc in program.procedures:
             number(proc.body)
-
-
-# ---------------------------------------------------------------------------
-# Free variables of second-order programs
-
-
-def _term_vars(t: Term, bound: set, free: set) -> None:
-    if isinstance(t, TermVar):
-        if t.name not in bound:
-            free.add(t.name)
-        return
-    for c in t.closures:
-        if isinstance(c, ClosureVar):
-            if c.name not in bound:
-                free.add(c.name)
-        else:
-            _term_vars(c.body, bound | set(c.params), free)
-    for a in t.args:
-        _term_vars(a, bound, free)
-
-
-def free_variables(p: Program2) -> set:
-    """Variables of the main term neither boxed nor bound by a lambda binder.
-
-    Procedure bodies are not walked: the simple-type check requires each to
-    be closed over its own parameters and locals.
-    """
-    free: set = set()
-    _term_vars(p.main, {n for n, _ in p.boxed_oracles} | set(p.boxed_words), free)
-    return free

@@ -377,6 +377,9 @@ def test_the_extension_names_a_program_oracles_language(
         "box[z] in declare p(,y){skip return y} in call p(,w)",
         "unbound term variable w", id="unbound-term-variable"),
     pytest.param(
+        "box[z] in declare p(,y){skip return y} in call p(,y)",
+        "unbound term variable y", id="unbound-name-of-a-parameter"),
+    pytest.param(
         "box[F, z] in declare p(X, y){var t; t := X(y) return t} in call p(G, z)",
         "closure variable G is not a boxed oracle", id="closure-variable-not-boxed"),
     pytest.param(
@@ -550,7 +553,8 @@ def test_guardedness_error_exits_two(tmp_path, capsys):
 
 
 # Keywords, identifiers, operators, braces, parentheses and ";", with a few
-# program openings and an ending so that some streams get past the header.
+# program openings and an ending so that some streams get past the header
+# (the empty stream after the fourth opening is a whole program).
 FUZZ_TOKENS = [
     "prog", "skip", "if", "else", "while", "break", "for", "to", "return",
     "declass", "box", "in", "declare", "call", "lambda", "var", "true",
@@ -558,7 +562,23 @@ FUZZ_TOKENS = [
     '"01"', "u2", ":=", "=", "<", "<=", ">=", ">", "!=", "+", "-", "|", ",",
     ".", "[", "]", "{", "}", "(", ")", ";",
 ]
-FUZZ_OPENINGS = ["", "prog(x){", "box[F, x] in declare p(X, y){ var z;", "call p("]
+FUZZ_OPENINGS = [
+    "", "prog(x){", "box[F, x] in declare p(X, y){ var z;",
+    "box[F, x] in declare p(X, y){ var z; z := X(y)", "call p(",
+]
+FUZZ_ORACLES = ["F=builtin:append1", f"F=prog:{corpus('bubble.tl')}"]
+
+
+def fuzz_report(argv) -> dict:
+    """The schema-valid --json report of ``argv``, which exits with its code."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli.main(argv + ["--json"])
+    report = json.loads(out.getvalue())
+    VALIDATOR.validate(report)
+    assert code == cli.exit_code_for(report)
+    assert report["error"] != "internal", report["explanation"]
+    return report
 
 
 @settings(max_examples=300, deadline=None)
@@ -568,17 +588,16 @@ FUZZ_OPENINGS = ["", "prog(x){", "box[F, x] in declare p(X, y){ var z;", "call p
     st.sampled_from(["", " return x }", " return z } in call p(F, x)"]),
 )
 def test_random_token_streams_get_a_report(tmp_path_factory, opening, tokens, ending):
-    # Second-order openings go to a .tl2 file, so their streams reach the checker.
+    # Second-order openings go to a .tl2 file, so their streams reach the
+    # checker; each one that parses is also run, with either kind of oracle.
     suffix = ".tl2" if opening.startswith(("box", "call")) else ".tl"
     path = tmp_path_factory.getbasetemp() / f"fuzz{suffix}"
     path.write_text(opening + " ".join(tokens) + ending)
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = cli.main(["check", str(path), "--json"])
-    report = json.loads(out.getvalue())
-    VALIDATOR.validate(report)
-    assert code == cli.exit_code_for(report)
-    assert report["error"] != "internal", report["explanation"]
+    report = fuzz_report(["check", str(path)])
+    if suffix == ".tl2" and report["verdicts"]["parse"]:
+        for oracle in FUZZ_ORACLES:
+            fuzz_report(["run", str(path), "--oracle", oracle, "--input", "x=u2",
+                         "--max-steps", "500"])
 
 
 def option_value_cases():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import ORACLE_BREAK_WITH_OPERATORS, corpus, procedure, run
+from tokencheck import tokenize_stepwise
 from tierlang import interp1, parser, secondorder as so
 from tierlang.interp1 import AperiodicityViolation, BudgetExhausted, ExecError
 from tierlang.safety1 import check_derivation
@@ -114,16 +115,25 @@ def test_boxed_identity_type():
     assert so.simple_typecheck(parser.parse("box[x] in x")) == "W -> W"
 
 
-def test_closure_arity_mismatch_rejected(iterator_program):
-    variant = copy.deepcopy(iterator_program)
-    from tierlang.syntax import Call, ClosureVar
+def test_closure_arity_mismatch_rejected():
+    # F fills a unary closure position and a binary one: the parser gives
+    # each oracle variable one arity, so simple typing never sees this
+    src = """box[F, z] in
+    declare p(X, y){ var t; t := X(y) return t } in
+    declare q(Y, a){ var b; b := Y(a, a) return b } in
+    call p(F, call q(F, z))"""
+    with pytest.raises(parser.ParseError, match="inconsistent arity for oracle variable F"):
+        parser.parse(src)
 
-    # drive expects a binary closure; F is unary
-    variant.main = Call(
-        "drive", (ClosureVar("F"),), variant.main.args
-    )
-    with pytest.raises(so.SimpleTypeError):
-        so.simple_typecheck(variant)
+
+def test_term_typing_rejects_free_names():
+    # Term typing is the one judge of free names: a lambda binds its
+    # parameter, a box its words, and any other term name is unbound.
+    bound = "box[x] in declare p(X, y){ var t; t := X(y) return t } in call p(lambda(y). y, x)"
+    assert so.simple_typecheck(parser.parse(bound)) == "W -> W"
+    free = "box[x] in declare p(X, y){ var t; t := X(y) return t } in call p(lambda(y). y, z)"
+    with pytest.raises(so.SimpleTypeError, match="unbound term variable z"):
+        so.simple_typecheck(parser.parse(free))
 
 
 def test_call_of_undeclared_procedure_rejected():
@@ -402,6 +412,90 @@ def test_checker_rejects_what_the_evaluator_no_longer_guards(program, explanatio
     result = so.infer_safety2(program)
     assert (result.safe, result.stage) == (False, "simple-type")
     assert explanation in result.explanation
+
+
+PROGRESS_MUTANTS = 5000
+PROGRESS_SEED = 7
+PROGRESS_BUDGET = 2000
+# Closures of both kinds, two of which ignore a parameter.
+CLOSURES = """box[F, z, w] in
+declare p(X, y){ var t; t := X(y) return t } in
+declare q(Y, G, a){ var b; b := Y(a, a); b := G(b) return b } in
+call q(lambda(x, c). call p(F, x), lambda(d). call p(lambda(e). z, d), w)"""
+
+
+def typed_mutants() -> list:
+    """Seeded mutants of three .tl2 sources that parse and pass simple typing.
+
+    A mutant deletes, duplicates or inserts a run of 1-3 tokens, or renames
+    one name or unary literal to another of the same order.  Renames are
+    drawn twice as often as each of the others: far more of them parse.
+    """
+    sources = [open(corpus("I.tl2")).read(), ORACLE_BREAK_WITH_OPERATORS, CLOSURES]
+    tokens = [[t[1] for t in tokenize_stepwise(text)[:-1]] for text in sources]
+    vocabulary = sorted({t for ts in tokens for t in ts})
+    names = [t for t in vocabulary if t[0].isalpha() and t not in parser.KEYWORDS]
+    rng = random.Random(PROGRESS_SEED)
+    typed = []
+    for _ in range(PROGRESS_MUTANTS):
+        ts = list(rng.choice(tokens))
+        i, k = rng.randrange(len(ts)), rng.randint(1, 3)
+        how = rng.choice(["delete", "duplicate", "insert", "rename", "rename"])
+        if how == "delete":
+            del ts[i:i + k]
+        elif how == "duplicate":
+            ts[i:i] = ts[i:i + k]
+        elif how == "insert":
+            ts[i:i] = [rng.choice(vocabulary) for _ in range(k)]
+        else:
+            i = rng.choice([j for j, t in enumerate(ts) if t in names])
+            ts[i] = rng.choice([t for t in names if t[0].isupper() == ts[i][0].isupper()])
+        try:
+            program = parser.parse(" ".join(ts))
+            so.simple_typecheck(program)
+        except (parser.ParseError, so.SimpleTypeError):
+            continue
+        typed.append(program)
+    return typed
+
+
+def oracle_tables(program, bubble_oracle) -> tuple:
+    """Oracles of the program's boxed arities: builtin ones, then prog: ones."""
+    builtin, prog = {}, {}
+    for name, arity in program.boxed_oracles:
+        if arity == 1:
+            builtin[name], prog[name] = so.make_oracle("builtin:append1"), bubble_oracle
+        else:
+            params = ", ".join(f"a{i}" for i in range(arity))
+            builtin[name] = so.Oracle("concat", arity, lambda *ws: "".join(ws))
+            first = parser.parse(f"prog({params}){{ skip return a0 }}")
+            prog[name] = so.Oracle("first", arity, program=first)
+    return builtin, prog
+
+
+@pytest.fixture(scope="module")
+def typed_programs() -> list:
+    return typed_mutants()
+
+
+@pytest.mark.parametrize("kind", [0, 1], ids=["builtin", "prog"])
+def test_well_typed_programs_make_progress(typed_programs, kind):
+    # Milner's "well-typed programs cannot go wrong": a program that passes
+    # simple typing never meets a run-time check of the evaluator, with
+    # builtin oracles or with prog: oracles, whatever else stops it.
+    bubble_oracle = so.make_oracle(f"prog:{corpus('bubble.tl')}")
+    assert len(typed_programs) > 300
+    stops = set()
+    for program in typed_programs:
+        inputs = ["1" * (1 + i % 3) for i in range(len(program.boxed_words))]
+        table = oracle_tables(program, bubble_oracle)[kind]
+        try:
+            run(program, inputs, table, budget=PROGRESS_BUDGET)
+            stops.add("result")
+        except interp1.RuntimeStop as stop:
+            assert not isinstance(stop, ExecError), (str(stop), parser.pretty_print(program))
+            stops.add(stop.subcode)
+    assert "result" in stops
 
 
 PAIR = so.Oracle("pair", 2, lambda a, b: a + b)

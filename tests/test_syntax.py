@@ -18,7 +18,6 @@ from tierlang.syntax import (
     Skip,
     Var,
     While,
-    free_variables,
     iter_exprs,
     iter_stmts,
     stmt_exprs,
@@ -80,20 +79,6 @@ def test_bubble_nesting_depth(bubble):
 def test_unique_loop_ids(bubble, iterator_program):
     assert check_unique_loop_ids(bubble)
     assert check_unique_loop_ids(iterator_program)
-
-
-def test_free_variables_closed(iterator_program):
-    assert free_variables(iterator_program) == set()
-
-
-def test_free_variables_boxed_is_not_free():
-    p = parser.parse("box[x] in x")
-    assert free_variables(p) == set()
-
-
-def test_free_variables_unbound_term_var():
-    p = parser.parse("box[x] in call p(lambda(y). y, z)")
-    assert free_variables(p) == {"z"}
 
 
 def test_loop_ids_preorder(bubble):
