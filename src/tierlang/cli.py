@@ -24,7 +24,7 @@ ENV_BUDGET = "TIERLANG_MAX_STEPS"
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1  # unsafe / criterion rejected
-EXIT_FRONTEND = 2  # parse or guardedness errors
+EXIT_FRONTEND = 2  # parse or guardedness errors; simple-type errors of run
 EXIT_STOPPED = 3  # execution ended in a RuntimeStop
 EXIT_IO = 4
 EXIT_INTERNAL = 5  # a command raised an unexpected exception: a bug
@@ -68,11 +68,13 @@ def exit_code_for(report: dict) -> int:
     if report["error"] == "internal":
         return EXIT_INTERNAL
     v = report["verdicts"]
+    cmd = report["command"]
     if v["parse"] is False or v["guarded"] is False:
+        return EXIT_FRONTEND
+    if cmd == "run" and v["simple_type"] is False:
         return EXIT_FRONTEND
     if report["stop"] is not None:
         return EXIT_STOPPED
-    cmd = report["command"]
     if cmd == "check":
         if v["simple_type"] is False or v["safety"] is False:
             return EXIT_NEGATIVE
@@ -237,18 +239,24 @@ def cmd_run(args) -> int:
                 raise ValueError(f"--oracle expects Name=spec, got {item!r}")
             name, _, spec = item.partition("=")
             oracles[name] = secondorder.make_oracle(spec)
-        return budget, program, inputs, oracles
+        if isinstance(program, Program1):
+            return program, inputs, interp1.Interp(budget, args.monitor)
+        return program, inputs, secondorder.Interp2(program, oracles, budget, args.monitor)
 
     loaded = front_end(report, args.json, load)
     if loaded is None:
         return report["exit_code"]
-    budget, program, inputs, oracles = loaded
+    program, inputs, interp = loaded
 
     if isinstance(program, Program1):
-        interp = interp1.Interp(budget, args.monitor)
         param_names, start = program.params, functools.partial(interp.run, program)
     else:
-        interp = secondorder.Interp2(program, oracles, budget, args.monitor)
+        try:
+            secondorder.simple_typecheck(program)
+        except secondorder.SimpleTypeError as exc:
+            report["verdicts"]["simple_type"] = False
+            report["explanation"] = str(exc)
+            return emit(report, args.json, [f"simple-type error: {exc}"])
         param_names, start = program.boxed_words, interp.run
     values = []
     for name in param_names:

@@ -15,12 +15,13 @@ compile time; a node that is not an expression or a statement raises
 ``TypeError`` when it is compiled.  The interpreter owns the step budget,
 store-size accounting (kept incrementally for the current frame), loops
 with the monitor, and the ``(loop_id, serial)`` activation labels of
-oracle-break events.  Oracle calls and oracle breaks go through its
-``apply_oracle`` hook, which rejects them in a first-order run;
-``secondorder.Interp2`` extends the core with procedures, closures and
-oracles.  A run starts as ``Interp(budget, monitor).run(program, inputs)``,
-which returns the result word or raises a ``RuntimeStop``; either way
-``interp.stats`` then holds the run's statistics, and a stop carries none.
+oracle-break events.  Oracle calls and oracle breaks, which the parser
+admits only in second-order programs, go through the ``apply_oracle`` hook
+that ``secondorder.Interp2`` adds with procedures and closures.
+``Interp(budget, monitor).run(program, inputs)`` raises ``ValueError`` on a
+wrong input count before its first step; otherwise it returns the result
+word or raises a ``RuntimeStop``, and either way ``interp.stats`` then
+holds the run's statistics; a stop carries none.
 Program and procedure bodies run through ``run_body``; any single statement
 runs as its closure, ``interp.compiled(s)(interp, store)``.
 
@@ -128,10 +129,6 @@ class AperiodicityViolation(RuntimeStop):
         self.loop_id = loop_id
         self.iteration = iteration
         self.witness = witness
-
-
-class ExecError(RuntimeStop):
-    subcode = "exec-error"
 
 
 class LoopMonitorState(Record):
@@ -257,10 +254,6 @@ class Interp:
         self.size = store_size(store)
         if self.size > self.stats.max_store_size:
             self.stats.max_store_size = self.size
-
-    def apply_oracle(self, store: dict, name: str, args: list) -> str:
-        """Answer of oracle ``name`` on ``args``; a first-order run has none."""
-        raise ExecError("oracle calls cannot occur in first-order programs")
 
     def compiled(self, s):
         """The closure running statement ``s`` and its prefix, compiled once."""
@@ -474,7 +467,7 @@ class Interp:
 
     def run(self, program: Program1, inputs) -> str:
         if len(inputs) != len(program.params):
-            raise ExecError(
+            raise ValueError(
                 f"program expects {len(program.params)} inputs, got {len(inputs)}"
             )
         store = dict(zip(program.params, map(words.word, inputs)))

@@ -21,7 +21,7 @@ its language, and ``parse_file`` rejects a file holding the other one.
 Each fact is settled where it is read: a ``for`` loop is expanded once its
 body is parsed, and an order-1 variable takes the arity of its uses in its
 procedure body or in the main term (1 if it has none); a use that disagrees
-is a parse error.
+is a parse error, and so is any oracle call in a first-order program.
 
 The scanner splits the text with one regular expression into whitespace
 and candidate tokens, classifies each distinct candidate once, and gives
@@ -200,7 +200,7 @@ class _Parser:
         self.loops = 0  # while loops numbered so far, in pre-order
         self.cursor = (0, tokens.gaps[0], 1 + tokens.text.count("\n", 0, tokens.gaps[0]))
         # Oracle variable -> arity of its uses in the procedure body or main
-        # term being parsed; None in a first-order program (no arity rule).
+        # term being parsed; None in a first-order program, which has none.
         self.arities = None
         self.procedures = {}  # name -> Procedure, for the main term's calls
         self.last_use = {}  # order-0 variable -> position of its last use so far
@@ -239,7 +239,9 @@ class _Parser:
     def record_arity(self, pos, arity):
         """Note a use of the oracle variable at ``pos`` at ``arity``."""
         name = self.values[pos]
-        if self.arities is not None and self.arities.setdefault(name, arity) != arity:
+        if self.arities is None:
+            raise self.error("oracle calls cannot occur in first-order programs", pos)
+        if self.arities.setdefault(name, arity) != arity:
             raise self.error(f"inconsistent arity for oracle variable {name}", pos)
 
     def too_deep(self, pos) -> ParseError:

@@ -41,8 +41,7 @@ from a finite range.
 Oracle calls (second-order bodies) are handled by the same generator:
 their level is the infinite sentinel, which only the first operand of
 truncate and a break accept (guardedness admits only an oracle break); every
-other use, a declass operand included, is reported unsafe.  A first-order
-run cannot answer an oracle node, so ``infer_safety`` reports each unsafe.
+other use, a declass operand included, is reported unsafe.
 """
 
 from __future__ import annotations
@@ -66,11 +65,11 @@ from .syntax import (
     Skip,
     Var,
     While,
-    expr_vars,
     is_finite,
     iter_stmts,
     level_str,
     program_vars,
+    stmt_vars,
 )
 
 
@@ -78,7 +77,6 @@ from .syntax import (
 # Constraint system
 
 INF = INFINITY  # expression-level sentinel; never a solver unknown
-NO_ORACLES = "{what}: oracle calls cannot occur in first-order programs"
 
 
 def _describe(node) -> str:
@@ -240,11 +238,10 @@ class Constraints:
 class LevelAnalysis:
     """Generates constraints for one statement tree (a program or procedure body)."""
 
-    def __init__(self, first_order: bool = False):
+    def __init__(self):
         self.cs = Constraints()
         self.var_ids: dict = {}  # variable name -> its unknown
         self.loop_ids: dict = {}  # loop id -> its unknown
-        self.first_order = first_order  # a first-order body runs no oracle node
 
     # -- terms; a context level (inner or outer) is None outside loops and
     # the unknown of a loop inside one
@@ -317,8 +314,6 @@ class LevelAnalysis:
                                    "below the innermost loop level", e, None))
             return result
         if kind is OracleCall:
-            if self.first_order:
-                cs.fail(NO_ORACLES, e)
             for a in e.args:
                 self.gen_expr(a, tin, tout)
             return INF
@@ -390,8 +385,6 @@ class LevelAnalysis:
                 cs.le(tin, t, "{what}: a break guard sits at or above the innermost loop level", s)
             return [tin]
         if kind is OracleBreak:
-            if self.first_order:
-                cs.fail(NO_ORACLES, s)
             for a in s.call_args:
                 self.gen_expr(a, tin, tout)
             for v in s.ref_vars:
@@ -551,18 +544,17 @@ def infer_safety(
     # Generation gives every variable of the body its unknown as it meets
     # it; only parameters and the result may not occur there.
     names = set(program.params) | {program.ret}
-    return infer_levels(program.body, names, config, first_order=True)
+    return infer_levels(program.body, names, config)
 
 
-def infer_levels(body, names, config=None, first_order=False) -> InferenceResult:
+def infer_levels(body, names, config=None) -> InferenceResult:
     """Level inference for one statement tree (a program or procedure body).
 
     ``names`` are variables to solve for besides those of the body; the body
-    is typed from the loop-free context; a ``first_order`` body holding an
-    oracle node is unsafe.  The derivation is left to the result to build on
-    demand.
+    is typed from the loop-free context.  The derivation is left to the
+    result to build on demand.
     """
-    analysis = LevelAnalysis(first_order)
+    analysis = LevelAnalysis()
     for name in sorted(names):
         analysis.var_term(name)
     floors = analysis.gen_stmt(body, None, None)
@@ -806,7 +798,7 @@ def brute_force_safe(program: Program1, max_level: int) -> bool:
                     out = frozenset(
                         t for t in levels if any(l <= t <= tout for l in lows)
                     )
-            elif isinstance(e, OpApp):
+            else:  # OpApp: a first-order program holds no oracle call
                 arg_sets = [expr_levels(a, tin, tout) for a in e.args]
                 out = set()
                 for args in itertools.product(*arg_sets):
@@ -814,8 +806,6 @@ def brute_force_safe(program: Program1, max_level: int) -> bool:
                         if opreg.delta_membership(e.op, tin, tout, args + (r,)):
                             out.add(r)
                 out = frozenset(out)
-            else:
-                out = frozenset()  # oracle calls never reach a finite level
             memo_e[key] = out
             return out
 
@@ -854,11 +844,9 @@ def brute_force_safe(program: Program1, max_level: int) -> bool:
                     if tau in stmt_pres(s.body, tau, inner_out):
                         base.add(tau)
                 out = up(base)
-            elif isinstance(s, Break):
+            else:  # Break: a first-order program holds no oracle break
                 g = expr_levels(s.guard, tin, tout)
                 out = up({tin}) if any(l >= tin for l in g) else frozenset()
-            else:
-                out = frozenset()
             memo_s[key] = out
             return out
 
@@ -891,7 +879,7 @@ def check_for_program(program: Program1) -> str | None:
 
 def _constant_word(e) -> str | None:
     """The value of ``e`` when it has no variables and does not fail."""
-    if expr_vars(e):
+    if stmt_vars(e):
         return None
     try:
         return interp1.Interp().evaluate(e, {})

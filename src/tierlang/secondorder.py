@@ -34,19 +34,19 @@ run.  A repeat of one of the run's ``PROG_ANSWERS`` most recent ``prog:``
 calls takes its answer from that table and the steps its first run took,
 unless they pass the budget left, so answers, steps and stops are those of
 fresh runs.  A run starts as ``Interp2(program, oracles, budget, monitor).run(inputs)``,
-where ``oracles`` maps each boxed oracle name to an ``Oracle`` of its arity,
-which ``run`` checks; after a result or a ``RuntimeStop``, ``interp.stats``
-holds the whole run's statistics, a stop inside a ``prog:`` oracle included.
-The boxed oracles live in the run's oracle table (``Interp2.boxed``), never
-in a store, so every store holds words only.  A closure variable the table
-lacks denotes the constant empty function, even when an oracle was supplied
-under that unboxed name.
+where ``program`` passes ``simple_typecheck`` and ``oracles`` maps each boxed
+oracle name to an ``Oracle`` of its arity; a missing or mismatched oracle,
+or a wrong input count, is a ``ValueError`` before the run starts.  After a
+result or a ``RuntimeStop``, ``interp.stats`` holds the whole run's
+statistics, a stop inside a ``prog:`` oracle included.  The boxed oracles
+live in the run's oracle table (``Interp2.boxed``), never in a store, so
+every store holds words only.
 """
 
 from __future__ import annotations
 
 from . import interp1, opreg, words
-from .interp1 import DEFAULT_BUDGET, ExecError
+from .interp1 import DEFAULT_BUDGET
 from .parser import parse_file, pp_expr
 from .safety1 import InferenceResult, infer_levels
 from .syntax import (
@@ -65,10 +65,10 @@ from .syntax import (
     Record,
     TermVar,
     While,
+    collect_names,
     iter_exprs,
     level_str,
     seq_chain,
-    stmt_oracle_calls,
     stmt_vars,
 )
 
@@ -189,20 +189,22 @@ def simple_typecheck(program: Program2) -> str:
     boxed_words = set(program.boxed_words)
     boxed_oracles = {n for n, _ in program.boxed_oracles}
 
-    # Closed procedures: every name used in a body is a parameter or local.
+    # Closed procedures: every name used in a body is a parameter or local,
+    # and every oracle it calls is an oracle parameter.
     for p in program.procedures:
-        scope = set(p.params) | set(p.locals)
-        loose = (stmt_vars(p.body) | {p.ret}) - scope
+        names, oracles = {p.ret}, []
+        collect_names(p.body, names, oracles)
+        loose = names.difference(p.params, p.locals)
         if loose:
             raise SimpleTypeError(
                 f"procedure {p.name} is not closed: {sorted(loose)}"
             )
         oracle_params = {n for n, _ in p.oracle_params}
-        for call in stmt_oracle_calls(p.body):
-            if call.oracle not in oracle_params:
+        for oracle in oracles:
+            if oracle not in oracle_params:
                 raise SimpleTypeError(
                     f"procedure {p.name}: oracle variable "
-                    f"{call.oracle} is not a parameter"
+                    f"{oracle} is not a parameter"
                 )
 
     # Pairwise-disjoint binder sets of the procedures; a free name of the
@@ -364,10 +366,6 @@ class Oracle(Record):
         self.program = program
 
 
-class OracleFailure(ValueError):
-    """An oracle spec that gives no oracle; raised while the inputs are loaded."""
-
-
 def _bitflip(w: str) -> str:
     return w.translate(str.maketrans("01", "10"))
 
@@ -377,7 +375,8 @@ def make_oracle(spec: str) -> Oracle:
 
     ``builtin:append1``, ``builtin:double``, ``builtin:bitflip``,
     ``builtin:const:WORD``, or ``prog:PATH`` (a first-order program file;
-    its parameter count is the oracle's arity).
+    its parameter count is the oracle's arity).  Any other spec, like a
+    missing or mismatched oracle at ``Interp2``, is a ``ValueError``.
     """
     if spec.startswith("builtin:"):
         rest = spec[len("builtin:"):]
@@ -390,14 +389,14 @@ def make_oracle(spec: str) -> Oracle:
         if rest.startswith("const:"):
             value = words.word(rest[len("const:"):])
             return Oracle(spec, 1, lambda _w, value=value: value)
-        raise OracleFailure(f"unknown builtin oracle {rest!r}")
+        raise ValueError(f"unknown builtin oracle {rest!r}")
     if spec.startswith("prog:"):
         path = spec[len("prog:"):]
         if path.endswith(".tl2"):
-            raise OracleFailure(f"{path} is a .tl2 file; a prog: oracle is a first-order program")
+            raise ValueError(f"{path} is a .tl2 file; a prog: oracle is a first-order program")
         prog = parse_file(path)
         return Oracle(spec, len(prog.params), program=prog)
-    raise OracleFailure(f"unknown oracle spec {spec!r}")
+    raise ValueError(f"unknown oracle spec {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -407,31 +406,38 @@ PROG_ANSWERS = 8  # the prog: oracle answers one run keeps
 
 
 class Interp2(interp1.Interp):
-    """The evaluator core plus procedures, closures and oracle application."""
+    """The evaluator core plus procedures, closures and oracle application.
+
+    It runs only programs that ``simple_typecheck`` accepts: every procedure
+    called is declared and called at its shape, every oracle called is bound
+    to a closure of its arity, and every closure variable names a boxed oracle.
+    """
 
     def __init__(self, program: Program2, oracles: dict,
                  budget: int = DEFAULT_BUDGET, monitor: bool = False):
         super().__init__(budget, monitor)
         self.program = program
         self.sigma = {p.name: p for p in program.procedures}
-        self.oracles = oracles
         self.boxed: dict = {}  # boxed oracle names -> the run's oracles
+        for (name, arity) in program.boxed_oracles:
+            oracle = oracles.get(name)
+            if oracle is None:
+                raise ValueError(f"no oracle supplied for {name}")
+            if oracle.arity != arity:
+                raise ValueError(
+                    f"oracle for {name} must have arity {arity}, got {oracle.arity}"
+                )
+            self.boxed[name] = oracle
         self.env: dict = {}  # oracle parameters of the running call -> closures
         self.sub = interp1.Interp()  # runs every prog: oracle
         self.answers: dict = {}  # (id(oracle), *args) -> (answer, steps), oldest first
 
     def apply_oracle(self, store, name, args):
         self.stats.oracle_calls += 1
-        closure = self.env.get(name)
-        if closure is None:
-            raise ExecError(f"oracle variable {name} is not bound here")
+        closure = self.env[name]
         self.tick()
         if isinstance(closure, ClosureVar):
-            # A name that is not boxed denotes the constant empty function.
-            oracle = self.boxed.get(closure.name)
-            return words.EPSILON if oracle is None else self.call_external(oracle, args)
-        if len(closure.params) != len(args):
-            raise ExecError(f"closure for {name} got {len(args)} argument(s)")
+            return self.call_external(self.boxed[closure.name], args)
         inner = dict(store)
         inner.update(zip(closure.params, args))
         return self.eval_term(inner, closure.body)
@@ -470,42 +476,27 @@ class Interp2(interp1.Interp):
         self.tick()
         if isinstance(t, TermVar):
             return store.get(t.name, words.EPSILON)
-        if isinstance(t, Call):
-            proc = self.sigma.get(t.proc)
-            if proc is None:
-                raise ExecError(f"undeclared procedure {t.proc}")
-            values = [self.eval_term(store, a) for a in t.args]
-            if len(values) != len(proc.params) or len(t.closures) != len(proc.oracle_params):
-                raise ExecError(f"call of {t.proc} does not match its parameter list")
-            frame = dict(store)
-            frame.update(zip(proc.params, values))
-            frame.update({name: words.EPSILON for name in proc.locals})
-            # A stop ends the run, so the caller's frame size and environment
-            # need no restoring on the way out of an exception.
-            caller_size, caller_env = self.size, self.env
-            self.env = {oname: closure
-                        for (oname, _), closure in zip(proc.oracle_params, t.closures)}
-            where = f"the body of procedure {t.proc}"
-            result = self.run_body(frame, proc.body, proc.ret, where)
-            self.size, self.env = caller_size, caller_env
-            return result
-        raise ExecError(f"not a term: {t!r}")
+        proc = self.sigma[t.proc]
+        values = [self.eval_term(store, a) for a in t.args]
+        frame = dict(store)
+        frame.update(zip(proc.params, values))
+        frame.update({name: words.EPSILON for name in proc.locals})
+        # A stop ends the run, so the caller's frame size and environment
+        # need no restoring on the way out of an exception.
+        caller_size, caller_env = self.size, self.env
+        self.env = {oname: closure
+                    for (oname, _), closure in zip(proc.oracle_params, t.closures)}
+        where = f"the body of procedure {t.proc}"
+        result = self.run_body(frame, proc.body, proc.ret, where)
+        self.size, self.env = caller_size, caller_env
+        return result
 
     def run(self, inputs) -> str:
         if len(inputs) != len(self.program.boxed_words):
-            raise ExecError(
+            raise ValueError(
                 f"program expects {len(self.program.boxed_words)} word "
                 f"input(s), got {len(inputs)}"
             )
-        for (name, arity) in self.program.boxed_oracles:
-            oracle = self.oracles.get(name)
-            if oracle is None:
-                raise ExecError(f"no oracle supplied for {name}")
-            if oracle.arity != arity:
-                raise ExecError(
-                    f"oracle for {name} must have arity {arity}, got {oracle.arity}"
-                )
-            self.boxed[name] = oracle
         store = dict(zip(self.program.boxed_words, map(words.word, inputs)))
         return self.eval_term(store, self.program.main)
 

@@ -2,10 +2,8 @@
 
 First-order programs are ``Program1``; second-order programs with
 procedures, closures, and oracle calls are ``Program2``.  Statements and
-expressions are shared between the two.  The parser accepts ``OracleCall``
-and ``OracleBreak`` in a first-order program too: ``check`` reports every
-such program unsafe, and a first-order run stops with ``exec-error`` when it
-reaches one.
+expressions are shared between the two, but the parser admits
+``OracleCall`` and ``OracleBreak`` only in a second-order program.
 Nodes are treated as immutable after parsing, though nothing enforces it;
 every node is a ``Record``, equal to another of its class with equal
 fields, and the expressions and terms are ``Frozen``, so they hash.
@@ -297,20 +295,6 @@ def iter_exprs(e: Expr) -> Iterator[Expr]:
             stack += (e.bound, e.expr)
 
 
-def stmt_exprs(s: Stmt) -> Iterator[Expr]:
-    """The expressions occurring directly in one statement node."""
-    if isinstance(s, Assign):
-        yield s.expr
-    elif isinstance(s, (If, While, Break)):
-        yield s.guard
-    elif isinstance(s, OracleBreak):
-        yield OracleCall(s.oracle, s.call_args)
-        yield OracleCall(s.oracle, tuple(Var(v) for v in s.ref_vars))
-    elif isinstance(s, For):
-        yield s.low
-        yield s.high
-
-
 def iter_stmts(s: Stmt) -> Iterator[Stmt]:
     """Pre-order traversal of a statement tree, on an explicit stack."""
     stack = [s]
@@ -323,18 +307,6 @@ def iter_stmts(s: Stmt) -> Iterator[Stmt]:
             stack += (s.orelse, s.then)
         elif isinstance(s, (While, For)):
             stack.append(s.body)
-
-
-def stmt_oracle_calls(s: Stmt) -> Iterator[OracleCall]:
-    """The oracle calls of a statement tree in pre-order.
-
-    An oracle break gives both of its calls, the reference call included.
-    """
-    for st in iter_stmts(s):
-        for e in stmt_exprs(st):
-            for sub in iter_exprs(e):
-                if isinstance(sub, OracleCall):
-                    yield sub
 
 
 def seq_chain(s: Stmt) -> list:
@@ -356,14 +328,6 @@ def seq_of(parts: list) -> Stmt:
     return stmts[0] if stmts else Skip()
 
 
-def expr_vars(e: Expr) -> set:
-    out = set()
-    for sub in iter_exprs(e):
-        if isinstance(sub, Var):
-            out.add(sub.name)
-    return out
-
-
 def undeclassified_vars(e) -> frozenset:
     """The variables of e that are not shielded by a declass first operand."""
     if isinstance(e, Var):
@@ -378,19 +342,57 @@ def undeclassified_vars(e) -> frozenset:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def stmt_vars(s: Stmt) -> set:
-    """All order-0 variable names occurring in a statement tree."""
-    out = set()
-    for st in iter_stmts(s):
-        if isinstance(st, Assign):
-            out.add(st.var)
-        elif isinstance(st, OracleBreak):
-            out.update(st.ref_vars)
-        elif isinstance(st, For):
-            out.add(st.var)
-        for e in stmt_exprs(st):
-            out.update(expr_vars(e))
-    return out
+def collect_names(node, names: set, oracles: list) -> None:
+    """Add the names a statement or expression tree uses to ``names`` and ``oracles``.
+
+    ``names`` gets its order-0 variables, and ``oracles`` the oracle of each
+    of its oracle calls in pre-order, an oracle break counting as one call.
+    """
+    kind = type(node)
+    if kind is Var:
+        names.add(node.name)
+    elif kind is OpApp:
+        for a in node.args:
+            collect_names(a, names, oracles)
+    elif kind is Assign:
+        names.add(node.var)
+        collect_names(node.expr, names, oracles)
+    elif kind is Seq:
+        for st in node.stmts:
+            collect_names(st, names, oracles)
+    elif kind is OracleCall:
+        oracles.append(node.oracle)
+        for a in node.args:
+            collect_names(a, names, oracles)
+    elif kind is Declass:
+        collect_names(node.expr, names, oracles)
+        collect_names(node.bound, names, oracles)
+    elif kind is If:
+        collect_names(node.guard, names, oracles)
+        collect_names(node.then, names, oracles)
+        collect_names(node.orelse, names, oracles)
+    elif kind is While:
+        collect_names(node.guard, names, oracles)
+        collect_names(node.body, names, oracles)
+    elif kind is Break:
+        collect_names(node.guard, names, oracles)
+    elif kind is OracleBreak:
+        oracles.append(node.oracle)
+        for a in node.call_args:
+            collect_names(a, names, oracles)
+        names.update(node.ref_vars)
+    elif kind is For:
+        names.add(node.var)
+        collect_names(node.low, names, oracles)
+        collect_names(node.high, names, oracles)
+        collect_names(node.body, names, oracles)
+
+
+def stmt_vars(node) -> set:
+    """All order-0 variable names occurring in a statement or expression tree."""
+    names = set()
+    collect_names(node, names, [])
+    return names
 
 
 def program_vars(p: Program1) -> set:

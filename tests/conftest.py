@@ -8,8 +8,10 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 from tierlang import parser  # noqa: E402
 from tierlang.interp1 import DEFAULT_BUDGET, Interp  # noqa: E402
-from tierlang.secondorder import Interp2  # noqa: E402
-from tierlang.syntax import Program2  # noqa: E402
+from tierlang.secondorder import Interp2, simple_typecheck  # noqa: E402
+from tierlang.syntax import (  # noqa: E402
+    Assign, Break, For, If, OracleBreak, OracleCall, Program2, Var, While,
+)
 
 
 def corpus(name: str) -> str:
@@ -17,12 +19,34 @@ def corpus(name: str) -> str:
 
 
 def run(program, inputs, oracles=None, budget=DEFAULT_BUDGET, monitor=False):
-    """(result, stats) of a run of either order that ends in a result."""
+    """(result, stats) of a run of either order that ends in a result.
+
+    A second-order program is simply typed first, as ``tierlang run`` does:
+    ``Interp2`` runs only typed programs.
+    """
     if isinstance(program, Program2):
+        simple_typecheck(program)
         interp = Interp2(program, oracles or {}, budget, monitor)
         return interp.run(inputs), interp.stats
     interp = Interp(budget, monitor)
     return interp.run(program, inputs), interp.stats
+
+
+def stmt_exprs(s):
+    """The expressions occurring directly in one statement node.
+
+    An oracle break gives its call and its reference call.
+    """
+    if isinstance(s, Assign):
+        yield s.expr
+    elif isinstance(s, (If, While, Break)):
+        yield s.guard
+    elif isinstance(s, OracleBreak):
+        yield OracleCall(s.oracle, s.call_args)
+        yield OracleCall(s.oracle, tuple(Var(v) for v in s.ref_vars))
+    elif isinstance(s, For):
+        yield s.low
+        yield s.high
 
 
 def procedure(program, name: str):

@@ -249,33 +249,61 @@ def test_run_second_order(capsys):
 
 
 def test_an_oracle_under_an_unboxed_name_binds_nothing(tmp_path, capsys):
-    # G is not boxed, so it denotes the constant empty function whatever
-    # oracle the command line supplies under that name.
+    # G is not boxed, so the program does not simply type, and run refuses
+    # it before it starts, whatever oracle the command line supplies under
+    # that name.
     path = tmp_path / "unboxed.tl2"
     path.write_text("box[F, z] in\n"
                     "declare p(X, y){ var t; t := X(y) return t } in\n"
                     "call p(G, z)\n")
     argv = ["run", str(path), "--oracle", "F=builtin:double", "--input", "z=1"]
     code, report = run_json(capsys, *argv)
-    assert (code, report["result"], report["stats"]["oracle_calls"]) == (0, "", 1)
+    assert (code, report["verdicts"]["simple_type"], report["verdicts"]["ran"]) == (2, False, None)
+    assert report["explanation"] == "closure variable G is not a boxed oracle"
+    assert (report["result"], report["stats"]) == (None, None)
     assert run_json(capsys, *argv, "--oracle", "G=builtin:append1") == (code, report)
+    assert run_cli(capsys, *argv) == (
+        2, "simple-type error: closure variable G is not a boxed oracle\n"
+    )
 
 
-@pytest.mark.parametrize("source", [
-    "prog(x){ y := truncate(F(x), x) return y }",
-    "prog(x, y){ break(|F(x)| > |F(y)|) return x }",
+def test_a_well_typed_run_leaves_the_type_verdict_open(capsys):
+    # run types the program, but reports only a failure, as it leaves the
+    # guardedness verdict to check.
+    code, report = run_json(capsys, "run", corpus("I.tl2"), "--oracle", "F=builtin:append1")
+    assert code == 0
+    assert report["verdicts"] == {
+        "parse": True, "guarded": None, "simple_type": None, "safety": None,
+        "for_program": None, "aperiodic": None, "ran": True,
+    }
+
+
+@pytest.mark.parametrize("source, where", [
+    ("prog(x){ y := truncate(F(x), x) return y }", "1:24"),
+    ("prog(x, y){ break(|F(x)| > |F(y)|) return x }", "1:20"),
 ], ids=["truncate", "break"])
-def test_a_first_order_oracle_node_is_unsafe_and_cannot_run(tmp_path, capsys, source):
+def test_a_first_order_oracle_node_is_unsafe_and_cannot_run(tmp_path, capsys, source, where):
     path = tmp_path / "oracle.tl"
     path.write_text(source + "\n")
-    message = "oracle calls cannot occur in first-order programs"
-    for command in ("check", "forcheck"):
-        code, report = run_json(capsys, command, str(path))
-        assert (code, report["verdicts"]["safety"]) == (1, False)
-        assert report["explanation"].endswith(": " + message)
-        assert "F(" in report["explanation"]
-    code, report = run_json(capsys, "run", str(path), "--input", "x=1", "--input", "y=1")
-    assert (code, report["stop"]) == (3, {"kind": "exec-error", "message": message})
+    explanation = f"oracle calls cannot occur in first-order programs at {where}"
+    for argv in (["check"], ["forcheck"], ["run", "--input", "x=1", "--input", "y=1"]):
+        code, report = run_json(capsys, argv[0], str(path), *argv[1:])
+        assert (code, report["verdicts"]["parse"]) == (2, False)
+        assert report["explanation"] == explanation
+
+
+def test_a_run_without_its_oracle_is_an_io_error(capsys):
+    report = assert_io_error(capsys, "run", corpus("I.tl2"), "--input", "u=1")
+    assert report["explanation"] == "no oracle supplied for F"
+    assert report["verdicts"]["ran"] is None
+
+
+def test_a_prog_oracle_of_the_wrong_arity_is_an_io_error(tmp_path, capsys):
+    pair = tmp_path / "pair.tl"
+    pair.write_text("prog(a, b){ c := a + b return c }\n")
+    report = assert_io_error(capsys, "run", corpus("I.tl2"), "--oracle", f"F=prog:{pair}")
+    assert report["explanation"] == "oracle for F must have arity 1, got 2"
+    assert report["verdicts"]["ran"] is None
 
 
 def readme_command_lines() -> list:
@@ -396,6 +424,10 @@ def test_simple_type_errors_are_explained(tmp_path, capsys, source, explanation)
     assert code == 1
     assert report["verdicts"]["simple_type"] is False
     assert report["explanation"] == explanation
+    # run refuses the program with the same explanation, as a front-end error
+    code, report = run_json(capsys, "run", str(path), "--oracle", "F=builtin:append1")
+    assert (code, report["verdicts"]["simple_type"], report["verdicts"]["ran"]) == (2, False, None)
+    assert report["explanation"] == explanation
 
 
 def test_ops_listing(capsys):
@@ -515,16 +547,20 @@ def test_delta_levels_are_ints_or_inf(tmp_path, capsys):
     assert_io_error(capsys, "check", corpus("bubble.tl"), "--delta", str(config))
 
 
-def test_exit_codes_pure_function_of_report(capsys):
+def test_exit_codes_pure_function_of_report(tmp_path, capsys):
+    ill_typed = tmp_path / "ill_typed.tl2"
+    ill_typed.write_text("box[z] in declare p(,y){skip return y} in call p(,w)\n")
     cases = [
         ("check", corpus("bubble.tl")),
         ("check", corpus("inc_loop.tl")),
         ("forcheck", corpus("exp2.tl")),
         ("ops",),
+        ("run", str(ill_typed)),
     ]
     for argv in cases:
         code, report = run_json(capsys, *argv)
         assert cli.exit_code_for(report) == code
+    assert (code, report["verdicts"]["simple_type"]) == (2, False)
 
 
 def test_internal_error_gets_a_report(capsys, monkeypatch):

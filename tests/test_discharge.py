@@ -21,7 +21,7 @@ import treecheck
 from conftest import ORACLE_BREAK_WITH_OPERATORS, corpus
 from tierlang import genprog, parser
 from tierlang.interp1 import Interp, RuntimeStop
-from tierlang.secondorder import Interp2, make_oracle
+from tierlang.secondorder import Interp2, Oracle, make_oracle
 from tierlang.syntax import (
     Assign, If, OpApp, Program1, Seq, Skip, Var, While, assign_loop_ids, iter_stmts, seq_of,
 )
@@ -289,7 +289,7 @@ def test_a_desugared_for_loop_in_the_body_keeps_discharge():
 def test_oracle_break_shrinking_in_a_branch_stays_observed():
     program = parser.parse(ORACLE_BREAK_WITH_OPERATORS)
     assert discharged_ids(program) == set()
-    oracles = {"F": make_oracle("builtin:append1")}
+    oracles = {"F": Oracle("pair", 2, lambda a, b: a + b)}
     for z in ["", "1", "11#0", "1111"]:
         assert outcome(lambda: Interp2(program, oracles, BUDGET, True), [z]) == (
             outcome(lambda: WatchAll2(program, oracles, BUDGET, True), [z])

@@ -14,7 +14,6 @@ from tierlang import parser
 from tierlang.interp1 import (
     AperiodicityViolation,
     BudgetExhausted,
-    ExecError,
     Interp,
     LoopMonitorState,
     TopLevelBreak,
@@ -107,18 +106,26 @@ def test_seq_short_circuits_on_break():
     ],
     ids=["oracle-call", "oracle-break"],
 )
-def test_an_oracle_node_fails_in_place_in_a_first_order_run(bad, steps):
-    # It fails after its operands are evaluated (and ticked), and keeps its
-    # place at every budget: below its step the run stops on the budget,
-    # from it on with the error.
+def test_an_oracle_node_reaches_its_hook_in_place(bad, steps):
+    # The core hands an oracle node to the ``apply_oracle`` hook, which
+    # ``secondorder.Interp2`` defines, after its operands are evaluated (and
+    # ticked), and keeps that place at every budget: below the hook's step
+    # the run stops on the budget, from it on in the hook.
+    class Reached(Exception):
+        pass
+
+    class Hooked(Interp):
+        def apply_oracle(self, store, name, args):
+            raise Reached(name, args)
+
     stmt = Seq([Skip(), If(Var("x"), bad, Skip())])
     assert execute({"x": "0"}, stmt)[1].stats.steps == 5
-    failing_step = 4 + steps
-    for budget in range(failing_step + 3):
-        interp = Interp(budget)
-        with pytest.raises(BudgetExhausted if budget < failing_step else ExecError):
+    hook_step = 4 + steps
+    for budget in range(hook_step + 3):
+        interp = Hooked(budget)
+        with pytest.raises(BudgetExhausted if budget < hook_step else Reached):
             execute({"x": "1"}, stmt, interp)
-        assert interp.stats.steps == min(budget + 1, failing_step)
+        assert interp.stats.steps == min(budget + 1, hook_step)
 
 
 def test_if_dispatches_on_truthiness():
@@ -158,16 +165,13 @@ def test_budget_exhaustion():
 
 
 def test_input_arity_checked():
+    # A wrong input count is a fault of the caller's inputs, raised before
+    # the run takes its first step.
     p = parser.parse("prog(x){skip return x}")
-    with pytest.raises(ExecError):
-        Interp().run(p, ["1", "0"])
-
-
-def test_oracle_call_rejected_in_first_order():
-    from tierlang.syntax import OracleCall
-
-    with pytest.raises(ExecError):
-        evaluate({}, OracleCall("F", (Var("x"),)))
+    interp = Interp()
+    with pytest.raises(ValueError, match="program expects 1 inputs, got 2"):
+        interp.run(p, ["1", "0"])
+    assert interp.stats.steps == 0
 
 
 def test_bubble_sorts(bubble):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ROOT, corpus, procedure, straight_line
+from conftest import ROOT, corpus, procedure, stmt_exprs, straight_line
 from test_levels import GENPROG_CASES, GENPROG_SEED
 from tokencheck import tokenize_stepwise
 from tierlang import genprog, parser
@@ -27,7 +27,6 @@ from tierlang.syntax import (
     assign_loop_ids,
     iter_exprs,
     iter_stmts,
-    stmt_exprs,
     stmt_vars,
 )
 
@@ -185,8 +184,11 @@ def test_unused_oracles_get_arity_one():
 
 
 def test_first_order_oracle_calls_have_no_arity_rule():
-    p = parse("prog(x){ y := F(x); z := F(x, x) return y }")
-    assert isinstance(p, Program1)
+    # A first-order program calls no oracle: its first oracle call is a
+    # parse error at that call, before any arity could disagree.
+    with pytest.raises(ParseError, match="oracle calls cannot occur in first-order programs") as err:
+        parse("prog(x){\n y := F(x); z := F(x, x) return y }")
+    assert (err.value.line, err.value.col) == (2, 7)
 
 
 def test_empty_closure_list_syntax():

@@ -6,7 +6,7 @@ import pytest
 from conftest import ORACLE_BREAK_WITH_OPERATORS, corpus, procedure, run
 from tokencheck import tokenize_stepwise
 from tierlang import interp1, parser, secondorder as so
-from tierlang.interp1 import AperiodicityViolation, BudgetExhausted, ExecError
+from tierlang.interp1 import AperiodicityViolation, BudgetExhausted
 from tierlang.safety1 import check_derivation
 from tierlang.syntax import (
     Assign,
@@ -16,7 +16,6 @@ from tierlang.syntax import (
     OracleBreak,
     OracleCall,
     Procedure,
-    Program1,
     Program2,
     Seq,
     TermVar,
@@ -347,55 +346,51 @@ APPLY_X = Assign("t", OracleCall("X", (Var("y"),)))
 APPEND1 = {"F": so.make_oracle("builtin:append1")}
 
 
+FIRST_ORDER_ORACLE = "oracle calls cannot occur in first-order programs"
+
+
 @pytest.mark.parametrize(
-    "program, oracles, error",
+    "program, oracles, error, match",
     [
         pytest.param(
             call_p(APPLY_X, ClosureVar("F")), {},
-            "no oracle supplied for F",
+            ValueError, "no oracle supplied for F",
             id="missing-oracle",
         ),
         pytest.param(
             call_p(APPLY_X, ClosureVar("F")),
             {"F": so.Oracle("pair", 2, lambda a, b: a + b)},
-            "must have arity 1, got 2",
+            ValueError, "must have arity 1, got 2",
             id="oracle-of-wrong-arity",
         ),
         pytest.param(
             call_p(APPLY_X, ClosureVar("z")), APPEND1,
-            None,  # z is not a boxed oracle: the constant empty function
+            so.SimpleTypeError, "closure variable z is not a boxed oracle",
             id="closure-names-a-word",
         ),
         pytest.param(
             call_p(APPLY_X, ClosureVar("G")), APPEND1,
-            None,  # the constant empty function: no error, t is eps
+            so.SimpleTypeError, "closure variable G is not a boxed oracle",
             id="unbound-closure-variable",
         ),
         pytest.param(
-            Program1(["x"], Assign("y", OracleCall("F", (Var("x"),))), "y"), None,
-            "cannot occur in first-order programs",
+            "prog(x){ y := F(x) return y }", None,
+            parser.ParseError, f"{FIRST_ORDER_ORACLE} at 1:15",
             id="oracle-call-in-first-order-run",
         ),
         pytest.param(
-            Program1(["x"], While(Var("x"), OracleBreak("F", (Var("x"),), ("x",)), 1), "x"),
-            None,
-            "cannot occur in first-order programs",
+            "prog(x){ while(x){ break(|F(x)| > |F(x)|) } return x }", None,
+            parser.ParseError, f"{FIRST_ORDER_ORACLE} at 1:27",
             id="oracle-break-in-first-order-run",
         ),
     ],
 )
-def test_runtime_errors(program, oracles, error):
-    if error is None:
-        out, _ = run(program, ["1"], oracles)
-        assert out == ""
-        return
-    if isinstance(program, Program1):
-        interp, args = interp1.Interp(), (program, ["1"])
-    else:
-        interp, args = so.Interp2(program, oracles), (["1"],)
-    with pytest.raises(ExecError, match=error):
-        interp.run(*args)
-    assert interp.stats.steps <= interp.budget  # the run's stats, read after the stop
+def test_runtime_errors(program, oracles, error, match):
+    # Each fault is found before a run starts: by the parser, by simple
+    # typing (which ``run`` applies first, as ``tierlang run`` does), or as
+    # a ``ValueError`` of the supplied oracles.
+    with pytest.raises(error, match=match):
+        run(parser.parse(program) if isinstance(program, str) else program, ["1"], oracles)
 
 
 @pytest.mark.parametrize(
@@ -407,8 +402,8 @@ def test_runtime_errors(program, oracles, error):
     ids=["word-variable-names-an-oracle", "closure-names-a-word"],
 )
 def test_checker_rejects_what_the_evaluator_no_longer_guards(program, explanation):
-    # The evaluator reads an oracle name as eps and a closure naming a word
-    # as the constant empty function; the checker still rejects both.
+    # The evaluator runs only typed programs and checks neither; the
+    # checker rejects both.
     result = so.infer_safety2(program)
     assert (result.safe, result.stage) == (False, "simple-type")
     assert explanation in result.explanation
@@ -480,9 +475,9 @@ def typed_programs() -> list:
 
 @pytest.mark.parametrize("kind", [0, 1], ids=["builtin", "prog"])
 def test_well_typed_programs_make_progress(typed_programs, kind):
-    # Milner's "well-typed programs cannot go wrong": a program that passes
-    # simple typing never meets a run-time check of the evaluator, with
-    # builtin oracles or with prog: oracles, whatever else stops it.
+    # Milner's "well-typed programs cannot go wrong": a run of a program
+    # that passes simple typing, with builtin oracles or with prog: oracles,
+    # ends in a result or a RuntimeStop and raises nothing else.
     bubble_oracle = so.make_oracle(f"prog:{corpus('bubble.tl')}")
     assert len(typed_programs) > 300
     stops = set()
@@ -493,8 +488,9 @@ def test_well_typed_programs_make_progress(typed_programs, kind):
             run(program, inputs, table, budget=PROGRESS_BUDGET)
             stops.add("result")
         except interp1.RuntimeStop as stop:
-            assert not isinstance(stop, ExecError), (str(stop), parser.pretty_print(program))
             stops.add(stop.subcode)
+        except Exception as exc:
+            raise AssertionError(parser.pretty_print(program)) from exc
     assert "result" in stops
 
 

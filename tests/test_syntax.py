@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import ORACLE_BREAK_WITH_OPERATORS, corpus, stmt_exprs
 from tierlang import genprog, parser
 from tierlang.syntax import (
     Assign,
@@ -12,15 +13,16 @@ from tierlang.syntax import (
     If,
     INFINITY,
     OpApp,
+    OracleBreak,
     OracleCall,
     Program1,
     Seq,
     Skip,
     Var,
     While,
+    collect_names,
     iter_exprs,
     iter_stmts,
-    stmt_exprs,
 )
 
 
@@ -148,3 +150,44 @@ def test_iter_exprs_is_pre_order_at_the_nesting_limit():
         else:
             e = OracleCall("X", (e,))
     assert same_nodes(list(iter_exprs(e)), recursive_exprs(e))
+
+
+def generic_names(body) -> tuple:
+    """``collect_names`` of a statement tree, from the generic walks."""
+    names, oracles = set(), []
+    for s in iter_stmts(body):
+        if isinstance(s, (Assign, For)):
+            names.add(s.var)
+        exprs = list(stmt_exprs(s))
+        if isinstance(s, OracleBreak):
+            names.update(s.ref_vars)
+            exprs = exprs[:1]  # the reference call is the same oracle's
+        for e in (sub for top in exprs for sub in iter_exprs(top)):
+            if isinstance(e, Var):
+                names.add(e.name)
+            elif isinstance(e, OracleCall):
+                oracles.append(e.oracle)
+    return names, oracles
+
+
+NESTED_CALLS = """box[F, G, H, z] in
+declare p(X, Y, Z, y){ var t;
+  if(Z(y)){ t := truncate(Y(X(y), Z(t)), y) } else { t := declass(X(Z(y)), Y(t, t)) };
+  while(t){ break(|Y(Z(t), y)| > |Y(t, y)|); t := X(t) };
+  for i = u1 to y { t := Z(t) }
+  return t } in
+call p(F, G, H, z)"""
+
+
+def test_collect_names_agrees_with_the_generic_walks():
+    rng = random.Random(5)
+    bodies = [genprog.random_program(rng).body for _ in range(200)]
+    for text in [open(corpus("I.tl2")).read(), ORACLE_BREAK_WITH_OPERATORS, NESTED_CALLS]:
+        bodies += [p.body for p in parser.parse(text, desugar=False).procedures]
+    calls = 0
+    for body in bodies:
+        names, oracles = set(), []
+        collect_names(body, names, oracles)
+        assert (names, oracles) == generic_names(body)
+        calls += len(oracles)
+    assert calls >= 17
