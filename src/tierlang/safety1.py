@@ -38,10 +38,10 @@ the AST; the result keeps only that list, not the constraints.
 environments and rule-directed derivations outright, with all levels drawn
 from a finite range.
 
-Oracle calls (second-order bodies) are handled by the same generator:
-their level is the infinite sentinel, which only the first operand of
-truncate and a break accept (guardedness admits only an oracle break); every
-other use, a declass operand included, is reported unsafe.
+Oracle calls (second-order bodies) are handled by the same generator: their
+level is the infinite sentinel.  Guardedness has settled where they sit, so
+generation takes guarded bodies only: truncate's first operand accepts the
+sentinel, and a bare or declassified oracle answer is reported unsafe.
 """
 
 from __future__ import annotations
@@ -283,8 +283,6 @@ class LevelAnalysis:
             if entry.is_truncate:
                 if args[0] is not INF:
                     cs.fail("{what}: truncate's first operand must be an oracle call", e)
-                elif args[1] is INF:
-                    cs.fail("{what}: truncate's bound cannot be an oracle call", e)
                 else:
                     cs.le(tout, args[1], "{what}: the truncation bound must be at or above "
                           "the outermost loop level", e)
@@ -300,10 +298,6 @@ class LevelAnalysis:
                 return result
             edges = cs.edges
             for a in args:
-                if a is INF:
-                    cs.fail("{what}: operator {node.op} cannot be applied to an oracle "
-                            "answer; truncate or declassify it first", e)
-                    return result
                 edges.append((result, 0, a, "{what}: no upward flow through {node.op}", e, None))
             if isinstance(klass, opreg.Positive):
                 if tin is None:
@@ -371,18 +365,14 @@ class LevelAnalysis:
             inner_out = lam if tout is None else tout
             if tout is not None:
                 cs.le(lam, tout, "{what}: a nested loop's level is capped by the outermost", s)
-            t = self.gen_expr(s.guard, lam, inner_out)
-            if t is INF:
-                cs.fail("{what}: a loop cannot be guarded by an oracle answer", s)
-            else:
-                cs.eq(t, lam, "{what}: the guard types exactly at the loop level", s)
+            cs.eq(self.gen_expr(s.guard, lam, inner_out), lam,
+                  "{what}: the guard types exactly at the loop level", s)
             for f in self.gen_stmt(s.body, lam, inner_out):
                 cs.le(f, lam, "{what}: the body types at the loop level", s)
             return [lam]
         if kind is Break:
-            t = self.gen_expr(s.guard, tin, tout)
-            if t is not INF:
-                cs.le(tin, t, "{what}: a break guard sits at or above the innermost loop level", s)
+            cs.le(tin, self.gen_expr(s.guard, tin, tout),
+                  "{what}: a break guard sits at or above the innermost loop level", s)
             return [tin]
         if kind is OracleBreak:
             for a in s.call_args:

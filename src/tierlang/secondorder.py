@@ -1,11 +1,12 @@
 """Second-order programs: guardedness, simple types, level typing, evaluation.
 
 A second-order program boxes its inputs (order-1 oracle variables and
-order-0 words), declares procedures, and runs one term.  Oracle calls are
-confined by the guardedness check to assignment right-hand sides (bare, or
-as the first operand of truncate or declass) and to size-comparison breaks;
-inside a loop every oracle-carrying assignment must directly follow a break
-comparing that same call against a fixed reference call.
+order-0 words), declares procedures, and runs one term.  Guardedness confines
+oracle calls to assignment right-hand sides (bare, or as the first operand of
+truncate or declass) and to size-comparison breaks; inside a loop every
+oracle-carrying assignment must directly follow a break comparing that same
+call against a fixed reference call.  One walk per body decides it (see
+``check_guarded``), counting an expression's calls with ``collect_names``.
 
 Arities are the parser's: every use of an oracle variable, and every closure
 position the main term passes it to, has one arity.  Simple typing decides
@@ -14,11 +15,11 @@ order-1 parameters, and each call of the main term fits its procedure, with
 every name bound.
 
 Level inference reuses the first-order constraint engine
-(``safety1.infer_levels``): oracle calls sit at the infinite level, which
-may only be consumed by truncate, and loops can never be guarded by it.
-Each procedure body is inferred from the loop-free context; its
-``InferenceResult`` gives the procedure's entry in omega (variable
-environment and body level) and builds its derivation on first read.
+(``safety1.infer_levels``) on guarded bodies, so it never decides again
+where an oracle call may sit; a call sits at the infinite level.  Each body
+is inferred from the loop-free context; its ``InferenceResult`` gives the
+procedure's entry in omega (variable environment and body level) and builds
+its derivation on first read.
 
 Evaluation extends the first-order evaluator core (``interp1.Interp``),
 which runs every expression and statement; ``Interp2`` adds procedure
@@ -63,12 +64,11 @@ from .syntax import (
     Program1,
     Program2,
     Record,
+    Seq,
     TermVar,
     While,
     collect_names,
-    iter_exprs,
     level_str,
-    seq_chain,
     stmt_vars,
 )
 
@@ -83,80 +83,66 @@ class GuardednessError(Exception):
         super().__init__(f"clause ({clause}) at {where}: {message}")
 
 
-def _oracle_calls(e) -> list:
-    return [sub for sub in iter_exprs(e) if isinstance(sub, OracleCall)]
+def _oracle_free(e, proc: Procedure, where: str) -> None:
+    """Clause (1) for ``e``; ``where`` is formatted with ``e`` when it fails."""
+    oracles = []
+    collect_names(e, set(), oracles)
+    if oracles:
+        raise GuardednessError(1, f"procedure {proc.name}, " + where.format(pp_expr(e)),
+                               "oracle calls may only appear in assignments or breaks")
 
 
-def _assert_oracle_free(e, where: str):
-    if _oracle_calls(e):
+def _check_guarded_stmt(s, in_loop: bool, proc: Procedure, prev=None) -> None:
+    """Check ``s``, which follows ``prev`` in its sequence, within ``proc``."""
+    kind = type(s)
+    if kind is Seq:  # prev is None here: a Seq never holds a Seq
+        for st in s.stmts:
+            _check_guarded_stmt(st, in_loop, proc, prev)
+            prev = st
+    elif kind is Assign:
+        e, oracles = s.expr, []
+        collect_names(e, set(), oracles)
+        if not oracles:
+            return
+        call = e  # the one permitted call: bare, or truncate's or declass's first operand
+        if type(e) is OpApp and e.op == "truncate":
+            call = e.args[0]
+        elif type(e) is Declass:
+            call = e.expr
+        if len(oracles) > 1 or type(call) is not OracleCall:
+            clause, message = 1, (
+                "an oracle call may only be the whole right-hand side or "
+                "the first operand of truncate or declass")
+        elif in_loop and not (type(prev) is OracleBreak and prev.oracle == call.oracle
+                              and prev.call_args == call.args):
+            clause, message = 2, (
+                "inside a loop an oracle-carrying assignment must directly "
+                "follow break(|X(e...)| > |X(vars)|) on the same call")
+        else:
+            return
         raise GuardednessError(
-            1, where, "oracle calls may only appear in assignments or breaks"
-        )
-
-
-def _allowed_assignment_call(expr, calls: list) -> OracleCall | None:
-    """The single permitted oracle call of RHS ``expr``, whose calls are ``calls``.
-
-    Permitted shapes: X(e...) bare, truncate(X(e...), b), declass(X(e...), b);
-    the call's own arguments and the rest of the expression are oracle free.
-    """
-    if isinstance(expr, OracleCall):
-        head = expr
-    elif isinstance(expr, OpApp) and expr.op == "truncate" and isinstance(expr.args[0], OracleCall):
-        head = expr.args[0]
-    elif isinstance(expr, Declass) and isinstance(expr.expr, OracleCall):
-        head = expr.expr
-    else:
-        return None
-    return head if len(calls) == 1 else None
-
-
-def _check_guarded_stmt(s, in_loop: bool, proc: Procedure):
-    stmts = seq_chain(s)
-    for idx, st in enumerate(stmts):
-        where = f"procedure {proc.name}"
-        if isinstance(st, Assign):
-            calls = _oracle_calls(st.expr)
-            if not calls:
-                continue
-            call = _allowed_assignment_call(st.expr, calls)
-            if call is None:
-                raise GuardednessError(
-                    1,
-                    f"{where}, {st.var} := {pp_expr(st.expr)}",
-                    "an oracle call may only be the whole right-hand side or "
-                    "the first operand of truncate or declass",
-                )
-            if in_loop:
-                prev = stmts[idx - 1] if idx > 0 else None
-                if not (
-                    isinstance(prev, OracleBreak)
-                    and prev.oracle == call.oracle
-                    and tuple(prev.call_args) == tuple(call.args)
-                ):
-                    raise GuardednessError(
-                        2,
-                        f"{where}, {st.var} := {pp_expr(st.expr)}",
-                        "inside a loop an oracle-carrying assignment must "
-                        "directly follow break(|X(e...)| > |X(vars)|) on the "
-                        "same call",
-                    )
-        elif isinstance(st, If):
-            _assert_oracle_free(st.guard, f"{where}, if({pp_expr(st.guard)})")
-            _check_guarded_stmt(st.then, in_loop, proc)
-            _check_guarded_stmt(st.orelse, in_loop, proc)
-        elif isinstance(st, While):
-            _assert_oracle_free(st.guard, f"{where}, while({pp_expr(st.guard)})")
-            _check_guarded_stmt(st.body, True, proc)
-        elif isinstance(st, Break):
-            _assert_oracle_free(st.guard, f"{where}, break({pp_expr(st.guard)})")
-        elif isinstance(st, OracleBreak):
-            for a in st.call_args:
-                _assert_oracle_free(a, f"{where}, oracle break argument")
+            clause, f"procedure {proc.name}, {s.var} := {pp_expr(e)}", message)
+    elif kind is If:
+        _oracle_free(s.guard, proc, "if({})")
+        _check_guarded_stmt(s.then, in_loop, proc)
+        _check_guarded_stmt(s.orelse, in_loop, proc)
+    elif kind is While:
+        _oracle_free(s.guard, proc, "while({})")
+        _check_guarded_stmt(s.body, True, proc)
+    elif kind is Break:
+        _oracle_free(s.guard, proc, "break({})")
+    elif kind is OracleBreak:
+        for a in s.call_args:
+            _oracle_free(a, proc, "oracle break argument")
 
 
 def check_guarded(program: Program2) -> None:
-    """Raise GuardednessError unless every oracle call is properly confined."""
+    """Raise GuardednessError unless every oracle call is properly confined.
+
+    One walk per body, earlier procedures first: a guard before its branches
+    or body, clause (1) of an assignment before clause (2), which reads the
+    previous statement the walk carries; error text is built only on failure.
+    """
     for proc in program.procedures:
         _check_guarded_stmt(proc.body, False, proc)
 
@@ -281,7 +267,8 @@ def infer_procedure_levels(
 ) -> InferenceResult:
     """Infer a variable environment for one procedure body (context 0, 0).
 
-    An unsafe result's explanation names the procedure.
+    The body is guarded, as in ``infer_safety2``: ``check_guarded`` settles
+    where oracle calls sit.  An unsafe result's explanation names the procedure.
     """
     names = set(proc.params) | set(proc.locals)
     result = infer_levels(proc.body, names, config)

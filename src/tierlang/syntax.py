@@ -283,18 +283,6 @@ Program = Union[Program1, Program2]
 # Walkers
 
 
-def iter_exprs(e: Expr) -> Iterator[Expr]:
-    """Pre-order traversal of an expression tree, on an explicit stack."""
-    stack = [e]
-    while stack:
-        e = stack.pop()
-        yield e
-        if isinstance(e, (OpApp, OracleCall)):
-            stack.extend(reversed(e.args))
-        elif isinstance(e, Declass):
-            stack += (e.bound, e.expr)
-
-
 def iter_stmts(s: Stmt) -> Iterator[Stmt]:
     """Pre-order traversal of a statement tree, on an explicit stack."""
     stack = [s]

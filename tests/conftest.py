@@ -10,7 +10,7 @@ from tierlang import parser  # noqa: E402
 from tierlang.interp1 import DEFAULT_BUDGET, Interp  # noqa: E402
 from tierlang.secondorder import Interp2, simple_typecheck  # noqa: E402
 from tierlang.syntax import (  # noqa: E402
-    Assign, Break, For, If, OracleBreak, OracleCall, Program2, Var, While,
+    Assign, Break, Declass, For, If, OpApp, OracleBreak, OracleCall, Program2, Var, While,
 )
 
 
@@ -30,6 +30,18 @@ def run(program, inputs, oracles=None, budget=DEFAULT_BUDGET, monitor=False):
         return interp.run(inputs), interp.stats
     interp = Interp(budget, monitor)
     return interp.run(program, inputs), interp.stats
+
+
+def iter_exprs(e):
+    """Pre-order traversal of an expression tree, on an explicit stack."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        if isinstance(e, (OpApp, OracleCall)):
+            stack.extend(reversed(e.args))
+        elif isinstance(e, Declass):
+            stack += (e.bound, e.expr)
 
 
 def stmt_exprs(s):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ROOT, corpus, procedure, stmt_exprs, straight_line
+from conftest import ROOT, corpus, iter_exprs, procedure, stmt_exprs, straight_line
 from test_levels import GENPROG_CASES, GENPROG_SEED
 from tokencheck import tokenize_stepwise
 from tierlang import genprog, parser
@@ -25,7 +25,6 @@ from tierlang.syntax import (
     Var,
     While,
     assign_loop_ids,
-    iter_exprs,
     iter_stmts,
     stmt_vars,
 )

@@ -1,18 +1,23 @@
 import copy
 import random
+from collections import Counter
 
 import pytest
 
-from conftest import ORACLE_BREAK_WITH_OPERATORS, corpus, procedure, run
+from conftest import ORACLE_BREAK_WITH_OPERATORS, corpus, iter_exprs, procedure, run, stmt_exprs
+from guardcheck import reference_check_guarded
 from tokencheck import tokenize_stepwise
 from tierlang import interp1, parser, secondorder as so
 from tierlang.interp1 import AperiodicityViolation, BudgetExhausted
 from tierlang.safety1 import check_derivation
 from tierlang.syntax import (
     Assign,
+    Break,
     Call,
     ClosureVar,
     Declass,
+    If,
+    OpApp,
     OracleBreak,
     OracleCall,
     Procedure,
@@ -100,6 +105,58 @@ def test_oracle_assignment_outside_loop_is_fine():
     declare p(X, y){ var t; t := X(y); return t } in
     call p(F, z)"""
     so.check_guarded(parser.parse(src))
+
+
+def test_check_guarded_agrees_with_the_reference_walk(guard_mutants):
+    # The generic-walk reference decides each mutant as check_guarded does,
+    # with the same error text: a guard is checked before its branches,
+    # clause (1) before clause (2), and earlier procedures first.
+    clauses = Counter()
+    for program in guard_mutants:
+        outcomes = []
+        for check in (so.check_guarded, reference_check_guarded):
+            try:
+                check(program)
+                outcomes.append(None)
+            except so.GuardednessError as exc:
+                outcomes.append((exc.clause, exc.where, str(exc)))
+        assert outcomes[0] == outcomes[1], parser.pretty_print(program)
+        clauses[outcomes[0] and outcomes[0][0]] += 1
+    assert min(clauses[None], clauses[1], clauses[2]) > 30, clauses
+
+
+def oracle_operands(body) -> list:
+    """The oracle calls of a body in a guard or as an operand, but truncate's first."""
+    found = []
+    for s in iter_stmts(body):
+        if isinstance(s, (If, While, Break)):
+            found += [e for e in iter_exprs(s.guard) if isinstance(e, OracleCall)]
+        for e in (sub for top in stmt_exprs(s) for sub in iter_exprs(top)):
+            if isinstance(e, (OpApp, OracleCall)):
+                operands = e.args[1:] if isinstance(e, OpApp) and e.op == "truncate" else e.args
+            elif isinstance(e, Declass):
+                operands = (e.bound,)
+            else:
+                continue
+            found += [a for a in operands if isinstance(a, OracleCall)]
+    return found
+
+
+def test_guarded_bodies_give_level_inference_no_oracle_operand(guard_mutants):
+    # Guardedness settles where oracle calls sit, so level inference never
+    # decides it again: in a guarded body no guard holds an oracle call, and
+    # none is an operand but truncate's first, so no truncate or declass
+    # bound is one; inference takes every such body without error.
+    guarded = passing(guard_mutants, so.check_guarded, so.GuardednessError)
+    assert len(guarded) > 1000
+    calls = 0
+    for program in guarded:
+        for proc in program.procedures:
+            assert oracle_operands(proc.body) == [], parser.pretty_print(program)
+            calls += sum(isinstance(e, OracleCall) for s in iter_stmts(proc.body)
+                         for top in stmt_exprs(s) for e in iter_exprs(top))
+            so.infer_procedure_levels(proc)
+    assert calls > 1000
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +259,9 @@ def test_loop_guarded_by_oracle_unsafe():
     src = """box[F, z] in
     declare p(X, y){ while(X(y)){ y := tl(y) }; return y } in
     call p(F, z)"""
-    program = parser.parse(src)
-    check = so.infer_procedure_levels(program.procedures[0])
-    assert not check.safe
-    assert "guarded by an oracle" in check.explanation
+    result = so.infer_safety2(parser.parse(src))
+    assert (result.safe, result.stage) == (False, "guardedness")
+    assert result.explanation.startswith("clause (1) at procedure p, while(X(y)): ")
 
 
 def test_raw_oracle_assignment_in_loop_unsafe():
@@ -419,8 +475,8 @@ declare q(Y, G, a){ var b; b := Y(a, a); b := G(b) return b } in
 call q(lambda(x, c). call p(F, x), lambda(d). call p(lambda(e). z, d), w)"""
 
 
-def typed_mutants() -> list:
-    """Seeded mutants of three .tl2 sources that parse and pass simple typing.
+def parsed_mutants() -> list:
+    """Seeded mutants of three .tl2 sources that parse.
 
     A mutant deletes, duplicates or inserts a run of 1-3 tokens, or renames
     one name or unary literal to another of the same order.  Renames are
@@ -431,7 +487,7 @@ def typed_mutants() -> list:
     vocabulary = sorted({t for ts in tokens for t in ts})
     names = [t for t in vocabulary if t[0].isalpha() and t not in parser.KEYWORDS]
     rng = random.Random(PROGRESS_SEED)
-    typed = []
+    parsed = []
     for _ in range(PROGRESS_MUTANTS):
         ts = list(rng.choice(tokens))
         i, k = rng.randrange(len(ts)), rng.randint(1, 3)
@@ -446,12 +502,22 @@ def typed_mutants() -> list:
             i = rng.choice([j for j, t in enumerate(ts) if t in names])
             ts[i] = rng.choice([t for t in names if t[0].isupper() == ts[i][0].isupper()])
         try:
-            program = parser.parse(" ".join(ts))
-            so.simple_typecheck(program)
-        except (parser.ParseError, so.SimpleTypeError):
+            parsed.append(parser.parse(" ".join(ts)))
+        except parser.ParseError:
+            pass
+    return parsed
+
+
+def passing(programs: list, check, error) -> list:
+    """The programs on which ``check`` raises no ``error``."""
+    kept = []
+    for program in programs:
+        try:
+            check(program)
+        except error:
             continue
-        typed.append(program)
-    return typed
+        kept.append(program)
+    return kept
 
 
 def oracle_tables(program, bubble_oracle) -> tuple:
@@ -468,9 +534,68 @@ def oracle_tables(program, bubble_oracle) -> tuple:
     return builtin, prog
 
 
+def replaced(e, target, new):
+    """Expression ``e`` with its subexpression ``target`` (by identity) replaced by ``new``."""
+    if e is target:
+        return new
+    if isinstance(e, OpApp):
+        return OpApp(e.op, [replaced(a, target, new) for a in e.args])
+    if isinstance(e, OracleCall):
+        return OracleCall(e.oracle, [replaced(a, target, new) for a in e.args])
+    if isinstance(e, Declass):
+        return Declass(replaced(e.expr, target, new), replaced(e.bound, target, new))
+    return e
+
+
+EXPRESSION_FIELDS = {Assign: "expr", If: "guard", While: "guard", Break: "guard",
+                     OracleBreak: "call_args"}
+
+
+def wrap_oracle_calls(program, rng, times: int):
+    """A copy of ``program`` with ``times`` seeded subexpressions wrapped in oracle calls.
+
+    One after another, a subexpression e of a body becomes X(e, ..., e) for
+    an oracle parameter X of its procedure; an oracle break's arguments
+    count, not its call.
+    """
+    program = copy.deepcopy(program)
+    for _ in range(times):
+        sites = [(proc, s) for proc in program.procedures if proc.oracle_params
+                 for s in iter_stmts(proc.body) if type(s) in EXPRESSION_FIELDS]
+        if not sites:
+            break
+        proc, s = rng.choice(sites)
+        field = EXPRESSION_FIELDS[type(s)]
+        if field == "call_args":
+            top = OracleCall(s.oracle, s.call_args)
+            subs = list(iter_exprs(top))[1:]
+        else:
+            top = getattr(s, field)
+            subs = list(iter_exprs(top))
+        if subs:
+            target = rng.choice(subs)
+            oracle, arity = rng.choice(proc.oracle_params)
+            top = replaced(top, target, OracleCall(oracle, (target,) * arity))
+            setattr(s, field, top.args if field == "call_args" else top)
+    return program
+
+
 @pytest.fixture(scope="module")
-def typed_programs() -> list:
-    return typed_mutants()
+def mutant_programs() -> list:
+    return parsed_mutants()
+
+
+@pytest.fixture(scope="module")
+def guard_mutants(mutant_programs) -> list:
+    """The parsed mutants, each followed by a copy with 1-3 oracle calls wrapped in."""
+    rng = random.Random(PROGRESS_SEED)
+    wrapped = [wrap_oracle_calls(p, rng, rng.randint(1, 3)) for p in mutant_programs]
+    return [p for pair in zip(mutant_programs, wrapped) for p in pair]
+
+
+@pytest.fixture(scope="module")
+def typed_programs(mutant_programs) -> list:
+    return passing(mutant_programs, so.simple_typecheck, so.SimpleTypeError)
 
 
 @pytest.mark.parametrize("kind", [0, 1], ids=["builtin", "prog"])

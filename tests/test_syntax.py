@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import ORACLE_BREAK_WITH_OPERATORS, corpus, stmt_exprs
+from conftest import ORACLE_BREAK_WITH_OPERATORS, corpus, iter_exprs, stmt_exprs
 from tierlang import genprog, parser
 from tierlang.syntax import (
     Assign,
@@ -21,7 +21,6 @@ from tierlang.syntax import (
     Var,
     While,
     collect_names,
-    iter_exprs,
     iter_stmts,
 )
 
