@@ -709,11 +709,6 @@ def _pp_stmt(s, indent) -> list:
         lines += _pp_stmt(s.body, indent + 1)
         lines.append(pad + "}")
         return lines
-    if isinstance(s, For):
-        lines = [pad + f"for {s.var} = {pp_expr(s.low)} to {pp_expr(s.high)} {{"]
-        lines += _pp_stmt(s.body, indent + 1)
-        lines.append(pad + "}")
-        return lines
     if isinstance(s, Break):
         return [pad + f"break({pp_expr(s.guard)})"]
     if isinstance(s, OracleBreak):

@@ -17,8 +17,8 @@ statically:
 What remains is a difference-constraint system (v >= u, v >= u + 1,
 bounds against constants) whose least solution one worklist computes; it
 is returned as the variable typing environment.  A level term is an
-unknown, numbered densely from 0, ``None`` for the constant level 0 of the
-loop-free context, or ``INF``; the solution is a list indexed by unknown.
+unknown, numbered densely from 0, or ``None`` for the constant level 0 of
+the loop-free context; the solution is a list indexed by unknown.
 Every body, a second-order procedure's included, is typed from the
 loop-free context, so no constant source exceeds 1 and divergence past the
 number of unknowns witnesses an unsatisfiable strict cycle.
@@ -39,9 +39,11 @@ environments and rule-directed derivations outright, with all levels drawn
 from a finite range.
 
 Oracle calls (second-order bodies) are handled by the same generator: their
-level is the infinite sentinel.  Guardedness has settled where they sit, so
-generation takes guarded bodies only: truncate's first operand accepts the
-sentinel, and a bare or declassified oracle answer is reported unsafe.
+level is the infinite sentinel ``INF``, which never becomes a constraint.
+Guardedness has settled where an oracle answer sits: as an assignment's
+whole right-hand side, or as the first operand of truncate or declass.
+Generation settles each of the three at once: truncate accepts the answer,
+and a bare or declassified answer is reported unsafe.
 """
 
 from __future__ import annotations
@@ -107,8 +109,9 @@ def _origin(why: str, node, arg) -> str:
 class Constraints:
     """Difference constraints over level unknowns, and their least solution.
 
-    An unknown is the int ``fresh`` returns; a term is an unknown, ``None``
-    (the constant level 0) or ``INF`` (one object, told apart by identity).
+    An unknown is the int ``fresh`` returns; a term is an unknown or
+    ``None`` (the constant level 0).  ``INF`` is never a term: generation
+    settles every oracle answer before it would reach a constraint.
     An edge ``(src, delta, dst, why, node, arg)`` asks level(dst) >=
     level(src) + delta, an upper bound ``(u, bound, why, node, arg)`` asks
     level(u) <= bound; ``why``, ``node`` and ``arg`` make the constraint's
@@ -139,24 +142,15 @@ class Constraints:
             self.failure = (why, node, arg)
 
     def le(self, a, b, why: str, node, arg=None):
-        """a <= b over levels; INF is handled eagerly."""
-        if a is INF:
-            if b is not INF:
-                self.fail(why, node, arg)
-        elif b is not INF:
-            self._amount(a, 0, b, why, node, arg)
+        """level(a) <= level(b)."""
+        self._amount(a, 0, b, why, node, arg)
 
     def lt(self, a, b, why: str, node, arg=None):
-        if a is INF:
-            self.fail(why, node, arg)
-        elif b is not INF:
-            self._amount(a, 1, b, why, node, arg)
+        """level(a) < level(b)."""
+        self._amount(a, 1, b, why, node, arg)
 
     def eq(self, a, b, why: str, node, arg=None):
-        if a is INF or b is INF:
-            if a is not b:
-                self.fail(why, node, arg)
-            return
+        """level(a) = level(b)."""
         self._amount(a, 0, b, why, node, arg)
         self._amount(b, 0, a, why, node, arg)
 
@@ -217,15 +211,20 @@ class Constraints:
     def _chain(self, unknown: int, preds: list) -> str:
         """The origins of the edges that raised ``unknown``, latest first.
 
-        Twelve steps at most; a walk round a cycle repeats origins, which
-        are given once.
+        The walk follows each unknown's raising edge back to a constant or
+        to an unknown it has already passed, so a strict cycle is given
+        whole and once; an origin text met twice is given once.
         """
         parts = []
+        seen = {unknown}
         edge = preds[unknown]
-        while edge is not None and len(parts) < 12:
+        while edge is not None:
             src, _, _, why, node, arg = edge
             parts.append(_origin(why, node, arg))
-            edge = None if src is None else preds[src]
+            if src is None or src in seen:
+                break
+            seen.add(src)
+            edge = preds[src]
         if not parts:
             return ""
         return "conflicting constraint chain: " + " <- ".join(dict.fromkeys(parts))
@@ -317,8 +316,11 @@ class LevelAnalysis:
             cs.eq(t2, tout, "the declass bound {what} must sit exactly at the outermost "
                   "loop level", e.bound)
             result = cs.fresh()
-            cs.le(t1, result, "declass(..., {what}): declassified operand caps the result "
-                  "from below", e.bound)
+            why = "declass(..., {what}): declassified operand caps the result from below"
+            if t1 is INF:
+                cs.fail(why, e.bound)
+            else:
+                cs.le(t1, result, why, e.bound)
             cs.le(result, tout, "declass(..., {what}): the result level is capped by the "
                   "outermost loop level", e.bound)
             return result
@@ -594,7 +596,9 @@ def check_derivation(program, gamma: dict, deriv: Judgment) -> bool:
 
     ``program`` is a Program1 or a second-order Procedure.  Accepts derivations
     with explicit SUB nodes as well as folded ones (statement nodes presented
-    at a level above their natural one).
+    at a level above their natural one).  Every child must judge the subject
+    its rule names, in the context its rule names: an expression child, through
+    ``_check_kids``, its parent's own.
     """
     if any(v == INFINITY for v in gamma.values()):
         return False  # first-order environments map into the finite levels
@@ -605,36 +609,35 @@ def check_derivation(program, gamma: dict, deriv: Judgment) -> bool:
     return _check_node(deriv, gamma)
 
 
+def _check_kids(j, subjects, gamma) -> bool:
+    """``j``'s children judge ``subjects``, in order, in ``j``'s context, as expressions."""
+    kids = j.children
+    return len(kids) == len(subjects) and all(
+        k.subject == subject and k.tin == j.tin and k.tout == j.tout
+        and _check_expr_node(k, gamma)
+        for k, subject in zip(kids, subjects)
+    )
+
+
 def _check_expr_node(j, gamma) -> bool:
     e = j.subject
     if j.rule == "VAR":
         return isinstance(e, Var) and gamma.get(e.name, 0) == j.level
     if j.rule == "OP":
-        if not isinstance(e, OpApp) or len(j.children) != len(e.args):
+        if not (isinstance(e, OpApp) and _check_kids(j, e.args, gamma)):
             return False
-        for kid, arg in zip(j.children, e.args):
-            if kid.subject != arg or (kid.tin, kid.tout) != (j.tin, j.tout):
-                return False
-            if not _check_expr_node(kid, gamma):
-                return False
         candidate = tuple(k.level for k in j.children) + (j.level,)
         try:
             return opreg.delta_membership(e.op, j.tin, j.tout, candidate)
         except (opreg.UnknownOperator, ValueError):
             return False
     if j.rule == "DCL":
-        if not isinstance(e, Declass) or len(j.children) != 2:
+        if not (isinstance(e, Declass) and _check_kids(j, (e.expr, e.bound), gamma)):
             return False
         c1, c2 = j.children
-        if c1.subject != e.expr or c2.subject != e.bound:
-            return False
-        if not all(_check_expr_node(c, gamma) for c in (c1, c2)):
-            return False
         return c2.level == j.tout and c1.level <= j.level <= j.tout
     if j.rule == "ORC":
-        if not isinstance(e, OracleCall) or j.level != INFINITY:
-            return False
-        return all(_check_expr_node(k, gamma) for k in j.children)
+        return isinstance(e, OracleCall) and j.level == INFINITY and _check_kids(j, e.args, gamma)
     return False
 
 
@@ -655,13 +658,9 @@ def _check_node(j: Judgment, gamma) -> bool:
     if j.rule == "SKP":
         return isinstance(s, Skip) and j.level >= 0
     if j.rule == "ASG":
-        if not isinstance(s, Assign) or len(j.children) != 1:
+        if not (isinstance(s, Assign) and _check_kids(j, (s.expr,), gamma)):
             return False
         kid = j.children[0]
-        if kid.subject != s.expr or (kid.tin, kid.tout) != (j.tin, j.tout):
-            return False
-        if not _check_expr_node(kid, gamma):
-            return False
         target = gamma.get(s.var, 0)
         if j.level < target:
             return False
@@ -716,33 +715,17 @@ def _check_node(j: Judgment, gamma) -> bool:
             return False
         return _check_expr_node(g, gamma) and _check_node(b, gamma)
     if j.rule == "BRK":
-        if not isinstance(s, Break) or len(j.children) != 1:
+        if not (isinstance(s, Break) and _check_kids(j, (s.guard,), gamma)):
             return False
-        g = j.children[0]
-        if g.subject != s.guard or (g.tin, g.tout) != (j.tin, j.tout):
-            return False
-        if not _check_expr_node(g, gamma):
-            return False
-        return j.level >= j.tin and g.level >= j.tin
+        return j.level >= j.tin and j.children[0].level >= j.tin
     if j.rule == "OBK":
-        if not isinstance(s, OracleBreak) or len(j.children) < 2:
+        if not isinstance(s, OracleBreak):
             return False
-        left, right = j.children[0], j.children[1]
-        refs = j.children[2:]
-        if left.rule != "ORC" or right.rule != "ORC":
-            return False
-        if len(refs) != len(s.ref_vars):
-            return False
-        for k, v in zip(refs, s.ref_vars):
-            if not (isinstance(k.subject, Var) and k.subject.name == v):
-                return False
-            if not _check_expr_node(k, gamma):
-                return False
-            if not (j.tout < k.level):
-                return False
+        refs = tuple(Var(v) for v in s.ref_vars)
+        calls = (OracleCall(s.oracle, s.call_args), OracleCall(s.oracle, refs))
         return (
-            _check_expr_node(left, gamma)
-            and _check_expr_node(right, gamma)
+            _check_kids(j, calls + refs, gamma)
+            and all(j.tout < k.level for k in j.children[2:])
             and j.level >= j.tin
         )
     return False
@@ -770,34 +753,23 @@ def brute_force_safe(program: Program1, max_level: int) -> bool:
 
     for combo in itertools.product(levels, repeat=len(names)):
         gamma = dict(zip(names, combo))
-        memo_e: dict = {}
-        memo_s: dict = {}
 
         def expr_levels(e, tin, tout) -> frozenset:
-            key = (id(e), tin, tout)
-            if key in memo_e:
-                return memo_e[key]
             if isinstance(e, Var):
-                out = frozenset((gamma[e.name],))
-            elif isinstance(e, Declass):
-                bound_levels = expr_levels(e.bound, tin, tout)
-                if tout not in bound_levels:
-                    out = frozenset()
-                else:
-                    lows = expr_levels(e.expr, tin, tout)
-                    out = frozenset(
-                        t for t in levels if any(l <= t <= tout for l in lows)
-                    )
-            else:  # OpApp: a first-order program holds no oracle call
-                arg_sets = [expr_levels(a, tin, tout) for a in e.args]
-                out = set()
-                for args in itertools.product(*arg_sets):
-                    for r in levels:
-                        if opreg.delta_membership(e.op, tin, tout, args + (r,)):
-                            out.add(r)
-                out = frozenset(out)
-            memo_e[key] = out
-            return out
+                return frozenset((gamma[e.name],))
+            if isinstance(e, Declass):
+                if tout not in expr_levels(e.bound, tin, tout):
+                    return frozenset()
+                lows = expr_levels(e.expr, tin, tout)
+                return frozenset(t for t in levels if any(l <= t <= tout for l in lows))
+            # OpApp: a first-order program holds no oracle call
+            arg_sets = [expr_levels(a, tin, tout) for a in e.args]
+            return frozenset(
+                r
+                for args in itertools.product(*arg_sets)
+                for r in levels
+                if opreg.delta_membership(e.op, tin, tout, args + (r,))
+            )
 
         def up(base) -> frozenset:
             if not base:
@@ -806,25 +778,23 @@ def brute_force_safe(program: Program1, max_level: int) -> bool:
             return frozenset(range(low, max_level + 1))
 
         def stmt_pres(s, tin, tout) -> frozenset:
-            key = (id(s), tin, tout)
-            if key in memo_s:
-                return memo_s[key]
             if isinstance(s, Skip):
-                out = full
-            elif isinstance(s, Assign):
+                return full
+            if isinstance(s, Assign):
                 sources = expr_levels(s.expr, tin, tout)
                 ok = any(tout == 0 or gamma[s.var] <= l2 for l2 in sources)
-                out = up({gamma[s.var]}) if ok else frozenset()
-            elif isinstance(s, Seq):
+                return up({gamma[s.var]}) if ok else frozenset()
+            if isinstance(s, Seq):
                 out = full
                 for st in s.stmts:
                     out &= stmt_pres(st, tin, tout)
-            elif isinstance(s, If):
+                return out
+            if isinstance(s, If):
                 g = expr_levels(s.guard, tin, tout)
                 t = stmt_pres(s.then, tin, tout)
                 o = stmt_pres(s.orelse, tin, tout)
-                out = up(g & t & o)
-            elif isinstance(s, While):
+                return up(g & t & o)
+            if isinstance(s, While):
                 cap = tout if tout > 0 else max_level
                 base = set()
                 for tau in range(1, cap + 1):
@@ -833,12 +803,10 @@ def brute_force_safe(program: Program1, max_level: int) -> bool:
                         continue
                     if tau in stmt_pres(s.body, tau, inner_out):
                         base.add(tau)
-                out = up(base)
-            else:  # Break: a first-order program holds no oracle break
-                g = expr_levels(s.guard, tin, tout)
-                out = up({tin}) if any(l >= tin for l in g) else frozenset()
-            memo_s[key] = out
-            return out
+                return up(base)
+            # Break: a first-order program holds no oracle break
+            g = expr_levels(s.guard, tin, tout)
+            return up({tin}) if any(l >= tin for l in g) else frozenset()
 
         if stmt_pres(program.body, 0, 0):
             return True

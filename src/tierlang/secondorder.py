@@ -165,11 +165,6 @@ def simple_typecheck(program: Program2) -> str:
     for p in program.procedures:
         if p.name in procs:
             raise SimpleTypeError(f"procedure {p.name} declared more than once")
-        overlap = set(p.params) & set(p.locals)
-        if overlap:
-            raise SimpleTypeError(
-                f"procedure {p.name}: parameters and locals overlap: {sorted(overlap)}"
-            )
         procs[p.name] = p
 
     boxed_words = set(program.boxed_words)
@@ -193,8 +188,9 @@ def simple_typecheck(program: Program2) -> str:
                     f"{oracle} is not a parameter"
                 )
 
-    # Pairwise-disjoint binder sets of the procedures; a free name of the
-    # main term is an unbound variable, which type_term rejects.
+    # Pairwise-disjoint binder sets of the procedures, a procedure's own
+    # parameters and locals included; a free name of the main term is an
+    # unbound variable, which type_term rejects.
     groups = []
     for p in program.procedures:
         params = {n for n, _ in p.oracle_params} | set(p.params)
@@ -210,45 +206,39 @@ def simple_typecheck(program: Program2) -> str:
                 )
 
     def type_term(t, local0: frozenset) -> None:
+        """Type a term: a TermVar or a Call, the only terms the parser makes."""
         if isinstance(t, TermVar):
-            if t.name in local0 or t.name in boxed_words:
-                return
-            if t.name in boxed_oracles:
-                raise SimpleTypeError(
-                    f"order-1 variable {t.name} used where a word is expected"
-                )
-            raise SimpleTypeError(f"unbound term variable {t.name}")
-        if isinstance(t, Call):
-            proc = procs.get(t.proc)
-            if proc is None:
-                raise SimpleTypeError(f"call of undeclared procedure {t.proc}")
-            if len(t.closures) != len(proc.oracle_params):
-                raise SimpleTypeError(
-                    f"{t.proc} expects {len(proc.oracle_params)} closure(s), "
-                    f"got {len(t.closures)}"
-                )
-            for c, (oname, arity) in zip(t.closures, proc.oracle_params):
-                if isinstance(c, ClosureVar):
-                    if c.name not in boxed_oracles:
-                        raise SimpleTypeError(
-                            f"closure variable {c.name} is not a boxed oracle"
-                        )
-                else:
-                    if len(c.params) != arity:
-                        raise SimpleTypeError(
-                            f"closure for {oname} of {t.proc} must take "
-                            f"{arity} argument(s), got {len(c.params)}"
-                        )
-                    type_term(c.body, local0 | frozenset(c.params))
-            if len(t.args) != len(proc.params):
-                raise SimpleTypeError(
-                    f"{t.proc} expects {len(proc.params)} word argument(s), "
-                    f"got {len(t.args)}"
-                )
-            for a in t.args:
-                type_term(a, local0)
+            if t.name not in local0 and t.name not in boxed_words:
+                raise SimpleTypeError(f"unbound term variable {t.name}")
             return
-        raise SimpleTypeError(f"not a term: {t!r}")
+        proc = procs.get(t.proc)
+        if proc is None:
+            raise SimpleTypeError(f"call of undeclared procedure {t.proc}")
+        if len(t.closures) != len(proc.oracle_params):
+            raise SimpleTypeError(
+                f"{t.proc} expects {len(proc.oracle_params)} closure(s), "
+                f"got {len(t.closures)}"
+            )
+        for c, (oname, arity) in zip(t.closures, proc.oracle_params):
+            if isinstance(c, ClosureVar):
+                if c.name not in boxed_oracles:
+                    raise SimpleTypeError(
+                        f"closure variable {c.name} is not a boxed oracle"
+                    )
+            else:
+                if len(c.params) != arity:
+                    raise SimpleTypeError(
+                        f"closure for {oname} of {t.proc} must take "
+                        f"{arity} argument(s), got {len(c.params)}"
+                    )
+                type_term(c.body, local0 | frozenset(c.params))
+        if len(t.args) != len(proc.params):
+            raise SimpleTypeError(
+                f"{t.proc} expects {len(proc.params)} word argument(s), "
+                f"got {len(t.args)}"
+            )
+        for a in t.args:
+            type_term(a, local0)
 
     type_term(program.main, frozenset())
 

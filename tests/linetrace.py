@@ -1,0 +1,78 @@
+"""Print every statement of ``src/tierlang`` that the tier-1 tests never run.
+
+Runs pytest in this process under ``sys.settrace``, recording the lines
+executed in the package's files only, and prints each executable line that
+never ran as ``path:line: source``, file by file.  Executable lines are the
+line starts of every code object compiled from the file.  Lines that run
+only in a child process (a test that starts ``python -m tierlang.cli``) are
+not seen.  Needs nothing beyond pytest; tier-1 does not collect it.
+
+Run from the repository root (extra arguments go to pytest)::
+
+    python tests/linetrace.py [PYTEST_ARGS...]
+
+Tracing slows the suite about fourfold.
+"""
+
+import dis
+import pathlib
+import sys
+import threading
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "tierlang"
+
+
+def executable_lines(path: pathlib.Path) -> set:
+    """The line of every instruction that starts a line, in every code object."""
+    lines, stack = set(), [compile(path.read_text(), str(path), "exec")]
+    while stack:
+        code = stack.pop()
+        lines.update(line for _, line in dis.findlinestarts(code) if line is not None)
+        stack.extend(c for c in code.co_consts if hasattr(c, "co_code"))
+    return lines
+
+
+def main(args) -> int:
+    files = {str(path): path for path in sorted(PACKAGE.glob("*.py"))}
+    ran = {name: set() for name in files}
+
+    def trace(frame, event, arg):
+        seen = ran.get(frame.f_code.co_filename)
+        if seen is None:
+            return None
+        seen.add(frame.f_lineno)
+
+        def local(frame, event, arg):
+            if event == "line":
+                seen.add(frame.f_lineno)
+            return local
+
+        return local
+
+    sys.path.insert(0, str(PACKAGE.parent))
+    threading.settrace(trace)
+    sys.settrace(trace)
+    try:
+        status = pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
+                              *args])
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
+    total = missed = 0
+    for name, path in files.items():
+        source = path.read_text().splitlines()
+        lines = executable_lines(path)
+        never = sorted(lines - ran[name])
+        total += len(lines)
+        missed += len(never)
+        for line in never:
+            print(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
+    print(f"{missed} of {total} executable lines never ran (pytest exit {int(status)})")
+    return int(status)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -394,7 +394,7 @@ def test_the_extension_names_a_program_oracles_language(
         "procedure p declared more than once", id="duplicate-procedure"),
     pytest.param(
         "box[z] in declare p(,y){var y; skip return y} in call p(,z)",
-        "procedure p: parameters and locals overlap: ['y']", id="parameter-is-a-local"),
+        "name clash between parameters of p and locals of p: ['y']", id="parameter-is-a-local"),
     pytest.param(
         "box[F, z] in declare p(X, y){var t; t := G(y) return t} in call p(F, z)",
         "procedure p: oracle variable G is not a parameter", id="oracle-not-a-parameter"),
@@ -525,6 +525,40 @@ def test_max_steps_negative(capsys):
     assert "--max-steps" in report["explanation"]
     assert report["stats"] is None
     assert_zero_budget_stops_at_once(capsys, "--max-steps", "0")
+
+
+def test_ops_validation_reports_a_counterexample(capsys, monkeypatch):
+    monkeypatch.setattr(opreg.BUILTINS.lookup("inc"), "klass", opreg.Neutral())
+    code, report = run_json(capsys, "ops", "--validate", "50")
+    assert code == cli.EXIT_NEGATIVE
+    cexs = report["validation"]["counterexamples"]
+    assert cexs and {c["op"] for c in cexs} == {"inc"}
+    code, out = run_cli(capsys, "ops", "--validate", "50")
+    assert code == cli.EXIT_NEGATIVE
+    assert f"{len(cexs)} counterexample(s)" in out
+    assert any(line.startswith("  inc(") for line in out.splitlines())
+
+
+def test_an_unknown_oracle_spec_is_an_io_error(capsys):
+    report = assert_io_error(capsys, "run", corpus("I.tl2"), "--oracle", "F=nosuch")
+    assert report["explanation"] == "unknown oracle spec 'nosuch'"
+
+
+def test_an_oracle_of_no_arguments(tmp_path, capsys):
+    oracle = tmp_path / "const.tl"
+    oracle.write_text('prog(){ r := "11" return r }')
+    program = tmp_path / "zero.tl2"
+    program.write_text(
+        "box[F, z] in declare p(X, s){ var y, t; y := s; while(y > u0){ "
+        "break(|X()| > |X()|); t := truncate(X(), s); y := y - u1 }; return t } "
+        "in call p(F, z)"
+    )
+    assert run_json(capsys, "check", str(program))[0] == cli.EXIT_OK
+    code, report = run_json(capsys, "run", str(program), "--oracle", f"F=prog:{oracle}",
+                            "--input", "z=111", "--monitor")
+    assert code == cli.EXIT_OK
+    assert report["result"] == "11"
+    assert report["verdicts"]["aperiodic"] is True
 
 
 def test_ops_validate_negative(capsys):
@@ -718,16 +752,49 @@ def test_nesting_at_the_limit(tmp_path, capsys, default_recursion_limit):
         (40, parser.MAX_NESTING - 41, "({})"),  # parentheses
         (40, parser.MAX_NESTING - 41, "{} + u1"),  # a left operand
         (40, parser.MAX_NESTING - 41, "{} - u1"),
+        (parser.MAX_NESTING + 1, 0, "{}"),  # blocks alone
     ],
 )
 def test_nesting_past_the_limit(tmp_path, capsys, default_recursion_limit, ifs, tls, wrap):
-    path = tmp_path / "deep.tl"
-    path.write_text(nested_program(ifs, tls, wrap))
+    assert_too_deep(tmp_path, capsys, "deep.tl", nested_program(ifs, tls, wrap))
+
+
+def assert_too_deep(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
     for command in ("check", "forcheck", "run"):
         code, report = run_json(capsys, command, str(path))
         assert code == 2
         assert report["verdicts"]["parse"] is False
         assert f"deeper than {parser.MAX_NESTING}" in report["explanation"]
+
+
+def nested_calls(calls: int) -> str:
+    """A main term of ``calls`` nested procedure calls; z sits ``calls + 1`` levels deep."""
+    term = "call p(, " * calls + "z" + ")" * calls
+    return f"box[z] in declare p(,y){{skip return y}} in {term}"
+
+
+def test_nested_calls_at_the_limit(tmp_path, capsys, default_recursion_limit):
+    path = tmp_path / "deep.tl2"
+    path.write_text(nested_calls(parser.MAX_NESTING - 1))
+    code, report = run_json(capsys, "run", str(path), "--input", "z=1")
+    assert code == 0 and report["result"] == "1"
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        # The while form of the for loop needs three levels below it.
+        ("deep.tl", nested_program(98, 0).replace("x := x", "for i = u1 to x { skip }")),
+        ("deep.tl2", nested_calls(parser.MAX_NESTING)),
+    ],
+    ids=["for-loop", "main-term"],
+)
+def test_nesting_past_the_limit_beyond_assignments(
+    tmp_path, capsys, default_recursion_limit, name, text
+):
+    assert_too_deep(tmp_path, capsys, name, text)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,15 @@ Re-record (only in a change that means to alter a derivation) with::
 import hashlib
 import json
 import pathlib
+import random
 import sys
 
 import pytest
 
+from conftest import ORACLE_BREAK_WITH_OPERATORS, corpus
 from test_levels import load_golden
-from tierlang import parser, safety1, secondorder
+from test_safety1 import preorder
+from tierlang import genprog, parser, safety1, secondorder
 from tierlang.syntax import Program1, level_str
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "derivations.golden.json"
@@ -77,6 +80,133 @@ def test_golden_covers_every_safe_case():
 @pytest.mark.parametrize("case", safe_cases(), ids=lambda c: c["name"])
 def test_derivations_are_unchanged(case):
     assert derivations_of(case["source"]) == load_derivations()[case["name"]]
+
+
+# ---------------------------------------------------------------------------
+# The judge's teeth: forged and mutated derivations are rejected
+
+
+def solved_levels(body, names):
+    """The solution inference finds for ``body``: anonymous levels, gamma, loops."""
+    analysis = safety1.LevelAnalysis()
+    for name in sorted(names):
+        analysis.var_term(name)
+    analysis.gen_stmt(body, None, None)
+    values, explanation = analysis.cs.solve()
+    assert values is not None, explanation
+    gamma = {name: values[u] for name, u in analysis.var_ids.items()}
+    loops = {loop_id: values[u] for loop_id, u in analysis.loop_ids.items()}
+    levels = [v for v, label in zip(values, analysis.cs.unknowns) if label is None]
+    return levels, gamma, loops
+
+
+def forge(twin, body, names):
+    """A derivation of ``body`` built from the solution of its safe ``twin``."""
+    levels, gamma, loops = solved_levels(twin, names)
+    return safety1._DerivationBuilder(levels, gamma, loops).stmt(body, 0, 0), gamma
+
+
+ORACLE_OF_A_GROWING_WORD = (
+    "box[F, z] in declare p(X, s, r){ var y, i; y := s; i := s; while(y > u0){ "
+    "break(|X(tl(i))| > |X(r)|); i := truncate(X(tl(i)), r); y := y - u1 }; "
+    "return y } in call p(F, z, z)"
+)
+
+
+def test_an_oracle_call_must_judge_its_operands():
+    twin = parser.parse(ORACLE_OF_A_GROWING_WORD).procedures[0]
+    program = parser.parse(ORACLE_OF_A_GROWING_WORD.replace("tl(i)", "cons(i, i)"))
+    assert not secondorder.infer_safety2(program).safe
+    proc = program.procedures[0]
+    deriv, gamma = forge(twin.body, proc.body, set(proc.params) | set(proc.locals))
+    for j in preorder(deriv):
+        if j.rule == "ORC":
+            j.children = []  # hides the cons the loop cannot afford
+    assert not safety1.check_derivation(proc, gamma, deriv)
+
+
+def test_a_declass_operand_must_sit_in_the_declass_context():
+    source = "prog(n, a, b){ while(n > u0){ x := declass(cons(a, b), n); n := n - u1 } return x }"
+    program = parser.parse(source)
+    assert not safety1.infer_safety(program).safe
+    twin = parser.parse(source.replace("cons(a, b)", "tl(a)"))
+    deriv, gamma = forge(twin.body, program.body, {"n", "a", "b", "x"})
+    for j in preorder(deriv):
+        if j.rule == "OP" and j.subject.op == "cons":
+            for k in preorder(j):
+                k.tin = k.tout = 0  # outside every loop, cons is allowed
+    assert not safety1.check_derivation(program, gamma, deriv)
+
+
+def judged_bodies():
+    """(body owner, gamma, derivation) of safe corpus, oracle-break and genprog bodies."""
+    programs = [parser.parse_file(corpus(name)) for name in (
+        "bubble.tl", "bubble_for.tl", "exp1.tl", "exp2.tl", "inc_loop.tl", "I.tl2",
+    )]
+    programs.append(parser.parse(ORACLE_BREAK_WITH_OPERATORS))
+    rng, safe = random.Random(20241012), 0
+    while safe < 100:
+        program = genprog.random_program(rng)
+        if safety1.infer_safety(program).safe:
+            programs += [program, secondorder.embed_program1(program)]
+            safe += 1
+    for program in programs:
+        if isinstance(program, Program1):
+            result = safety1.infer_safety(program)
+            if result.safe:
+                yield program, result.gamma, result.derivation
+            continue
+        result = secondorder.infer_safety2(program)
+        for proc in program.procedures if result.safe else ():
+            check = result.checks[proc.name]
+            yield proc, check.gamma, check.derivation
+
+
+EXPRESSION_RULES = ("VAR", "OP", "DCL", "ORC")
+
+
+def mutants(deriv, gamma):
+    """Change one node at a time in place; each yield sees one mutant."""
+    for parent in preorder(deriv):
+        for k in parent.children:
+            if k.rule in EXPRESSION_RULES:
+                context = k.tin, k.tout
+                k.tin, k.tout = k.tin + 1, k.tout + 1
+                yield "context", k
+                k.tin, k.tout = context
+        if parent.rule in ("OP", "DCL", "ORC", "SEQ", "CND", "WH", "WI", "OBK"):
+            kids = parent.children
+            for i in range(len(kids)):
+                parent.children = kids[:i] + kids[i + 1:]
+                yield "drop", parent
+            parent.children = kids
+        if parent.rule in ("WH", "WI"):
+            guard = parent.children[0]
+            lam, guard.level = guard.level, 0
+            yield "guard level", parent
+            guard.level = lam
+        if parent.rule in ("VAR", "ORC", "WH", "WI"):
+            level = parent.level
+            parent.level = gamma[parent.subject.name] + 1 if parent.rule == "VAR" else 0
+            yield "level", parent
+            parent.level = level
+
+
+def test_every_single_node_mutant_is_rejected():
+    kinds, bodies = set(), 0
+    for owner, gamma, deriv in judged_bodies():
+        assert safety1.check_derivation(owner, gamma, deriv)
+        bodies += 1
+        for kind, j in mutants(deriv, gamma):
+            assert not safety1.check_derivation(owner, gamma, deriv), (kind, j.rule, j.subject)
+            kinds.add((kind, j.rule))
+        assert safety1.check_derivation(owner, gamma, deriv)  # every mutant was undone
+    assert bodies >= 200
+    for kind, rule in [("drop", r) for r in ("OP", "DCL", "ORC", "SEQ", "CND", "WH", "OBK")] + [
+        ("level", "VAR"), ("level", "ORC"), ("level", "WH"), ("level", "WI"), ("guard level", "WH"),
+        ("context", "VAR"), ("context", "OP"), ("context", "DCL"), ("context", "ORC"),
+    ]:
+        assert (kind, rule) in kinds
 
 
 def record():

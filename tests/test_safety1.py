@@ -185,6 +185,17 @@ def test_solver_reports_an_unfed_strict_cycle_as_a_chain():
     assert explanation.startswith("conflicting constraint chain:")
 
 
+def test_a_long_strict_cycle_is_explained_whole():
+    cs = safety1.Constraints()
+    us = [cs.fresh(f"u{i}") for i in range(1000)]
+    for i, u in enumerate(us):
+        cs.lt(u, us[(i + 1) % len(us)], "edge {arg}", Var("u"), i)
+    values, explanation = cs.solve()
+    assert values is None
+    origins = explanation.removeprefix("conflicting constraint chain: ").split(" <- ")
+    assert sorted(origins) == sorted(f"edge {i}" for i in range(1000))
+
+
 def test_solver_reaches_the_least_solution_of_a_reversed_chain():
     cs = safety1.Constraints()
     xs = [cs.fresh(f"x{i}") for i in range(30)]

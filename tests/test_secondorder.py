@@ -851,3 +851,10 @@ def test_inferred_procedure_derivations_recheck(iterator_program):
 
 def test_oracle_break_with_operators_derivations_recheck():
     assert_procedure_derivations_recheck(parser.parse(ORACLE_BREAK_WITH_OPERATORS))
+
+
+def test_a_run_needs_one_input_per_boxed_word():
+    program = parser.parse_file(corpus("I.tl2"))
+    interp = so.Interp2(program, {"F": so.make_oracle("builtin:append1")})
+    with pytest.raises(ValueError, match=r"program expects 3 word input\(s\), got 2"):
+        interp.run(["1", "1"])
