@@ -7,11 +7,17 @@ line, prints help and usage errors.  A file's extension names its language: a
 a file of the other language is a parse error.  Every command can emit a
 machine-readable report with --json (schema in report.schema.json at the
 repository root); exit codes are a function of the report.
+
+main pauses the cyclic garbage collector for the one command it runs and
+restores the caller's setting afterwards, also when the command raises.  The
+library functions (parser.parse, safety1.infer_safety and the rest) never
+touch that setting: called directly, they run under the caller's.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import os
 import sys
@@ -441,6 +447,11 @@ def parse_args(argv: list):
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = read_args(argv) or parse_args(argv)
+    # A command builds trees that grow with its input but makes almost no
+    # reference cycles, so the cyclic collector would only walk them again and
+    # again; it is paused for this one command and left as the caller had it.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.fn(args)
     except Exception as exc:  # a bug; it still gets a report and its own exit code
@@ -448,6 +459,9 @@ def main(argv=None) -> int:
         report["error"] = "internal"
         report["explanation"] = f"{type(exc).__name__}: {exc}"
         return emit(report, args.json, [f"internal error: {report['explanation']}"])
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -155,6 +155,44 @@ class SimpleTypeError(Exception):
     pass
 
 
+def _type_term(t, local0: frozenset, procs: dict, boxed_words: set,
+               boxed_oracles: set) -> None:
+    """Type a term: a TermVar or a Call, the only terms the parser makes."""
+    if isinstance(t, TermVar):
+        if t.name not in local0 and t.name not in boxed_words:
+            raise SimpleTypeError(f"unbound term variable {t.name}")
+        return
+    proc = procs.get(t.proc)
+    if proc is None:
+        raise SimpleTypeError(f"call of undeclared procedure {t.proc}")
+    if len(t.closures) != len(proc.oracle_params):
+        raise SimpleTypeError(
+            f"{t.proc} expects {len(proc.oracle_params)} closure(s), "
+            f"got {len(t.closures)}"
+        )
+    for c, (oname, arity) in zip(t.closures, proc.oracle_params):
+        if isinstance(c, ClosureVar):
+            if c.name not in boxed_oracles:
+                raise SimpleTypeError(
+                    f"closure variable {c.name} is not a boxed oracle"
+                )
+        else:
+            if len(c.params) != arity:
+                raise SimpleTypeError(
+                    f"closure for {oname} of {t.proc} must take "
+                    f"{arity} argument(s), got {len(c.params)}"
+                )
+            _type_term(c.body, local0 | frozenset(c.params), procs,
+                       boxed_words, boxed_oracles)
+    if len(t.args) != len(proc.params):
+        raise SimpleTypeError(
+            f"{t.proc} expects {len(proc.params)} word argument(s), "
+            f"got {len(t.args)}"
+        )
+    for a in t.args:
+        _type_term(a, local0, procs, boxed_words, boxed_oracles)
+
+
 def simple_typecheck(program: Program2) -> str:
     """Check well-formedness and the simple-type discipline.
 
@@ -190,7 +228,7 @@ def simple_typecheck(program: Program2) -> str:
 
     # Pairwise-disjoint binder sets of the procedures, a procedure's own
     # parameters and locals included; a free name of the main term is an
-    # unbound variable, which type_term rejects.
+    # unbound variable, which _type_term rejects.
     groups = []
     for p in program.procedures:
         params = {n for n, _ in p.oracle_params} | set(p.params)
@@ -205,42 +243,7 @@ def simple_typecheck(program: Program2) -> str:
                     f"{sorted(overlap)}"
                 )
 
-    def type_term(t, local0: frozenset) -> None:
-        """Type a term: a TermVar or a Call, the only terms the parser makes."""
-        if isinstance(t, TermVar):
-            if t.name not in local0 and t.name not in boxed_words:
-                raise SimpleTypeError(f"unbound term variable {t.name}")
-            return
-        proc = procs.get(t.proc)
-        if proc is None:
-            raise SimpleTypeError(f"call of undeclared procedure {t.proc}")
-        if len(t.closures) != len(proc.oracle_params):
-            raise SimpleTypeError(
-                f"{t.proc} expects {len(proc.oracle_params)} closure(s), "
-                f"got {len(t.closures)}"
-            )
-        for c, (oname, arity) in zip(t.closures, proc.oracle_params):
-            if isinstance(c, ClosureVar):
-                if c.name not in boxed_oracles:
-                    raise SimpleTypeError(
-                        f"closure variable {c.name} is not a boxed oracle"
-                    )
-            else:
-                if len(c.params) != arity:
-                    raise SimpleTypeError(
-                        f"closure for {oname} of {t.proc} must take "
-                        f"{arity} argument(s), got {len(c.params)}"
-                    )
-                type_term(c.body, local0 | frozenset(c.params))
-        if len(t.args) != len(proc.params):
-            raise SimpleTypeError(
-                f"{t.proc} expects {len(proc.params)} word argument(s), "
-                f"got {len(t.args)}"
-            )
-        for a in t.args:
-            type_term(a, local0)
-
-    type_term(program.main, frozenset())
+    _type_term(program.main, frozenset(), procs, boxed_words, boxed_oracles)
 
     parts = ["(" + " -> ".join(["W"] * k) + " -> W)" for _, k in program.boxed_oracles]
     parts += ["W"] * len(program.boxed_words)

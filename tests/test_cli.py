@@ -8,6 +8,7 @@ import pkgutil
 import subprocess
 import sys
 import typing
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import jsonschema
@@ -911,21 +912,118 @@ def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
     assert built == ["tierlang check"]
 
 
+def cyclic_garbage(work) -> list:
+    """The objects that only the cyclic collector frees once ``work()`` is done."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            work()
+        gc.collect()
+        return list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def run_all(commands) -> None:
+    for argv in commands:
+        cli.main(list(argv))
+
+
 def test_a_plain_command_leaves_no_parser_garbage():
     def from_argparse(obj):
         return "argparse" in (type(obj).__module__, getattr(obj, "__module__", None))
 
-    gc.collect()
-    gc.set_debug(gc.DEBUG_SAVEALL)
-    try:
-        with redirect_stdout(io.StringIO()):
-            assert cli.main(["check", corpus("bubble.tl"), "--json"]) == 0
-        gc.collect()
-        garbage = list(gc.garbage)
-    finally:
-        gc.set_debug(0)
-        gc.garbage.clear()
+    garbage = cyclic_garbage(lambda: cli.main(["check", corpus("bubble.tl"), "--json"]))
     assert [obj for obj in garbage if from_argparse(obj)] == []
+
+
+def test_commands_leave_no_cyclic_garbage(monkeypatch):
+    """The collector is paused during a command, so the command must not need it.
+
+    check of every corpus file and every run of runs.golden.json (each corpus
+    file, with stops of every kind) leave nothing for it; with --json they leave
+    only what the json module's indenting encoder leaves on every call.
+    """
+    monkeypatch.chdir(ROOT)
+    runs = json.loads((ROOT / "tests" / "runs.golden.json").read_text())
+    commands = [["check", str(path)] for path in sorted((ROOT / "corpus").glob("*.tl*"))]
+    commands += [case["argv"] for case in runs]
+    assert {argv[1] for argv in commands if argv[0] == "run"} == {
+        f"corpus/{path.name}" for path in (ROOT / "corpus").glob("*.tl*")
+    }
+    assert cyclic_garbage(lambda: run_all(commands)) == []
+
+    def kinds(garbage):
+        return Counter(type(obj).__name__ for obj in garbage)
+
+    encoder = kinds(cyclic_garbage(lambda: json.dumps(cli.blank_report("check"), indent=2)))
+    reports = kinds(cyclic_garbage(lambda: run_all(argv + ["--json"] for argv in commands)))
+    assert reports == Counter({kind: n * len(commands) for kind, n in encoder.items()})
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_command_leaves_the_collector_as_it_found_it(enabled, monkeypatch):
+    during = []
+
+    def broken(*args):
+        during.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert cli.main(["check", corpus("bubble.tl")]) == cli.EXIT_OK
+        assert gc.isenabled() is enabled
+        with monkeypatch.context() as patched:
+            patched.setattr(safety1, "infer_safety", broken)
+            assert cli.main(["check", corpus("bubble.tl")]) == cli.EXIT_INTERNAL
+        assert (during, gc.isenabled()) == ([False], enabled)
+        with pytest.raises(SystemExit):
+            cli.main(["check", corpus("bubble.tl"), "--bogus"])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_check_runs_no_collection(tmp_path):
+    path = tmp_path / "long.tl"
+    path.write_text(straight_line(20_000))
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        assert cli.main(["check", str(path)]) == cli.EXIT_OK
+    finally:
+        gc.callbacks.remove(count)
+    assert collections == []
+    assert gc.isenabled()
+
+
+def test_commands_do_not_leak():
+    """A caller that collects between commands ends where it started."""
+    ops = [
+        ["check", corpus("I.tl2"), "--json"],
+        ["run", corpus("I.tl2"), "--oracle", "F=builtin:append1",
+         "--input", "u=1", "--input", "v=1111", "--input", "w=u3"],
+        ["check", corpus("exp1.tl"), "--json"],
+        ["run", corpus("exp1.tl"), "--input", "x=111", "--input", "y=1"],
+    ]
+    assert gc.isenabled()
+    objects = {}
+    with redirect_stdout(io.StringIO()):
+        for i in range(1, 301):
+            assert cli.main(list(ops[i % len(ops)])) == cli.EXIT_OK
+            if i in (50, 300):
+                gc.collect()
+                objects[i] = len(gc.get_objects())
+    assert objects[300] - objects[50] <= 10, objects
 
 
 def command_lines():
