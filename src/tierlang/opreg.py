@@ -353,29 +353,6 @@ def delta_membership(
 # Randomized class validation
 
 
-class Counterexample(Record):
-    __slots__ = ("op", "inputs", "output", "reason")
-
-    def __init__(self, op: str, inputs: tuple, output: str, reason: str):
-        self.op = op
-        self.inputs = inputs
-        self.output = output
-        self.reason = reason
-
-
-class ClassReport(Record):
-    __slots__ = ("op", "samples", "counterexamples")
-
-    def __init__(self, op: str, samples: int, counterexamples: list | None = None):
-        self.op = op
-        self.samples = samples
-        self.counterexamples = [] if counterexamples is None else counterexamples
-
-    @property
-    def ok(self) -> bool:
-        return not self.counterexamples
-
-
 def polynomial_bound(arity: int, degree: int, max_in: int) -> int:
     # Generous envelope for declared-degree checks; exact coefficients are
     # not part of the declaration.
@@ -418,29 +395,34 @@ def _sample_word(rng: random.Random) -> str:
     return "".join(rng.choice(words.ALPHABET) for _ in range(size))
 
 
-def validate_class(entry: OperatorEntry, samples: int, seed: int = 0) -> ClassReport:
-    """Property-test the declared class on randomized input tuples."""
+def validate_class(entry: OperatorEntry, samples: int, seed: int = 0) -> list:
+    """Property-test the declared class on randomized input tuples.
+
+    Returns the counterexamples as report dicts: ``op``, ``inputs`` (a
+    list), ``output`` and ``reason``; none when the class holds.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
-    report = ClassReport(entry.name, samples)
+    counterexamples = []
     fixtures = [words.EPSILON, "0", "1", "#", "11111", "10#1"]
     for i in range(samples):
         if i < len(fixtures) and entry.arity > 0:
-            inputs = tuple(fixtures[i] for _ in range(entry.arity))
+            inputs = [fixtures[i]] * entry.arity
         else:
-            inputs = tuple(_sample_word(rng) for _ in range(entry.arity))
+            inputs = [_sample_word(rng) for _ in range(entry.arity)]
         output = entry.fn(*inputs)
         reason = _class_violation(entry, inputs, output)
         if reason is not None:
-            report.counterexamples.append(
-                Counterexample(entry.name, inputs, output, reason)
+            counterexamples.append(
+                {"op": entry.name, "inputs": inputs, "output": output, "reason": reason}
             )
-    return report
+    return counterexamples
 
 
-def validate_registry(samples: int, seed: int = 0):
-    return [validate_class(e, samples, seed=seed) for e in BUILTINS]
+def validate_registry(samples: int, seed: int = 0) -> list:
+    """The counterexamples of every registered operator, in registry order."""
+    return [c for e in BUILTINS for c in validate_class(e, samples, seed=seed)]
 
 
 def describe_entry(entry: OperatorEntry) -> dict:

@@ -33,6 +33,8 @@ is an unlabelled unknown.  Generation makes those in one fixed order (an
 if's before its guard, an operator's or a declass's after its operands),
 and the builder takes their solved values back in that order as it walks
 the AST; the result keeps only that list, not the constraints.
+``check_derivation`` re-checks such a tree rule by rule; one helper checks
+the premises of every rule, and a leaf rule (VAR, SKP) has none.
 
 ``brute_force_safe`` is an independent oracle: it enumerates variable
 environments and rule-directed derivations outright, with all levels drawn
@@ -468,14 +470,9 @@ class _DerivationBuilder:
             g = self.expr(s.guard, tin, tout)
             return Judgment("BRK", s, tin, tout, tin, [g])
         if isinstance(s, OracleBreak):
-            left = OracleCall(s.oracle, s.call_args)
-            right = OracleCall(s.oracle, tuple(Var(v) for v in s.ref_vars))
-            lk = [self.expr(a, tin, tout) for a in s.call_args]
-            rk = [self.expr(v, tin, tout) for v in right.args]
-            kids = [
-                Judgment("ORC", left, tin, tout, INFINITY, lk),
-                Judgment("ORC", right, tin, tout, INFINITY, rk),
-            ] + rk
+            refs = tuple(Var(v) for v in s.ref_vars)
+            calls = OracleCall(s.oracle, s.call_args), OracleCall(s.oracle, refs)
+            kids = [self.expr(e, tin, tout) for e in calls + refs]
             return Judgment("OBK", s, tin, tout, tin, kids)
         raise TypeError(f"not a statement: {s!r}")
 
@@ -596,9 +593,10 @@ def check_derivation(program, gamma: dict, deriv: Judgment) -> bool:
 
     ``program`` is a Program1 or a second-order Procedure.  Accepts derivations
     with explicit SUB nodes as well as folded ones (statement nodes presented
-    at a level above their natural one).  Every child must judge the subject
-    its rule names, in the context its rule names: an expression child, through
-    ``_check_kids``, its parent's own.
+    at a level above their natural one).  One helper, ``_check_kids``, checks
+    the premises of every rule: exactly the subjects the rule names, in order,
+    each in the context the rule names, and each by its own rule.  A leaf rule
+    (VAR, SKP) has none.
     """
     if any(v == INFINITY for v in gamma.values()):
         return False  # first-order environments map into the finite levels
@@ -609,22 +607,26 @@ def check_derivation(program, gamma: dict, deriv: Judgment) -> bool:
     return _check_node(deriv, gamma)
 
 
-def _check_kids(j, subjects, gamma) -> bool:
-    """``j``'s children judge ``subjects``, in order, in ``j``'s context, as expressions."""
+def _check_kids(j, exprs, stmts, gamma, context=None) -> bool:
+    """``j``'s premises judge exactly ``exprs``, as expressions, then ``stmts``,
+    as statements, in order, each in ``context`` (by default ``j``'s own)."""
     kids = j.children
+    tin, tout = context or (j.tin, j.tout)
+    subjects = (*exprs, *stmts)
     return len(kids) == len(subjects) and all(
-        k.subject == subject and k.tin == j.tin and k.tout == j.tout
-        and _check_expr_node(k, gamma)
-        for k, subject in zip(kids, subjects)
+        k.subject == subject and k.tin == tin and k.tout == tout
+        and (_check_expr_node if i < len(exprs) else _check_node)(k, gamma)
+        for i, (k, subject) in enumerate(zip(kids, subjects))
     )
 
 
 def _check_expr_node(j, gamma) -> bool:
     e = j.subject
     if j.rule == "VAR":
-        return isinstance(e, Var) and gamma.get(e.name, 0) == j.level
+        return (isinstance(e, Var) and gamma.get(e.name, 0) == j.level
+                and _check_kids(j, (), (), gamma))
     if j.rule == "OP":
-        if not (isinstance(e, OpApp) and _check_kids(j, e.args, gamma)):
+        if not (isinstance(e, OpApp) and _check_kids(j, e.args, (), gamma)):
             return False
         candidate = tuple(k.level for k in j.children) + (j.level,)
         try:
@@ -632,99 +634,56 @@ def _check_expr_node(j, gamma) -> bool:
         except (opreg.UnknownOperator, ValueError):
             return False
     if j.rule == "DCL":
-        if not (isinstance(e, Declass) and _check_kids(j, (e.expr, e.bound), gamma)):
+        if not (isinstance(e, Declass) and _check_kids(j, (e.expr, e.bound), (), gamma)):
             return False
         c1, c2 = j.children
         return c2.level == j.tout and c1.level <= j.level <= j.tout
     if j.rule == "ORC":
-        return isinstance(e, OracleCall) and j.level == INFINITY and _check_kids(j, e.args, gamma)
+        return (isinstance(e, OracleCall) and j.level == INFINITY
+                and _check_kids(j, e.args, (), gamma))
     return False
 
 
 def _check_node(j: Judgment, gamma) -> bool:
     s = j.subject
-    if j.rule in ("VAR", "OP", "DCL", "ORC"):
-        return _check_expr_node(j, gamma)
     if j.rule == "SUB":
-        if len(j.children) != 1:
-            return False
-        kid = j.children[0]
-        return (
-            kid.subject == s
-            and (kid.tin, kid.tout) == (j.tin, j.tout)
-            and kid.level <= j.level
-            and _check_node(kid, gamma)
-        )
+        return _check_kids(j, (), (s,), gamma) and j.children[0].level <= j.level
     if j.rule == "SKP":
-        return isinstance(s, Skip) and j.level >= 0
+        return isinstance(s, Skip) and j.level >= 0 and _check_kids(j, (), (), gamma)
     if j.rule == "ASG":
-        if not (isinstance(s, Assign) and _check_kids(j, (s.expr,), gamma)):
+        if not (isinstance(s, Assign) and _check_kids(j, (s.expr,), (), gamma)):
             return False
-        kid = j.children[0]
-        target = gamma.get(s.var, 0)
-        if j.level < target:
-            return False
-        if not is_finite(kid.level):
-            return False
-        return j.tout == 0 or target <= kid.level
+        source, target = j.children[0].level, gamma.get(s.var, 0)
+        return target <= j.level and is_finite(source) and (j.tout == 0 or target <= source)
     if j.rule == "SEQ":
-        if not isinstance(s, Seq) or len(j.children) != len(s.stmts):
-            return False
-        return all(
-            k.subject == st
-            and k.level == j.level
-            and (k.tin, k.tout) == (j.tin, j.tout)
-            and _check_node(k, gamma)
-            for k, st in zip(j.children, s.stmts)
-        )
+        return (isinstance(s, Seq) and _check_kids(j, (), s.stmts, gamma)
+                and all(k.level == j.level for k in j.children))
     if j.rule == "CND":
-        if not isinstance(s, If) or len(j.children) != 3:
+        if not (isinstance(s, If) and _check_kids(j, (s.guard,), (s.then, s.orelse), gamma)):
             return False
         g, t, o = j.children
-        if g.subject != s.guard or t.subject != s.then or o.subject != s.orelse:
-            return False
-        if not all((c.tin, c.tout) == (j.tin, j.tout) for c in (g, t, o)):
-            return False
-        if not (g.level == t.level == o.level <= j.level):
-            return False
-        return (
-            _check_expr_node(g, gamma)
-            and _check_node(t, gamma)
-            and _check_node(o, gamma)
-        )
+        return g.level == t.level == o.level <= j.level
     if j.rule in ("WH", "WI"):
-        if not isinstance(s, While) or len(j.children) != 2:
-            return False
-        g, b = j.children
-        lam = g.level
-        if not is_finite(lam) or lam < 1:
-            return False
-        if g.subject != s.guard or b.subject != s.body:
-            return False
-        if b.level != lam or j.level < lam:
-            return False
+        lam = j.children[0].level if j.children else 0  # the guard's; no loop sits at 0
         if j.rule == "WI":
-            if (j.tin, j.tout) != (0, 0):
-                return False
-            expected = (lam, lam)
+            context, ok = (lam, lam), (j.tin, j.tout) == (0, 0)
         else:
-            if not (1 <= lam <= j.tout):
-                return False
-            expected = (lam, j.tout)
-        if (g.tin, g.tout) != expected or (b.tin, b.tout) != expected:
-            return False
-        return _check_expr_node(g, gamma) and _check_node(b, gamma)
+            context, ok = (lam, j.tout), lam <= j.tout
+        return (
+            ok and isinstance(s, While) and is_finite(lam) and 1 <= lam <= j.level
+            and _check_kids(j, (s.guard,), (s.body,), gamma, context)
+            and j.children[1].level == lam
+        )
     if j.rule == "BRK":
-        if not (isinstance(s, Break) and _check_kids(j, (s.guard,), gamma)):
-            return False
-        return j.level >= j.tin and j.children[0].level >= j.tin
+        return (isinstance(s, Break) and _check_kids(j, (s.guard,), (), gamma)
+                and j.level >= j.tin and j.children[0].level >= j.tin)
     if j.rule == "OBK":
         if not isinstance(s, OracleBreak):
             return False
         refs = tuple(Var(v) for v in s.ref_vars)
         calls = (OracleCall(s.oracle, s.call_args), OracleCall(s.oracle, refs))
         return (
-            _check_kids(j, calls + refs, gamma)
+            _check_kids(j, calls + refs, (), gamma)
             and all(j.tout < k.level for k in j.children[2:])
             and j.level >= j.tin
         )

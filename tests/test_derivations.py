@@ -12,6 +12,7 @@ Re-record (only in a change that means to alter a derivation) with::
     PYTHONPATH=src python tests/test_derivations.py --record
 """
 
+import functools
 import hashlib
 import json
 import pathlib
@@ -24,7 +25,7 @@ from conftest import ORACLE_BREAK_WITH_OPERATORS, corpus
 from test_levels import load_golden
 from test_safety1 import preorder
 from tierlang import genprog, parser, safety1, secondorder
-from tierlang.syntax import Program1, level_str
+from tierlang.syntax import INFINITY, Program1, Skip, level_str
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "derivations.golden.json"
 
@@ -138,6 +139,22 @@ def test_a_declass_operand_must_sit_in_the_declass_context():
     assert not safety1.check_derivation(program, gamma, deriv)
 
 
+def test_the_judge_rejects_what_no_rule_derives():
+    """An infinite variable, a body typed inside a loop, a rule on the wrong node, no rule."""
+    program = parser.parse_file(corpus("bubble.tl"))
+    result = safety1.infer_safety(program)
+    gamma, deriv = result.gamma, result.derivation
+    assert not safety1.check_derivation(program, dict(gamma, n=INFINITY), deriv)
+    op = next(j for j in preorder(deriv) if j.rule == "OP")
+    for j, field, value in [(deriv, "tin", 1), (deriv, "rule", "OBK"), (deriv, "rule", "NONE"),
+                            (op, "rule", "NONE")]:
+        kept = getattr(j, field)
+        setattr(j, field, value)
+        assert not safety1.check_derivation(program, gamma, deriv), (j.rule, field, value)
+        setattr(j, field, kept)
+    assert safety1.check_derivation(program, gamma, deriv)
+
+
 def judged_bodies():
     """(body owner, gamma, derivation) of safe corpus, oracle-break and genprog bodies."""
     programs = [parser.parse_file(corpus(name)) for name in (
@@ -168,6 +185,10 @@ EXPRESSION_RULES = ("VAR", "OP", "DCL", "ORC")
 def mutants(deriv, gamma):
     """Change one node at a time in place; each yield sees one mutant."""
     for parent in preorder(deriv):
+        # A premise no rule has: a sound leaf judgment in the node's own context.
+        parent.children.append(safety1.Judgment("SKP", Skip(), parent.tin, parent.tout, 0))
+        yield "premise", parent
+        parent.children.pop()
         for k in parent.children:
             if k.rule in EXPRESSION_RULES:
                 context = k.tin, k.tout
@@ -205,8 +226,49 @@ def test_every_single_node_mutant_is_rejected():
     for kind, rule in [("drop", r) for r in ("OP", "DCL", "ORC", "SEQ", "CND", "WH", "OBK")] + [
         ("level", "VAR"), ("level", "ORC"), ("level", "WH"), ("level", "WI"), ("guard level", "WH"),
         ("context", "VAR"), ("context", "OP"), ("context", "DCL"), ("context", "ORC"),
+        ("premise", "VAR"), ("premise", "SKP"),
     ]:
         assert (kind, rule) in kinds
+
+
+RULES = ("SUB", "SKP", "ASG", "SEQ", "CND", "WH", "WI", "BRK", "OBK", "VAR", "OP", "DCL", "ORC")
+
+
+@functools.cache
+def rule_bodies():
+    """(body owner, gamma, derivation) of small safe programs that use all of ``RULES``."""
+    programs = [parser.parse_file(corpus(name)) for name in ("bubble.tl", "exp1.tl", "I.tl2")]
+    programs += [parser.parse(source) for source in (
+        ORACLE_BREAK_WITH_OPERATORS,
+        "prog(x){ while(x > u0){ x := tl(x); break(x > u1) }; skip; return x }",
+    )]
+    bodies = []
+    for program in programs:
+        if isinstance(program, Program1):
+            result = safety1.infer_safety(program)
+            bodies.append((program, result.gamma, result.derivation))
+        else:
+            result = secondorder.infer_safety2(program)
+            bodies += [(proc, result.checks[proc.name].gamma, result.checks[proc.name].derivation)
+                       for proc in program.procedures]
+    return bodies
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_a_premise_the_rule_lacks_is_rejected(rule):
+    """A sound leaf premise, or a second copy of the last premise, on any node of ``rule``."""
+    nodes = 0
+    for owner, gamma, deriv in rule_bodies():
+        assert safety1.check_derivation(owner, gamma, deriv)
+        for j in [j for j in preorder(deriv) if j.rule == rule]:
+            extras = [safety1.Judgment("SKP", Skip(), j.tin, j.tout, 0)] + j.children[-1:]
+            for extra in extras:
+                j.children.append(extra)
+                assert not safety1.check_derivation(owner, gamma, deriv), (rule, extra.rule)
+                j.children.pop()
+            assert safety1.check_derivation(owner, gamma, deriv)
+            nodes += 1
+    assert nodes
 
 
 def record():

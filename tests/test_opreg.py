@@ -205,22 +205,21 @@ def test_delta_requires_finite_context():
 
 def test_validate_builtins_clean(reg):
     for entry in reg:
-        report = validate_class(entry, 300, seed=7)
-        assert report.ok, (entry.name, report.counterexamples[:3])
+        cexs = validate_class(entry, 300, seed=7)
+        assert cexs == [], (entry.name, cexs[:3])
 
 
 def test_validate_catches_misdeclared_increment(reg):
     bogus = OperatorEntry("inc", 1, reg.lookup("inc").fn, Neutral())
-    report = validate_class(bogus, 1000, seed=7)
-    assert not report.ok
-    cex = report.counterexamples[0]
-    assert len(cex.output) > len(cex.inputs[0])
+    cexs = validate_class(bogus, 1000, seed=7)
+    assert cexs and {c["op"] for c in cexs} == {"inc"}
+    cex = cexs[0]
+    assert len(cex["output"]) > len(cex["inputs"][0])
 
 
 def test_validate_catches_wrong_growth(reg):
     bogus = OperatorEntry("cons", 2, reg.lookup("cons").fn, Positive(0))
-    report = validate_class(bogus, 500, seed=7)
-    assert not report.ok
+    assert validate_class(bogus, 500, seed=7)
 
 
 @settings(max_examples=300)

@@ -13,8 +13,6 @@ from conftest import corpus
 from tierlang import parser
 from tierlang.interp1 import ExecStats, LoopMonitorState
 from tierlang.opreg import (
-    ClassReport,
-    Counterexample,
     Neutral,
     OperatorEntry,
     Polynomial,
@@ -48,7 +46,6 @@ from tierlang.syntax import (
 X, Y = Var("x"), Var("y")
 PROC = Procedure("p", [("X", 1)], ["s"], ["y"], Assign("y", Var("s")), "y")
 CALL = Call("p", [ClosureVar("F"), Lambda(["w"], TermVar("w"))], [TermVar("z")])
-CEX = Counterexample("tl", ("1",), "11", "grew")
 
 # Immutable kinds: equal records hash equal.
 FROZEN = [
@@ -93,11 +90,6 @@ MUTABLE = [
     (OperatorEntry("len", 1, len, Neutral()),
      "OperatorEntry(name='len', arity=1, fn=<built-in function len>, klass=Neutral(), "
      "is_truncate=False)"),
-    (CEX, "Counterexample(op='tl', inputs=('1',), output='11', reason='grew')"),
-    (ClassReport("tl", 5, [CEX]),
-     "ClassReport(op='tl', samples=5, counterexamples=[Counterexample(op='tl', "
-     "inputs=('1',), output='11', reason='grew')])"),
-    (ClassReport("tl", 5), "ClassReport(op='tl', samples=5, counterexamples=[])"),
     (ExecStats(7, Counter({1: 2}), 3, 1, [((1, 0), "1", "11")]),
      "ExecStats(steps=7, loop_iterations=Counter({1: 2}), max_store_size=3, oracle_calls=1, "
      "obk_events=[((1, 0), '1', '11')])"),
@@ -126,7 +118,7 @@ MUTABLE = [
 
 
 def test_every_record_class_has_an_instance():
-    assert len({type(r) for r, _ in FROZEN + MUTABLE}) == 31
+    assert len({type(r) for r, _ in FROZEN + MUTABLE}) == 29
 
 
 @pytest.mark.parametrize("record, text", FROZEN + MUTABLE)
@@ -182,7 +174,6 @@ def test_defaults_are_fresh_objects():
     a.obk_events.append(None)
     assert b.loop_iterations == Counter() and b.obk_events == []
     assert LoopMonitorState(1, ()).seen is not LoopMonitorState(1, ()).seen
-    assert ClassReport("tl", 1).counterexamples is not ClassReport("tl", 1).counterexamples
     assert Judgment("SKP", Skip(), 0, 0, 0).children == []
     assert Safety2Result(True).omega is not Safety2Result(True).omega
 
