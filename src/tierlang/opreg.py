@@ -32,7 +32,7 @@ import random
 from typing import Callable
 
 from . import words
-from .syntax import INFINITY, Frozen, Level, Record, is_finite, level_from_json, level_str
+from .syntax import INFINITY, Frozen, Level, Record, is_finite, level_str
 
 
 class Neutral(Frozen):
@@ -60,15 +60,13 @@ OperatorClass = Neutral | Positive | Polynomial
 
 
 class OperatorEntry(Record):
-    __slots__ = ("name", "arity", "fn", "klass", "is_truncate")
+    __slots__ = ("name", "arity", "fn", "klass")
 
-    def __init__(self, name: str, arity: int, fn: Callable, klass: OperatorClass,
-                 is_truncate: bool = False):
+    def __init__(self, name: str, arity: int, fn: Callable, klass: OperatorClass):
         self.name = name
         self.arity = arity
         self.fn = fn
         self.klass = klass
-        self.is_truncate = is_truncate
 
 
 class UnknownOperator(KeyError):
@@ -110,10 +108,6 @@ class Registry:
 # Builtin semantics
 
 
-def _pred(b: bool) -> str:
-    return words.TRUE if b else words.FALSE
-
-
 def _op_eq(a, b):
     # Shortlex equality is string equality.
     return words.TRUE if a == b else words.FALSE
@@ -136,15 +130,15 @@ def _op_ne(a, b):
 
 
 def _op_not(a):
-    return _pred(not words.truthy(a))
+    return words.FALSE if a == words.TRUE else words.TRUE
 
 
 def _op_and(a, b):
-    return _pred(words.truthy(a) and words.truthy(b))
+    return words.TRUE if a == b == words.TRUE else words.FALSE
 
 
 def _op_or(a, b):
-    return _pred(words.truthy(a) or words.truthy(b))
+    return words.TRUE if words.TRUE in (a, b) else words.FALSE
 
 
 def _op_inc(a):
@@ -242,7 +236,7 @@ def builtin_registry() -> Registry:
         OperatorEntry("len", 1, _op_len, p(0)),
         OperatorEntry("cons", 2, _op_cons, Polynomial(1)),
         OperatorEntry("pad", 2, _op_pad, p(0)),
-        OperatorEntry("truncate", 2, _op_truncate, n(), is_truncate=True),
+        OperatorEntry("truncate", 2, _op_truncate, n()),
     ]
     return Registry(entries)
 
@@ -268,7 +262,7 @@ class DeltaConfig:
 
     def __init__(self, forbidden=None):
         self.forbidden = {
-            op: {tuple(level_from_json(x) for x in cand) for cand in cands}
+            op: {tuple(INFINITY if x == "inf" else x for x in cand) for cand in cands}
             for op, cands in (forbidden or {}).items()
         }
 
@@ -323,7 +317,7 @@ def delta_membership(
         return False
     args, result = candidate[:-1], candidate[-1]
 
-    if entry.is_truncate:
+    if op == "truncate":
         # One unbounded operand, truncated by the second; the result can
         # never guard the enclosing loops.  Outside loops (tin = 0) there is
         # nothing to guard and the result level is unconstrained.
@@ -370,7 +364,7 @@ def _class_violation(entry: OperatorEntry, inputs, output) -> str | None:
             return None
         if output in (words.TRUE, words.FALSE):
             return None
-        if any(words.is_subword(output, w) for w in inputs):
+        if any(output in w for w in inputs):
             return None
         return "output neither boolean nor a factor of any input"
     if isinstance(klass, Positive):
@@ -432,7 +426,7 @@ def describe_entry(entry: OperatorEntry) -> dict:
         info["growth"] = k.growth
     if isinstance(k, Polynomial):
         info["degree"] = k.degree
-    if entry.is_truncate:
+    if entry.name == "truncate":
         info["special"] = "truncate"
     return info
 

@@ -244,6 +244,17 @@ class _Parser:
         if self.arities.setdefault(name, arity) != arity:
             raise self.error(f"inconsistent arity for oracle variable {name}", pos)
 
+    def distinct(self, names, start) -> list:
+        """``names``, the binders read since token ``start``, if none is bound twice."""
+        if len(set(names)) < len(names):
+            seen = set()
+            for pos in range(start, self.pos):
+                name = self.values[pos]
+                if self.kinds[pos] in ("ident", "ovar") and name in seen:
+                    raise self.error(f"variable {name} is bound twice", pos)
+                seen.add(name)
+        return names
+
     def too_deep(self, pos) -> ParseError:
         return self.error(f"blocks and expressions nest deeper than {MAX_NESTING} levels", pos)
 
@@ -260,7 +271,8 @@ class _Parser:
     def parse_program1(self) -> Program1:
         self.expect("prog")
         self.expect("(")
-        params = self.parse_idlist(")")
+        start = self.pos
+        params = self.distinct(self.parse_idlist(")"), start)
         self.expect("{")
         body = self.parse_stmts(0, "return")
         self.expect("return")
@@ -271,6 +283,7 @@ class _Parser:
 
     def parse_program2(self) -> Program2:
         oracle_names, boxed_words = [], []
+        start = self.pos
         while self.accept("box"):
             self.expect("[")
             while True:
@@ -285,6 +298,7 @@ class _Parser:
                     break
             self.expect("]")
             self.expect("in")
+        self.distinct(oracle_names + boxed_words, start)
         procedures = []
         while self.accept("declare"):
             procedures.append(self.parse_procedure())
@@ -299,6 +313,7 @@ class _Parser:
     def parse_procedure(self) -> Procedure:
         name = self.expect("ident")
         self.expect("(")
+        start = self.pos
         oracle_names, params = [], []
         if self.accept(","):  # explicit empty order-1 list: p(, x, y)
             params = self.parse_idlist(")")
@@ -316,10 +331,12 @@ class _Parser:
                 if not self.accept(","):
                     break
             self.expect(")")
+        self.distinct(oracle_names + params, start)
         self.expect("{")
-        local_vars = []
+        local_vars, start = [], self.pos
         while self.accept("var"):
             local_vars.extend(self.parse_idlist(";"))
+        self.distinct(local_vars, start)
         self.arities = {}
         body = self.parse_stmts(0, "return")
         self.expect("return")
@@ -361,7 +378,7 @@ class _Parser:
                 elif kind == "lambda":
                     self.pos += 1
                     self.expect("(")
-                    lam_params = self.parse_idlist(")")
+                    lam_params = self.distinct(self.parse_idlist(")"), pos)
                     self.expect(".")
                     closures.append(Lambda(lam_params, self.parse_term(depth)))
                 else:
@@ -398,12 +415,8 @@ class _Parser:
 
     def parse_block(self, depth):
         """``{ statements }``, one level below ``depth``, that of the statement owning it."""
-        pos = self.pos
         self.expect("{")
-        depth += 1
-        if depth > MAX_NESTING:
-            raise self.too_deep(pos)
-        body = self.parse_stmts(depth, "}")
+        body = self.parse_stmts(depth + 1, "}")
         self.expect("}")
         return body
 
@@ -544,7 +557,7 @@ class _Parser:
             rhs, rhs_low = self.parse_expr(depth, _PREC[op] + 1)  # left associative
             if op != "dec":
                 node, low = OpApp(op, (node, rhs)), 1 + max(low, rhs_low)
-            elif type(rhs) is OpApp and rhs.op == "const:1":
+            elif type(rhs) is OpApp and rhs.op == opreg.CONST_PREFIX + "1":
                 node, low = OpApp("dec", (node,)), 1 + low
             else:
                 raise self.error(
@@ -603,7 +616,7 @@ class _Parser:
 
 
 def _literal(text: str) -> OpApp:
-    return OpApp("const:" + text) if text else OpApp("eps")
+    return OpApp(opreg.CONST_PREFIX + text) if text else OpApp("eps")
 
 
 def parse(text: str, desugar: bool = True):

@@ -28,7 +28,7 @@ origin template and the AST node it came from; the text is formatted only
 when a failure is explained.  The typing derivation of a safe result is
 built on its first read, or at once when a ``DeltaConfig`` must be checked
 against it, from the solution alone: variables and loops take their levels
-from the environments, oracle calls sit at ``INF``, and every other level
+from the environments, oracle calls sit at ``INFINITY``, and every other level
 is an unlabelled unknown.  Generation makes those in one fixed order (an
 if's before its guard, an operator's or a declass's after its operands),
 and the builder takes their solved values back in that order as it walks
@@ -41,7 +41,7 @@ environments and rule-directed derivations outright, with all levels drawn
 from a finite range.
 
 Oracle calls (second-order bodies) are handled by the same generator: their
-level is the infinite sentinel ``INF``, which never becomes a constraint.
+level is the infinite level ``INFINITY``, which never becomes a constraint.
 Guardedness has settled where an oracle answer sits: as an assignment's
 whole right-hand side, or as the first operand of truncate or declass.
 Generation settles each of the three at once: truncate accepts the answer,
@@ -80,8 +80,6 @@ from .syntax import (
 # ---------------------------------------------------------------------------
 # Constraint system
 
-INF = INFINITY  # expression-level sentinel; never a solver unknown
-
 
 def _describe(node) -> str:
     """A node as source text; a statement by its head."""
@@ -112,7 +110,7 @@ class Constraints:
     """Difference constraints over level unknowns, and their least solution.
 
     An unknown is the int ``fresh`` returns; a term is an unknown or
-    ``None`` (the constant level 0).  ``INF`` is never a term: generation
+    ``None`` (the constant level 0).  ``INFINITY`` is never a term: generation
     settles every oracle answer before it would reach a constraint.
     An edge ``(src, delta, dst, why, node, arg)`` asks level(dst) >=
     level(src) + delta, an upper bound ``(u, bound, why, node, arg)`` asks
@@ -280,9 +278,8 @@ class LevelAnalysis:
             result = len(cs.unknowns) - 1
             if e.op.startswith(opreg.CONST_PREFIX):
                 return result  # a word constant: neutral, and no operands
-            entry = opreg.BUILTINS.lookup(e.op)
-            if entry.is_truncate:
-                if args[0] is not INF:
+            if e.op == "truncate":
+                if args[0] is not INFINITY:
                     cs.fail("{what}: truncate's first operand must be an oracle call", e)
                 else:
                     cs.le(tout, args[1], "{what}: the truncation bound must be at or above "
@@ -291,7 +288,7 @@ class LevelAnalysis:
                         cs.lt(result, tin, "{what}: a truncated oracle answer cannot reach "
                               "the innermost loop level", e)
                 return result
-            klass = entry.klass
+            klass = opreg.BUILTINS.lookup(e.op).klass
             if isinstance(klass, opreg.Polynomial):
                 if tout is not None:
                     cs.fail("{what}: operator {node.op} can grow polynomially and is not "
@@ -311,7 +308,7 @@ class LevelAnalysis:
         if kind is OracleCall:
             for a in e.args:
                 self.gen_expr(a, tin, tout)
-            return INF
+            return INFINITY
         if kind is Declass:
             t1 = self.gen_expr(e.expr, tin, tout)
             t2 = self.gen_expr(e.bound, tin, tout)
@@ -319,7 +316,7 @@ class LevelAnalysis:
                   "loop level", e.bound)
             result = cs.fresh()
             why = "declass(..., {what}): declassified operand caps the result from below"
-            if t1 is INF:
+            if t1 is INFINITY:
                 cs.fail(why, e.bound)
             else:
                 cs.le(t1, result, why, e.bound)
@@ -345,7 +342,7 @@ class LevelAnalysis:
                 if gx is None:
                     gx = self.var_term(st.var)
                 floors.append(gx)
-                if t is INF:
+                if t is INFINITY:
                     cs.fail("{what}: an oracle answer cannot be assigned directly; "
                             "truncate or declassify it first", st)
                 elif tout is not None:

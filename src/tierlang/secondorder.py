@@ -17,9 +17,9 @@ every name bound.
 Level inference reuses the first-order constraint engine
 (``safety1.infer_levels``) on guarded bodies, so it never decides again
 where an oracle call may sit; a call sits at the infinite level.  Each body
-is inferred from the loop-free context; its ``InferenceResult`` gives the
-procedure's entry in omega (variable environment and body level) and builds
-its derivation on first read.
+is inferred from the loop-free context; its ``InferenceResult``, kept in
+``Safety2Result.checks``, gives the procedure's variable environment and
+body level, the report's omega, and builds its derivation on first read.
 
 Evaluation extends the first-order evaluator core (``interp1.Interp``),
 which runs every expression and statement; ``Interp2`` adds procedure
@@ -271,15 +271,13 @@ def infer_procedure_levels(
 
 
 class Safety2Result(Record):
-    __slots__ = ("safe", "stage", "explanation", "omega", "program_type", "checks")
+    __slots__ = ("safe", "stage", "explanation", "program_type", "checks")
 
     def __init__(self, safe: bool, stage: str | None = None, explanation: str | None = None,
-                 omega: dict | None = None, program_type: str | None = None,
-                 checks: dict | None = None):
+                 program_type: str | None = None, checks: dict | None = None):
         self.safe = safe
         self.stage = stage  # failing stage when unsafe
         self.explanation = explanation
-        self.omega = {} if omega is None else omega
         self.program_type = program_type
         self.checks = {} if checks is None else checks  # procedure name -> InferenceResult
 
@@ -294,14 +292,14 @@ class Safety2Result(Record):
             "stage": self.stage,
             "explanation": self.explanation,
             "program_type": self.program_type,
-            "omega": {
+            "omega": {  # every body is typed from the loop-free context
                 name: {
-                    "gamma": {v: level_str(l) for v, l in sorted(entry[0].items())},
-                    "level": level_str(entry[1][0]),
-                    "tin": level_str(entry[1][1]),
-                    "tout": level_str(entry[1][2]),
+                    "gamma": {v: level_str(l) for v, l in sorted(check.gamma.items())},
+                    "level": level_str(check.body_level),
+                    "tin": "0",
+                    "tout": "0",
                 }
-                for name, entry in sorted(self.omega.items())
+                for name, check in sorted(self.checks.items())
             },
         }
 
@@ -325,7 +323,6 @@ def infer_safety2(
             return Safety2Result(
                 False, "levels", check.explanation, program_type=program_type
             )
-        result.omega[proc.name] = (check.gamma, (check.body_level, 0, 0))
         result.checks[proc.name] = check
     return result
 

@@ -36,12 +36,6 @@ def level_str(level: Level) -> str:
     return "inf" if level == INFINITY else str(int(level))
 
 
-def level_from_json(value) -> Level:
-    if value == "inf":
-        return INFINITY
-    return int(value)
-
-
 # ---------------------------------------------------------------------------
 # Records
 

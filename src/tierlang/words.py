@@ -1,8 +1,9 @@
 """Words over the fixed alphabet {0, 1, #}: the universal value domain.
 
 Every runtime value is a word, represented as a plain Python string whose
-symbols come from :data:`ALPHABET`.  The one-symbol word ``"1"`` is the only
-truthy value; everything else (including the empty word) counts as false.
+symbols come from :data:`ALPHABET`.  The one-symbol word ``"1"`` (``TRUE``) is
+the only true value, so truth is ``w == TRUE``; everything else (including
+the empty word) counts as false.  ``v in w`` says that v is a factor of w.
 """
 
 from __future__ import annotations
@@ -35,15 +36,6 @@ def word(text: str) -> str:
     if not is_word(text):
         raise WordError(f"not a word over {{0,1,#}}: {text!r}")
     return text
-
-
-def is_subword(v: str, w: str) -> bool:
-    """True iff v occurs in w as a contiguous factor."""
-    return v in w
-
-
-def truthy(w: str) -> bool:
-    return w == TRUE
 
 
 def shortlex_compare(v: str, w: str) -> int:

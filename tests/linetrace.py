@@ -9,7 +9,14 @@ not seen.  Needs nothing beyond pytest; tier-1 does not collect it.
 
 Run from the repository root (extra arguments go to pytest)::
 
-    python tests/linetrace.py [PYTEST_ARGS...]
+    python tests/linetrace.py [--ledger tests/unrun.txt] [PYTEST_ARGS...]
+
+With ``--ledger FILE`` it also holds the unrun lines to that ledger, and
+exits 1 when a line outside the ledger never ran or a ledger line now runs.
+A ledger line reads ``FILE:LINE GROUP TEXT``: the place, a one-word group
+saying why no test runs it, and the line's stripped text; ``#`` starts a
+comment line.  ``tests/test_ledger.py`` checks in tier-1 that each text
+still sits at its place.
 
 Tracing slows the suite about fourfold.
 """
@@ -51,7 +58,21 @@ class Lines:
         return self
 
 
+def read_ledger(path) -> dict:
+    """``(file, line) -> (group, text)`` for each entry of a ledger file."""
+    entries = {}
+    for row in pathlib.Path(path).read_text().splitlines():
+        if row.strip() and not row.startswith("#"):
+            place, group, text = row.split(maxsplit=2)
+            file, line = place.rsplit(":", 1)
+            entries[file, int(line)] = group, text
+    return entries
+
+
 def main(args) -> int:
+    ledger = None
+    if args[:1] == ["--ledger"]:
+        ledger, args = read_ledger(args[1]), args[2:]
     files = {str(path): path for path in sorted(PACKAGE.glob("*.py"))}
     ran = {name: Lines() for name in files}
 
@@ -70,17 +91,24 @@ def main(args) -> int:
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    total = missed = 0
+    total, unrun = 0, set()
     for name, path in files.items():
         source = path.read_text().splitlines()
         lines = executable_lines(path)
         never = sorted(lines - ran[name].seen)
         total += len(lines)
-        missed += len(never)
+        unrun.update((str(path.relative_to(ROOT)), line) for line in never)
         for line in never:
             print(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
-    print(f"{missed} of {total} executable lines never ran (pytest exit {int(status)})")
-    return int(status)
+    print(f"{len(unrun)} of {total} executable lines never ran (pytest exit {int(status)})")
+    if ledger is None:
+        return int(status)
+    outside, now_run = sorted(unrun - ledger.keys()), sorted(ledger.keys() - unrun)
+    for file, line in outside:
+        print(f"not in the ledger: {file}:{line}")
+    for file, line in now_run:
+        print(f"in the ledger, but ran: {file}:{line} {' '.join(ledger[file, line])}")
+    return 1 if outside or now_run else int(status)
 
 
 if __name__ == "__main__":

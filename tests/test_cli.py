@@ -74,6 +74,24 @@ def test_check_parse_error(tmp_path, capsys):
     assert report["verdicts"]["parse"] is False
 
 
+@pytest.mark.parametrize("source, name", [
+    ("prog(x, x){ y := x return y }", "x"),
+    ("box[F, u] in declare p(X, a, a){ var y; y := a; return y } in call p(F, u, u)", "a"),
+    ("box[F, u] in declare p(X, a){ var y; var y; y := a; return y } in call p(F, u)", "y"),
+    ("box[F, u, u] in declare p(X, a){ var y; y := a; return y } in call p(F, u)", "u"),
+    ("box[F, u] in declare p(X, a){ var y; y := a; return y } in call p(lambda(w, w). w, u)",
+     "w"),
+])
+def test_a_name_bound_twice_exits_2_under_check_and_run(tmp_path, capsys, source, name):
+    """Once, ``prog(x, x)`` checked safe and its run kept only the last input."""
+    path = tmp_path / ("dup.tl" if source.startswith("prog") else "dup.tl2")
+    path.write_text(source)
+    for command in ("check", "run"):
+        code, report = run_json(capsys, command, str(path))
+        assert code == 2 and report["verdicts"]["parse"] is False
+        assert report["explanation"].startswith(f"variable {name} is bound twice at 1:")
+
+
 def test_check_missing_file(capsys):
     assert_io_error(capsys, "check", "no/such/file.tl")
 

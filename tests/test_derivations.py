@@ -155,6 +155,34 @@ def test_the_judge_rejects_what_no_rule_derives():
     assert safety1.check_derivation(program, gamma, deriv)
 
 
+# An operator result the judge must refuse at the infinite level: a
+# truncated oracle answer, and a constant.  Under an assignment the
+# assignment's rule refuses an infinite source as well; under cons, outside
+# every loop, nothing but the operator rule does, since a polynomial
+# operator there takes operands at any level.  (The second truncate is not
+# guarded, which the judge does not ask.)
+@pytest.mark.parametrize("source, op", [
+    ("box[F, z] in declare p(X, y){ var x; x := truncate(X(y), y); return x } in call p(F, z)",
+     "truncate"),
+    ("box[F, z] in declare p(X, y){ var x; x := cons(truncate(X(y), y), y); return x } "
+     "in call p(F, z)", "truncate"),
+    ("prog(y){ x := eps return x }", "eps"),
+    ("prog(y){ x := cons(eps, y) return x }", "eps"),
+])
+def test_an_operator_result_at_the_infinite_level_is_rejected(source, op):
+    program = parser.parse(source)
+    if isinstance(program, Program1):
+        owner, result = program, safety1.infer_safety(program)
+    else:
+        owner = program.procedures[0]
+        result = secondorder.infer_procedure_levels(owner)
+    gamma, deriv = result.gamma, result.derivation
+    assert safety1.check_derivation(owner, gamma, deriv)
+    node = next(j for j in preorder(deriv) if j.rule == "OP" and j.subject.op == op)
+    node.level = INFINITY
+    assert not safety1.check_derivation(owner, gamma, deriv)
+
+
 def judged_bodies():
     """(body owner, gamma, derivation) of safe corpus, oracle-break and genprog bodies."""
     programs = [parser.parse_file(corpus(name)) for name in (

@@ -227,7 +227,7 @@ def test_validate_catches_wrong_growth(reg):
 def test_neutral_unary_ops_are_factors_or_bool(reg, w):
     for name in ("dec", "hd", "tl", "not"):
         out = builtin_registry().apply(name, [w])
-        assert out in ("0", "1") or words.is_subword(out, w)
+        assert out in ("0", "1") or out in w
 
 
 @settings(max_examples=300)

@@ -306,6 +306,45 @@ def test_for_variable_is_rejected_only_in_its_body(text, rejected):
         parse(text, desugar=desugar)
 
 
+# Each binder list binds a name at most once: prog parameters, procedure
+# parameters of either order, a body's var clauses together, the box
+# clauses together, and lambda parameters.
+DUPLICATE_BINDERS = [
+    ("prog(x, x){ y := x return y }", "x", 9),
+    ("box[F, u] in declare p(X, a, a){ var y; y := a; return y } in call p(F, u, u)", "a", 30),
+    ("box[F, u] in declare p(X, X, a){ var y; y := a; return y } in call p(F, F, u)", "X", 27),
+    ("box[F, u] in declare p(, a, a){ var y; y := a; return y } in call p(, u, u)", "a", 29),
+    ("box[F, u] in declare p(X, a){ var y, z; var y; y := a; return y } in call p(F, u)",
+     "y", 45),
+    ("box[F, u, u] in declare p(X, a){ var y; y := a; return y } in call p(F, u)", "u", 11),
+    ("box[F] in box[F, u] in declare p(X, a){ var y; y := a; return y } in call p(F, u)",
+     "F", 15),
+    ("box[F, u] in declare p(X, a){ var y; y := a; return y } in call p(lambda(w, w). w, u)",
+     "w", 77),
+]
+
+
+@pytest.mark.parametrize("text, name, col", DUPLICATE_BINDERS)
+def test_a_name_bound_twice_is_a_parse_error_at_its_second_binding(text, name, col):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.message, err.value.line, err.value.col) == (
+        f"variable {name} is bound twice", 1, col
+    )
+
+
+def test_names_that_bind_nothing_may_repeat():
+    """Reference variables and arguments are uses, and distinct lists may share a name."""
+    text = ("box[F, u] in declare p(X, a){ var y; while(a > eps){ break(|X(a, a)| > |X(y, y)|); "
+            "a := tl(a) }; return y } in call p(lambda(v, w). w, u)")
+    loop = parse(text).procedures[0].body
+    assert loop.body.stmts[0].ref_vars == ("y", "y")
+    text = ("box[F, u] in declare p(X, a, b){ var y; y := a; return y } "
+            "in call p(lambda(a, b). a, u, u)")
+    assert parse(text).main.closures[0].params == ("a", "b")
+    assert parse("prog(x, y){ y := cons(x, x) return y }").params == ["x", "y"]
+
+
 def test_for_never_survives_parse():
     p = parse("prog(n){for i = u0 to n { skip } return n}")
     assert not any(isinstance(s, For) for s in iter_stmts(p.body))

@@ -224,20 +224,21 @@ def test_order_confusion_rejected():
 def test_iterator_is_safe(iterator_program):
     result = so.infer_safety2(iterator_program)
     assert result.safe
-    gamma_it, triple_it = result.omega["iterate"]
+    gamma_it = result.checks["iterate"].gamma
     assert gamma_it["s"] == 1 and gamma_it["r"] == 2
     assert gamma_it["p"] == 1 and gamma_it["i"] == 0
-    assert triple_it[1:] == (0, 0)
-    gamma_dr, _ = result.omega["drive"]
+    entry = result.report()["omega"]["iterate"]
+    assert (entry["tin"], entry["tout"]) == ("0", "0")
+    gamma_dr = result.checks["drive"].gamma
     assert gamma_dr["n"] == 1 and gamma_dr["b"] == 1
     assert gamma_dr["l0"] == 2 and gamma_dr["n0"] == 2
 
 
 def test_iterate_checks_under_documented_environment(iterator_program):
     result = so.infer_safety2(iterator_program)
-    gamma, triple = result.omega["iterate"]
-    assert gamma == {"s": 1, "r": 2, "p": 1, "i": 0, "q": 0, "acc": 0}
-    assert triple == (1, 0, 0)
+    check = result.checks["iterate"]
+    assert check.gamma == {"s": 1, "r": 2, "p": 1, "i": 0, "q": 0, "acc": 0}
+    assert check.body_level == 1
     # the loop types at level 1 with inner and outer context levels 1
     loop_node = next(
         j for j in _walk_judgments(result.derivations["iterate"])
@@ -841,7 +842,7 @@ def assert_procedure_derivations_recheck(program):
     result = so.infer_safety2(program)
     assert result.safe
     for name, deriv in result.derivations.items():
-        gamma = result.omega[name][0]
+        gamma = result.checks[name].gamma
         assert check_derivation(procedure(program, name), gamma, deriv), name
 
 

@@ -28,16 +28,6 @@ def test_repeat_zero_is_empty():
     assert "101" * 0 == words.EPSILON
 
 
-def test_subword_examples():
-    assert words.is_subword("01", "101")
-    assert words.is_subword("", "01#")
-    assert words.is_subword("", "")
-    # exhaustive scan of the factors of 101: no "11"
-    factors = {"101"[i:j] for i in range(4) for j in range(i, 4)}
-    assert "11" not in factors
-    assert not words.is_subword("11", "101")
-
-
 def test_shortlex_examples():
     assert words.shortlex_compare("11", "000") == -1
     assert words.shortlex_compare("01", "01") == 0
@@ -51,33 +41,10 @@ def test_word_validation():
     assert words.word("0101#") == "0101#"
 
 
-def test_truthiness():
-    assert words.truthy("1")
-    for w in ("", "0", "11", "#", "0101"):
-        assert not words.truthy(w)
-
-
 @given(word_st, word_st, word_st)
 def test_concat_associative_with_identity(a, b, c):
     assert words.word(a + b) + c == a + words.word(b + c)
     assert words.EPSILON + a == a == a + words.EPSILON
-
-
-@given(word_st, word_st)
-def test_longer_never_subword(v, w):
-    if len(v) > len(w):
-        assert not words.is_subword(v, w)
-
-
-@given(word_st, word_st, word_st)
-def test_subword_reflexive_transitive(u, v, w):
-    assert words.is_subword(v, v)
-    # build a transitive chain by construction: u <= u.v <= w.(u.v)
-    mid = u + v
-    outer = w + mid
-    assert words.is_subword(u, mid) or u == ""
-    assert words.is_subword(mid, outer)
-    assert words.is_subword(u, outer) or words.is_subword(u, mid)
 
 
 @given(word_st, word_st, word_st)

@@ -107,13 +107,13 @@ class TreeBuilder:
             return broke, out, node
         if isinstance(s, If):
             guard = self.eval_expr(store, s.guard)
-            branch = s.then if words.truthy(guard) else s.orelse
+            branch = s.then if guard == words.TRUE else s.orelse
             broke, out, child = self.exec_tree(store, branch)
             node["children"].append(child)
             return broke, out, node
         if isinstance(s, While):
             guard = self.eval_expr(store, s.guard)
-            if not words.truthy(guard):
+            if guard != words.TRUE:
                 return False, store, node
             self.iterations[s.loop_id] += 1
             # Literal unrolling: the premise is (body ; while ...).
@@ -122,7 +122,7 @@ class TreeBuilder:
             return False, out, node
         if isinstance(s, Break):
             guard = self.eval_expr(store, s.guard)
-            return words.truthy(guard), store, node
+            return guard == words.TRUE, store, node
         raise TypeError(s)
 
 
