@@ -55,7 +55,9 @@ observation, which may stop the run first.  A loop whose guard holds only
 while some variable is non-empty, and whose every pass shortens that
 variable, is not observed (``Interp.discharged``): the length is a ranking
 function (Podelski and Rybalchenko, 2004), so no projection could repeat,
-no verdict changes, and the loop keeps no projections.
+no verdict changes, and the loop keeps no projections.  Nor is a loop
+whose every pass lengthens one of its guard's undeclassified variables by
+one symbol: the projections then differ in that variable's length.
 """
 
 from __future__ import annotations
@@ -435,28 +437,39 @@ class Interp:
     def discharged(self, s: While) -> bool:
         """Is loop ``s`` ranked by the length of a guard variable v?
 
-        It is when the guard holds only while v is non-empty (``v != eps``,
-        ``v > c``, ``c < v``, or ``c <= v`` for a non-empty constant c) and
-        the body writes v once, by one of its own statements ``v := dec(v)``
-        or ``v := tl(v)``.
+        It is when the body writes v once, by one of its own statements, and
+        either that write is ``v := dec(v)`` or ``v := tl(v)`` and the guard
+        holds only while v is non-empty (``v != eps``, ``v > c``, ``c < v``,
+        or ``c <= v`` for a non-empty constant c), or that write is
+        ``v := v + c`` for a one-symbol constant c and v is an undeclassified
+        variable of the guard.
         """
-        g = s.guard
+        writes = Counter(t.var for t in iter_stmts(s.body) if isinstance(t, Assign))
+        shrinks, grows = self.nonempty_var(s.guard), undeclassified_vars(s.guard)
+        for t in seq_chain(s.body):
+            if not isinstance(t, Assign) or writes[t.var] != 1:
+                continue
+            v, e = t.var, t.expr
+            if v == shrinks and e in (OpApp("dec", [Var(v)]), OpApp("tl", [Var(v)])):
+                return True
+            if v in grows and type(e) is OpApp and e.op == "append" and e.args[0] == Var(v):
+                read = self.compile_expr(e.args[1])[3]  # (None, c) for a constant c
+                if read and len(read[1]) == 1:
+                    return True
+        return False
+
+    def nonempty_var(self, g):
+        """The variable that guard ``g`` holds only while non-empty, or None."""
         if not (isinstance(g, OpApp) and len(g.args) == 2):
-            return False
+            return None
         reads = [self.compile_expr(a)[3] for a in g.args]
         if g.op in ("lt", "le"):
             reads.reverse()
         if not all(reads):
-            return False
+            return None
         (v, _), (key, c) = reads  # a variable, then a constant: key None
         holds = {"ne": c == words.EPSILON, "gt": True, "lt": True, "le": c != words.EPSILON}
-        if v is None or key is not None or not holds.get(g.op):
-            return False
-        writes = [t for t in iter_stmts(s.body) if isinstance(t, Assign) and t.var == v]
-        return (
-            len(writes) == 1 and writes[0] in seq_chain(s.body)
-            and writes[0].expr in (OpApp("dec", [Var(v)]), OpApp("tl", [Var(v)]))
-        )
+        return v if key is None and holds.get(g.op) else None
 
     def run_body(self, store: dict, body, ret: str, where: str) -> str:
         """Run ``body`` in frame ``store``, return ``ret``; a break escaping ``where`` stops."""

@@ -281,6 +281,8 @@ class LevelAnalysis:
             if e.op == "truncate":
                 if args[0] is not INFINITY:
                     cs.fail("{what}: truncate's first operand must be an oracle call", e)
+                elif args[1] is INFINITY:
+                    cs.fail("{what}: the truncation bound cannot be an oracle call", e)
                 else:
                     cs.le(tout, args[1], "{what}: the truncation bound must be at or above "
                           "the outermost loop level", e)

@@ -31,10 +31,13 @@ evaluate under the store current at the oracle call, with the closure's
 binders shadowing it.  A ``prog:`` oracle runs as a nested first-order run
 whose steps count toward the whole run's budget; one sub-interpreter per
 run serves every such call, so each oracle program is compiled once per
-run.  A repeat of one of the run's ``PROG_ANSWERS`` most recent ``prog:``
-calls takes its answer from that table and the steps its first run took,
-unless they pass the budget left, so answers, steps and stops are those of
-fresh runs.  A run starts as ``Interp2(program, oracles, budget, monitor).run(inputs)``,
+run.  One rule covers both kinds of repeat.  A ``prog:`` call with the
+arguments of one of the run's ``PROG_ANSWERS`` most recent ``prog:`` calls,
+and a closure application with the arguments and the values of every name
+it can read or shadow of one of the run's ``PROG_ANSWERS`` most recent
+applications, take the answer from its table and the steps and statistics
+its first evaluation took, unless they pass the budget left; so answers,
+steps, statistics and stops are those of fresh evaluations.  A run starts as ``Interp2(program, oracles, budget, monitor).run(inputs)``,
 where ``program`` passes ``simple_typecheck`` and ``oracles`` maps each boxed
 oracle name to an ``Oracle`` of its arity; a missing or mismatched oracle,
 or a wrong input count, is a ``ValueError`` before the run starts.  After a
@@ -45,6 +48,8 @@ every store holds words only.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from . import interp1, opreg, words
 from .interp1 import DEFAULT_BUDGET
@@ -57,6 +62,7 @@ from .syntax import (
     ClosureVar,
     Declass,
     If,
+    Lambda,
     OpApp,
     OracleBreak,
     OracleCall,
@@ -408,16 +414,86 @@ class Interp2(interp1.Interp):
         self.env: dict = {}  # oracle parameters of the running call -> closures
         self.sub = interp1.Interp()  # runs every prog: oracle
         self.answers: dict = {}  # (id(oracle), *args) -> (answer, steps), oldest first
+        self.applied: dict = {}  # closure applications -> (answer, steps, ...), oldest first
+        self.scopes: dict = {}  # id(closure) -> the names its applications read or shadow
+
+    def recall(self, table: dict, key):
+        """The entry of a recent repeat whose steps fit in the budget left, its steps taken."""
+        entry = table.pop(key, None)
+        if entry is not None and entry[1] <= self.budget - self.stats.steps:
+            table[key] = entry
+            self.stats.steps += entry[1]
+            return entry
+        return None
+
+    @staticmethod
+    def remember(table: dict, key, entry):
+        table[key] = entry
+        if len(table) > PROG_ANSWERS:
+            del table[next(iter(table))]
+
+    def scope(self, closure: Lambda) -> tuple:
+        """The names an application of ``closure`` can read or shadow, found once."""
+        names = self.scopes.get(id(closure))
+        if names is None:
+            found, terms = set(closure.params), [closure.body]
+            while terms:
+                t = terms.pop()
+                if isinstance(t, TermVar):
+                    found.add(t.name)
+                    continue
+                proc = self.sigma[t.proc]
+                found.update(proc.params, proc.locals)
+                terms.extend(t.args)
+                for c in t.closures:
+                    if isinstance(c, Lambda):
+                        found.update(c.params)
+                        terms.append(c.body)
+            names = self.scopes[id(closure)] = tuple(found)
+        return names
 
     def apply_oracle(self, store, name, args):
-        self.stats.oracle_calls += 1
+        st = self.stats
+        st.oracle_calls += 1
         closure = self.env[name]
         self.tick()
         if isinstance(closure, ClosureVar):
             return self.call_external(self.boxed[closure.name], args)
+        # A repeat is answered from the table with the stats its first
+        # evaluation added: the key fixes every value the body can read and
+        # every frame's size above the caller's.  Its oracle-break events
+        # keep their activations' places; one labelled with the activation
+        # running at the call gets the one running now.
+        running = self.activation_stack
+        key = (id(closure), *args, not running, *map(store.get, self.scope(closure)))
+        serial = self.activation_serial
+        hit = self.recall(self.applied, key)
+        if hit is not None:
+            answer, _, calls, iterations, peak, events, started = hit
+            st.oracle_calls += calls
+            st.loop_iterations.update(iterations)
+            st.max_store_size = max(st.max_store_size, self.size + peak)
+            st.obk_events.extend(running[-1] + e[2:] if e[0] is None else
+                                 (e[0], serial + e[1], *e[2:]) for e in events)
+            self.activation_serial += started
+            return answer
         inner = dict(store)
         inner.update(zip(closure.params, args))
-        return self.eval_term(inner, closure.body)
+        steps, calls, first = st.steps, st.oracle_calls, len(st.obk_events)
+        counted, peak = st.loop_iterations, st.max_store_size
+        st.loop_iterations, st.max_store_size = Counter(), self.size
+        try:
+            answer = self.eval_term(inner, closure.body)
+        finally:  # a stop is never kept, and its stats are the whole run's
+            iterations, st.loop_iterations = st.loop_iterations, counted
+            counted.update(iterations)
+            peak, st.max_store_size = st.max_store_size, max(peak, st.max_store_size)
+        events = [(None, None, *e[2:]) if e[1] <= serial else (e[0], e[1] - serial, *e[2:])
+                  for e in st.obk_events[first:]]
+        self.remember(self.applied, key, (
+            answer, st.steps - steps, st.oracle_calls - calls, iterations,
+            peak - self.size, events, self.activation_serial - serial))
+        return answer
 
     def call_external(self, oracle: Oracle, args):
         if oracle.program is None:
@@ -428,23 +504,18 @@ class Interp2(interp1.Interp):
         # inside the oracle ends the whole run, whose stats are self.stats; a
         # budget stop names the whole run's budget, not the oracle's.
         key = (id(oracle), *args)
-        left = self.budget - self.stats.steps
-        hit = self.answers.pop(key, None)
-        if hit is not None and hit[1] <= left:
-            self.answers[key] = hit
-            self.stats.steps += hit[1]
+        hit = self.recall(self.answers, key)
+        if hit is not None:
             return hit[0]
         sub = self.sub
-        sub.budget, sub.stats = left, interp1.ExecStats()
+        sub.budget, sub.stats = self.budget - self.stats.steps, interp1.ExecStats()
         try:
             answer = sub.run(oracle.program, list(args))
         except interp1.BudgetExhausted:
             raise interp1.BudgetExhausted(f"step budget of {self.budget} exhausted") from None
         finally:
             self.stats.steps += sub.stats.steps
-        self.answers[key] = (answer, sub.stats.steps)
-        if len(self.answers) > PROG_ANSWERS:
-            del self.answers[next(iter(self.answers))]
+        self.remember(self.answers, key, (answer, sub.stats.steps))
         return answer
 
     # -- terms and programs

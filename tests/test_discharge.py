@@ -1,8 +1,9 @@
 """Static discharge: the loops the monitor does not watch can never repeat.
 
-``Interp.discharged`` skips the monitor on a loop whose guard holds only
-while a variable v is non-empty and whose body shortens v once per pass, by
-one of its own statements.  These tests judge the rule three ways:
+``Interp.discharged`` skips the monitor on a loop whose body changes the
+length of a guard variable v once per pass, by one of its own statements:
+a countdown shortens a v the guard needs non-empty, and a countup lengthens
+an undeclassified v by one symbol.  These tests judge the rule three ways:
 
 * the materialized tree of ``treecheck`` finds no repeated configuration of
   a discharged loop, on inputs of 0 to 6 symbols;
@@ -14,16 +15,17 @@ one of its own statements.  These tests judge the rule three ways:
 
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 import treecheck
 from conftest import ORACLE_BREAK_WITH_OPERATORS, corpus
 from tierlang import genprog, parser
-from tierlang.interp1 import Interp, RuntimeStop
+from tierlang.interp1 import DEFAULT_BUDGET, Interp, RuntimeStop
 from tierlang.secondorder import Interp2, Oracle, make_oracle
 from tierlang.syntax import (
-    Assign, If, OpApp, Program1, Seq, Skip, Var, While, assign_loop_ids, iter_stmts, seq_of,
+    Assign, Declass, If, OpApp, Program1, Seq, Skip, Var, While, assign_loop_ids, iter_stmts, seq_of,
 )
 
 BUDGET = 3000
@@ -163,11 +165,47 @@ def countdown(rng, names: list, depth: int, miss: str | None = None) -> While:
     return While(guard, seq_of(parts))
 
 
-def countdown_program(seed: int, miss: str | None = None) -> tuple:
-    """A program around one countdown loop, and that loop."""
+GROWTHS = [OpApp("const:1"), OpApp("const:0"), OpApp("const:#"), OpApp("true")]
+UP_MISSES = ["two-symbols", "word", "branch", "twice", "declass"]
+
+
+def countup(rng, names: list, depth: int, miss: str | None = None) -> While:
+    """A loop the rule discharges: a guard variable v grows by one symbol a pass.
+
+    With ``miss``, one ingredient is spoiled: v grows by a two-symbol
+    constant (which appends nothing) or by a variable, the growth sits in
+    one branch of an if, v is written twice, or the guard reads v only
+    under declass.
+    """
+    v = rng.choice(names)
+    others = [n for n in names if n != v]
+    parts = [retarget(genprog.random_stmt(rng, names, depth, 1), v, rng.choice(others))
+             for _ in range(rng.randint(0, 3))]
+    seen, c = Var(v), rng.choice(CONSTS + [OpApp("const:1111")])
+    if miss == "declass":
+        seen = Declass(seen, Var(rng.choice(others)))
+    guard = rng.choice([
+        OpApp("lt", [seen, c]), OpApp("le", [seen, c]), OpApp("gt", [c, seen]),
+        OpApp("and", [OpApp("lt", [seen, c]), genprog.random_expr(rng, others, 1)]),
+    ])
+    grow = Assign(v, OpApp("append", [Var(v), rng.choice(GROWTHS)]))
+    if miss == "two-symbols":
+        grow = Assign(v, OpApp("append", [Var(v), OpApp("const:01")]))
+    elif miss == "word":
+        grow = Assign(v, OpApp("append", [Var(v), Var(rng.choice(others))]))
+    elif miss == "branch":
+        grow = If(genprog.random_expr(rng, names, 1), *rng.sample([grow, Skip()], 2))
+    elif miss == "twice":
+        parts.insert(rng.randint(0, len(parts)), Assign(v, genprog.random_expr(rng, names, 2)))
+    parts.insert(rng.randint(0, len(parts)), grow)
+    return While(guard, seq_of(parts))
+
+
+def loop_program(seed: int, make=countdown, miss: str | None = None) -> tuple:
+    """A program around one loop that ``make`` builds, and that loop."""
     rng = random.Random(seed)
     names = ["v", "a", "b", "c"][: rng.randint(2, 4)]
-    loop = countdown(rng, names, 2, miss)
+    loop = make(rng, names, 2, miss)
     body = seq_of([
         genprog.random_stmt(rng, names, 1, 1), loop, genprog.random_stmt(rng, names, 1, 1),
     ])
@@ -179,7 +217,7 @@ def countdown_program(seed: int, miss: str | None = None) -> tuple:
 def test_the_rule_discharges_what_it_should_in_the_corpus(iterator_program):
     expected = {
         "bubble.tl": {1, 2, 3}, "bubble_for.tl": {1, 2}, "exp1.tl": {1, 2},
-        "exp2.tl": set(), "inc_loop.tl": set(),
+        "exp2.tl": set(), "inc_loop.tl": {1},
     }
     for name, ids in expected.items():
         assert discharged_ids(parser.parse_file(corpus(name))) == ids, name
@@ -219,7 +257,7 @@ def test_iterate_loop_never_repeats(iterator_program, oracle):
 def test_seeded_programs_never_repeat_a_discharged_loop():
     rng, programs = random.Random(17), []
     for seed in range(300):
-        program, loop = countdown_program(seed)
+        program, loop = loop_program(seed)
         assert Interp().discharged(loop), parser.pretty_print(program)
         programs.append(program)
     programs += [genprog.random_program(random.Random(seed)) for seed in range(300)]
@@ -240,12 +278,39 @@ def test_seeded_programs_never_repeat_a_discharged_loop():
 def test_spoiled_countdowns_stay_observed():
     rng, violations = random.Random(23), 0
     for seed in range(300):
-        program, loop = countdown_program(seed, MISSES[seed % 3])
+        program, loop = loop_program(seed, countdown, MISSES[seed % 3])
         assert not Interp().discharged(loop), parser.pretty_print(program)
         for inputs in small_inputs(rng, program.params, 3):
             end = same_as_watching_all(program, inputs)[0]
             violations += end[0] == "aperiodicity-violation"
     assert violations >= 300
+
+
+def test_seeded_countups_never_repeat():
+    rng, tree_runs = random.Random(29), 0
+    for seed in range(300):
+        program, loop = loop_program(seed, countup)
+        assert Interp().discharged(loop), parser.pretty_print(program)
+        only = discharged_ids(program)
+        for inputs in small_inputs(rng, program.params, 3):
+            same_as_watching_all(program, inputs)
+            tree_runs += no_repeat_by_tree(program, inputs, only)
+            assert outcome(lambda: WatchSkipped(BUDGET, True), program, inputs)[0][0] != (
+                "aperiodicity-violation"
+            )
+    assert tree_runs >= 1200
+
+
+def test_spoiled_countups_stay_observed():
+    rng, violations = random.Random(31), Counter()
+    for seed in range(500):
+        miss = UP_MISSES[seed % len(UP_MISSES)]
+        program, loop = loop_program(seed, countup, miss)
+        assert not Interp().discharged(loop), parser.pretty_print(program)
+        for inputs in small_inputs(rng, program.params, 3):
+            end = same_as_watching_all(program, inputs)[0]
+            violations[miss] += end[0] == "aperiodicity-violation"
+    assert min(violations.values()) >= 100, violations
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +333,15 @@ NEAR_MISSES = [
     # The guard is not one of the four forms.
     ("prog(v, a){ while(v != a){ v := dec(v) } return v }", ["", "1"], 2),
     ("prog(v){ while(v = v){ v := dec(v) } return v }", [""], 2),
+    # v grows by no single symbol: append of a two-symbol word yields eps.
+    ('prog(v){ while(v != u3){ v := v + "01" } return v }', ["1"], 3),
+    ("prog(v, a){ while(v != u3){ v := v + a } return v }", ["1", ""], 2),
+    # The growth sits inside one branch, v is written twice or grown from
+    # another variable, or the guard reads v only under declass.
+    ("prog(v, a){ while(v < u3){ if(a){ v := v + u1 } else { skip } } return v }", ["1", "0"], 2),
+    ("prog(v){ while(v != u3){ v := v + u1; v := tl(v) } return v }", ["1"], 2),
+    ("prog(v, a){ while(v != u3){ v := a + u1 } return v }", ["", "1"], 3),
+    ("prog(v, a){ while(declass(v, a) != u3){ v := v + u1 } return v }", ["", "11"], 2),
 ]
 
 
@@ -300,23 +374,33 @@ def test_oracle_break_shrinking_in_a_branch_stays_observed():
 # Memory
 
 
-def peak_bytes(monitor: bool) -> int:
-    program = parser.parse("prog(x){ while(x > u0){ x := x - u1 } return x }")
-    interp = Interp(monitor=monitor)
+def peak_bytes(source: str, inputs: list, monitor: bool, budget: int = DEFAULT_BUDGET) -> tuple:
+    """How a run ends (its result or its stop), and the peak of memory it traced."""
+    program, interp = parser.parse(source), Interp(budget, monitor)
     tracemalloc.start()
     try:
-        assert interp.run(program, ["1" * 5000]) == ""
-        return tracemalloc.get_traced_memory()[1]
+        try:
+            end = interp.run(program, inputs)
+        except RuntimeStop as stop:
+            end = stop.subcode
+        return end, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_a_monitored_countdown_holds_no_projections():
-    assert peak_bytes(True) - peak_bytes(False) < 2**20
+    countdown, inputs = "prog(x){ while(x > u0){ x := x - u1 } return x }", ["1" * 5000]
+    (end, watched), (_, plain) = (peak_bytes(countdown, inputs, m) for m in (True, False))
+    assert end == "" and watched - plain < 2**20
 
 
-def test_a_growing_guard_is_still_observed():
-    # Each of inc_loop's projections is kept until hash-and-replay lands.
+def test_a_growing_guard_is_not_observed():
+    # inc_loop grows x by one symbol a pass until the budget stops it, with
+    # the stop and stats of a run watching its loop, and keeps no projections:
+    # watching it keeps 3,333 of them, about 6 MB at the peak.
     program = parser.parse_file(corpus("inc_loop.tl"))
-    assert discharged_ids(program) == set()
-    assert outcome(lambda: Interp(BUDGET, True), program, ["1"])[0][0] == "budget-exhausted"
+    assert discharged_ids(program) == {1}
+    assert same_as_watching_all(program, ["1"])[0][0] == "budget-exhausted"
+    source = open(corpus("inc_loop.tl")).read()
+    (end, watched), (_, plain) = (peak_bytes(source, ["1"], m, 10 * BUDGET) for m in (True, False))
+    assert end == "budget-exhausted" and watched - plain < 2**20

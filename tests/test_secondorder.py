@@ -306,6 +306,22 @@ def test_declass_of_raw_oracle_answer_unsafe():
     assert not check.safe
 
 
+@pytest.mark.parametrize("body", [
+    "x := truncate(X(y), X(y))",
+    "i := y; while(i > u0){ break(|X(i)| > |X(y)|); x := truncate(X(i), X(y)); i := i - u1 }",
+], ids=["loop-free", "in-loop"])
+def test_an_oracle_call_as_truncation_bound_is_unsafe(body):
+    # Guardedness rejects these bodies first; level inference called on its
+    # own explains them too, and never passes the bound's infinite level on.
+    program = parser.parse(f"box[F, z] in declare p(X, y){{ var x, i; {body}; return x }} "
+                           "in call p(F, z)")
+    with pytest.raises(so.GuardednessError):
+        so.check_guarded(program)
+    check = so.infer_procedure_levels(program.procedures[0])
+    assert not check.safe
+    assert check.explanation.endswith("the truncation bound cannot be an oracle call")
+
+
 def test_drive_without_declass_unsafe(iterator_program):
     variant = copy.deepcopy(iterator_program)
     for s in iter_stmts(procedure(variant, "drive").body):
@@ -715,8 +731,8 @@ def append1_oracle(tmp_path):
     return so.make_oracle(f"prog:{path}")
 
 
-def outcome(cls, program, oracle, inputs, budget, monitor):
-    interp = cls(program, {"F": oracle}, budget, monitor)
+def outcome(cls, program, table, inputs, budget, monitor):
+    interp = cls(program, table, budget, monitor)
     try:
         result = interp.run(inputs)
     except interp1.RuntimeStop as stop:
@@ -740,8 +756,135 @@ def test_repeated_program_oracle_calls_match_fresh_runs(
         interp.run(inputs)
         budgets = interp.stats.steps + 1
     for budget in range(budgets + 1):
-        args = iterator_program, oracle, inputs, budget, monitor
+        args = iterator_program, {"F": oracle}, inputs, budget, monitor
         assert outcome(so.Interp2, *args) == outcome(FreshOracleRuns, *args), budget
+
+
+class FreshClosureRuns(so.Interp2):
+    """The reference: every closure application is evaluated afresh, with no table."""
+
+    def apply_oracle(self, store, name, args):
+        closure = self.env[name]
+        if isinstance(closure, ClosureVar):
+            return super().apply_oracle(store, name, args)
+        self.stats.oracle_calls += 1
+        self.tick()
+        inner = dict(store)
+        inner.update(zip(closure.params, args))
+        return self.eval_term(inner, closure.body)
+
+
+def same_at_every_budget(program, table, inputs, monitor):
+    """A run answering repeated applications from its table reports what fresh ones report."""
+    fresh = FreshClosureRuns(program, table)
+    try:
+        fresh.run(inputs)
+    except interp1.RuntimeStop:
+        pass
+    for budget in range(fresh.stats.steps + 2):
+        args = program, table, inputs, budget, monitor
+        assert outcome(so.Interp2, *args) == outcome(FreshClosureRuns, *args), budget
+
+
+# p's oracle break lies outside p's own loops, so its events take the label
+# of the activation running at the application: none at q's first line, a
+# new one of q's inner loop on each pass of q's outer loop.
+OUTER_BREAK = """box[F, z, k] in
+declare p(X, y, c){ var t; break(|X(y)| > |X(c)|); t := X(y); return t } in
+declare q(Y, a, m){
+  var b, n, j;
+  b := Y(a);
+  j := m;
+  while(j > u0){
+    n := m;
+    while(n > u0){ break(|Y(a)| > |Y(a)|); b := Y(a); n := n - u1 };
+    j := j - u1
+  };
+  return b
+} in
+call q(lambda(x). call p(F, x, k), z, k)"""
+
+
+@pytest.mark.parametrize("monitor", [False, True], ids=["plain", "monitor"])
+@pytest.mark.parametrize("spec", [
+    "builtin:append1", "builtin:double", "builtin:bitflip", "builtin:const:101",
+    "prog:bubble.tl", "prog:append1.tl",
+])
+def test_repeated_closure_applications_match_fresh_runs(iterator_program, tmp_path, spec, monitor):
+    # I.tl2 with each oracle kind of the so-oracle workload: the closure
+    # drive applies starts iterate's loop, whose activations and oracle-break
+    # events a repeat must account for as a fresh evaluation does.
+    if spec == "prog:append1.tl":
+        oracle = append1_oracle(tmp_path)
+    else:
+        oracle = so.make_oracle(f"prog:{corpus('bubble.tl')}" if spec == "prog:bubble.tl" else spec)
+    for inputs in (["1", "01", "11"], ["", "1011", "1111"]):
+        same_at_every_budget(iterator_program, {"F": oracle}, inputs, monitor)
+
+
+@pytest.mark.parametrize("monitor", [False, True], ids=["plain", "monitor"])
+def test_a_repeat_relabels_events_of_the_running_activation(monitor):
+    program = parser.parse(OUTER_BREAK)
+    table = {"F": so.make_oracle("builtin:append1")}
+    for inputs in (["1", "11"], ["11", "1"], ["", "111"]):
+        same_at_every_budget(program, table, inputs, monitor)
+
+    class Evaluating(so.Interp2):
+        def eval_term(self, store, t):
+            evaluated.append(t)
+            return super().eval_term(store, t)
+
+    evaluated = []
+    interp = Evaluating(program, table)
+    assert interp.run(["1", "11"]) == "11"
+    serials = [serial for _, serial, _, _ in interp.stats.obk_events]
+    assert serials == [2] * 8 + [3] * 8  # two inner activations, each one's own
+    # Of 13 applications, the first outside the loops and the first inside
+    # them are evaluated; the 11 repeats are answered from the table.
+    assert interp.stats.oracle_calls == 13 + 13 * 3
+    assert [t for t in evaluated if isinstance(t, Call) and t.proc == "p"] == [Call(
+        "p", (ClosureVar("F"),), (TermVar("x"), TermVar("k")))] * 2
+
+
+# r applies its closure to a short word, then to a long one, and each time q
+# applies the same closure to the same z, with t bound to what r passed.
+# Only t tells the two applications apart: the closure reads it, or it
+# shadows it by p's parameter or local, by its own parameter, or by the
+# parameter of a lambda inside it.  The second application's frames are the
+# run's largest.
+SHADOWED = """box[F, z, w] in
+declare p(X, {param}){{ var {local}; {local} := X({param}); return {local} }} in
+declare h(o){{ var v; v := o; return v }} in
+declare q(Y, a, g){{ var b; b := Y(a); return b }} in
+declare r(W, c, e){{ var d; d := W(e); d := W(c); return d }} in
+call r(lambda(t). call q({closure}, z, t), z, w)"""
+
+
+@pytest.mark.parametrize("param, local, closure", [
+    ("y", "s", "lambda(x). call p(F, t)"),
+    ("t", "s", "lambda(x). call p(F, x)"),
+    ("y", "t", "lambda(x). call p(F, x)"),
+    ("y", "s", "lambda(t). call p(F, z)"),
+    ("y", "s", "lambda(x). call p(lambda(t). call h(x), x)"),
+], ids=["read", "procedure-parameter", "local", "parameter", "inner-parameter"])
+def test_a_repeat_keys_on_every_name_it_reads_or_shadows(param, local, closure):
+    program = parser.parse(SHADOWED.format(param=param, local=local, closure=closure))
+    table = {"F": so.make_oracle("builtin:append1")}
+    for monitor in (False, True):
+        same_at_every_budget(program, table, ["1111", "1"], monitor)
+
+
+@pytest.mark.parametrize("monitor", [False, True], ids=["plain", "monitor"])
+@pytest.mark.parametrize("kind", [0, 1], ids=["builtin", "prog"])
+def test_typed_mutants_match_fresh_closure_runs(typed_programs, kind, monitor):
+    bubble_oracle = so.make_oracle(f"prog:{corpus('bubble.tl')}")
+    for program in typed_programs[::4]:
+        inputs = ["1" * (1 + i % 3) for i in range(len(program.boxed_words))]
+        table = oracle_tables(program, bubble_oracle)[kind]
+        for budget in (40, 300, PROGRESS_BUDGET):
+            args = program, table, inputs, budget, monitor
+            assert outcome(so.Interp2, *args) == outcome(FreshClosureRuns, *args), (
+                parser.pretty_print(program), budget)
 
 
 def test_the_answer_table_is_bounded_and_per_run(iterator_program, tmp_path):
@@ -751,13 +894,19 @@ def test_the_answer_table_is_bounded_and_per_run(iterator_program, tmp_path):
             sizes.append(len(self.answers))
             return answer
 
+        def apply_oracle(self, store, name, args):
+            answer = super().apply_oracle(store, name, args)
+            applied.append(len(self.applied))
+            return answer
+
     oracles = {"F": append1_oracle(tmp_path)}
-    sizes = []
+    sizes, applied = [], []
     first = Counting(iterator_program, oracles)
     out = first.run(["1", "1" * 12, "1" * 10])
     assert max(sizes) == so.PROG_ANSWERS == 8  # many distinct arguments, 8 kept
+    assert max(applied) == so.PROG_ANSWERS  # and 8 closure applications
     second = Counting(iterator_program, oracles)
-    assert second.answers == {}  # nothing carries over from the first run
+    assert second.answers == second.applied == {}  # nothing carries over from the first run
     assert second.run(["1", "1" * 12, "1" * 10]) == out
     assert second.stats == first.stats
 
