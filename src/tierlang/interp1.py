@@ -453,7 +453,7 @@ class Interp:
             if v == shrinks and e in (OpApp("dec", [Var(v)]), OpApp("tl", [Var(v)])):
                 return True
             if v in grows and type(e) is OpApp and e.op == "append" and e.args[0] == Var(v):
-                read = self.compile_expr(e.args[1])[3]  # (None, c) for a constant c
+                read = self.compile_expr(e.args[1])[3]  # (None, c) for a constant c, (w, eps) for w
                 if read and len(read[1]) == 1:
                     return True
         return False

@@ -37,8 +37,9 @@ and a closure application with the arguments and the values of every name
 it can read or shadow of one of the run's ``PROG_ANSWERS`` most recent
 applications, take the answer from its table and the steps and statistics
 its first evaluation took, unless they pass the budget left; so answers,
-steps, statistics and stops are those of fresh evaluations.  A run starts as ``Interp2(program, oracles, budget, monitor).run(inputs)``,
-where ``program`` passes ``simple_typecheck`` and ``oracles`` maps each boxed
+steps, statistics and stops are those of fresh evaluations.  A run starts
+as ``Interp2(program, oracles, budget, monitor).run(inputs)``, where
+``program`` passes ``simple_typecheck`` and ``oracles`` maps each boxed
 oracle name to an ``Oracle`` of its arity; a missing or mismatched oracle,
 or a wrong input count, is a ``ValueError`` before the run starts.  After a
 result or a ``RuntimeStop``, ``interp.stats`` holds the whole run's
