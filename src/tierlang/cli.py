@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import types
+from json.encoder import encode_basestring_ascii as _quoted
 
 from . import interp1, opreg, parser, safety1, secondorder, words
 from .syntax import Program1, Program2
@@ -96,10 +97,35 @@ def exit_code_for(report: dict) -> int:
     return EXIT_OK
 
 
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def json_text(value, indent: str = "\n") -> str:
+    """The text of ``json.dumps(value, indent=2)``, written directly.
+
+    The json module indents only through its pure-Python encoder, which
+    builds a nest of closures on every call.
+    """
+    kind, inner = type(value), indent + "  "
+    if kind is str:
+        return _quoted(value)
+    if kind is int:
+        return repr(value)
+    if value is None or kind is bool:
+        return _LITERALS[value]
+    if kind is dict and value:
+        items = [f"{_quoted(key)}: {json_text(item, inner)}" for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind in (list, tuple) and value:
+        items = [json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(value)  # an empty dict or list, or a float
+
+
 def emit(report: dict, as_json: bool, lines: list) -> int:
     report["exit_code"] = exit_code_for(report)
     if as_json:
-        print(json.dumps(report, indent=2))
+        print(json_text(report))
     else:
         for line in lines:
             print(line)

@@ -80,7 +80,6 @@ from .syntax import (
     Skip,
     Var,
     While,
-    iter_stmts,
     seq_chain,
     undeclassified_vars,
 )
@@ -222,6 +221,9 @@ def _apply(fn, args: list) -> tuple:
     return size, _kernel(fn, args), True, None, call
 
 
+_DEC, _TL, _APPEND = (opreg.BUILTINS.lookup(op).fn for op in ("dec", "tl", "append"))
+
+
 class Interp:
     """The evaluator core.
 
@@ -237,6 +239,8 @@ class Interp:
         self.activation_serial = 0
         self.activation_stack: list = []  # (loop_id, serial) of running loops
         self.code: dict = {}  # id(statement) -> (statement, its closure)
+        self.writes: list = []  # (assignment, its call) of each one compiled, in order
+        self.loop = None  # what discharged() reads: a compiled loop's guard call and writes
 
     def tick(self, k: int = 1):
         """Take k steps in one check."""
@@ -279,14 +283,15 @@ class Interp:
         return fn(self, store)
 
     def compile_expr(self, e) -> tuple:
-        if isinstance(e, Var):
+        cls = type(e)
+        if cls is Var:
             return _read(e.name, words.EPSILON)
-        if isinstance(e, OpApp):
+        if cls is OpApp:
             args = [self.compile_expr(a) for a in e.args]
             return _apply(opreg.BUILTINS.lookup(e.op).fn, args)
-        if isinstance(e, Declass):
+        if cls is Declass:
             return _apply(_declass, [self.compile_expr(e.expr), self.compile_expr(e.bound)])
-        if isinstance(e, OracleCall):
+        if cls is OracleCall:
             oracle, args = e.oracle, [self.compile_expr(a) for a in e.args]
             return _node(args, lambda m, store, values: m.apply_oracle(store, oracle, values))
         raise TypeError(f"not an expression: {e!r}")
@@ -294,11 +299,11 @@ class Interp:
     # -- statements
 
     def compile_stmt(self, s) -> tuple:
-        if isinstance(s, Skip):
-            return 1, lambda m, store: False
-        if isinstance(s, Assign):
+        cls = type(s)
+        if cls is Assign:
             # A read, or an operator on one or two reads, runs in this frame.
             var, (k, expr, _, read, call) = s.var, self.compile_expr(s.expr)
+            self.writes.append((s, call))
             fn, reads = call or (None, [read] if read else [])
             if len(reads) == 2:
                 (ka, da), (kb, db) = reads
@@ -339,7 +344,7 @@ class Interp:
                         m.stats.max_store_size = size
                     return False
             return 1 + k, assign
-        if isinstance(s, Seq):
+        if cls is Seq:
             # k statements apply the binary sequence rule k-1 times: one tick
             # just before each statement but the last, taken with its prefix.
             codes = [self.compile_stmt(t) for t in s.stmts]
@@ -359,7 +364,7 @@ class Interp:
                         return True
                 return False
             return k, seq
-        if isinstance(s, If):
+        if cls is If:
             k, guard = self.compile_expr(s.guard)[:2]
             then, orelse = self.compile_stmt(s.then), self.compile_stmt(s.orelse)
 
@@ -372,12 +377,14 @@ class Interp:
                 st.steps = n
                 return branch(m, store)
             return 1 + k, if_
-        if isinstance(s, While):
+        if cls is While:
             return self.compile_while(s)
-        if isinstance(s, Break):
+        if cls is Skip:
+            return 1, lambda m, store: False
+        if cls is Break:
             k, guard = self.compile_expr(s.guard)[:2]
             return 1 + k, lambda m, store: guard(m, store) == words.TRUE
-        if isinstance(s, OracleBreak):
+        if cls is OracleBreak:
             oracle, ref_vars = s.oracle, s.ref_vars
 
             def oracle_break(m, store, values):
@@ -392,9 +399,11 @@ class Interp:
         raise TypeError(f"not a statement: {s!r}")
 
     def compile_while(self, s: While) -> tuple:
-        loop_id, (kg, guard) = s.loop_id, self.compile_expr(s.guard)[:2]
+        loop_id, (kg, guard, _, _, test) = s.loop_id, self.compile_expr(s.guard)
+        first = len(self.writes)
         kb, body = self.compile_stmt(s.body)
         kb += 1  # the unrolled sequence rule
+        self.loop = (test, self.writes[first:])
         if self.monitor and not self.discharged(s):
             # The guard's ticks follow the observation, which may stop first.
             uvars, again = tuple(sorted(undeclassified_vars(s.guard))), 1
@@ -443,33 +452,32 @@ class Interp:
         or ``c <= v`` for a non-empty constant c), or that write is
         ``v := v + c`` for a one-symbol constant c and v is an undeclassified
         variable of the guard.
-        """
-        writes = Counter(t.var for t in iter_stmts(s.body) if isinstance(t, Assign))
-        shrinks, grows = self.nonempty_var(s.guard), undeclassified_vars(s.guard)
-        for t in seq_chain(s.body):
-            if not isinstance(t, Assign) or writes[t.var] != 1:
-                continue
-            v, e = t.var, t.expr
-            if v == shrinks and e in (OpApp("dec", [Var(v)]), OpApp("tl", [Var(v)])):
-                return True
-            if v in grows and type(e) is OpApp and e.op == "append" and e.args[0] == Var(v):
-                read = self.compile_expr(e.args[1])[3]  # (None, c) for a constant c, (w, eps) for w
-                if read and len(read[1]) == 1:
-                    return True
-        return False
 
-    def nonempty_var(self, g):
-        """The variable that guard ``g`` holds only while non-empty, or None."""
-        if not (isinstance(g, OpApp) and len(g.args) == 2):
-            return None
-        reads = [self.compile_expr(a)[3] for a in g.args]
-        if g.op in ("lt", "le"):
-            reads.reverse()
-        if not all(reads):
-            return None
-        (v, _), (key, c) = reads  # a variable, then a constant: key None
-        holds = {"ne": c == words.EPSILON, "gt": True, "lt": True, "le": c != words.EPSILON}
-        return v if key is None and holds.get(g.op) else None
+        ``compile_while`` asks once it has compiled the loop, and the answer
+        comes from that compile, ``self.loop``: the guard's call and the
+        (assignment, call) of each assignment in the body, nested ones included.
+        """
+        (test, writes), g = self.loop, s.guard
+        shrinks, own = None, seq_chain(s.body)
+        if test and type(g) is OpApp and len(test[1]) == 2:  # a comparison of two reads
+            (v, _), (key, c) = test[1][::-1] if g.op in ("lt", "le") else test[1]
+            holds = {"ne": c == words.EPSILON, "gt": True, "lt": True, "le": c != words.EPSILON}
+            shrinks = v if key is None and holds.get(g.op) else None  # a constant's key is None
+        for t, call in writes:
+            if call is None:
+                continue
+            (fn, reads), v = call, t.var
+            if fn is _DEC or fn is _TL:
+                ranked = v == shrinks and reads == [(v, words.EPSILON)]
+            elif fn is _APPEND:  # a variable w reads as (w, eps): it appends no one symbol
+                ranked = reads[0] == (v, words.EPSILON) and len(reads[1][1]) == 1 and (
+                    v in undeclassified_vars(g)
+                )
+            else:
+                continue
+            if ranked and id(t) in map(id, own) and [u.var for u, _ in writes].count(v) == 1:
+                return True
+        return False
 
     def run_body(self, store: dict, body, ret: str, where: str) -> str:
         """Run ``body`` in frame ``store``, return ``ret``; a break escaping ``where`` stops."""

@@ -23,21 +23,20 @@ body is parsed, and an order-1 variable takes the arity of its uses in its
 procedure body or in the main term (1 if it has none); a use that disagrees
 is a parse error, and so is any oracle call in a first-order program.
 
-The scanner splits the text with one regular expression into whitespace
-and candidate tokens, classifies each distinct candidate once, and gives
-the tokens as flat lists of kinds, values and the lengths of the gaps
-before them; it builds no object per token.  Offsets, lines and columns
-are worked out from those lengths only where they are read: for a
-``ParseError``, and for ``While.line`` through a cursor that moves forward
-over the gaps.  The parser indexes the lists directly, passes the nesting
-depth down as an argument, and numbers the while loops in pre-order as it
-reads them.
+The scanner reads the text with one ``findall`` of one regular expression,
+which takes each candidate token with the whitespace and comments after it,
+classifies each distinct candidate once, and gives the tokens as flat lists
+of kinds and values; it builds no object per token.  Positions are worked
+out only where they are read: for a ``ParseError``, by scanning up to the
+token again with the same expression, and for ``While.line``, by a cursor
+that moves forward through the text from one loop keyword to the next.  The
+parser indexes the lists directly, passes the nesting depth down as an
+argument, and numbers the while loops in pre-order as it reads them.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import islice
 
 from . import opreg, words
 from .syntax import (
@@ -99,15 +98,18 @@ KEYWORDS = {
 
 _SYMBOLS = {":=", "<=", ">=", "!=", *"=<>+-(){}[];,.|"}
 
-# Splits a text into whitespace and candidate tokens, alternately: a word
-# (a keyword, a name or a ``uN`` literal), a two-character symbol, a quoted
+# Whitespace and comments, which separate tokens and are no token.
+_SKIP = r"\s*(?://[^\n]*\s*)*"
+_SKIP_RE = re.compile(_SKIP)
+# A candidate token and the whitespace and comments after it: a word (a
+# keyword, a name or a ``uN`` literal), a two-character symbol, a quoted
 # string, or any other single character; ``_kind`` tells which of them are
-# tokens.  Every non-space character starts a candidate, so the pieces
-# between them are whitespace alone.
-_SPLIT_RE = re.compile(r'((?a:[A-Za-z]\w*)|:=|<=|>=|!=|"[^"\n]*"|\S)')
-# A comment, to blank out, or a string, kept as it is: a "//" in a string
-# starts no comment.
-_COMMENT_RE = re.compile(r'"[^"\n]*"|//[^\n]*')
+# tokens.  Every non-space character that starts no comment starts a
+# candidate, so once the text's leading whitespace and comments are
+# skipped, the matches of ``findall`` follow one another to the end.
+_TOKEN_RE = re.compile(r'((?a:[A-Za-z]\w*)|:=|<=|>=|!=|"[^"\n]*"|\S)' + _SKIP)
+# A loop keyword that is a whole word.
+_LOOP_WORD_RE = re.compile(r"(?a)\b(?:while|for)\b")
 _OWN_KINDS = {t: t for t in (*KEYWORDS, *_SYMBOLS)}
 
 
@@ -126,51 +128,45 @@ def _kind(text: str) -> str:
     return "bad"
 
 
-def _blank(match) -> str:
-    text = match[0]
-    return text if text[0] == '"' else " " * len(text)
-
-
 class Tokens:
     """The tokens of a text as flat lists, ending in one eof token.
 
     Token i has kind ``kinds[i]`` (a keyword or symbol is its own kind; the
-    other kinds are ident, ovar, string and ulit) and text ``values[i]``,
-    and ``gaps[i]`` characters of whitespace and comments come before it.
-    Lines and columns are worked out from these only where they are read.
+    other kinds are ident, ovar, string and ulit) and text ``values[i]``.
+    Positions are worked out from the text only where they are read.
     """
 
-    __slots__ = ("text", "kinds", "values", "gaps")
+    __slots__ = ("text", "kinds", "values")
 
-    def __init__(self, text, kinds, values, gaps):
+    def __init__(self, text, kinds, values):
         self.text = text
         self.kinds = kinds
         self.values = values
-        self.gaps = gaps
 
     def __len__(self) -> int:  # the number of tokens, eof included
         return len(self.kinds)
 
     def line_col(self, i: int) -> tuple:
-        """The 1-based line and column of token i."""
-        offset = sum(self.gaps[:i + 1]) + sum(map(len, self.values[:i]))
+        """The 1-based line and column of token i, found by scanning up to it again."""
         text = self.text
+        offset = _SKIP_RE.match(text).end()
+        for _ in range(i):
+            offset = _TOKEN_RE.match(text, offset).end()
         return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def tokenize(text: str) -> Tokens:
-    """The tokens of ``text``, from one split pass; see ``Tokens``.
+    """The tokens of ``text``, from one ``findall`` pass; see ``Tokens``.
 
-    Comments are first blanked out, so they count as whitespace.  Each
-    distinct candidate is classified once, and equal names are one string,
-    shared by the tokens and the tree.
+    Each distinct candidate is classified once, and equal names are one
+    string, shared by the tokens and the tree.
     """
-    pieces = _SPLIT_RE.split(_COMMENT_RE.sub(_blank, text) if "//" in text else text)
+    found = _TOKEN_RE.findall(text, _SKIP_RE.match(text).end())
     one = {}  # each distinct candidate -> its first occurrence
-    values = list(map(one.setdefault, islice(pieces, 1, None, 2), islice(pieces, 1, None, 2)))
-    tokens = Tokens(text, None, values, list(map(len, islice(pieces, 0, None, 2))))
+    values = list(map(one.setdefault, found, found))
     kind_of = {t: _kind(t) for t in one}
     bad = [values.index(t) for t, kind in kind_of.items() if kind in ("bad", "badstring")]
+    tokens = Tokens(text, None, values)
     if bad:  # the first bad candidate is the error
         i = min(bad)
         if kind_of[values[i]] == "bad":
@@ -198,7 +194,7 @@ class _Parser:
         self.desugar = desugar  # expand each for loop as it is parsed
         self.pos = 0
         self.loops = 0  # while loops numbered so far, in pre-order
-        self.cursor = (0, tokens.gaps[0], 1 + tokens.text.count("\n", 0, tokens.gaps[0]))
+        self.cursor = (0, 1)  # the offset and line of the last loop keyword found
         # Oracle variable -> arity of its uses in the procedure body or main
         # term being parsed; None in a first-order program, which has none.
         self.arities = None
@@ -222,12 +218,21 @@ class _Parser:
         return False
 
     def line(self, pos) -> int:
-        """The line of the token at ``pos``, at or after the last one asked for."""
-        last, offset, line = self.cursor
-        tokens = self.tokens
-        start = offset + sum(map(len, self.values[last:pos])) + sum(tokens.gaps[last + 1:pos + 1])
-        line += tokens.text.count("\n", offset, start)
-        self.cursor = (pos, start, line)
+        """The line of the loop keyword at ``pos``, found after the last one.
+
+        Its token is its next occurrence that is a whole word in no comment.
+        In a text that scans cleanly every ``//`` starts a comment, and one
+        holding the occurrence starts on its line, after the last keyword.
+        """
+        word, text = self.values[pos], self.tokens.text
+        last, line = self.cursor
+        found = text.find(word, last)
+        while not _LOOP_WORD_RE.match(text, found) or (
+            text.find("//", max(text.rfind("\n", last, found) + 1, last), found) >= 0
+        ):
+            found = text.find(word, found + len(word))
+        line += text.count("\n", last, found)
+        self.cursor = (found + len(word), line)
         return line
 
     def error(self, message, pos, expected=()) -> ParseError:

@@ -1,3 +1,4 @@
+import json
 import pathlib
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
-from tierlang import parser  # noqa: E402
+from tierlang import cli, parser  # noqa: E402
 from tierlang.interp1 import DEFAULT_BUDGET, Interp  # noqa: E402
 from tierlang.secondorder import Interp2, simple_typecheck  # noqa: E402
 from tierlang.syntax import (  # noqa: E402
@@ -109,3 +110,26 @@ def bubble():
 @pytest.fixture(scope="session")
 def iterator_program():
     return parser.parse_file(corpus("I.tl2"))
+
+
+@pytest.fixture(autouse=True)
+def json_reports_read_as_json_dumps(monkeypatch):
+    """Every --json report the CLI prints in a test is json.dumps(report, indent=2).
+
+    Each report is kept as text, its compact ``json.dumps`` (the C encoder,
+    which leaves no cyclic garbage) and what ``cli.json_text`` wrote, and
+    judged once the test is done, so a test that counts the objects or the
+    garbage a command leaves sees none of them.
+    """
+    reports, emit = [], cli.emit
+
+    def kept(report, as_json, lines):
+        code = emit(report, as_json, lines)
+        if as_json:
+            reports.append((json.dumps(report), cli.json_text(report)))
+        return code
+
+    monkeypatch.setattr(cli, "emit", kept)
+    yield
+    for compact, text in reports:
+        assert text == json.dumps(json.loads(compact), indent=2)

@@ -3,29 +3,35 @@
 ``Interp.discharged`` skips the monitor on a loop whose body changes the
 length of a guard variable v once per pass, by one of its own statements:
 a countdown shortens a v the guard needs non-empty, and a countup lengthens
-an undeclassified v by one symbol.  These tests judge the rule three ways:
+an undeclassified v by one symbol.  The rule is decided as a loop is
+compiled, so these tests read its decisions off a compile.  They judge it
+four ways:
 
 * the materialized tree of ``treecheck`` finds no repeated configuration of
   a discharged loop, on inputs of 0 to 6 symbols;
 * an interpreter that watches only the discharged loops never stops with a
   violation (for ``I.tl2``, where the tree oracle has no oracle calls);
 * a run with the rule stops exactly where a run watching every loop stops,
-  with the same stats, and so do the near misses the rule must refuse.
+  with the same stats, and so do the near misses the rule must refuse;
+* every decision equals that of the walking reference in ``dischargecheck``.
 """
 
+import json
 import random
 import tracemalloc
 from collections import Counter
 
 import pytest
 
+import dischargecheck
 import treecheck
-from conftest import ORACLE_BREAK_WITH_OPERATORS, corpus
+from conftest import ORACLE_BREAK_WITH_OPERATORS, ROOT, corpus
+from test_secondorder import parsed_mutants, passing
 from tierlang import genprog, parser
 from tierlang.interp1 import DEFAULT_BUDGET, Interp, RuntimeStop
-from tierlang.secondorder import Interp2, Oracle, make_oracle
+from tierlang.secondorder import Interp2, Oracle, SimpleTypeError, make_oracle, simple_typecheck
 from tierlang.syntax import (
-    Assign, Declass, If, OpApp, Program1, Seq, Skip, Var, While, assign_loop_ids, iter_stmts, seq_of,
+    Assign, Declass, If, OpApp, Program1, Seq, Skip, Var, While, assign_loop_ids, seq_of,
 )
 
 BUDGET = 3000
@@ -57,16 +63,38 @@ class WatchSkipped2(Interp2):
         return not Interp2.discharged(self, s)
 
 
-def loops(program):
-    bodies = [program.body] if isinstance(program, Program1) else [
+def bodies(program) -> list:
+    return [program.body] if isinstance(program, Program1) else [
         p.body for p in program.procedures
     ]
-    return [s for b in bodies for s in iter_stmts(b) if isinstance(s, While)]
+
+
+class Deciding(Interp):
+    """Compiles with the monitor on and keeps the rule's decision on each loop."""
+
+    def __init__(self):
+        super().__init__(monitor=True)
+        self.decisions = []  # (loop, discharged), each loop after the loops in its body
+
+    def discharged(self, s):
+        self.decisions.append((s, Interp.discharged(self, s)))
+        return self.decisions[-1][1]
+
+
+def decisions(*stmts) -> list:
+    """(loop, discharged) of every loop in ``stmts``, as compiling them decides."""
+    interp = Deciding()
+    for s in stmts:
+        interp.compile_stmt(s)
+    return interp.decisions
+
+
+def is_discharged(loop: While) -> bool:
+    return decisions(loop)[-1][1]
 
 
 def discharged_ids(program) -> set:
-    interp = Interp()
-    return {s.loop_id for s in loops(program) if interp.discharged(s)}
+    return {s.loop_id for s, discharged in decisions(*bodies(program)) if discharged}
 
 
 def outcome(make, *args):
@@ -258,7 +286,7 @@ def test_seeded_programs_never_repeat_a_discharged_loop():
     rng, programs = random.Random(17), []
     for seed in range(300):
         program, loop = loop_program(seed)
-        assert Interp().discharged(loop), parser.pretty_print(program)
+        assert is_discharged(loop), parser.pretty_print(program)
         programs.append(program)
     programs += [genprog.random_program(random.Random(seed)) for seed in range(300)]
     loops_seen, tree_runs = 0, 0
@@ -279,7 +307,7 @@ def test_spoiled_countdowns_stay_observed():
     rng, violations = random.Random(23), 0
     for seed in range(300):
         program, loop = loop_program(seed, countdown, MISSES[seed % 3])
-        assert not Interp().discharged(loop), parser.pretty_print(program)
+        assert not is_discharged(loop), parser.pretty_print(program)
         for inputs in small_inputs(rng, program.params, 3):
             end = same_as_watching_all(program, inputs)[0]
             violations += end[0] == "aperiodicity-violation"
@@ -290,7 +318,7 @@ def test_seeded_countups_never_repeat():
     rng, tree_runs = random.Random(29), 0
     for seed in range(300):
         program, loop = loop_program(seed, countup)
-        assert Interp().discharged(loop), parser.pretty_print(program)
+        assert is_discharged(loop), parser.pretty_print(program)
         only = discharged_ids(program)
         for inputs in small_inputs(rng, program.params, 3):
             same_as_watching_all(program, inputs)
@@ -306,7 +334,7 @@ def test_spoiled_countups_stay_observed():
     for seed in range(500):
         miss = UP_MISSES[seed % len(UP_MISSES)]
         program, loop = loop_program(seed, countup, miss)
-        assert not Interp().discharged(loop), parser.pretty_print(program)
+        assert not is_discharged(loop), parser.pretty_print(program)
         for inputs in small_inputs(rng, program.params, 3):
             end = same_as_watching_all(program, inputs)[0]
             violations[miss] += end[0] == "aperiodicity-violation"
@@ -351,6 +379,23 @@ def test_near_misses_stay_observed(source, inputs, iteration):
     assert discharged_ids(program) == set()
     end = same_as_watching_all(program, inputs)[0]
     assert end[:2] == ("aperiodicity-violation", iteration)
+
+
+def reference_programs() -> list:
+    """levels.golden.json's programs, the typed .tl2 mutants and the near misses."""
+    golden = json.loads((ROOT / "tests" / "levels.golden.json").read_text())
+    programs = [parser.parse(case["source"]) for case in golden]
+    programs += passing(parsed_mutants(), simple_typecheck, SimpleTypeError)
+    return programs + [parser.parse(source) for source, _, _ in NEAR_MISSES]
+
+
+def test_the_rule_decides_as_the_reference():
+    decided = Counter()
+    for program in reference_programs():
+        for loop, discharged in decisions(*bodies(program)):
+            assert discharged == dischargecheck.discharged(loop), parser.pretty_print(program)
+            decided[discharged] += 1
+    assert decided[True] >= 100 and decided[False] >= 400, decided
 
 
 def test_a_desugared_for_loop_in_the_body_keeps_discharge():

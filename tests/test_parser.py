@@ -385,17 +385,13 @@ def test_random_program_round_trip(seed):
 
 
 def positioned(text: str) -> list:
-    """parser.tokenize's tokens with the line and column of each offset."""
+    """parser.tokenize's tokens with the line and column ``Tokens.line_col`` gives each."""
     tokens = parser.tokenize(text)
-    out, offset = [], 0
-    for kind, value, gap in zip(tokens.kinds, tokens.values, tokens.gaps):
-        offset += gap
-        line = text.count("\n", 0, offset) + 1
-        col = offset - text.rfind("\n", 0, offset)
-        out.append((kind, value, line, col))
-        assert tokens.line_col(len(out) - 1) == (line, col)
-        offset += len(value)
-    assert offset == len(text) and len(tokens) == len(out)
+    out = [
+        (kind, value, *tokens.line_col(i))
+        for i, (kind, value) in enumerate(zip(tokens.kinds, tokens.values))
+    ]
+    assert len(tokens) == len(out)
     return out
 
 
@@ -500,6 +496,103 @@ def test_loops_are_numbered_in_pre_order_as_read(name, desugar):
     read = [s.loop_id for s in loops]
     assign_loop_ids(program)
     assert read == [s.loop_id for s in loops] and len(set(read)) == len(read)
+
+
+# -- the scanner on noisy texts: whitespace and comments between the tokens
+
+BLANKS = [" ", "\t", "\r\n", "\n\n", " \n\t "]
+COMMENT_BITS = [" ", "\t", "x", "while", "for", "for(", "//", '"01"', '"', "\u00e9", "{", "u1"]
+BAD = ["@", "\u00e9", "\x00", "$", '"012"', '"0 1"', '"']
+
+
+def comment(rng) -> str:
+    return "//" + "".join(rng.choice(COMMENT_BITS) for _ in range(rng.randint(0, 5)))
+
+
+def noisy(values: list, rng) -> str:
+    """``values`` with random whitespace and comments before, between and after them."""
+    def gap():
+        parts = [rng.choice(BLANKS) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            parts.insert(rng.randint(0, len(parts) - 1), comment(rng) + "\n")
+        return "".join(parts)
+    middle = "".join(value + gap() for value in values[:-1])
+    return gap() + middle + values[-1] + rng.choice(["", gap(), comment(rng)])
+
+
+OPS = {entry.name for entry in BUILTINS}
+
+
+def loop_source(rng) -> list:
+    """The tokens of a corpus or genprog program whose order-0 names hold loop keywords.
+
+    A name such as ``forx`` or ``x_while`` holds a loop keyword that is no token.
+    """
+    if rng.random() < 0.4:
+        text = open(corpus(rng.choice(CORPUS_FILES))).read()
+    else:
+        text = pretty_print(genprog.random_program(rng))
+    tokens = tokenize_stepwise(text)[:-1]
+    names = {value for kind, value, _, _ in tokens if kind == "ident" and value not in OPS}
+    renamed = {name: rng.choice([f"for{name}", f"{name}_while", name]) for name in names}
+    return [renamed.get(t[1], t[1]) for t in tokens]
+
+
+def loop_lines(program) -> list:
+    bodies = [program.body] if isinstance(program, Program1) else [
+        p.body for p in program.procedures
+    ]
+    loops = [s for b in bodies for s in iter_stmts(b) if isinstance(s, While)]
+    return [s.line for s in sorted(loops, key=lambda s: s.loop_id)]
+
+
+def judged_error(text: str):
+    try:
+        tokenize_stepwise(text)
+    except ParseError as err:
+        return err.message, err.line, err.col
+    return None
+
+
+def test_noisy_texts_parse_as_their_clean_form():
+    """Seeded: the tree, the loop lines, and the place of a bad character or of a parse error."""
+    rng, bad_places, errors = random.Random(41), 0, 0
+    for _ in range(400):
+        values = loop_source(rng)
+        clean, text = " ".join(values), noisy(values, rng)
+        judged = tokenize_stepwise(text)
+        assert [t[1] for t in judged[:-1]] == values
+        for desugar, keywords in ((True, ("while", "for")), (False, ("while",))):
+            program = parse(text, desugar)
+            assert program == parse(clean, desugar)
+            assert loop_lines(program) == [t[2] for t in judged if t[0] in keywords]
+        at = rng.randint(0, len(text))
+        spoiled = text[:at] + rng.choice(BAD) + text[at:]
+        expected = judged_error(spoiled)
+        if expected is None:  # inside a comment
+            parse(spoiled)
+        else:
+            with pytest.raises(ParseError) as err:
+                parse(spoiled)
+            assert (err.value.message, err.value.line, err.value.col) == expected
+            bad_places += 1
+        # With one token dropped, the parse error falls on the token it falls on in clean text.
+        i = rng.randrange(len(values))
+        dropped = values[:i] + values[i + 1:]
+        try:
+            parse(" ".join(dropped))
+            continue
+        except ParseError as first:
+            at = [t[2:] for t in tokenize_stepwise(" ".join(dropped))].index((first.line, first.col))
+            expected = first.message
+        text = noisy(dropped, rng)
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.message, err.value.line, err.value.col) == (
+            expected, *tokenize_stepwise(text)[at][2:]
+        )
+        errors += 1
+    assert bad_places >= 250 and errors >= 300, (bad_places, errors)
 
 
 # -- the parser is the one gate: what it returns, the evaluator can run

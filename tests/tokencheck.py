@@ -1,10 +1,10 @@
 """Independent test oracle: the step-by-step tokenizer.
 
 Matches one whitespace run, comment or token at a time and tracks the line
-and column as it goes.  ``parser.tokenize`` splits the text in one pass,
-records the length of the gap before each token, and works out lines and
-columns from those lengths only when asked; the tests judge it against this
-one on kinds, values, lines and columns, and on the errors both raise.
+and column as it goes.  ``parser.tokenize`` reads the text in one
+``findall`` pass and works out lines and columns only when asked; the tests
+judge it against this one on kinds, values, lines and columns, and on the
+errors both raise.
 
 Deliberately separate from the production scanner: only ``ParseError`` and
 the keyword set are shared.
