@@ -287,6 +287,8 @@ class Interp:
         if cls is Var:
             return _read(e.name, words.EPSILON)
         if cls is OpApp:
+            if e.op.startswith(opreg.CONST_PREFIX):
+                return _read(None, e.op[len(opreg.CONST_PREFIX):])
             args = [self.compile_expr(a) for a in e.args]
             return _apply(opreg.BUILTINS.lookup(e.op).fn, args)
         if cls is Declass:

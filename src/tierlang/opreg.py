@@ -1,18 +1,19 @@
 """Operator registry: semantics, growth classes, and admissible level vectors.
 
 Each operator carries a total semantics function on words and a declared
-growth class.  The class drives which functional levels (one level per
-argument plus one for the result) are admissible in a given loop context
-(innermost level ``tin``, outermost level ``tout``):
+growth class, a ``kind`` and an int ``bound``.  The class drives which
+functional levels (one level per argument plus one for the result) are
+admissible in a given loop context (innermost level ``tin``, outermost level
+``tout``):
 
-* Neutral: result <= min of argument levels, and no argument at infinity.
-  Neutral operators compute predicates or contiguous factors of an input,
-  so iterating them cannot grow data.
-* Positive(c): Neutral's constraints, and additionally the result level is
-  below the innermost loop level (or the context is loop free).  Outputs
-  grow by at most the additive constant c.
-* Polynomial(d): only admissible outside loops.  Outputs are polynomially
-  bounded in the largest input.
+* ``neutral`` (bound 0): result <= min of argument levels, and no argument
+  at infinity.  Such operators compute predicates or contiguous factors of
+  an input, so iterating them cannot grow data.
+* ``positive`` (bound c): the neutral constraints, and additionally the
+  result level is below the innermost loop level (or the context is loop
+  free).  Outputs grow by at most the additive constant c.
+* ``polynomial`` (bound d): only admissible outside loops.  Outputs are
+  bounded by a polynomial of degree d in the largest input.
 
 ``truncate`` is special cased: it accepts exactly one unbounded (oracle)
 argument and produces a result strictly below the innermost loop level,
@@ -32,41 +33,18 @@ import random
 from typing import Callable
 
 from . import words
-from .syntax import INFINITY, Frozen, Level, Record, is_finite, level_str
-
-
-class Neutral(Frozen):
-    __slots__ = ()
-    kind = "neutral"
-
-
-class Positive(Frozen):
-    __slots__ = ("growth",)
-    kind = "positive"
-
-    def __init__(self, growth: int):
-        self.growth = growth
-
-
-class Polynomial(Frozen):
-    __slots__ = ("degree",)
-    kind = "polynomial"
-
-    def __init__(self, degree: int):
-        self.degree = degree
-
-
-OperatorClass = Neutral | Positive | Polynomial
+from .syntax import INFINITY, Level, Record, is_finite, level_str
 
 
 class OperatorEntry(Record):
-    __slots__ = ("name", "arity", "fn", "klass")
+    __slots__ = ("name", "arity", "fn", "kind", "bound")
 
-    def __init__(self, name: str, arity: int, fn: Callable, klass: OperatorClass):
+    def __init__(self, name: str, arity: int, fn: Callable, kind: str, bound: int = 0):
         self.name = name
         self.arity = arity
         self.fn = fn
-        self.klass = klass
+        self.kind = kind  # "neutral", "positive" or "polynomial"
+        self.bound = bound  # a positive class's additive growth, a polynomial one's degree
 
 
 class UnknownOperator(KeyError):
@@ -94,7 +72,7 @@ class Registry:
             return self._entries[name]
         if name.startswith(CONST_PREFIX):
             w = words.word(name[len(CONST_PREFIX):])
-            return OperatorEntry(name, 0, lambda w=w: w, Neutral())
+            return OperatorEntry(name, 0, lambda w=w: w, "neutral")
         raise UnknownOperator(name)
 
     def apply(self, name: str, args) -> str:
@@ -211,32 +189,32 @@ def _op_truncate(a, b):
 
 
 def builtin_registry() -> Registry:
-    n, p = Neutral, Positive
+    n, p = "neutral", "positive"
     entries = [
-        OperatorEntry("eq", 2, _op_eq, n()),
-        OperatorEntry("lt", 2, _op_lt, n()),
-        OperatorEntry("le", 2, _op_le, n()),
-        OperatorEntry("gt", 2, _op_gt, n()),
-        OperatorEntry("ne", 2, _op_ne, n()),
-        OperatorEntry("not", 1, _op_not, n()),
-        OperatorEntry("and", 2, _op_and, n()),
-        OperatorEntry("or", 2, _op_or, n()),
+        OperatorEntry("eq", 2, _op_eq, n),
+        OperatorEntry("lt", 2, _op_lt, n),
+        OperatorEntry("le", 2, _op_le, n),
+        OperatorEntry("gt", 2, _op_gt, n),
+        OperatorEntry("ne", 2, _op_ne, n),
+        OperatorEntry("not", 1, _op_not, n),
+        OperatorEntry("and", 2, _op_and, n),
+        OperatorEntry("or", 2, _op_or, n),
         # Constants: zero is the empty word (the unary numeral 1^0); the
         # boolean false is the one-symbol word "0".
-        OperatorEntry("zero", 0, lambda: words.EPSILON, n()),
-        OperatorEntry("true", 0, lambda: words.TRUE, n()),
-        OperatorEntry("false", 0, lambda: words.FALSE, n()),
-        OperatorEntry("eps", 0, lambda: words.EPSILON, n()),
-        OperatorEntry("inc", 1, _op_inc, p(1)),
-        OperatorEntry("dec", 1, _op_dec, n()),
-        OperatorEntry("hd", 1, _op_hd, n()),
-        OperatorEntry("tl", 1, _op_tl, n()),
-        OperatorEntry("append", 2, _op_append, p(1)),
-        OperatorEntry("decb", 1, _op_decb, p(0)),
-        OperatorEntry("len", 1, _op_len, p(0)),
-        OperatorEntry("cons", 2, _op_cons, Polynomial(1)),
-        OperatorEntry("pad", 2, _op_pad, p(0)),
-        OperatorEntry("truncate", 2, _op_truncate, n()),
+        OperatorEntry("zero", 0, lambda: words.EPSILON, n),
+        OperatorEntry("true", 0, lambda: words.TRUE, n),
+        OperatorEntry("false", 0, lambda: words.FALSE, n),
+        OperatorEntry("eps", 0, lambda: words.EPSILON, n),
+        OperatorEntry("inc", 1, _op_inc, p, 1),
+        OperatorEntry("dec", 1, _op_dec, n),
+        OperatorEntry("hd", 1, _op_hd, n),
+        OperatorEntry("tl", 1, _op_tl, n),
+        OperatorEntry("append", 2, _op_append, p, 1),
+        OperatorEntry("decb", 1, _op_decb, p, 0),
+        OperatorEntry("len", 1, _op_len, p, 0),
+        OperatorEntry("cons", 2, _op_cons, "polynomial", 1),
+        OperatorEntry("pad", 2, _op_pad, p, 0),
+        OperatorEntry("truncate", 2, _op_truncate, n),
     ]
     return Registry(entries)
 
@@ -328,17 +306,16 @@ def delta_membership(
             return False
         return tout <= tau and (tin == 0 or res < tin)
 
-    klass = entry.klass
-    if isinstance(klass, Polynomial):
+    if entry.kind == "polynomial":
         return tout == 0
-    # Neutral and positive share the no-upward-flow and finiteness rules.
+    # The other two classes share the no-upward-flow and finiteness rules.
     if any(a == INFINITY for a in args):
         return False
     if args and not all(result <= a for a in args):
         return False
     if result == INFINITY:
         return False
-    if isinstance(klass, Positive):
+    if entry.kind == "positive":
         return result < tin or result == 0
     return True
 
@@ -354,10 +331,9 @@ def polynomial_bound(arity: int, degree: int, max_in: int) -> int:
 
 
 def _class_violation(entry: OperatorEntry, inputs, output) -> str | None:
-    klass = entry.klass
     sizes = [len(w) for w in inputs]
     biggest = max(sizes, default=0)
-    if isinstance(klass, Neutral):
+    if entry.kind == "neutral":
         if entry.arity == 0:
             # A constant's range is a singleton, which is as bounded as a
             # predicate's; treated as neutral by convention.
@@ -367,13 +343,13 @@ def _class_violation(entry: OperatorEntry, inputs, output) -> str | None:
         if any(output in w for w in inputs):
             return None
         return "output neither boolean nor a factor of any input"
-    if isinstance(klass, Positive):
-        if len(output) <= biggest + klass.growth:
+    if entry.kind == "positive":
+        if len(output) <= biggest + entry.bound:
             return None
-        return f"|output| = {len(output)} > max|input| + {klass.growth}"
-    if len(output) <= polynomial_bound(entry.arity, klass.degree, biggest):
+        return f"|output| = {len(output)} > max|input| + {entry.bound}"
+    if len(output) <= polynomial_bound(entry.arity, entry.bound, biggest):
         return None
-    return f"|output| exceeds the degree-{klass.degree} envelope"
+    return f"|output| exceeds the degree-{entry.bound} envelope"
 
 
 SAMPLE_MAX_SIZE = 64  # longest randomized input word
@@ -420,12 +396,11 @@ def validate_registry(samples: int, seed: int = 0) -> list:
 
 
 def describe_entry(entry: OperatorEntry) -> dict:
-    k = entry.klass
-    info = {"name": entry.name, "arity": entry.arity, "class": k.kind}
-    if isinstance(k, Positive):
-        info["growth"] = k.growth
-    if isinstance(k, Polynomial):
-        info["degree"] = k.degree
+    info = {"name": entry.name, "arity": entry.arity, "class": entry.kind}
+    if entry.kind == "positive":
+        info["growth"] = entry.bound
+    if entry.kind == "polynomial":
+        info["degree"] = entry.bound
     if entry.name == "truncate":
         info["special"] = "truncate"
     return info

@@ -290,8 +290,8 @@ class LevelAnalysis:
                         cs.lt(result, tin, "{what}: a truncated oracle answer cannot reach "
                               "the innermost loop level", e)
                 return result
-            klass = opreg.BUILTINS.lookup(e.op).klass
-            if isinstance(klass, opreg.Polynomial):
+            kind = opreg.BUILTINS.lookup(e.op).kind
+            if kind == "polynomial":
                 if tout is not None:
                     cs.fail("{what}: operator {node.op} can grow polynomially and is not "
                             "allowed inside loops", e)
@@ -299,7 +299,7 @@ class LevelAnalysis:
             edges = cs.edges
             for a in args:
                 edges.append((result, 0, a, "{what}: no upward flow through {node.op}", e, None))
-            if isinstance(klass, opreg.Positive):
+            if kind == "positive":
                 if tin is None:
                     cs.uppers.append((result, 0, "{what}: outside loops a growing operator's "
                                       "result sits at level 0", e, None))

@@ -546,7 +546,7 @@ def test_max_steps_negative(capsys):
 
 
 def test_ops_validation_reports_a_counterexample(capsys, monkeypatch):
-    monkeypatch.setattr(opreg.BUILTINS.lookup("inc"), "klass", opreg.Neutral())
+    monkeypatch.setattr(opreg.BUILTINS.lookup("inc"), "kind", "neutral")
     code, report = run_json(capsys, "ops", "--validate", "50")
     assert code == cli.EXIT_NEGATIVE
     cexs = report["validation"]["counterexamples"]

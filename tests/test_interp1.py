@@ -9,8 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import treecheck
-from conftest import ROOT, run
-from tierlang import parser
+from conftest import ROOT, iter_exprs, run, stmt_exprs
+from tierlang import opreg, parser
 from tierlang.interp1 import (
     AperiodicityViolation,
     BudgetExhausted,
@@ -20,7 +20,7 @@ from tierlang.interp1 import (
 )
 from tierlang.syntax import (
     Assign, Break, Declass, If, OpApp, OracleBreak, OracleCall, Seq, Skip, Var, While,
-    undeclassified_vars,
+    iter_stmts, undeclassified_vars,
 )
 
 word_st = st.text(alphabet="01#", max_size=20)
@@ -199,6 +199,25 @@ def test_bubble_takes_few_python_calls_per_step(bubble, monitor):
         sys.setprofile(None)
     assert interp.stats.steps == 41_141
     assert calls <= 0.70 * interp.stats.steps
+
+
+def test_compiling_a_constant_looks_no_operator_up(monkeypatch):
+    # The parser has checked a constant's word, so the compile reads it off
+    # the name instead of building and validating a registry entry for it.
+    asked = []
+    lookup = opreg.BUILTINS.lookup
+    monkeypatch.setattr(opreg.BUILTINS, "lookup", lambda name: asked.append(name) or lookup(name))
+    constants = 0
+    for path in sorted((ROOT / "corpus").glob("*.tl*")):
+        program = parser.parse_file(str(path))
+        for body in [p.body for p in getattr(program, "procedures", [program])]:
+            Interp().compile_stmt(body)
+            constants += sum(
+                type(e) is OpApp and e.op.startswith(opreg.CONST_PREFIX)
+                for s in iter_stmts(body) for top in stmt_exprs(s) for e in iter_exprs(top)
+            )
+    assert constants and asked
+    assert [name for name in asked if name.startswith(opreg.CONST_PREFIX)] == []
 
 
 def test_determinism(bubble):

@@ -4,7 +4,8 @@
 traced run ``python tests/linetrace.py --ledger tests/unrun.txt`` holds the
 tree to it.  That run is slow, so here, in tier-1, each entry's text is
 checked at its place: an edit that moves or changes a ledger line fails at
-once.
+once, and names the line a moved text now sits at when the text occurs
+once in its file.
 """
 
 from conftest import ROOT
@@ -17,10 +18,18 @@ GROUPS = {"fall-through", "outside-caller", "counterexample-text", "defensive", 
 def test_each_ledger_text_sits_at_its_place():
     entries = read_ledger(LEDGER)
     assert entries
-    sources = {file: (ROOT / file).read_text().splitlines() for file, _ in entries}
-    moved = [
-        (file, line, text) for (file, line), (group, text) in entries.items()
-        if not 0 < line <= len(sources[file]) or sources[file][line - 1].strip() != text
-    ]
-    assert moved == []
+    sources = {
+        file: [row.strip() for row in (ROOT / file).read_text().splitlines()]
+        for file, _ in entries
+    }
+    moved = []
+    for (file, line), (group, text) in entries.items():
+        rows = sources[file]
+        if 0 < line <= len(rows) and rows[line - 1] == text:
+            continue
+        # A text that occurs once in its file has moved to that line.
+        places = [i for i, row in enumerate(rows, 1) if row == text]
+        where = f"now at {file}:{places[0]}" if len(places) == 1 else f"on {len(places)} lines"
+        moved.append(f"{file}:{line} {text} ({where})")
+    assert not moved, "ledger entries not at their place:\n" + "\n".join(moved)
     assert {group for group, _ in entries.values()} <= GROUPS

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from tierlang import opreg, words
 from tierlang.opreg import (
     DeltaConfig,
-    Neutral,
     OperatorEntry,
-    Positive,
     builtin_registry,
     delta_membership,
     validate_class,
@@ -210,7 +208,7 @@ def test_validate_builtins_clean(reg):
 
 
 def test_validate_catches_misdeclared_increment(reg):
-    bogus = OperatorEntry("inc", 1, reg.lookup("inc").fn, Neutral())
+    bogus = OperatorEntry("inc", 1, reg.lookup("inc").fn, "neutral")
     cexs = validate_class(bogus, 1000, seed=7)
     assert cexs and {c["op"] for c in cexs} == {"inc"}
     cex = cexs[0]
@@ -218,7 +216,7 @@ def test_validate_catches_misdeclared_increment(reg):
 
 
 def test_validate_catches_wrong_growth(reg):
-    bogus = OperatorEntry("cons", 2, reg.lookup("cons").fn, Positive(0))
+    bogus = OperatorEntry("cons", 2, reg.lookup("cons").fn, "positive")
     assert validate_class(bogus, 500, seed=7)
 
 

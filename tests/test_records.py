@@ -12,12 +12,7 @@ import pytest
 from conftest import corpus
 from tierlang import parser
 from tierlang.interp1 import ExecStats, LoopMonitorState
-from tierlang.opreg import (
-    Neutral,
-    OperatorEntry,
-    Polynomial,
-    Positive,
-)
+from tierlang.opreg import OperatorEntry
 from tierlang.safety1 import InferenceResult, Judgment
 from tierlang.secondorder import Oracle, Safety2Result
 from tierlang.syntax import (
@@ -58,9 +53,6 @@ FROZEN = [
            "body=TermVar(name='w'))), args=(TermVar(name='z'),))"),
     (ClosureVar("F"), "ClosureVar(name='F')"),
     (Lambda(["w"], TermVar("w")), "Lambda(params=('w',), body=TermVar(name='w'))"),
-    (Neutral(), "Neutral()"),
-    (Positive(1), "Positive(growth=1)"),
-    (Polynomial(2), "Polynomial(degree=2)"),
 ]
 
 # Mutable kinds: unhashable.
@@ -84,10 +76,11 @@ MUTABLE = [
      "oracle_params=[('X', 1)], params=['s'], locals=['y'], body=Assign(var='y', "
      "expr=Var(name='s')), ret='y')], main=Call(proc='p', closures=(ClosureVar(name='F'), "
      "Lambda(params=('w',), body=TermVar(name='w'))), args=(TermVar(name='z'),)))"),
-    (OperatorEntry("len", 1, len, Positive(0)),
-     "OperatorEntry(name='len', arity=1, fn=<built-in function len>, klass=Positive(growth=0))"),
-    (OperatorEntry("len", 1, len, Neutral()),
-     "OperatorEntry(name='len', arity=1, fn=<built-in function len>, klass=Neutral())"),
+    (OperatorEntry("len", 1, len, "positive"),
+     "OperatorEntry(name='len', arity=1, fn=<built-in function len>, kind='positive', bound=0)"),
+    (OperatorEntry("cons", 2, len, "polynomial", 1),
+     "OperatorEntry(name='cons', arity=2, fn=<built-in function len>, kind='polynomial', "
+     "bound=1)"),
     (ExecStats(7, Counter({1: 2}), 3, 1, [((1, 0), "1", "11")]),
      "ExecStats(steps=7, loop_iterations=Counter({1: 2}), max_store_size=3, oracle_calls=1, "
      "obk_events=[((1, 0), '1', '11')])"),
@@ -122,7 +115,7 @@ def printed_forms(cases) -> list:
 
 
 def test_every_record_class_has_an_instance():
-    assert len({type(r) for r, _ in FROZEN + MUTABLE}) == 29
+    assert len({type(r) for r, _ in FROZEN + MUTABLE}) == 26
 
 
 @pytest.mark.parametrize("record, text", FROZEN + MUTABLE, ids=printed_forms(FROZEN + MUTABLE))
@@ -151,8 +144,6 @@ def test_mutable_records_are_unhashable(record, text):
 def test_equality_is_by_class_and_fields():
     assert Var("x") != TermVar("x") and TermVar("x") != ClosureVar("x")
     assert OpApp("tl", [X]) == OpApp("tl", (X,)) != OpApp("tl", (Y,))
-    assert Neutral() == Neutral() != Positive(0)
-    assert Positive(1) != Positive(2)
     assert Assign("x", Y) != Assign("y", Y)
     assert ExecStats() == ExecStats() != ExecStats(1)
     assert Var("x") != "x" and Skip() != None  # noqa: E711

@@ -1,11 +1,13 @@
 import collections
 import gc
+import json
 import random
+import re
 import tracemalloc
 
 import pytest
 
-from conftest import ORACLE_BREAK_WITH_OPERATORS, corpus, straight_line
+from conftest import ORACLE_BREAK_WITH_OPERATORS, ROOT, corpus, straight_line
 from tierlang import genprog, parser, safety1, secondorder
 from tierlang.opreg import DeltaConfig
 from tierlang.safety1 import (
@@ -131,6 +133,35 @@ def test_corpus_verdicts_with_declass_erased(name, with_declass, erased):
     bare = Program1(program.params, erase_declass(program.body), program.ret)
     assert "declass" not in parser.pretty_print(bare)
     assert (infer_safety(program).safe, infer_safety(bare).safe) == (with_declass, erased)
+
+
+# Of the 300 genprog programs in levels.golden.json, only genprog 143 is
+# safe with its declass and unsafe without it.  These 18 are the reverse:
+# a declass constraint rejects them (its bound must sit exactly at the
+# outermost loop level, and it caps its result there).
+UNSAFE_ONLY_WITH_DECLASS = [
+    13, 39, 60, 62, 74, 77, 136, 141, 152, 167, 186, 208, 216, 224, 248, 271, 289, 299,
+]
+DECLASS_CONSTRAINT = re.compile(r"the declass bound|declass\(\.\.\., ")
+
+
+def test_genprog_verdicts_with_declass_erased():
+    verdicts, explanations = collections.defaultdict(list), {}
+    for case in json.loads((ROOT / "tests" / "levels.golden.json").read_text()):
+        if not case["name"].startswith("genprog "):
+            continue
+        n, program = int(case["name"].split()[1]), parser.parse(case["source"])
+        result = infer_safety(program)
+        bare = Program1(program.params, erase_declass(program.body), program.ret)
+        verdicts[result.safe, infer_safety(bare).safe].append(n)
+        explanations[n] = result.explanation
+    assert {key: len(ns) for key, ns in verdicts.items()} == {
+        (True, True): 235, (True, False): 1, (False, True): 18, (False, False): 46,
+    }
+    assert verdicts[True, False] == [143]
+    assert verdicts[False, True] == UNSAFE_ONLY_WITH_DECLASS
+    for n in UNSAFE_ONLY_WITH_DECLASS:
+        assert DECLASS_CONSTRAINT.search(explanations[n]), (n, explanations[n])
 
 
 def test_nested_loops_force_level_two():

@@ -385,6 +385,21 @@ def test_lambda_closure_shadows_store():
     assert out == "111"  # the binder wins over the boxed x
 
 
+def test_a_closure_reads_the_callee_frame():
+    # Today's scoping: a closure runs under the store current at the oracle
+    # call, which is the callee's frame, so the lambda's free ``w`` reads p's
+    # local u1 and not the boxed input.  The program is simply typed and
+    # safe.  ROADMAP item 17's stage 2 (lexical closures, frames that hold
+    # only parameters and locals) would make it return its input 0000.
+    program = parser.parse(
+        "box[F, w] in declare p(X, y){ var w, t; w := u1; t := truncate(X(y), y) return t } "
+        "in call p(lambda(e). w, w)"
+    )
+    assert so.infer_safety2(program).safe
+    out, stats = run(program, ["0000"], oracles(F="builtin:append1"))
+    assert (out, stats.steps) == ("1", 12)
+
+
 def test_program_oracle(tmp_path):
     path = tmp_path / "dup.tl"
     path.write_text("prog(x){y := cons(x, x) return y}\n")
