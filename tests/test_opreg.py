@@ -10,6 +10,7 @@ from tierlang.opreg import (
     OperatorEntry,
     builtin_registry,
     delta_membership,
+    describe_entry,
     validate_class,
 )
 from tierlang.syntax import INFINITY
@@ -218,6 +219,33 @@ def test_validate_catches_misdeclared_increment(reg):
 def test_validate_catches_wrong_growth(reg):
     bogus = OperatorEntry("cons", 2, reg.lookup("cons").fn, "positive")
     assert validate_class(bogus, 500, seed=7)
+
+
+# (kind, bound, a kernel that meets the bound, one that exceeds it)
+CLASS_EDGES = [
+    ("neutral", 0, lambda w: w[1:], lambda w: w + "11"),
+    ("positive", 2, lambda w: w + "11", lambda w: w + "111"),
+    # degree 1, arity 1: |output| <= 2 * (max|input| + 1)
+    ("polynomial", 1, lambda w: w * 2 + "11", lambda w: w * 2 + "111"),
+]
+
+
+@pytest.mark.parametrize("kind, bound, within, beyond", CLASS_EDGES,
+                         ids=[edge[0] for edge in CLASS_EDGES])
+def test_a_class_admits_its_bound_and_no_more(kind, bound, within, beyond):
+    assert validate_class(OperatorEntry("f", 1, within, kind, bound), 50, seed=3) == []
+    cexs = validate_class(OperatorEntry("f", 1, beyond, kind, bound), 50, seed=3)
+    assert len(cexs) == 50 and {c["op"] for c in cexs} == {"f"}
+
+
+@pytest.mark.parametrize("kind, bound, extra", [
+    ("neutral", 0, {}),
+    ("positive", 1, {"growth": 1}),
+    ("polynomial", 2, {"degree": 2}),
+], ids=["neutral", "positive", "polynomial"])
+def test_describe_entry_reports_the_bound_under_its_kind(kind, bound, extra):
+    entry = OperatorEntry("f", 2, len, kind, bound)
+    assert describe_entry(entry) == {"name": "f", "arity": 2, "class": kind, **extra}
 
 
 @settings(max_examples=300)

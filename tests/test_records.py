@@ -78,6 +78,8 @@ MUTABLE = [
      "Lambda(params=('w',), body=TermVar(name='w'))), args=(TermVar(name='z'),)))"),
     (OperatorEntry("len", 1, len, "positive"),
      "OperatorEntry(name='len', arity=1, fn=<built-in function len>, kind='positive', bound=0)"),
+    (OperatorEntry("len", 1, len, "neutral"),
+     "OperatorEntry(name='len', arity=1, fn=<built-in function len>, kind='neutral', bound=0)"),
     (OperatorEntry("cons", 2, len, "polynomial", 1),
      "OperatorEntry(name='cons', arity=2, fn=<built-in function len>, kind='polynomial', "
      "bound=1)"),
@@ -145,6 +147,9 @@ def test_equality_is_by_class_and_fields():
     assert Var("x") != TermVar("x") and TermVar("x") != ClosureVar("x")
     assert OpApp("tl", [X]) == OpApp("tl", (X,)) != OpApp("tl", (Y,))
     assert Assign("x", Y) != Assign("y", Y)
+    assert OperatorEntry("len", 1, len, "neutral") != OperatorEntry("len", 1, len, "positive")
+    cubic = OperatorEntry("cons", 2, len, "polynomial", 3)
+    assert OperatorEntry("cons", 2, len, "polynomial", 1) != cubic
     assert ExecStats() == ExecStats() != ExecStats(1)
     assert Var("x") != "x" and Skip() != None  # noqa: E711
 
