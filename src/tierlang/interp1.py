@@ -453,14 +453,14 @@ class Interp:
         holds only while v is non-empty (``v != eps``, ``v > c``, ``c < v``,
         or ``c <= v`` for a non-empty constant c), or that write is
         ``v := v + c`` for a one-symbol constant c and v is an undeclassified
-        variable of the guard.
+        variable of the guard; the writes per variable are counted once.
 
         ``compile_while`` asks once it has compiled the loop, and the answer
         comes from that compile, ``self.loop``: the guard's call and the
         (assignment, call) of each assignment in the body, nested ones included.
         """
         (test, writes), g = self.loop, s.guard
-        shrinks, own = None, seq_chain(s.body)
+        shrinks = uvars = own = None
         if test and type(g) is OpApp and len(test[1]) == 2:  # a comparison of two reads
             (v, _), (key, c) = test[1][::-1] if g.op in ("lt", "le") else test[1]
             holds = {"ne": c == words.EPSILON, "gt": True, "lt": True, "le": c != words.EPSILON}
@@ -472,12 +472,13 @@ class Interp:
             if fn is _DEC or fn is _TL:
                 ranked = v == shrinks and reads == [(v, words.EPSILON)]
             elif fn is _APPEND:  # a variable w reads as (w, eps): it appends no one symbol
-                ranked = reads[0] == (v, words.EPSILON) and len(reads[1][1]) == 1 and (
-                    v in undeclassified_vars(g)
-                )
+                ranked = reads[0] == (v, words.EPSILON) and len(reads[1][1]) == 1 and v in (
+                    uvars := undeclassified_vars(g) if uvars is None else uvars)
             else:
                 continue
-            if ranked and id(t) in map(id, own) and [u.var for u, _ in writes].count(v) == 1:
+            if ranked and own is None:
+                own, count = set(map(id, seq_chain(s.body))), Counter(u.var for u, _ in writes)
+            if ranked and id(t) in own and count[v] == 1:
                 return True
         return False
 

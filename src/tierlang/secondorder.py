@@ -203,8 +203,8 @@ def _type_term(t, local0: frozenset, procs: dict, boxed_words: set,
 def simple_typecheck(program: Program2) -> str:
     """Check well-formedness and the simple-type discipline.
 
-    Returns the overall program type (oracles first, then word inputs, then
-    the result).
+    Returns the program type (oracles first, then word inputs, then the result).
+    A name clash names the first pair of binder groups in declaration order.
     """
     procs = {}
     for p in program.procedures:
@@ -217,6 +217,7 @@ def simple_typecheck(program: Program2) -> str:
 
     # Closed procedures: every name used in a body is a parameter or local,
     # and every oracle it calls is an oracle parameter.
+    groups = []  # binder groups: a procedure's parameters, then its locals
     for p in program.procedures:
         names, oracles = {p.ret}, []
         collect_names(p.body, names, oracles)
@@ -232,23 +233,21 @@ def simple_typecheck(program: Program2) -> str:
                     f"procedure {p.name}: oracle variable "
                     f"{oracle} is not a parameter"
                 )
+        groups += [(f"parameters of {p.name}", oracle_params | set(p.params)),
+                   (f"locals of {p.name}", set(p.locals))]
 
-    # Pairwise-disjoint binder sets of the procedures, a procedure's own
-    # parameters and locals included; a free name of the main term is an
-    # unbound variable, which _type_term rejects.
-    groups = []
-    for p in program.procedures:
-        params = {n for n, _ in p.oracle_params} | set(p.params)
-        groups.append((f"parameters of {p.name}", params))
-        groups.append((f"locals of {p.name}", set(p.locals)))
-    for i in range(len(groups)):
-        for j in range(i + 1, len(groups)):
-            overlap = groups[i][1] & groups[j][1]
-            if overlap:
-                raise SimpleTypeError(
-                    f"name clash between {groups[i][0]} and {groups[j][0]}: "
-                    f"{sorted(overlap)}"
-                )
+    # One pass maps each name to the first binder group that binds it; the first
+    # pair of groups in (i, j) order to bind a name twice is a clash.  A free name
+    # of the main term is an unbound variable, which _type_term rejects.
+    first, clashes = {}, []
+    for j, (_, names) in enumerate(groups):
+        clashes += [(first[n], j) for n in names if first.setdefault(n, j) != j]
+    if clashes:
+        i, j = min(clashes)
+        raise SimpleTypeError(
+            f"name clash between {groups[i][0]} and {groups[j][0]}: "
+            f"{sorted(groups[i][1] & groups[j][1])}"
+        )
 
     _type_term(program.main, frozenset(), procs, boxed_words, boxed_oracles)
 

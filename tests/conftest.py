@@ -1,6 +1,7 @@
 import json
 import pathlib
 import sys
+import time
 
 import pytest
 
@@ -75,6 +76,25 @@ def straight_line(n: int) -> str:
     stmts = ["a := a + u1", "b := tl(a)", "c := declass(b, a)"]
     body = ";\n".join(f"  {stmts[i % 3]}" for i in range(n))
     return f"prog(a){{\n{body}\n  return c\n}}\n"
+
+
+def assert_linear_growth(work, n: int) -> None:
+    """Fail unless ``work`` takes less than 8 times as long at size 4n as at n.
+
+    ``work(k)`` builds an input of size k and returns the thunk to time on it;
+    each size reads the best of 3 runs of its thunk.  One pass over the input
+    reads about 4 from n to 4n and a pass per element about 16.
+    """
+    best = []
+    for k in (n, 4 * n):
+        thunk, runs = work(k), []
+        for _ in range(3):
+            start = time.perf_counter()
+            thunk()
+            runs.append(time.perf_counter() - start)
+        best.append(min(runs))
+    ratio = best[1] / best[0]
+    assert ratio < 8, f"n = {n}: {best[0]:.4f} s, 4n: {best[1]:.4f} s, ratio {ratio:.1f}"
 
 
 # An oracle break whose call arguments hold operators and a declass.

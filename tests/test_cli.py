@@ -420,6 +420,10 @@ def test_the_extension_names_a_program_oracles_language(
         "box[z] in declare p(,y){skip return y} in declare q(,y){skip return y} in call p(,z)",
         "name clash between parameters of p and parameters of q: ['y']", id="binder-clash"),
     pytest.param(
+        "box[w] in declare p(,x){var y; y := x return y} in "
+        "declare q(,y){var x; x := y return x} in call p(,w)",
+        "name clash between parameters of p and locals of q: ['x']", id="first-clash-in-order"),
+    pytest.param(
         "box[z] in declare p(,y){skip return y} in call p(,w)",
         "unbound term variable w", id="unbound-term-variable"),
     pytest.param(

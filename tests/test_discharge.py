@@ -25,7 +25,7 @@ import pytest
 
 import dischargecheck
 import treecheck
-from conftest import ORACLE_BREAK_WITH_OPERATORS, ROOT, corpus
+from conftest import ORACLE_BREAK_WITH_OPERATORS, ROOT, assert_linear_growth, corpus
 from test_secondorder import parsed_mutants, passing
 from tierlang import genprog, parser
 from tierlang.interp1 import DEFAULT_BUDGET, Interp, RuntimeStop
@@ -413,6 +413,18 @@ def test_oracle_break_shrinking_in_a_branch_stays_observed():
         assert outcome(lambda: Interp2(program, oracles, BUDGET, True), [z]) == (
             outcome(lambda: WatchAll2(program, oracles, BUDGET, True), [z])
         )
+
+
+def test_the_rule_counts_a_long_body_once():
+    # Every write of this body could rank the loop, and none does: x is
+    # written n times, so a count of the writes per candidate would take n
+    # passes.
+    def compile_loop(n):
+        body = "; ".join(["x := x - u1"] * n)
+        loop = parser.parse(f"prog(x){{ while(x != eps){{ {body} }} return x }}").body
+        return lambda: Interp(monitor=True).compile_stmt(loop)
+
+    assert_linear_growth(compile_loop, 1000)
 
 
 # ---------------------------------------------------------------------------

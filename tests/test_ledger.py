@@ -12,7 +12,7 @@ from conftest import ROOT
 from linetrace import read_ledger
 
 LEDGER = ROOT / "tests" / "unrun.txt"
-GROUPS = {"fall-through", "outside-caller", "counterexample-text", "defensive", "child-process"}
+GROUPS = {"fall-through", "outside-caller", "defensive", "child-process"}
 
 
 def test_each_ledger_text_sits_at_its_place():

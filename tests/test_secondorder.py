@@ -4,7 +4,10 @@ from collections import Counter
 
 import pytest
 
-from conftest import ORACLE_BREAK_WITH_OPERATORS, corpus, iter_exprs, procedure, run, stmt_exprs
+from conftest import (
+    ORACLE_BREAK_WITH_OPERATORS, assert_linear_growth, corpus, iter_exprs, procedure, run,
+    stmt_exprs,
+)
 from guardcheck import reference_check_guarded
 from tokencheck import tokenize_stepwise
 from tierlang import interp1, parser, secondorder as so
@@ -203,6 +206,17 @@ def test_unclosed_procedure_rejected():
     with pytest.raises(so.SimpleTypeError) as err:
         so.simple_typecheck(program)
     assert "not closed" in str(err.value)
+
+
+def test_binder_groups_are_checked_in_one_pass():
+    # P procedures of disjoint names: intersecting every pair of binder
+    # groups would take time quadratic in P.
+    def typecheck(count):
+        decls = " in ".join(f"declare p{i}(,y{i}){{skip return y{i}}}" for i in range(count))
+        program = parser.parse(f"box[z] in {decls} in call p0(,z)")
+        return lambda: so.simple_typecheck(program)
+
+    assert_linear_growth(typecheck, 500)
 
 
 def test_order_confusion_rejected():
